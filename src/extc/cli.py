@@ -17,7 +17,7 @@ from .diagnostics import (
 from .lexer import LexError
 from .parser import ParseError, parse_program
 from .signatures import collect_all
-from .syntax import dump
+from .syntax import Program, Span, dump
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -58,6 +58,33 @@ def _gather_files(paths: list[str]) -> list[Path] | str:
     return files
 
 
+def _newlines(text: str) -> str:
+    """Universal newlines, as reading in text mode gives."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _load(path: Path) -> tuple[str, Program | Diagnostic]:
+    """Read and parse one file. Returns its text, in which bytes that are not
+    UTF-8 read as U+FFFD, and its program or the E_LEX/E_PARSE diagnostic
+    that stopped it."""
+    name = str(path)
+    data = path.read_bytes()
+    try:
+        text = _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        head = _newlines(data[:err.start].decode("utf-8"))
+        line = head.count("\n") + 1
+        col = len(head) - head.rfind("\n")
+        span = Span(len(head), len(head) + 1, line, col, line, col + 1)
+        return (_newlines(data.decode("utf-8", "replace")),
+                Diagnostic(E_LEX, "file is not valid UTF-8", span, file=name))
+    try:
+        return text, parse_program(text, path=name)
+    except (LexError, ParseError) as err:
+        code = E_LEX if isinstance(err, LexError) else E_PARSE
+        return text, Diagnostic(code, err.message, err.span, file=name)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -79,15 +106,11 @@ def _run_check(args) -> int:
     diags: list[Diagnostic] = []
     sources: dict[str, str] = {}
     for path in files:
-        name = str(path)
-        text = path.read_text(encoding="utf-8")
-        sources[name] = text
-        try:
-            programs.append(parse_program(text, path=name))
-        except LexError as err:
-            diags.append(Diagnostic(E_LEX, err.message, err.span, file=name))
-        except ParseError as err:
-            diags.append(Diagnostic(E_PARSE, err.message, err.span, file=name))
+        sources[str(path)], parsed = _load(path)
+        if isinstance(parsed, Diagnostic):
+            diags.append(parsed)
+        else:
+            programs.append(parsed)
 
     diags.extend(check_programs(programs))
     diags = sort_diagnostics(diags)
@@ -125,15 +148,11 @@ def _run_parse(args) -> int:
     if not path.is_file():
         print(f"extc: error: no such file: {args.path}", file=sys.stderr)
         return 3
-    text = path.read_text(encoding="utf-8")
-    try:
-        program = parse_program(text, path=str(path))
-    except (LexError, ParseError) as err:
-        code = E_LEX if isinstance(err, LexError) else E_PARSE
-        diag = Diagnostic(code, err.message, err.span, file=str(path))
-        print(render_text(diag, text), file=sys.stderr)
+    text, parsed = _load(path)
+    if isinstance(parsed, Diagnostic):
+        print(render_text(parsed, text), file=sys.stderr)
         return 2
-    print(dump(program))
+    print(dump(parsed))
     return 0
 
 

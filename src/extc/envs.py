@@ -5,9 +5,6 @@ from .types import FunctionType, Type
 
 # Variable environments are plain name -> Type dicts (the checker treats them
 # as immutable values and always builds fresh ones).
-VarEnv = dict
-
-ModulePrefix = tuple
 
 
 def merge(g1: dict[str, Type], g2: dict[str, Type]) -> dict[str, Type]:

@@ -85,12 +85,7 @@ class ExprChecker:
             return SynthResult(bound, env)
 
         if isinstance(expr, syntax.TupleExpr):
-            item_types = []
-            out = env
-            for item in expr.items:
-                t, item_env = self.synthesize(item, env)
-                item_types.append(t)
-                out = merge(out, item_env)
+            item_types, out = self._synth_each(expr.items, env)
             return SynthResult(TupleType(tuple(item_types)), out)
 
         if isinstance(expr, syntax.ElistExpr):
@@ -104,13 +99,9 @@ class ExprChecker:
             return SynthResult(ListType(join(head_t, element)), merge(head_env, tail_env))
 
         if isinstance(expr, syntax.MapExpr):
-            entries = []
-            out = env
-            for key, value in expr.entries:
-                t, value_env = self.synthesize(value, env)
-                entries.append((key, t))
-                out = merge(out, value_env)
-            return SynthResult(MapType(entries), out)
+            value_types, out = self._synth_each([v for _, v in expr.entries], env)
+            keys = [k for k, _ in expr.entries]
+            return SynthResult(MapType(zip(keys, value_types)), out)
 
         if isinstance(expr, syntax.MapAccess):
             subject_t, out = self.synthesize(expr.subject, env)
@@ -261,38 +252,17 @@ class ExprChecker:
         else:
             qualified = qualify(self.prefix, expr.name)
         fn_type = self.sigs.lookup(qualified, len(expr.args))
-        out = env
         if fn_type is None:
-            # Untyped function: arguments only need to typecheck on their own.
-            for arg in expr.args:
-                _, arg_env = self.synthesize(arg, env)
-                out = merge(out, arg_env)
-            return SynthResult(ANY, out)
-        for arg, param_t in zip(expr.args, fn_type.params):
-            arg_t, arg_env = self.synthesize(arg, env)
-            if not fits(arg_t, param_t):
-                raise ExprError(
-                    E_TYPE_MISMATCH,
-                    f"argument of type {arg_t} does not fit parameter type {param_t} "
-                    f"of {qualified}/{len(expr.args)}",
-                    arg.span,
-                    expected=str(param_t),
-                    actual=str(arg_t),
-                )
-            out = merge(out, arg_env)
-        return SynthResult(fn_type.result, out)
+            return self._untyped_call(expr.args, env)
+        return self._typed_call(expr.args, fn_type, env, f" of {qualified}/{len(expr.args)}")
 
     def _synth_var_call(self, expr, env: dict) -> SynthResult:
         fn_type = env.get(expr.name)
         if fn_type is None:
             raise ExprError(E_UNBOUND_VAR, f"variable '{expr.name}' is not bound",
                             expr.span)
-        out = env
         if isinstance(fn_type, types.AnyType):
-            for arg in expr.args:
-                _, arg_env = self.synthesize(arg, env)
-                out = merge(out, arg_env)
-            return SynthResult(ANY, out)
+            return self._untyped_call(expr.args, env)
         if not isinstance(fn_type, FunctionType):
             raise ExprError(
                 E_NOT_FUNCTION,
@@ -307,12 +277,33 @@ class ExprChecker:
                 f"got {len(expr.args)}",
                 expr.span,
             )
-        for arg, param_t in zip(expr.args, fn_type.params):
+        return self._typed_call(expr.args, fn_type, env)
+
+    def _synth_each(self, exprs, env: dict) -> tuple[list[Type], dict]:
+        """Types of independent subexpressions, each synthesized in `env`, and
+        their bindings merged left to right."""
+        item_types = []
+        out = env
+        for item in exprs:
+            t, item_env = self.synthesize(item, env)
+            item_types.append(t)
+            out = merge(out, item_env)
+        return item_types, out
+
+    def _untyped_call(self, args, env: dict) -> SynthResult:
+        # An untyped callee: arguments only need to typecheck on their own.
+        return SynthResult(ANY, self._synth_each(args, env)[1])
+
+    def _typed_call(self, args, fn_type: FunctionType, env: dict,
+                    callee: str = "") -> SynthResult:
+        """Each argument must fit its parameter type; `callee` ends the message."""
+        out = env
+        for arg, param_t in zip(args, fn_type.params):
             arg_t, arg_env = self.synthesize(arg, env)
             if not fits(arg_t, param_t):
                 raise ExprError(
                     E_TYPE_MISMATCH,
-                    f"argument of type {arg_t} does not fit parameter type {param_t}",
+                    f"argument of type {arg_t} does not fit parameter type {param_t}{callee}",
                     arg.span,
                     expected=str(param_t),
                     actual=str(arg_t),

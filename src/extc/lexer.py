@@ -117,7 +117,7 @@ class _Lexer:
             if ch in " \t\r":
                 self.advance()
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 self.lex_number()
                 continue
             if ch == '"':
@@ -141,11 +141,11 @@ class _Lexer:
 
     def lex_number(self):
         start = self.mark()
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.advance()
-        if self.peek() == "." and self.peek(1).isdigit():
+        if self.peek() == "." and self.peek(1).isdecimal():
             self.advance()
-            while self.peek().isdigit():
+            while self.peek().isdecimal():
                 self.advance()
             self.emit("float", self.src[start[0]:self.pos], start)
         else:

@@ -1,10 +1,14 @@
-"""Recursive-descent parser with operator precedence for the Elixir fragment.
+"""Recursive-descent parser for the Elixir fragment, with one precedence-climbing
+loop for the binary operators.
 
-Precedence, tightest first: postfix map access; unary `-`/`not`; `*` `/`;
-binary `+` `-`; `++` `--` `<>` (right associative); comparisons; `and`; `or`;
-`=` (match, right associative, lowest).
+Precedence, tightest first: postfix map access; unary `-`/`not`; then the
+`_BINARY` levels `*` `/` (6); binary `+` `-` (5); `++` `--` `<>` (4, right
+associative); comparisons (3); `and` (2); `or` (1); and last `=` (match, right
+associative, lowest), which `parse_expr` handles.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from . import syntax
 from .lexer import Token, tokenize
@@ -28,8 +32,18 @@ class ParseError(Exception):
         self.span = span
 
 
-_COMPARISONS = {"<", ">", "<=", ">=", "==", "!=", "===", "!=="}
-_CONCAT_OPS = {"++", "--", "<>"}
+# Binary operator lexeme -> (precedence, right associative); higher binds
+# tighter. Only `op` and `keyword` tokens are operators.
+_BINARY = {
+    "or": (1, False),
+    "and": (2, False),
+    **dict.fromkeys(("<", ">", "<=", ">=", "==", "!=", "===", "!=="), (3, False)),
+    **dict.fromkeys(("++", "--", "<>"), (4, True)),
+    "+": (5, False), "-": (5, False),
+    "*": (6, False), "/": (6, False),
+}
+_OPERATOR_KINDS = ("op", "keyword")
+_UNARY = {("op", "-"), ("keyword", "not")}
 _DECL_STARTS = {"defmodule", "def"}
 
 
@@ -84,6 +98,74 @@ class Parser:
         while self.at_separator():
             self.take()
 
+    # --- shared shapes ---
+
+    def comma_list(self, parse_item: Callable, close: str) -> list:
+        """`item, item, ...` up to and including the `close` punctuation."""
+        items = []
+        if not self.at_punct(close):
+            items.append(parse_item())
+            while self.at_punct(","):
+                self.take()
+                items.append(parse_item())
+        self.expect("punct", close)
+        return items
+
+    def map_entries(self, parse_value: Callable, what: str) -> tuple[list, Span]:
+        """`%{key => value, ...}` with distinct keys, and the span of the braces."""
+        start = self.take().span  # '%{'
+        entries = self.comma_list(lambda: self.map_entry(parse_value), "}")
+        span = start.cover(self.prev_span())
+        keys = [k for k, _ in entries]
+        if len(set(keys)) != len(keys):
+            raise ParseError(f"duplicate keys in {what}", span)
+        return entries, span
+
+    def map_entry(self, parse_value: Callable) -> tuple[MapKey, object]:
+        key = self.parse_map_key()
+        self.expect("op", "=>")
+        return key, parse_value()
+
+    def sequence(self, stop: Callable[[], bool] | None = None) -> syntax.Expr:
+        """Expression statements folded into a sequence; it ends at `eof`, at
+        `end`, or where `stop()` holds after a separator."""
+        self.skip_separators()
+        exprs = [self.parse_expr()]
+        while self.at_separator():
+            self.skip_separators()
+            if self.at("eof") or self.at_keyword("end") or (stop is not None and stop()):
+                break
+            exprs.append(self.parse_expr())
+        return _fold_sequence(exprs)
+
+    def ahead(self, parse_head: Callable) -> bool:
+        """Whether a clause `head ->` starts here; the position never moves."""
+        mark = self.pos
+        try:
+            parse_head()
+            return self.at_op("->")
+        except ParseError:
+            return False
+        finally:
+            self.pos = mark
+
+    def parse_clauses(self, parse_head: Callable, clause_type: type, what: str) -> list:
+        """`do head -> body ... end` with at least one clause."""
+        self.expect("keyword", "do")
+        clauses = []
+        while True:
+            self.skip_separators()
+            if self.at_keyword("end"):
+                break
+            head = parse_head()
+            self.expect("op", "->")
+            body = self.sequence(lambda: self.ahead(parse_head))
+            clauses.append(clause_type(head, body, span=head.span.cover(body.span)))
+        if not clauses:
+            raise self.error(f"{what} expression needs at least one clause")
+        self.expect("keyword", "end")
+        return clauses
+
     # --- programs and declarations ---
 
     def parse_program(self) -> Program:
@@ -122,15 +204,9 @@ class Parser:
         start = self.expect("keyword", "def").span
         name = self.expect("ident", what="function name").lexeme
         self.expect("punct", "(")
-        params: list[syntax.Pattern] = []
-        if not self.at_punct(")"):
-            params.append(self.parse_pattern())
-            while self.at_punct(","):
-                self.take()
-                params.append(self.parse_pattern())
-        self.expect("punct", ")")
+        params = self.comma_list(self.parse_pattern, ")")
         self.expect("keyword", "do")
-        body = self.parse_body_sequence()
+        body = self.sequence()
         self.expect("keyword", "end")
         return FunctionDef(name, params, body, span=start.cover(self.prev_span()))
 
@@ -138,29 +214,18 @@ class Parser:
         start = self.expect("atspec").span
         name = self.expect("ident", what="function name").lexeme
         self.expect("punct", "(")
-        params: list[Type] = []
-        if not self.at_punct(")"):
-            params.append(self.parse_type())
-            while self.at_punct(","):
-                self.take()
-                params.append(self.parse_type())
-        self.expect("punct", ")")
+        params = self.comma_list(self.parse_type, ")")
         self.expect("op", "::")
         result = self.parse_type()
         return SpecDecl(name, params, result, span=start.cover(self.prev_span()))
 
     def parse_expr_group(self) -> syntax.Expr:
-        """A maximal run of expression statements, folded into a sequence."""
-        exprs = [self.parse_expr()]
-        while self.at_separator():
-            mark = self.pos
-            self.skip_separators()
-            if (self.at("eof") or self.at_keyword("end")
-                    or self.peek().lexeme in _DECL_STARTS or self.at("atspec")):
-                self.pos = mark
-                break
-            exprs.append(self.parse_expr())
-        return _fold_sequence(exprs)
+        """A maximal run of expression statements, up to a declaration."""
+        return self.sequence(self.at_declaration)
+
+    def at_declaration(self) -> bool:
+        tok = self.peek()
+        return tok.kind == "keyword" and tok.lexeme in _DECL_STARTS or tok.kind == "atspec"
 
     # --- types ---
 
@@ -182,45 +247,16 @@ class Parser:
             return ListType(element)
         if self.at_punct("{"):
             self.take()
-            items: list[Type] = []
-            if not self.at_punct("}"):
-                items.append(self.parse_type())
-                while self.at_punct(","):
-                    self.take()
-                    items.append(self.parse_type())
-            self.expect("punct", "}")
-            return TupleType(tuple(items))
+            return TupleType(tuple(self.comma_list(self.parse_type, "}")))
         if self.at_punct("%{"):
-            open_span = self.take().span
-            entries: list[tuple[MapKey, Type]] = []
-            if not self.at_punct("}"):
-                entries.append(self.parse_map_type_entry())
-                while self.at_punct(","):
-                    self.take()
-                    entries.append(self.parse_map_type_entry())
-            self.expect("punct", "}")
-            keys = [k for k, _ in entries]
-            if len(set(keys)) != len(keys):
-                raise ParseError("duplicate keys in map type", open_span.cover(self.prev_span()))
-            return MapType(entries)
+            return MapType(self.map_entries(self.parse_type, "map type")[0])
         if self.at_punct("("):
             self.take()
-            params: list[Type] = []
-            if not self.at_punct(")"):
-                params.append(self.parse_type())
-                while self.at_punct(","):
-                    self.take()
-                    params.append(self.parse_type())
-            self.expect("punct", ")")
+            params = self.comma_list(self.parse_type, ")")
             self.expect("op", "->")
             result = self.parse_type()
             return FunctionType(tuple(params), result)
         raise ParseError(f"expected a type, found {tok.lexeme!r}", tok.span)
-
-    def parse_map_type_entry(self) -> tuple[MapKey, Type]:
-        key = self.parse_map_key()
-        self.expect("op", "=>")
-        return key, self.parse_type()
 
     def parse_map_key(self) -> MapKey:
         tok = self.peek()
@@ -229,7 +265,7 @@ class Parser:
             return MapKey.atom(tok.lexeme)
         if tok.kind == "int":
             self.take()
-            return MapKey.integer(int(tok.lexeme))
+            return MapKey.integer(_int_value(tok))
         if tok.kind == "keyword" and tok.lexeme in ("true", "false"):
             self.take()
             return MapKey.boolean(tok.lexeme == "true")
@@ -253,13 +289,7 @@ class Parser:
             return lit
         if self.at_punct("{"):
             start = self.take().span
-            items: list[syntax.Pattern] = []
-            if not self.at_punct("}"):
-                items.append(self.parse_pattern())
-                while self.at_punct(","):
-                    self.take()
-                    items.append(self.parse_pattern())
-            self.expect("punct", "}")
+            items = self.comma_list(self.parse_pattern, "}")
             return TuplePattern(items, span=start.cover(self.prev_span()))
         if self.at_punct("["):
             start = self.take().span
@@ -272,31 +302,15 @@ class Parser:
             self.expect("punct", "]")
             return ConsPattern(head, tail, span=start.cover(self.prev_span()))
         if self.at_punct("%{"):
-            start = self.take().span
-            entries: list[tuple[MapKey, syntax.Pattern]] = []
-            if not self.at_punct("}"):
-                entries.append(self.parse_map_pattern_entry())
-                while self.at_punct(","):
-                    self.take()
-                    entries.append(self.parse_map_pattern_entry())
-            self.expect("punct", "}")
-            span = start.cover(self.prev_span())
-            keys = [k for k, _ in entries]
-            if len(set(keys)) != len(keys):
-                raise ParseError("duplicate keys in map pattern", span)
+            entries, span = self.map_entries(self.parse_pattern, "map pattern")
             return MapPattern(entries, span=span)
         raise ParseError(f"expected a pattern, found {tok.lexeme or tok.kind!r}", tok.span)
-
-    def parse_map_pattern_entry(self) -> tuple[MapKey, syntax.Pattern]:
-        key = self.parse_map_key()
-        self.expect("op", "=>")
-        return key, self.parse_pattern()
 
     def try_literal(self) -> syntax.Literal | None:
         tok = self.peek()
         if tok.kind == "int":
             self.take()
-            return IntLit(int(tok.lexeme), span=tok.span)
+            return IntLit(_int_value(tok), span=tok.span)
         if tok.kind == "float":
             self.take()
             return FloatLit(float(tok.lexeme), span=tok.span)
@@ -327,71 +341,30 @@ class Parser:
             value = self.parse_expr()
             return Match(pattern, value, span=pattern.span.cover(value.span))
         self.pos = mark
-        expr = self.parse_or()
+        expr = self.parse_binary()
         if self.at_op("="):
             raise ParseError("left-hand side of '=' is not a valid pattern", expr.span)
         return expr
 
-    def parse_or(self) -> syntax.Expr:
-        left = self.parse_and()
-        while self.at_keyword("or"):
-            self.take()
-            right = self.parse_and()
-            left = BinOp("or", left, right, span=left.span.cover(right.span))
-        return left
-
-    def parse_and(self) -> syntax.Expr:
-        left = self.parse_cmp()
-        while self.at_keyword("and"):
-            self.take()
-            right = self.parse_cmp()
-            left = BinOp("and", left, right, span=left.span.cover(right.span))
-        return left
-
-    def parse_cmp(self) -> syntax.Expr:
-        left = self.parse_concat()
-        while self.peek().kind == "op" and self.peek().lexeme in _COMPARISONS:
-            op = self.take().lexeme
-            right = self.parse_concat()
-            left = BinOp(op, left, right, span=left.span.cover(right.span))
-        return left
-
-    def parse_concat(self) -> syntax.Expr:
-        left = self.parse_additive()
-        if self.peek().kind == "op" and self.peek().lexeme in _CONCAT_OPS:
-            op = self.take().lexeme
-            right = self.parse_concat()
-            return BinOp(op, left, right, span=left.span.cover(right.span))
-        return left
-
-    def parse_additive(self) -> syntax.Expr:
-        left = self.parse_multiplicative()
-        while self.at_op("+") or self.at_op("-"):
-            op = self.take().lexeme
-            right = self.parse_multiplicative()
-            left = BinOp(op, left, right, span=left.span.cover(right.span))
-        return left
-
-    def parse_multiplicative(self) -> syntax.Expr:
+    def parse_binary(self, min_prec: int = 1) -> syntax.Expr:
+        """Precedence climbing over `_BINARY`: operands bind at least `min_prec`."""
         left = self.parse_unary()
-        while self.at_op("*") or self.at_op("/"):
-            op = self.take().lexeme
-            right = self.parse_unary()
-            left = BinOp(op, left, right, span=left.span.cover(right.span))
-        return left
+        while True:
+            tok = self.peek()
+            level = _BINARY.get(tok.lexeme) if tok.kind in _OPERATOR_KINDS else None
+            if level is None or level[0] < min_prec:
+                return left
+            self.take()
+            prec, right_assoc = level
+            right = self.parse_binary(prec if right_assoc else prec + 1)
+            left = BinOp(tok.lexeme, left, right, span=left.span.cover(right.span))
 
     def parse_unary(self) -> syntax.Expr:
-        if self.at_op("-"):
-            start = self.take().span
+        tok = self.peek()
+        if (tok.kind, tok.lexeme) in _UNARY:
+            self.take()
             operand = self.parse_unary()
-            return UnaryOp("-", operand, span=start.cover(operand.span))
-        if self.at_keyword("not"):
-            start = self.take().span
-            operand = self.parse_unary()
-            return UnaryOp("not", operand, span=start.cover(operand.span))
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> syntax.Expr:
+            return UnaryOp(tok.lexeme, operand, span=tok.span.cover(operand.span))
         expr = self.parse_primary()
         while self.at_punct("["):
             self.take()
@@ -419,13 +392,7 @@ class Parser:
             return _fold_sequence(exprs)
         if self.at_punct("{"):
             start = self.take().span
-            items: list[syntax.Expr] = []
-            if not self.at_punct("}"):
-                items.append(self.parse_expr())
-                while self.at_punct(","):
-                    self.take()
-                    items.append(self.parse_expr())
-            self.expect("punct", "}")
+            items = self.comma_list(self.parse_expr, "}")
             return TupleExpr(items, span=start.cover(self.prev_span()))
         if self.at_punct("["):
             start = self.take().span
@@ -438,33 +405,22 @@ class Parser:
             self.expect("punct", "]")
             return ConsExpr(head, tail, span=start.cover(self.prev_span()))
         if self.at_punct("%{"):
-            start = self.take().span
-            entries: list[tuple[MapKey, syntax.Expr]] = []
-            if not self.at_punct("}"):
-                entries.append(self.parse_map_expr_entry())
-                while self.at_punct(","):
-                    self.take()
-                    entries.append(self.parse_map_expr_entry())
-            self.expect("punct", "}")
-            span = start.cover(self.prev_span())
-            keys = [k for k, _ in entries]
-            if len(set(keys)) != len(keys):
-                raise ParseError("duplicate keys in map literal", span)
+            entries, span = self.map_entries(self.parse_expr, "map literal")
             return MapExpr(entries, span=span)
         if self.at_keyword("if"):
             return self.parse_if()
         if self.at_keyword("case"):
-            return self.parse_case()
+            start = self.take().span
+            subject = self.parse_expr()
+            clauses = self.parse_clauses(self.parse_pattern, CaseClause, "case")
+            return Case(subject, clauses, span=start.cover(self.prev_span()))
         if self.at_keyword("cond"):
-            return self.parse_cond()
+            start = self.take().span
+            clauses = self.parse_clauses(self.parse_expr, CondClause, "cond")
+            return Cond(clauses, span=start.cover(self.prev_span()))
         if self.at_keyword("fn"):
             return self.parse_fn()
         raise ParseError(f"expected an expression, found {tok.lexeme or tok.kind!r}", tok.span)
-
-    def parse_map_expr_entry(self) -> tuple[MapKey, syntax.Expr]:
-        key = self.parse_map_key()
-        self.expect("op", "=>")
-        return key, self.parse_expr()
 
     def parse_name(self) -> syntax.Expr:
         first = self.take()
@@ -487,23 +443,16 @@ class Parser:
 
     def parse_call_args(self) -> list[syntax.Expr]:
         self.expect("punct", "(")
-        args: list[syntax.Expr] = []
-        if not self.at_punct(")"):
-            args.append(self.parse_expr())
-            while self.at_punct(","):
-                self.take()
-                args.append(self.parse_expr())
-        self.expect("punct", ")")
-        return args
+        return self.comma_list(self.parse_expr, ")")
 
     def parse_if(self) -> If:
         start = self.expect("keyword", "if").span
         cond = self.parse_expr()
         self.expect("keyword", "do")
-        then = self.parse_body_sequence(extra_stop="else")
+        then = self.sequence(lambda: self.at_keyword("else"))
         if self.at_keyword("else"):
             self.take()
-            orelse = self.parse_body_sequence()
+            orelse = self.sequence()
         else:
             # An else-less `if` produces :nil when the condition is false; the
             # synthetic branch points back at the `if` keyword.
@@ -511,96 +460,21 @@ class Parser:
         self.expect("keyword", "end")
         return If(cond, then, orelse, span=start.cover(self.prev_span()))
 
-    def parse_case(self) -> Case:
-        start = self.expect("keyword", "case").span
-        subject = self.parse_expr()
-        self.expect("keyword", "do")
-        clauses: list[CaseClause] = []
-        while True:
-            self.skip_separators()
-            if self.at_keyword("end"):
-                break
-            pattern = self.parse_pattern()
-            self.expect("op", "->")
-            body = self.parse_branch_body(self.case_branch_ahead)
-            clauses.append(CaseClause(pattern, body, span=pattern.span.cover(body.span)))
-        if not clauses:
-            raise self.error("case expression needs at least one clause")
-        self.expect("keyword", "end")
-        return Case(subject, clauses, span=start.cover(self.prev_span()))
-
-    def parse_cond(self) -> Cond:
-        start = self.expect("keyword", "cond").span
-        self.expect("keyword", "do")
-        clauses: list[CondClause] = []
-        while True:
-            self.skip_separators()
-            if self.at_keyword("end"):
-                break
-            cond = self.parse_expr()
-            self.expect("op", "->")
-            body = self.parse_branch_body(self.cond_branch_ahead)
-            clauses.append(CondClause(cond, body, span=cond.span.cover(body.span)))
-        if not clauses:
-            raise self.error("cond expression needs at least one clause")
-        self.expect("keyword", "end")
-        return Cond(clauses, span=start.cover(self.prev_span()))
-
     def parse_fn(self) -> AnonFn:
         start = self.expect("keyword", "fn").span
         self.expect("punct", "(")
-        params: list[syntax.Pattern] = []
-        if not self.at_punct(")"):
-            params.append(self.parse_pattern())
-            while self.at_punct(","):
-                self.take()
-                params.append(self.parse_pattern())
-        self.expect("punct", ")")
+        params = self.comma_list(self.parse_pattern, ")")
         self.expect("op", "->")
-        body = self.parse_body_sequence()
+        body = self.sequence()
         self.expect("keyword", "end")
         return AnonFn(params, body, span=start.cover(self.prev_span()))
 
-    def parse_body_sequence(self, extra_stop: str | None = None) -> syntax.Expr:
-        self.skip_separators()
-        exprs = [self.parse_expr()]
-        while self.at_separator():
-            self.skip_separators()
-            if self.at("eof") or self.at_keyword("end") or (
-                    extra_stop and self.at_keyword(extra_stop)):
-                break
-            exprs.append(self.parse_expr())
-        return _fold_sequence(exprs)
 
-    def parse_branch_body(self, branch_ahead) -> syntax.Expr:
-        self.skip_separators()
-        exprs = [self.parse_expr()]
-        while self.at_separator():
-            self.skip_separators()
-            if self.at("eof") or self.at_keyword("end") or branch_ahead():
-                break
-            exprs.append(self.parse_expr())
-        return _fold_sequence(exprs)
-
-    def case_branch_ahead(self) -> bool:
-        mark = self.pos
-        try:
-            self.parse_pattern()
-            return self.at_op("->")
-        except ParseError:
-            return False
-        finally:
-            self.pos = mark
-
-    def cond_branch_ahead(self) -> bool:
-        mark = self.pos
-        try:
-            self.parse_expr()
-            return self.at_op("->")
-        except ParseError:
-            return False
-        finally:
-            self.pos = mark
+def _int_value(tok: Token) -> int:
+    try:
+        return int(tok.lexeme)
+    except ValueError:  # past the digit limit of int() on text
+        raise ParseError("integer literal is too long", tok.span) from None
 
 
 def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
@@ -617,7 +491,10 @@ def _as_tokens(source) -> list[Token]:
 def parse_program(source, path: str = "<input>") -> Program:
     """Parse a whole program from source text or a token list."""
     parser = Parser(_as_tokens(source), path)
-    program = parser.parse_program()
+    try:
+        program = parser.parse_program()
+    except RecursionError:
+        raise parser.error("nesting too deep") from None
     parser.skip_separators()
     parser.expect("eof")
     return program

@@ -43,12 +43,13 @@ def _mismatch(pattern, expected: Type, actual: Type | None = None) -> PatternErr
     )
 
 
-def _literal_ok(lit_type: Type, expected: Type, mode: PatternMode) -> bool:
+def _fits_in_mode(actual: Type, expected: Type, mode: PatternMode) -> bool:
+    """Whether a literal or pin of type `actual` may stand where `expected` is."""
     if mode is PatternMode.MATCH:
-        return fits(expected, lit_type)
+        return fits(expected, actual)
     if mode is PatternMode.CASE:
-        return fits(lit_type, expected)
-    return is_more_precise(lit_type, expected)
+        return fits(actual, expected)
+    return is_more_precise(actual, expected)
 
 
 def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict,
@@ -66,7 +67,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
 
     if isinstance(pattern, syntax.Literal):
         lit_type = types.literal_type(pattern)
-        if not _literal_ok(lit_type, expected, mode):
+        if not _fits_in_mode(lit_type, expected, mode):
             raise _mismatch(pattern, expected, lit_type)
         return
 
@@ -93,13 +94,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
                 f"pinned variable '{pattern.name}' is not bound in the enclosing scope",
                 pattern.span,
             )
-        if mode is PatternMode.MATCH:
-            ok = fits(expected, pinned)
-        elif mode is PatternMode.CASE:
-            ok = fits(pinned, expected)
-        else:
-            ok = is_more_precise(pinned, expected)
-        if not ok:
+        if not _fits_in_mode(pinned, expected, mode):
             raise _mismatch(pattern, expected, pinned)
         return
 
@@ -179,7 +174,7 @@ def _check_structured_opaque(pattern, opaque: Type, sigma: dict, gamma: dict,
         raise _mismatch(pattern, opaque)
 
 
-def case_fallback(pattern, selector_type: Type, sigma: dict, gamma: dict) -> dict:
+def case_fallback(pattern, sigma: dict, gamma: dict) -> dict:
     """Re-check a case pattern against `term` after a structural failure
     against the selector type (the selector is upcast to the top type)."""
     return check_pattern(pattern, TERM, sigma, gamma, PatternMode.CASE)
@@ -192,7 +187,7 @@ def check_case_pattern(pattern, selector_type: Type, sigma: dict) -> tuple[dict,
         return check_pattern(pattern, selector_type, sigma, {}, PatternMode.CASE), False
     except PatternError as err:
         if err.code in (E_PATTERN_TYPE, E_UNKNOWN_KEY):
-            return case_fallback(pattern, selector_type, sigma, {}), True
+            return case_fallback(pattern, sigma, {}), True
         raise
 
 

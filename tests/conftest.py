@@ -38,7 +38,7 @@ def strip_specs(source: str) -> str:
 
 @pytest.fixture(scope="session")
 def universe():
-    from extc.oracle import default_universe
+    from oracle import default_universe
 
     uni = default_universe()
     uni.sub, uni.prec, uni.reach  # populate caches once per session

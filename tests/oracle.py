@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .types import (
+from extc.types import (
     ANY, ATOM, AtomLiteralType, AnyType, AtomType, BOOLEAN, FLOAT, FunctionType,
     INTEGER, IntegerType, FloatType, ListType, MapKey, MapType, NONE, NoneType,
     STRING, TERM, TermType, TupleType, Type,

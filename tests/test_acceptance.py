@@ -19,7 +19,7 @@ from extc.checker import check_program
 from extc.cli import run
 from extc.envs import SignatureEnv
 from extc.expressions import ExprChecker
-from extc.oracle import brute_lub, closure_fits, contains_any, default_universe
+from oracle import brute_lub, closure_fits, contains_any, default_universe
 from extc.parser import parse_expression, parse_program
 from extc.types import (
     ANY, BOOLEAN, FLOAT, FunctionType, INTEGER, ListType, STRING, TERM,

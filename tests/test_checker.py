@@ -49,6 +49,11 @@ class TestProgramValidity:
         # a def breaks the expression run; x is out of scope afterwards
         assert errors_of("x = 1\ndef f(y) do y end\nx + 1") == ["E_UNBOUND_VAR"]
 
+    @pytest.mark.parametrize("statement", ['"def" <> "a"', '"defmodule"', ":def"])
+    def test_only_the_keyword_def_ends_the_statement_group(self, statement):
+        # a string or atom spelled like a keyword is an ordinary expression
+        assert errors_of(f"x = 1\n{statement}\ny = x") == []
+
     def test_module_expressions_use_module_prefix(self):
         source = """
 defmodule M do

@@ -1,9 +1,15 @@
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, DATA_DIR
 from extc.cli import run
@@ -157,6 +163,75 @@ class TestParseSubcommand:
 
     def test_missing_file(self, capsys):
         assert invoke(capsys, "parse", "nope.ex")[0] == 3
+
+
+class TestInputsThatUsedToCrash:
+    def test_thousand_element_cons_list_is_a_parse_error(self, tmp_path, capsys):
+        cons = "[]"
+        for i in reversed(range(1000)):
+            cons = f"[{i} | {cons}]"
+        path = tmp_path / "deep.ex"
+        path.write_text(f"xs = {cons}\n")
+        code, out, err = invoke(capsys, "check", str(path))
+        assert code == 2
+        assert f"{path}:1:" in out and "E_PARSE nesting too deep" in out
+        assert "Traceback" not in err
+
+    def test_latin1_bytes_are_a_lex_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ex"
+        path.write_bytes('x = 1\nname = "caf\xe9"\n'.encode("latin-1"))
+        code, out, err = invoke(capsys, "check", str(path))
+        assert code == 2
+        assert out.startswith(f"{path}:2:12 E_LEX file is not valid UTF-8\n")
+        assert err == ""
+
+    def test_latin1_bytes_in_json(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ex"
+        path.write_bytes('x = 1\r\nname = "caf\xe9"\r\n'.encode("latin-1"))
+        code, out, _ = invoke(capsys, "check", str(path), "--format", "json")
+        [diag] = json.loads(out)["diagnostics"]
+        assert code == 2
+        assert (diag["code"], diag["line"], diag["col"]) == ("E_LEX", 2, 12)
+
+    def test_latin1_bytes_in_parse_subcommand(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ex"
+        path.write_bytes('name = "caf\xe9"\n'.encode("latin-1"))
+        code, out, err = invoke(capsys, "parse", str(path))
+        assert code == 2 and out == ""
+        assert "E_LEX file is not valid UTF-8" in err
+
+    def test_crlf_line_endings_read_as_newlines(self, tmp_path, capsys):
+        path = tmp_path / "lines.ex"
+        path.write_bytes(b'x = 1\n3 + "hi"\n')
+        unix = invoke(capsys, "check", str(path))
+        path.write_bytes(b'x = 1\r\n3 + "hi"\r')
+        assert invoke(capsys, "check", str(path)) == unix
+        assert unix[1].startswith(f"{path}:2:5 E_TYPE_MISMATCH")
+
+
+# Lexemes of the fragment, so that fuzzed input also reaches the parser and
+# the checker rather than stopping at the first stray byte.
+_FRAGMENTS = [
+    "defmodule", "def", "do", "end", "else", "fn", "case", "cond", "if", "not",
+    "and", "or", "true", "false", "@spec", "x", "f", "M", "_", ":a", "1", "2.5",
+    '"s"', "integer", "any", "(", ")", "[", "]", "{", "}", "%{", ",", ";", "\n",
+    "=", "->", "=>", "::", "|", "^", ".", "+", "-", "*", "/", "<>", "++", "==",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=100).map(str.encode),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=60).map(lambda xs: " ".join(xs).encode()),
+))
+def test_arbitrary_bytes_never_crash_the_checker(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ex"
+        path.write_bytes(data)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(["check", str(path)])
+    assert code in (0, 1, 2)
 
 
 @pytest.mark.skipif(shutil.which("extc") is None, reason="entry point not installed")

@@ -101,6 +101,13 @@ def test_stray_character():
         tokenize("x = 1 ~ 2")
 
 
+@pytest.mark.parametrize("source", ["x = ²", "x = 1²", "x = 1.²"])
+def test_non_decimal_digit_is_a_stray_character(source):
+    # int() and float() reject superscript digits, so numbers never hold them
+    with pytest.raises(LexError, match="stray character"):
+        tokenize(source)
+
+
 def test_spans_cover_input():
     source = "x = 10 * 9\nx + 10\n"
     for tok in tokenize(source):

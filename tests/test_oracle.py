@@ -1,6 +1,6 @@
 import pytest
 
-from extc.oracle import (
+from oracle import (
     AmbiguousBoundError, TypeUniverse, brute_glb, brute_lub, closure_fits,
     contains_any, default_universe, enumerate_types,
 )

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import corpus_files
@@ -6,8 +8,8 @@ from extc.parser import (
     ParseError, parse_expression, parse_program, parse_spec, parse_type_text,
 )
 from extc.syntax import (
-    AtomLit, BinOp, Call, Case, ConsPattern, If, IntLit, Match, ModuleDef,
-    Seq, TuplePattern, Var, VarCall, VarPattern, Wildcard,
+    AtomLit, BinOp, Call, Case, ConsPattern, If, IntLit, MapAccess, Match,
+    ModuleDef, Seq, TuplePattern, UnaryOp, Var, VarCall, VarPattern, Wildcard,
 )
 from extc.types import (
     ANY, AtomLiteralType, FLOAT, FunctionType, INTEGER, ListType, MapKey,
@@ -108,6 +110,86 @@ class TestExpressions:
     def test_wildcard_is_not_an_expression(self):
         with pytest.raises(ParseError):
             parse_expression("_ + 1")
+
+
+# The binary operators by level, loosest first; the flag marks a right
+# associative level. Written out here so the parser's own table is checked
+# against it rather than against itself.
+_LEVELS = [
+    (("or",), False),
+    (("and",), False),
+    (("<", ">", "<=", ">=", "==", "!=", "===", "!=="), False),
+    (("++", "--", "<>"), True),
+    (("+", "-"), False),
+    (("*", "/"), False),
+]
+_PRECEDENCE = {op: (level, right) for level, (ops, right) in enumerate(_LEVELS) for op in ops}
+
+
+def _assert_binop_spans_cover_operands(expr):
+    if isinstance(expr, BinOp):
+        assert (expr.span.start, expr.span.end) == (expr.left.span.start, expr.right.span.end)
+        _assert_binop_spans_cover_operands(expr.left)
+        _assert_binop_spans_cover_operands(expr.right)
+
+
+class TestOperatorTable:
+    def test_seventeen_binary_operators(self):
+        assert len(_PRECEDENCE) == 17
+
+    @pytest.mark.parametrize("op1,op2", itertools.product(_PRECEDENCE, repeat=2))
+    def test_grouping_of_every_operator_pair(self, op1, op2):
+        source = f"a {op1} b {op2} c"
+        expr = parse_expression(source)
+        (level1, right1), (level2, _) = _PRECEDENCE[op1], _PRECEDENCE[op2]
+        a, b, c = Var("a"), Var("b"), Var("c")
+        if level1 > level2 or (level1 == level2 and not right1):
+            assert expr == BinOp(op2, BinOp(op1, a, b), c)
+        else:
+            assert expr == BinOp(op1, a, BinOp(op2, b, c))
+        assert (expr.span.start, expr.span.end) == (0, len(source))
+        _assert_binop_spans_cover_operands(expr)
+
+    def test_unary_minus_applies_to_map_access(self):
+        expr = parse_expression("-a[:k]")
+        assert expr == UnaryOp("-", MapAccess(Var("a"), MapKey.atom("k")))
+        assert (expr.span.start, expr.span.end) == (0, 6)
+
+    def test_not_binds_tighter_than_and(self):
+        assert parse_expression("not a and b") == BinOp("and", UnaryOp("not", Var("a")), Var("b"))
+
+    def test_unary_minus_nests(self):
+        expr = parse_expression("- - a")
+        assert expr == UnaryOp("-", UnaryOp("-", Var("a")))
+        assert (expr.operand.span.start, expr.operand.span.end) == (2, 5)
+
+    def test_string_with_operator_text_is_not_an_operator(self):
+        with pytest.raises(ParseError, match="expected 'eof', found '\\+'"):
+            parse_expression('a "+" b')
+
+
+class TestNesting:
+    def test_hundred_nested_parentheses(self):
+        program = parse_program("x = " + "(" * 100 + "1" + ")" * 100)
+        assert program.items[0] == Match(VarPattern("x"), IntLit(1))
+
+    def test_hundred_element_cons_list(self):
+        cons = "[]"
+        for i in reversed(range(100)):
+            cons = f"[{i} | {cons}]"
+        program = parse_program(f"xs = {cons}")
+        assert isinstance(program.items[0].value, syntax.ConsExpr)
+
+    def test_too_deep_nesting_is_a_parse_error(self):
+        source = "x = " + "(" * 5000 + "1" + ")" * 5000
+        with pytest.raises(ParseError, match="nesting too deep") as exc:
+            parse_program(source)
+        assert 0 < exc.value.span.start < len(source)
+
+    def test_overlong_integer_literal_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="integer literal is too long") as exc:
+            parse_program("x = " + "1" * 5000)
+        assert (exc.value.span.start, exc.value.span.end) == (4, 5004)
 
 
 class TestIfDesugaring:

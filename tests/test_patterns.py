@@ -189,7 +189,7 @@ class TestCaseFallback:
         assert exc.value.code == "E_NONLINEAR_MISMATCH"
 
     def test_case_fallback_entry_point(self):
-        gamma = case_fallback(pat("{a, b}"), INTEGER, {}, {})
+        gamma = case_fallback(pat("{a, b}"), {}, {})
         assert gamma == {"a": TERM, "b": TERM}
 
     def test_pin_below_selector_needs_no_fallback(self):
