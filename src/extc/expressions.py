@@ -134,8 +134,12 @@ class ExprChecker:
             return SynthResult(value_t, merge(value_env, bindings))
 
         if isinstance(expr, syntax.Seq):
-            _, first_env = self.synthesize(expr.first, env)
-            return self.synthesize(expr.second, first_env)
+            # A loop down the right-nested chain, so a body's length is not
+            # bounded by the interpreter's recursion limit.
+            while isinstance(expr, syntax.Seq):
+                _, env = self.synthesize(expr.first, env)
+                expr = expr.second
+            return self.synthesize(expr, env)
 
         if isinstance(expr, syntax.If):
             cond_t, cond_env = self.synthesize(expr.cond, env)
@@ -186,34 +190,46 @@ class ExprChecker:
         raise TypeError(f"unknown unary operator {expr.op!r}")
 
     def _synth_binop(self, expr, env: dict) -> SynthResult:
-        left_t, left_env = self.synthesize(expr.left, env)
-        right_t, right_env = self.synthesize(expr.right, env)
-        out = merge(left_env, right_env)
-        op = expr.op
+        # A left-nested chain such as `1 + 1 + ... + 1` is walked with a loop,
+        # so its length is not bounded by the interpreter's recursion limit.
+        # Every operand is synthesized in `env`, and each operator is checked
+        # after its left subtree and its right operand.
+        chain = []
+        while isinstance(expr, syntax.BinOp):
+            chain.append(expr)
+            expr = expr.left
+        result, out = self.synthesize(expr, env)
+        for node in reversed(chain):
+            right_t, right_env = self.synthesize(node.right, env)
+            out = merge(out, right_env)
+            result = self._binop_type(node, result, right_t)
+        return SynthResult(result, out)
 
+    def _binop_type(self, expr, left_t: Type, right_t: Type) -> Type:
+        op = expr.op
         if op in ARITH_OPS:
             self._require_fits(left_t, FLOAT, expr.left.span)
             self._require_fits(right_t, FLOAT, expr.right.span)
-            return SynthResult(self._numeric_result(left_t, right_t), out)
+            return self._numeric_result(left_t, right_t)
         if op == "/":
             self._require_fits(left_t, FLOAT, expr.left.span)
             self._require_fits(right_t, FLOAT, expr.right.span)
-            return SynthResult(FLOAT, out)
+            return FLOAT
         if op in BOOL_OPS:
             self._require_fits(left_t, BOOLEAN, expr.left.span)
             self._require_fits(right_t, BOOLEAN, expr.right.span)
-            return SynthResult(BOOLEAN, out)
+            return BOOLEAN
         if op in COMPARISON_OPS:
             # Heterogeneous comparisons are allowed; the result is boolean.
-            return SynthResult(BOOLEAN, out)
+            return BOOLEAN
         if op in LIST_OPS:
             left_elem = self._list_element(left_t, expr.left.span)
             right_elem = self._list_element(right_t, expr.right.span)
-            return SynthResult(ListType(join(left_elem, right_elem)), out)
+            return ListType(join(left_elem, right_elem))
         if op == "<>":
             self._require_fits(left_t, STRING, expr.left.span)
             self._require_fits(right_t, STRING, expr.right.span)
-            return SynthResult(STRING, out)
+            return STRING
         raise TypeError(f"unknown binary operator {op!r}")
 
     @staticmethod

@@ -203,12 +203,37 @@ def literal_type(lit) -> Type:
     raise TypeError(f"not a literal: {lit!r}")
 
 
-def key_type(key: MapKey) -> Type:
-    if key.kind == "atom":
-        return AtomLiteralType(key.value)
-    if key.kind == "boolean":
-        return BOOLEAN
-    return INTEGER
+def _sub(t: Type, u: Type, gradual: bool) -> bool:
+    """The one structural walk behind `is_subtype` and `fits`, which differ
+    only in what `any` relates to once the bounds and equality are settled."""
+    if t == u or isinstance(t, NoneType) or isinstance(u, TermType):
+        return True
+    if isinstance(t, AnyType) or isinstance(u, AnyType):
+        return gradual
+    if isinstance(t, IntegerType) and isinstance(u, FloatType):
+        return True
+    if isinstance(t, AtomLiteralType) and isinstance(u, AtomType):
+        return True
+    if isinstance(t, ListType) and isinstance(u, ListType):
+        return _sub(t.element, u.element, gradual)
+    if isinstance(t, TupleType) and isinstance(u, TupleType):
+        return len(t.items) == len(u.items) and all(
+            _sub(a, b, gradual) for a, b in zip(t.items, u.items)
+        )
+    if isinstance(t, MapType) and isinstance(u, MapType):
+        # Width subtyping: the supertype may expose fewer keys.
+        for key, value_u in u.entries:
+            value_t = t.get(key)
+            if value_t is None or not _sub(value_t, value_u, gradual):
+                return False
+        return True
+    if isinstance(t, FunctionType) and isinstance(u, FunctionType):
+        if len(t.params) != len(u.params):
+            return False
+        return all(_sub(up, tp, gradual) for up, tp in zip(u.params, t.params)) and _sub(
+            t.result, u.result, gradual
+        )
+    return False
 
 
 def is_subtype(t: Type, u: Type) -> bool:
@@ -217,38 +242,7 @@ def is_subtype(t: Type, u: Type) -> bool:
     `none` is the bottom and `term` the top; `any` is below `term` and above
     `none` like every type, but otherwise relates only to itself.
     """
-    if t == u:
-        return True
-    if isinstance(t, NoneType):
-        return True
-    if isinstance(u, TermType):
-        return True
-    if isinstance(t, AnyType) or isinstance(u, AnyType):
-        return False
-    if isinstance(t, IntegerType) and isinstance(u, FloatType):
-        return True
-    if isinstance(t, AtomLiteralType) and isinstance(u, AtomType):
-        return True
-    if isinstance(t, ListType) and isinstance(u, ListType):
-        return is_subtype(t.element, u.element)
-    if isinstance(t, TupleType) and isinstance(u, TupleType):
-        return len(t.items) == len(u.items) and all(
-            is_subtype(a, b) for a, b in zip(t.items, u.items)
-        )
-    if isinstance(t, MapType) and isinstance(u, MapType):
-        # Width subtyping: the supertype may expose fewer keys.
-        for key, value_u in u.entries:
-            value_t = t.get(key)
-            if value_t is None or not is_subtype(value_t, value_u):
-                return False
-        return True
-    if isinstance(t, FunctionType) and isinstance(u, FunctionType):
-        if len(t.params) != len(u.params):
-            return False
-        return all(is_subtype(up, tp) for up, tp in zip(u.params, t.params)) and is_subtype(
-            t.result, u.result
-        )
-    return False
+    return _sub(t, u, False)
 
 
 def is_more_precise(u: Type, t: Type) -> bool:
@@ -283,33 +277,7 @@ def fits(t: Type, u: Type) -> bool:
     position: plain subtyping on static types, with `any` accepted in either
     role (upcast into an unknown position, downcast out of one).
     """
-    if isinstance(t, (NoneType, AnyType)) or isinstance(u, (TermType, AnyType)):
-        return True
-    if t == u:
-        return True
-    if isinstance(t, IntegerType) and isinstance(u, FloatType):
-        return True
-    if isinstance(t, AtomLiteralType) and isinstance(u, AtomType):
-        return True
-    if isinstance(t, ListType) and isinstance(u, ListType):
-        return fits(t.element, u.element)
-    if isinstance(t, TupleType) and isinstance(u, TupleType):
-        return len(t.items) == len(u.items) and all(
-            fits(a, b) for a, b in zip(t.items, u.items)
-        )
-    if isinstance(t, MapType) and isinstance(u, MapType):
-        for key, value_u in u.entries:
-            value_t = t.get(key)
-            if value_t is None or not fits(value_t, value_u):
-                return False
-        return True
-    if isinstance(t, FunctionType) and isinstance(u, FunctionType):
-        if len(t.params) != len(u.params):
-            return False
-        return all(fits(up, tp) for up, tp in zip(u.params, t.params)) and fits(
-            t.result, u.result
-        )
-    return False
+    return _sub(t, u, True)
 
 
 def join(t: Type, u: Type) -> Type:

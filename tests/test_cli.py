@@ -165,6 +165,15 @@ class TestParseSubcommand:
         assert invoke(capsys, "parse", "nope.ex")[0] == 3
 
 
+# A sequence and an operator chain longer than the interpreter's recursion
+# limit; the parser builds both with loops.
+_LONG_CHAINS = {
+    "long_body.ex": "defmodule M do\n  @spec f(integer) :: integer\n  def f(n) do\n"
+                    + "".join(f"    x{i} = {i}\n" for i in range(1200)) + "    n\n  end\nend\n",
+    "long_sum.ex": "x = " + " + ".join(["1"] * 1500) + "\n",
+}
+
+
 class TestInputsThatUsedToCrash:
     def test_thousand_element_cons_list_is_a_parse_error(self, tmp_path, capsys):
         cons = "[]"
@@ -176,6 +185,20 @@ class TestInputsThatUsedToCrash:
         assert code == 2
         assert f"{path}:1:" in out and "E_PARSE nesting too deep" in out
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(_LONG_CHAINS))
+    def test_long_chains_check_clean(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(_LONG_CHAINS[name])
+        assert invoke(capsys, "check", str(path)) == (0, "", "")
+
+    @pytest.mark.parametrize("name", sorted(_LONG_CHAINS))
+    def test_long_chains_are_too_deep_to_dump(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(_LONG_CHAINS[name])
+        code, out, err = invoke(capsys, "parse", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"{path}:1:1 E_PARSE nesting too deep")
 
     def test_latin1_bytes_are_a_lex_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.ex"

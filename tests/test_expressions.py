@@ -223,6 +223,15 @@ class TestSiblingIndependence:
     def test_tuple_siblings_independent(self):
         assert failure("{x = 1, x}").code == "E_UNBOUND_VAR"
 
+    def test_operator_chain_operands_see_only_the_incoming_env(self):
+        assert failure("(x = 3) + 1 + x").code == "E_UNBOUND_VAR"
+        assert synth("(x = 3) + (y = 4) * 2 + (z = 5)").env == {
+            "x": INTEGER, "y": INTEGER, "z": INTEGER}
+
+    def test_operator_chain_checks_each_operator_before_the_next_operand(self):
+        mismatch = failure('1 + "a" + y')
+        assert (mismatch.code, mismatch.span.col) == ("E_TYPE_MISMATCH", 5)
+
 
 class TestCalls:
     def test_known_local_call(self):

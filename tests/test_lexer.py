@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from extc.lexer import LexError, tokenize
+from conftest import CORPUS_DIR, DATA_DIR
+from extc.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, tokenize
+from extc.syntax import Span
 
 
 def kinds_and_lexemes(source):
@@ -120,3 +124,70 @@ def test_line_and_column_tracking():
     toks = tokenize("x = 1\n  y = 2")
     y = next(t for t in toks if t.lexeme == "y")
     assert (y.span.line, y.span.col) == (2, 3)
+
+
+@pytest.mark.parametrize("source, message, span", [
+    ('"ab', "unterminated string", Span(0, 3, 1, 1, 1, 4)),
+    ('"a\\', "unknown escape \\", Span(2, 2, 1, 3, 1, 3)),
+    ('"a\\\nb"', "unknown escape \\\n", Span(2, 2, 1, 3, 1, 3)),
+    ('"a\\zb"', "unknown escape \\z", Span(2, 2, 1, 3, 1, 3)),
+    ('"ab\ncd"', "unterminated string", Span(0, 3, 1, 1, 1, 4)),
+    (":", "expected atom name after ':'", Span(0, 1, 1, 1, 1, 2)),
+    (": x", "expected atom name after ':'", Span(0, 1, 1, 1, 1, 2)),
+    (":1", "expected atom name after ':'", Span(0, 1, 1, 1, 1, 2)),
+    (":²", "expected atom name after ':'", Span(0, 1, 1, 1, 1, 2)),
+    ("@", "unknown directive @", Span(0, 1, 1, 1, 1, 2)),
+    ("@specs", "unknown directive @specs", Span(0, 6, 1, 1, 1, 7)),
+    ("@doc x", "unknown directive @doc", Span(0, 4, 1, 1, 1, 5)),
+    ("x ~ y", "stray character '~'", Span(2, 2, 1, 3, 1, 3)),
+    ("x = 1\ny = \xa0", "stray character '\\xa0'", Span(10, 10, 2, 5, 2, 5)),
+    ("²", "stray character '²'", Span(0, 0, 1, 1, 1, 1)),
+])
+def test_lex_error_message_and_span(source, message, span):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert (exc.value.message, exc.value.span) == (message, span)
+
+
+def _position(source, offset):
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+def _assert_span_positions(source, span):
+    assert (span.line, span.col) == _position(source, span.start)
+    assert (span.end_line, span.end_col) == _position(source, span.end)
+
+
+def _raw_text(tok):
+    """The source text a token spans, for every kind but strings."""
+    if tok.kind == "newline":
+        return "\n"
+    if tok.kind == "atom":
+        return ":" + tok.lexeme
+    return tok.lexeme
+
+
+_LEXEMES = sorted(KEYWORDS) + OPERATORS + PUNCTUATION + [
+    "x", "_y1", "é", "1", "2.5", ":ok", '"s\\n"', "# c", "\n", "\r\n", "\t", "\\", "²",
+    "\xa0", "~",
+]
+_SOURCES = [p.read_text() for p in sorted(CORPUS_DIR.glob("*.ex")) + sorted(DATA_DIR.glob("*.ex"))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=100),
+    st.text(alphabet="az_09 \t\r\n\"#:@\\()[]{},;%+-*/=<>!^.|~²é\xa0", max_size=100),
+    st.lists(st.sampled_from(_LEXEMES), max_size=60).map(" ".join),
+    st.sampled_from(_SOURCES),
+))
+def test_spans_agree_with_offsets(source):
+    try:
+        tokens = tokenize(source)
+    except LexError as err:
+        _assert_span_positions(source, err.span)
+        return
+    for tok in tokens:
+        _assert_span_positions(source, tok.span)
+        if tok.kind != "string":
+            assert source[tok.span.start:tok.span.end] == _raw_text(tok)
