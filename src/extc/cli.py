@@ -149,16 +149,11 @@ def _run_parse(args) -> int:
         print(f"extc: error: no such file: {args.path}", file=sys.stderr)
         return 3
     text, parsed = _load(path)
-    if not isinstance(parsed, Diagnostic):
-        try:
-            tree = dump(parsed)
-        except RecursionError:
-            parsed = Diagnostic(E_PARSE, "nesting too deep", parsed.span, file=str(path))
-        else:
-            print(tree)
-            return 0
-    print(render_text(parsed, text), file=sys.stderr)
-    return 2
+    if isinstance(parsed, Diagnostic):
+        print(render_text(parsed, text), file=sys.stderr)
+        return 2
+    print(dump(parsed))
+    return 0
 
 
 def main() -> None:

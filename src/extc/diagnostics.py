@@ -101,7 +101,10 @@ def render_text(diag: Diagnostic, source: str | None = None, color: bool = False
     span = diag.span
     lines = [f"{diag.file}:{span.line}:{span.col} {code} {diag.message}"]
     if source is not None:
-        source_lines = source.splitlines()
+        # The lexer ends lines at "\n" only, and a final newline starts no line.
+        source_lines = source.split("\n")
+        if not source_lines[-1]:
+            source_lines.pop()
         if 1 <= span.line <= len(source_lines):
             text = source_lines[span.line - 1]
             gutter = f"  {span.line} | "

@@ -101,13 +101,12 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
     # Structured patterns. Against `any` every sub-position is checked against
     # `any`; against `term` (the case-fallback widening) sub-positions recurse
     # against `term`, which only the CASE direction licenses.
-    if isinstance(expected, types.AnyType):
-        _check_structured_opaque(pattern, ANY, sigma, gamma, mode)
+    if isinstance(expected, types.AnyType) or (
+            isinstance(expected, types.TermType) and mode is PatternMode.CASE):
+        for sub in syntax.children(pattern):
+            _check(sub, expected, sigma, gamma, mode)
         return
     if isinstance(expected, types.TermType):
-        if mode is PatternMode.CASE:
-            _check_structured_opaque(pattern, TERM, sigma, gamma, mode)
-            return
         raise _mismatch(pattern, expected)
 
     if isinstance(pattern, syntax.TuplePattern):
@@ -153,25 +152,6 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
         return
 
     raise _mismatch(pattern, expected)
-
-
-def _check_structured_opaque(pattern, opaque: Type, sigma: dict, gamma: dict,
-                             mode: PatternMode):
-    """Recurse a structured pattern when the expected type is `any` or `term`:
-    every sub-position (and every variable binding) gets the opaque type."""
-    if isinstance(pattern, (syntax.TuplePattern,)):
-        for sub in pattern.items:
-            _check(sub, opaque, sigma, gamma, mode)
-    elif isinstance(pattern, syntax.ConsPattern):
-        _check(pattern.head, opaque, sigma, gamma, mode)
-        _check(pattern.tail, opaque, sigma, gamma, mode)
-    elif isinstance(pattern, syntax.MapPattern):
-        for _, sub in pattern.entries:
-            _check(sub, opaque, sigma, gamma, mode)
-    elif isinstance(pattern, syntax.ElistPattern):
-        pass
-    else:  # pragma: no cover - variants are exhausted by the caller
-        raise _mismatch(pattern, opaque)
 
 
 def case_fallback(pattern, sigma: dict, gamma: dict) -> dict:

@@ -57,18 +57,11 @@ class IntLit(Literal):
     value: int
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return str(self.value)
-
 
 @dataclass(eq=True)
 class FloatLit(Literal):
     value: float
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        text = repr(self.value)
-        return text if "." in text or "e" in text else text + ".0"
 
 
 @dataclass(eq=True)
@@ -76,28 +69,17 @@ class StringLit(Literal):
     value: str
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        escaped = (self.value.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\t", "\\t"))
-        return f'"{escaped}"'
-
 
 @dataclass(eq=True)
 class BoolLit(Literal):
     value: bool
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return "true" if self.value else "false"
-
 
 @dataclass(eq=True)
 class AtomLit(Literal):
     name: str
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return f":{self.name}"
 
 
 # --- patterns ---------------------------------------------------------------
@@ -107,17 +89,11 @@ class AtomLit(Literal):
 class Wildcard(Pattern):
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return "_"
-
 
 @dataclass(eq=True)
 class VarPattern(Pattern):
     name: str
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(eq=True)
@@ -125,25 +101,16 @@ class PinPattern(Pattern):
     name: str
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return f"^{self.name}"
-
 
 @dataclass(eq=True)
 class TuplePattern(Pattern):
     items: list[Pattern]
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return "{" + ", ".join(str(p) for p in self.items) + "}"
-
 
 @dataclass(eq=True)
 class ElistPattern(Pattern):
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return "[]"
 
 
 @dataclass(eq=True)
@@ -152,17 +119,11 @@ class ConsPattern(Pattern):
     tail: Pattern
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return f"[{self.head} | {self.tail}]"
-
 
 @dataclass(eq=True)
 class MapPattern(Pattern):
     entries: list[tuple["MapKey", Pattern]]
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return "%{" + ", ".join(f"{k} => {p}" for k, p in self.entries) + "}"
 
 
 # --- expressions ------------------------------------------------------------
@@ -173,25 +134,16 @@ class Var(Expr):
     name: str
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(eq=True)
 class TupleExpr(Expr):
     items: list[Expr]
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return "{" + ", ".join(f"({e})" for e in self.items) + "}"
-
 
 @dataclass(eq=True)
 class ElistExpr(Expr):
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return "[]"
 
 
 @dataclass(eq=True)
@@ -200,17 +152,11 @@ class ConsExpr(Expr):
     tail: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return f"[({self.head}) | ({self.tail})]"
-
 
 @dataclass(eq=True)
 class MapExpr(Expr):
     entries: list[tuple["MapKey", Expr]]
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return "%{" + ", ".join(f"{k} => ({e})" for k, e in self.entries) + "}"
 
 
 @dataclass(eq=True)
@@ -218,9 +164,6 @@ class MapAccess(Expr):
     subject: Expr
     key: "MapKey"
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return f"({self.subject})[{self.key}]"
 
 
 @dataclass(eq=True)
@@ -230,19 +173,12 @@ class BinOp(Expr):
     right: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return f"({self.left}) {self.op} ({self.right})"
-
 
 @dataclass(eq=True)
 class UnaryOp(Expr):
     op: str
     operand: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        sep = " " if self.op == "not" else ""
-        return f"{self.op}{sep}({self.operand})"
 
 
 @dataclass(eq=True)
@@ -252,18 +188,12 @@ class If(Expr):
     orelse: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return f"if ({self.cond}) do {self.then} else {self.orelse} end"
-
 
 @dataclass(eq=True)
 class CaseClause(Node):
     pattern: Pattern
     body: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return f"{self.pattern} -> {self.body}"
 
 
 @dataclass(eq=True)
@@ -272,10 +202,6 @@ class Case(Expr):
     clauses: list[CaseClause]
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        branches = "; ".join(str(c) for c in self.clauses)
-        return f"case ({self.subject}) do {branches} end"
-
 
 @dataclass(eq=True)
 class CondClause(Node):
@@ -283,18 +209,11 @@ class CondClause(Node):
     body: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return f"({self.cond}) -> {self.body}"
-
 
 @dataclass(eq=True)
 class Cond(Expr):
     clauses: list[CondClause]
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        branches = "; ".join(str(c) for c in self.clauses)
-        return f"cond do {branches} end"
 
 
 @dataclass(eq=True)
@@ -309,10 +228,6 @@ class Call(Expr):
     def qualified_name(self) -> str:
         return ".".join(self.qualifier + (self.name,))
 
-    def __str__(self):
-        args = ", ".join(f"({a})" for a in self.args)
-        return f"{self.qualified_name()}({args})"
-
 
 @dataclass(eq=True)
 class VarCall(Expr):
@@ -322,20 +237,12 @@ class VarCall(Expr):
     args: list[Expr]
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        args = ", ".join(f"({a})" for a in self.args)
-        return f"{self.name}.({args})"
-
 
 @dataclass(eq=True)
 class AnonFn(Expr):
     params: list[Pattern]
     body: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        params = ", ".join(str(p) for p in self.params)
-        return f"fn ({params}) -> {self.body} end"
 
 
 @dataclass(eq=True)
@@ -344,18 +251,12 @@ class Match(Expr):
     value: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        return f"{self.pattern} = ({self.value})"
-
 
 @dataclass(eq=True)
 class Seq(Expr):
     first: Expr
     second: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return f"{self.first}; {self.second}"
 
 
 # --- declarations and programs ----------------------------------------------
@@ -368,10 +269,6 @@ class SpecDecl(Node):
     result: "Type"
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        params = ", ".join(str(t) for t in self.params)
-        return f"@spec {self.name}({params}) :: {self.result}"
-
 
 @dataclass(eq=True)
 class FunctionDef(Node):
@@ -380,10 +277,6 @@ class FunctionDef(Node):
     body: Expr
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        params = ", ".join(str(p) for p in self.params)
-        return f"def {self.name}({params}) do {self.body} end"
-
 
 @dataclass(eq=True)
 class ModuleDef(Node):
@@ -391,24 +284,12 @@ class ModuleDef(Node):
     body: list[Node]
     span: Span = field(compare=False, default=DUMMY_SPAN)
 
-    def __str__(self):
-        items = "; ".join(str(i) for i in self.body)
-        return f"defmodule {self.name} do {items} end"
-
 
 @dataclass(eq=True)
 class Program(Node):
     items: list[Node]
     path: str = field(compare=False, default="<input>")
     span: Span = field(compare=False, default=DUMMY_SPAN)
-
-    def __str__(self):
-        return "\n".join(str(i) for i in self.items)
-
-
-def span_of(node: Node) -> Span:
-    """Source span covering the node's text."""
-    return node.span
 
 
 def children(node: Node):
@@ -429,41 +310,39 @@ def children(node: Node):
                             yield part
 
 
-def walk(node: Node):
-    """Yield node and every descendant, depth-first."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+def dump(node: Node) -> str:
+    """Readable tree rendering of an AST, one node per line.
 
-
-def dump(node: Node, indent: int = 0) -> str:
-    """Readable tree rendering of an AST, one node per line."""
-    pad = "  " * indent
-    if not dataclasses.is_dataclass(node):
-        return pad + repr(node)
-    scalars = []
-    nested = []
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if f.name == "span" or isinstance(value, Span):
+    The walk keeps its own stack, so a sequence or operator chain of any
+    length dumps; the parser builds those with loops too.
+    """
+    lines = []
+    stack = [(node, 0)]
+    while stack:
+        item, indent = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
             continue
-        if isinstance(value, Node):
-            nested.append((f.name, [value]))
-        elif isinstance(value, list) and value and isinstance(value[0], (Node, tuple)):
-            nested.append((f.name, value))
-        else:
-            scalars.append(f"{f.name}={value!r}")
-    head = pad + type(node).__name__
-    if scalars:
-        head += " " + " ".join(scalars)
-    lines = [head]
-    for name, values in nested:
-        lines.append(pad + f"  {name}:")
-        for value in values:
-            if isinstance(value, tuple):
-                key, sub = value
-                lines.append(pad + f"    {key} =>")
-                lines.append(dump(sub, indent + 3))
-            else:
-                lines.append(dump(value, indent + 2))
+        pad = "  " * indent
+        scalars = []
+        todo = []
+        for f in dataclasses.fields(item):
+            value = getattr(item, f.name)
+            if isinstance(value, Span):
+                continue
+            if isinstance(value, Node):
+                value = [value]
+            elif not (isinstance(value, list) and value and isinstance(value[0], (Node, tuple))):
+                scalars.append(f"{f.name}={value!r}")
+                continue
+            todo.append((pad + f"  {f.name}:", indent))
+            for sub in value:
+                if isinstance(sub, tuple):
+                    key, sub = sub
+                    todo.append((pad + f"    {key} =>", indent))
+                    todo.append((sub, indent + 3))
+                else:
+                    todo.append((sub, indent + 2))
+        lines.append(" ".join([pad + type(item).__name__, *scalars]))
+        stack.extend(reversed(todo))
     return "\n".join(lines)

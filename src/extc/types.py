@@ -1,4 +1,8 @@
-"""The type language and its lattice: subtyping, precision, fits, join and meet."""
+"""The type language and its lattice: subtyping, precision, fits, join and meet.
+
+Each relation is one structural walk: `_sub` serves both `is_subtype` and
+`fits`, and `_bound` serves both `join` and `meet`.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -280,72 +284,44 @@ def fits(t: Type, u: Type) -> bool:
     return _sub(t, u, True)
 
 
-def join(t: Type, u: Type) -> Type:
-    """Least upper bound under subtyping; `any` joins by materializing to the
-    other side, so a gradual branch never widens a static one."""
+def _bound(t: Type, u: Type, up: bool) -> Type:
+    """The one walk behind `join` (`up`) and `meet`: same constructors combine
+    component-wise, with function parameters bounded the other way; otherwise
+    a pair ordered by subtyping gives its upper or lower end, and `any`
+    materializes to the other side."""
     if t == u:
         return t
-    if isinstance(t, NoneType):
-        return u
-    if isinstance(u, NoneType):
-        return t
-    if isinstance(t, TermType) or isinstance(u, TermType):
-        return TERM
+    if isinstance(t, ListType) and isinstance(u, ListType):
+        return ListType(_bound(t.element, u.element, up))
+    if isinstance(t, TupleType) and isinstance(u, TupleType) and len(t.items) == len(u.items):
+        return TupleType(tuple(_bound(a, b, up) for a, b in zip(t.items, u.items)))
+    if isinstance(t, MapType) and isinstance(u, MapType):
+        # The upper bound keeps the shared keys, the lower bound every key.
+        mine, theirs = dict(t.entries), dict(u.entries)
+        shared = {k: _bound(v, theirs[k], up) for k, v in mine.items() if k in theirs}
+        return MapType(shared if up else {**mine, **theirs, **shared})
+    if isinstance(t, FunctionType) and isinstance(u, FunctionType) and len(t.params) == len(u.params):
+        params = tuple(_bound(a, b, not up) for a, b in zip(t.params, u.params))
+        return FunctionType(params, _bound(t.result, u.result, up))
+    if _sub(t, u, False):
+        return u if up else t
+    if _sub(u, t, False):
+        return t if up else u
     if isinstance(t, AnyType):
         return u
     if isinstance(u, AnyType):
         return t
-    if isinstance(t, (IntegerType, FloatType)) and isinstance(u, (IntegerType, FloatType)):
-        return FLOAT
-    if isinstance(t, (AtomType, AtomLiteralType)) and isinstance(u, (AtomType, AtomLiteralType)):
+    if up and isinstance(t, AtomLiteralType) and isinstance(u, AtomLiteralType):
         return ATOM
-    if isinstance(t, ListType) and isinstance(u, ListType):
-        return ListType(join(t.element, u.element))
-    if isinstance(t, TupleType) and isinstance(u, TupleType) and len(t.items) == len(u.items):
-        return TupleType(tuple(join(a, b) for a, b in zip(t.items, u.items)))
-    if isinstance(t, MapType) and isinstance(u, MapType):
-        shared = [k for k in t.keys() if u.get(k) is not None]
-        return MapType([(k, join(t.get(k), u.get(k))) for k in shared])
-    if isinstance(t, FunctionType) and isinstance(u, FunctionType) and len(t.params) == len(u.params):
-        params = tuple(meet(a, b) for a, b in zip(t.params, u.params))
-        return FunctionType(params, join(t.result, u.result))
-    return TERM
+    return TERM if up else NONE
+
+
+def join(t: Type, u: Type) -> Type:
+    """Least upper bound under subtyping; `any` joins by materializing to the
+    other side, so a gradual branch never widens a static one."""
+    return _bound(t, u, True)
 
 
 def meet(t: Type, u: Type) -> Type:
     """Greatest lower bound under subtyping; dual of join."""
-    if t == u:
-        return t
-    if isinstance(t, TermType):
-        return u
-    if isinstance(u, TermType):
-        return t
-    if isinstance(t, NoneType) or isinstance(u, NoneType):
-        return NONE
-    if isinstance(t, AnyType):
-        return u
-    if isinstance(u, AnyType):
-        return t
-    if isinstance(t, (IntegerType, FloatType)) and isinstance(u, (IntegerType, FloatType)):
-        return INTEGER
-    if isinstance(t, AtomType) and isinstance(u, AtomLiteralType):
-        return u
-    if isinstance(t, AtomLiteralType) and isinstance(u, AtomType):
-        return t
-    if isinstance(t, ListType) and isinstance(u, ListType):
-        return ListType(meet(t.element, u.element))
-    if isinstance(t, TupleType) and isinstance(u, TupleType) and len(t.items) == len(u.items):
-        return TupleType(tuple(meet(a, b) for a, b in zip(t.items, u.items)))
-    if isinstance(t, MapType) and isinstance(u, MapType):
-        entries = []
-        for key, value in t.entries:
-            other = u.get(key)
-            entries.append((key, value if other is None else meet(value, other)))
-        for key, value in u.entries:
-            if t.get(key) is None:
-                entries.append((key, value))
-        return MapType(entries)
-    if isinstance(t, FunctionType) and isinstance(u, FunctionType) and len(t.params) == len(u.params):
-        params = tuple(join(a, b) for a, b in zip(t.params, u.params))
-        return FunctionType(params, meet(t.result, u.result))
-    return NONE
+    return _bound(t, u, False)

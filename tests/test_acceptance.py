@@ -8,9 +8,6 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import (
     CORPUS_DIR, EXPECTED_ERRORS, accepted_corpus_files, corpus_files, strip_specs,
@@ -19,11 +16,11 @@ from extc.checker import check_program
 from extc.cli import run
 from extc.envs import SignatureEnv
 from extc.expressions import ExprChecker
-from oracle import brute_lub, closure_fits, contains_any, default_universe
+from oracle import brute_glb, brute_lub, closure_fits, contains_any, default_universe
 from extc.parser import parse_expression, parse_program
 from extc.types import (
     ANY, BOOLEAN, FLOAT, FunctionType, INTEGER, ListType, STRING, TERM,
-    fits, is_more_precise, is_subtype, join,
+    fits, is_more_precise, is_subtype, join, meet,
 )
 
 
@@ -136,12 +133,15 @@ def test_criterion_3_oracle_equivalence():
     assert fits_mismatches == 0
 
     any_free = [t for t in uni.types if not contains_any(t)]
-    join_mismatches = 0
+    join_mismatches = meet_mismatches = 0
     for t in any_free:
         for u in any_free:
             if join(t, u) != brute_lub(uni, t, u):
                 join_mismatches += 1
+            if meet(t, u) != brute_glb(uni, t, u):
+                meet_mismatches += 1
     assert join_mismatches == 0
+    assert meet_mismatches == 0
 
     # subtyping reflexive and transitive over the same universe
     rows = []
@@ -166,7 +166,7 @@ def test_criterion_3_oracle_equivalence():
     for t in uni.types:
         assert is_more_precise(t, t)
         assert is_more_precise(t, ANY)
-    _report(3, "fits/join agree with the declarative closure oracle")
+    _report(3, "fits/join/meet agree with the declarative closure oracle")
 
 
 def test_criterion_4_spec_erasure():

@@ -193,12 +193,14 @@ class TestInputsThatUsedToCrash:
         assert invoke(capsys, "check", str(path)) == (0, "", "")
 
     @pytest.mark.parametrize("name", sorted(_LONG_CHAINS))
-    def test_long_chains_are_too_deep_to_dump(self, name, tmp_path, capsys):
+    def test_long_chains_dump(self, name, tmp_path, capsys):
         path = tmp_path / name
         path.write_text(_LONG_CHAINS[name])
         code, out, err = invoke(capsys, "parse", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith(f"{path}:1:1 E_PARSE nesting too deep")
+        assert code == 0 and err == ""
+        assert out.startswith("Program path=")
+        node, count = {"long_body.ex": ("Seq", 1200), "long_sum.ex": ("BinOp", 1499)}[name]
+        assert out.count(f" {node}") == count
 
     def test_latin1_bytes_are_a_lex_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.ex"
@@ -230,6 +232,24 @@ class TestInputsThatUsedToCrash:
         path.write_bytes(b'x = 1\r\n3 + "hi"\r')
         assert invoke(capsys, "check", str(path)) == unix
         assert unix[1].startswith(f"{path}:2:5 E_TYPE_MISMATCH")
+
+
+class TestExcerpts:
+    """The excerpt is the line the span names: the lexer ends lines at "\\n"
+    only, so other characters that `str.splitlines` breaks at stay in it."""
+
+    @pytest.mark.parametrize("text", ["# page\fbreak\n", 'x = "a\u2028b"\n'],
+                             ids=["form_feed_in_comment", "line_separator_in_string"])
+    def test_excerpt_splits_lines_at_newline_only(self, text, tmp_path, capsys):
+        path = tmp_path / "lines.ex"
+        path.write_text(text + 'y = 1 + "s"\n', encoding="utf-8")
+        code, out, _ = invoke(capsys, "check", str(path))
+        assert code == 1
+        assert out.splitlines()[:3] == [
+            f"{path}:2:9 E_TYPE_MISMATCH expression has type string, expected float",
+            '  2 | y = 1 + "s"',
+            "              ^^^",
+        ]
 
 
 # Lexemes of the fragment, so that fuzzed input also reaches the parser and

@@ -55,6 +55,21 @@ def test_render_text_multiline_span_excerpts_first_line():
     assert "..." in text
 
 
+def test_render_text_has_no_excerpt_past_the_last_line():
+    # A final newline ends the last line; it does not start another one.
+    eof = diag(code="E_PARSE", s=Span(9, 9, 2, 1, 2, 1))
+    assert render_text(eof, "x = (1 +\n") == "m.ex:2:1 E_PARSE boom"
+    assert render_text(diag(code="E_PARSE", s=span(0, 0)), "") == "m.ex:1:1 E_PARSE boom"
+    assert render_text(eof, "x = (1 +\n\n").splitlines()[1] == "  2 | "
+
+
+def test_render_text_excerpt_lines_end_at_newline_only():
+    d = diag(s=Span(14, 17, 2, 9, 2, 12))
+    for separator in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
+        text = render_text(d, f"# a{separator}b\ny = 1 + 2\n")
+        assert text.splitlines()[1] == "  2 | y = 1 + 2"
+
+
 def test_render_json_empty():
     payload = json.loads(render_json([]))
     assert payload == {"diagnostics": [], "summary": {"errors": 0, "warnings": 0}}

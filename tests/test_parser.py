@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import printer
 from conftest import corpus_files
 from extc import syntax
 from extc.parser import (
@@ -298,21 +299,23 @@ class TestSpansAndRoundTrip:
     def test_span_of_records_parse_position(self):
         source = "x + 10"
         expr = parse_expression(source)
-        span = syntax.span_of(expr)
+        span = expr.span
         assert (span.start, span.end) == (0, 6)
         assert (span.line, span.col, span.end_col) == (1, 1, 7)
 
     def test_span_of_nested_node_contained_in_parent(self):
         expr = parse_expression("1 + 2 * 3")
-        inner = syntax.span_of(expr.right)
-        outer = syntax.span_of(expr)
+        inner = expr.right.span
+        outer = expr.span
         assert outer.start <= inner.start and inner.end <= outer.end
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_spans_index_valid_source(self, path):
         source = path.read_text()
-        program = parse_program(source, path=path.name)
-        for node in syntax.walk(program):
+        stack = [parse_program(source, path=path.name)]
+        while stack:
+            node = stack.pop()
+            stack.extend(syntax.children(node))
             span = node.span
             assert 0 <= span.start <= span.end <= len(source)
             assert span.line >= 1 and span.col >= 1
@@ -331,7 +334,7 @@ class TestSpansAndRoundTrip:
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_pretty_print_reparses_to_equal_ast(self, path):
         first = parse_program(path.read_text(), path=path.name)
-        second = parse_program(str(first), path=path.name)
+        second = parse_program(printer.source(first), path=path.name)
         assert first == second
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)

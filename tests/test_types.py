@@ -6,6 +6,7 @@ from extc.types import (
     ListType, MapKey, MapType, NONE, STRING, TERM, TupleType, fits,
     is_more_precise, is_subtype, join, literal_type, meet,
 )
+from oracle import enumerate_types
 
 AL = AtomLiteralType
 
@@ -243,6 +244,28 @@ class TestJoinMeet:
             for u in samples:
                 assert join(t, u) == join(u, t)
                 assert meet(t, u) == meet(u, t)
+
+
+
+class TestLatticeLaws:
+    """Over every ordered pair of the depth-2 universe, `any` included."""
+
+    UNIVERSE = enumerate_types(depth=2)
+
+    def test_join_and_meet_commute(self):
+        bad = [(t, u) for t in self.UNIVERSE for u in self.UNIVERSE
+               if join(t, u) != join(u, t) or meet(t, u) != meet(u, t)]
+        assert bad == []
+
+    def test_join_is_an_upper_bound(self):
+        bad = [(t, u) for t in self.UNIVERSE for u in self.UNIVERSE
+               if not (fits(t, join(t, u)) and fits(u, join(t, u)))]
+        assert bad == []
+
+    def test_meet_is_a_lower_bound(self):
+        bad = [(t, u) for t in self.UNIVERSE for u in self.UNIVERSE
+               if not (fits(meet(t, u), t) and fits(meet(t, u), u))]
+        assert bad == []
 
 
 class TestRendering:
