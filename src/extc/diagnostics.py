@@ -101,12 +101,12 @@ def render_text(diag: Diagnostic, source: str | None = None, color: bool = False
     span = diag.span
     lines = [f"{diag.file}:{span.line}:{span.col} {code} {diag.message}"]
     if source is not None:
-        # The lexer ends lines at "\n" only, and a final newline starts no line.
-        source_lines = source.split("\n")
-        if not source_lines[-1]:
-            source_lines.pop()
-        if 1 <= span.line <= len(source_lines):
-            text = source_lines[span.line - 1]
+        # The excerpt is the line holding the span's start. The lexer ends
+        # lines at "\n" only, and a final newline starts no line.
+        first = source.rfind("\n", 0, span.start) + 1
+        if first < len(source):
+            last = source.find("\n", first)
+            text = source[first:last] if last >= 0 else source[first:]
             gutter = f"  {span.line} | "
             lines.append(gutter + text)
             if span.end_line == span.line:

@@ -38,9 +38,6 @@ class SignatureEnv:
     def lookup(self, qualified_name: str, arity: int) -> FunctionType | None:
         return self._table.get((qualified_name, arity))
 
-    def __contains__(self, key: tuple[str, int]) -> bool:
-        return key in self._table
-
     def __len__(self) -> int:
         return len(self._table)
 

@@ -27,10 +27,6 @@ COMPARISON_OPS = {"<", ">", "<=", ">=", "==", "!=", "===", "!=="}
 LIST_OPS = {"++", "--"}
 
 
-class ExprError(CheckFailure):
-    pass
-
-
 class SynthResult(NamedTuple):
     type: Type
     env: dict
@@ -49,8 +45,8 @@ class ExprChecker:
 
     # --- helpers ---
 
-    def _mismatch(self, actual: Type, expected_text: str, span) -> ExprError:
-        return ExprError(
+    def _mismatch(self, actual: Type, expected_text: str, span) -> CheckFailure:
+        return CheckFailure(
             E_TYPE_MISMATCH,
             f"expression has type {actual}, expected {expected_text}",
             span,
@@ -80,8 +76,8 @@ class ExprChecker:
         if isinstance(expr, syntax.Var):
             bound = env.get(expr.name)
             if bound is None:
-                raise ExprError(E_UNBOUND_VAR, f"variable '{expr.name}' is not bound",
-                                expr.span)
+                raise CheckFailure(E_UNBOUND_VAR, f"variable '{expr.name}' is not bound",
+                                   expr.span)
             return SynthResult(bound, env)
 
         if isinstance(expr, syntax.TupleExpr):
@@ -108,7 +104,7 @@ class ExprChecker:
             if isinstance(subject_t, MapType):
                 value = subject_t.get(expr.key)
                 if value is None:
-                    raise ExprError(
+                    raise CheckFailure(
                         E_UNKNOWN_KEY,
                         f"map of type {subject_t} has no key {expr.key}",
                         expr.span,
@@ -275,19 +271,19 @@ class ExprChecker:
     def _synth_var_call(self, expr, env: dict) -> SynthResult:
         fn_type = env.get(expr.name)
         if fn_type is None:
-            raise ExprError(E_UNBOUND_VAR, f"variable '{expr.name}' is not bound",
-                            expr.span)
+            raise CheckFailure(E_UNBOUND_VAR, f"variable '{expr.name}' is not bound",
+                               expr.span)
         if isinstance(fn_type, types.AnyType):
             return self._untyped_call(expr.args, env)
         if not isinstance(fn_type, FunctionType):
-            raise ExprError(
+            raise CheckFailure(
                 E_NOT_FUNCTION,
                 f"variable '{expr.name}' has type {fn_type}, which is not a function",
                 expr.span,
                 actual=str(fn_type),
             )
         if len(fn_type.params) != len(expr.args):
-            raise ExprError(
+            raise CheckFailure(
                 E_ARITY,
                 f"function '{expr.name}' takes {len(fn_type.params)} argument(s), "
                 f"got {len(expr.args)}",
@@ -317,7 +313,7 @@ class ExprChecker:
         for arg, param_t in zip(args, fn_type.params):
             arg_t, arg_env = self.synthesize(arg, env)
             if not fits(arg_t, param_t):
-                raise ExprError(
+                raise CheckFailure(
                     E_TYPE_MISMATCH,
                     f"argument of type {arg_t} does not fit parameter type {param_t}{callee}",
                     arg.span,

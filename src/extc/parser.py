@@ -8,6 +8,7 @@ associative, lowest), which `parse_expr` handles.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from . import syntax
@@ -45,6 +46,9 @@ _BINARY = {
 _OPERATOR_KINDS = ("op", "keyword")
 _UNARY = {("op", "-"), ("keyword", "not")}
 _DECL_STARTS = {"defmodule", "def"}
+# Deepest nesting of list, tuple, map and function types in a `@spec`; the
+# type relations recurse once per level.
+MAX_TYPE_DEPTH = 100
 
 
 class Parser:
@@ -55,9 +59,8 @@ class Parser:
 
     # --- token plumbing ---
 
-    def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def take(self) -> Token:
         tok = self.tokens[self.pos]
@@ -69,17 +72,8 @@ class Parser:
         return self.tokens[max(0, self.pos - 1)].span
 
     def at(self, kind: str, lexeme: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
-
-    def at_op(self, lexeme: str) -> bool:
-        return self.at("op", lexeme)
-
-    def at_punct(self, lexeme: str) -> bool:
-        return self.at("punct", lexeme)
-
-    def at_keyword(self, lexeme: str) -> bool:
-        return self.at("keyword", lexeme)
 
     def expect(self, kind: str, lexeme: str | None = None, what: str | None = None) -> Token:
         if not self.at(kind, lexeme):
@@ -92,7 +86,7 @@ class Parser:
         return ParseError(message, self.peek().span)
 
     def at_separator(self) -> bool:
-        return self.at("newline") or self.at_punct(";")
+        return self.at("newline") or self.at("punct", ";")
 
     def skip_separators(self):
         while self.at_separator():
@@ -103,9 +97,9 @@ class Parser:
     def comma_list(self, parse_item: Callable, close: str) -> list:
         """`item, item, ...` up to and including the `close` punctuation."""
         items = []
-        if not self.at_punct(close):
+        if not self.at("punct", close):
             items.append(parse_item())
-            while self.at_punct(","):
+            while self.at("punct", ","):
                 self.take()
                 items.append(parse_item())
         self.expect("punct", close)
@@ -133,7 +127,7 @@ class Parser:
         exprs = [self.parse_expr()]
         while self.at_separator():
             self.skip_separators()
-            if self.at("eof") or self.at_keyword("end") or (stop is not None and stop()):
+            if self.at("eof") or self.at("keyword", "end") or (stop is not None and stop()):
                 break
             exprs.append(self.parse_expr())
         return _fold_sequence(exprs)
@@ -143,7 +137,7 @@ class Parser:
         mark = self.pos
         try:
             parse_head()
-            return self.at_op("->")
+            return self.at("op", "->")
         except ParseError:
             return False
         finally:
@@ -155,7 +149,7 @@ class Parser:
         clauses = []
         while True:
             self.skip_separators()
-            if self.at_keyword("end"):
+            if self.at("keyword", "end"):
                 break
             head = parse_head()
             self.expect("op", "->")
@@ -178,13 +172,13 @@ class Parser:
         items: list[syntax.Node] = []
         while True:
             self.skip_separators()
-            if self.at("eof") or self.at_keyword("end"):
-                if toplevel and self.at_keyword("end"):
+            if self.at("eof") or self.at("keyword", "end"):
+                if toplevel and self.at("keyword", "end"):
                     raise self.error("unexpected 'end'")
                 break
-            if self.at_keyword("defmodule"):
+            if self.at("keyword", "defmodule"):
                 items.append(self.parse_module())
-            elif self.at_keyword("def"):
+            elif self.at("keyword", "def"):
                 items.append(self.parse_def())
             elif self.at("atspec"):
                 items.append(self.parse_spec_decl())
@@ -229,7 +223,8 @@ class Parser:
 
     # --- types ---
 
-    def parse_type(self) -> Type:
+    def parse_type(self, depth: int = 0) -> Type:
+        """A type inside `depth` enclosing list, tuple, map or function types."""
         tok = self.peek()
         if tok.kind == "ident":
             self.take()
@@ -240,23 +235,23 @@ class Parser:
         if tok.kind == "atom":
             self.take()
             return AtomLiteralType(tok.lexeme)
-        if self.at_punct("["):
-            self.take()
-            element = self.parse_type()
+        if tok.kind != "punct" or tok.lexeme not in ("[", "{", "%{", "("):
+            raise ParseError(f"expected a type, found {tok.lexeme!r}", tok.span)
+        if depth == MAX_TYPE_DEPTH:
+            raise ParseError("nesting too deep", tok.span)
+        inner = partial(self.parse_type, depth + 1)
+        if tok.lexeme == "%{":
+            return MapType(self.map_entries(inner, "map type")[0])
+        self.take()
+        if tok.lexeme == "[":
+            element = inner()
             self.expect("punct", "]")
             return ListType(element)
-        if self.at_punct("{"):
-            self.take()
-            return TupleType(tuple(self.comma_list(self.parse_type, "}")))
-        if self.at_punct("%{"):
-            return MapType(self.map_entries(self.parse_type, "map type")[0])
-        if self.at_punct("("):
-            self.take()
-            params = self.comma_list(self.parse_type, ")")
-            self.expect("op", "->")
-            result = self.parse_type()
-            return FunctionType(tuple(params), result)
-        raise ParseError(f"expected a type, found {tok.lexeme!r}", tok.span)
+        if tok.lexeme == "{":
+            return TupleType(tuple(self.comma_list(inner, "}")))
+        params = self.comma_list(inner, ")")
+        self.expect("op", "->")
+        return FunctionType(tuple(params), inner())
 
     def parse_map_key(self) -> MapKey:
         tok = self.peek()
@@ -280,20 +275,20 @@ class Parser:
             if tok.lexeme == "_":
                 return Wildcard(span=tok.span)
             return VarPattern(tok.lexeme, span=tok.span)
-        if self.at_op("^"):
+        if self.at("op", "^"):
             start = self.take().span
             name = self.expect("ident", what="variable after '^'")
             return PinPattern(name.lexeme, span=start.cover(name.span))
         lit = self.try_literal()
         if lit is not None:
             return lit
-        if self.at_punct("{"):
+        if self.at("punct", "{"):
             start = self.take().span
             items = self.comma_list(self.parse_pattern, "}")
             return TuplePattern(items, span=start.cover(self.prev_span()))
-        if self.at_punct("["):
+        if self.at("punct", "["):
             start = self.take().span
-            if self.at_punct("]"):
+            if self.at("punct", "]"):
                 self.take()
                 return ElistPattern(span=start.cover(self.prev_span()))
             head = self.parse_pattern()
@@ -301,7 +296,7 @@ class Parser:
             tail = self.parse_pattern()
             self.expect("punct", "]")
             return ConsPattern(head, tail, span=start.cover(self.prev_span()))
-        if self.at_punct("%{"):
+        if self.at("punct", "%{"):
             entries, span = self.map_entries(self.parse_pattern, "map pattern")
             return MapPattern(entries, span=span)
         raise ParseError(f"expected a pattern, found {tok.lexeme or tok.kind!r}", tok.span)
@@ -332,7 +327,7 @@ class Parser:
         pattern = None
         try:
             candidate = self.parse_pattern()
-            if self.at_op("="):
+            if self.at("op", "="):
                 pattern = candidate
         except ParseError:
             pass
@@ -342,7 +337,7 @@ class Parser:
             return Match(pattern, value, span=pattern.span.cover(value.span))
         self.pos = mark
         expr = self.parse_binary()
-        if self.at_op("="):
+        if self.at("op", "="):
             raise ParseError("left-hand side of '=' is not a valid pattern", expr.span)
         return expr
 
@@ -366,7 +361,7 @@ class Parser:
             operand = self.parse_unary()
             return UnaryOp(tok.lexeme, operand, span=tok.span.cover(operand.span))
         expr = self.parse_primary()
-        while self.at_punct("["):
+        while self.at("punct", "["):
             self.take()
             key = self.parse_map_key()
             end = self.expect("punct", "]").span
@@ -382,21 +377,21 @@ class Parser:
             if tok.lexeme == "_":
                 raise ParseError("wildcard '_' is not an expression", tok.span)
             return self.parse_name()
-        if self.at_punct("("):
+        if self.at("punct", "("):
             self.take()
             exprs = [self.parse_expr()]
-            while self.at_punct(";"):
+            while self.at("punct", ";"):
                 self.take()
                 exprs.append(self.parse_expr())
             self.expect("punct", ")")
             return _fold_sequence(exprs)
-        if self.at_punct("{"):
+        if self.at("punct", "{"):
             start = self.take().span
             items = self.comma_list(self.parse_expr, "}")
             return TupleExpr(items, span=start.cover(self.prev_span()))
-        if self.at_punct("["):
+        if self.at("punct", "["):
             start = self.take().span
-            if self.at_punct("]"):
+            if self.at("punct", "]"):
                 self.take()
                 return ElistExpr(span=start.cover(self.prev_span()))
             head = self.parse_expr()
@@ -404,39 +399,39 @@ class Parser:
             tail = self.parse_expr()
             self.expect("punct", "]")
             return ConsExpr(head, tail, span=start.cover(self.prev_span()))
-        if self.at_punct("%{"):
+        if self.at("punct", "%{"):
             entries, span = self.map_entries(self.parse_expr, "map literal")
             return MapExpr(entries, span=span)
-        if self.at_keyword("if"):
+        if self.at("keyword", "if"):
             return self.parse_if()
-        if self.at_keyword("case"):
+        if self.at("keyword", "case"):
             start = self.take().span
             subject = self.parse_expr()
             clauses = self.parse_clauses(self.parse_pattern, CaseClause, "case")
             return Case(subject, clauses, span=start.cover(self.prev_span()))
-        if self.at_keyword("cond"):
+        if self.at("keyword", "cond"):
             start = self.take().span
             clauses = self.parse_clauses(self.parse_expr, CondClause, "cond")
             return Cond(clauses, span=start.cover(self.prev_span()))
-        if self.at_keyword("fn"):
+        if self.at("keyword", "fn"):
             return self.parse_fn()
         raise ParseError(f"expected an expression, found {tok.lexeme or tok.kind!r}", tok.span)
 
     def parse_name(self) -> syntax.Expr:
         first = self.take()
-        if self.at_op(".") and self.peek(1).kind == "punct" and self.peek(1).lexeme == "(":
-            self.take()  # .
-            args = self.parse_call_args()
-            return VarCall(first.lexeme, args, span=first.span.cover(self.prev_span()))
-        if self.at_op("."):
-            path = [first.lexeme]
-            while self.at_op("."):
+        if self.at("op", "."):
+            self.take()
+            if self.at("punct", "("):
+                args = self.parse_call_args()
+                return VarCall(first.lexeme, args, span=first.span.cover(self.prev_span()))
+            path = [first.lexeme, self.expect("ident", what="name after '.'").lexeme]
+            while self.at("op", "."):
                 self.take()
                 path.append(self.expect("ident", what="name after '.'").lexeme)
             args = self.parse_call_args()
             return Call(tuple(path[:-1]), path[-1], args,
                         span=first.span.cover(self.prev_span()))
-        if self.at_punct("("):
+        if self.at("punct", "("):
             args = self.parse_call_args()
             return Call((), first.lexeme, args, span=first.span.cover(self.prev_span()))
         return Var(first.lexeme, span=first.span)
@@ -449,8 +444,8 @@ class Parser:
         start = self.expect("keyword", "if").span
         cond = self.parse_expr()
         self.expect("keyword", "do")
-        then = self.sequence(lambda: self.at_keyword("else"))
-        if self.at_keyword("else"):
+        then = self.sequence(lambda: self.at("keyword", "else"))
+        if self.at("keyword", "else"):
             self.take()
             orelse = self.sequence()
         else:

@@ -34,262 +34,230 @@ class Span:
 DUMMY_SPAN = Span(0, 0, 1, 1, 1, 1)
 
 
+@dataclass
 class Node:
-    __slots__ = ()
+    span: Span = field(compare=False, default=DUMMY_SPAN, kw_only=True)
 
 
 class Expr(Node):
-    __slots__ = ()
+    pass
 
 
 class Pattern(Node):
-    __slots__ = ()
+    pass
 
 
 class Literal(Expr, Pattern):
     """Literals appear both as expressions and as patterns."""
 
-    __slots__ = ()
 
-
-@dataclass(eq=True)
+@dataclass
 class IntLit(Literal):
     value: int
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class FloatLit(Literal):
     value: float
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class StringLit(Literal):
     value: str
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class BoolLit(Literal):
     value: bool
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class AtomLit(Literal):
     name: str
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
 # --- patterns ---------------------------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass
 class Wildcard(Pattern):
-    span: Span = field(compare=False, default=DUMMY_SPAN)
+    pass
 
 
-@dataclass(eq=True)
+@dataclass
 class VarPattern(Pattern):
     name: str
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class PinPattern(Pattern):
     name: str
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class TuplePattern(Pattern):
     items: list[Pattern]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class ElistPattern(Pattern):
-    span: Span = field(compare=False, default=DUMMY_SPAN)
+    pass
 
 
-@dataclass(eq=True)
+@dataclass
 class ConsPattern(Pattern):
     head: Pattern
     tail: Pattern
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class MapPattern(Pattern):
     entries: list[tuple["MapKey", Pattern]]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
 # --- expressions ------------------------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass
 class Var(Expr):
     name: str
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class TupleExpr(Expr):
     items: list[Expr]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class ElistExpr(Expr):
-    span: Span = field(compare=False, default=DUMMY_SPAN)
+    pass
 
 
-@dataclass(eq=True)
+@dataclass
 class ConsExpr(Expr):
     head: Expr
     tail: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class MapExpr(Expr):
     entries: list[tuple["MapKey", Expr]]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class MapAccess(Expr):
     subject: Expr
     key: "MapKey"
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class UnaryOp(Expr):
     op: str
     operand: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class If(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class CaseClause(Node):
     pattern: Pattern
     body: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class Case(Expr):
     subject: Expr
     clauses: list[CaseClause]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class CondClause(Node):
     cond: Expr
     body: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class Cond(Expr):
     clauses: list[CondClause]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class Call(Expr):
     """Named function application, optionally qualified by a module path."""
 
     qualifier: tuple[str, ...]
     name: str
     args: list[Expr]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
     def qualified_name(self) -> str:
         return ".".join(self.qualifier + (self.name,))
 
 
-@dataclass(eq=True)
+@dataclass
 class VarCall(Expr):
     """Application of a variable bound to an anonymous function: x.(args)."""
 
     name: str
     args: list[Expr]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class AnonFn(Expr):
     params: list[Pattern]
     body: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class Match(Expr):
     pattern: Pattern
     value: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class Seq(Expr):
     first: Expr
     second: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
 # --- declarations and programs ----------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass
 class SpecDecl(Node):
     name: str
     params: list["Type"]
     result: "Type"
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class FunctionDef(Node):
     name: str
     params: list[Pattern]
     body: Expr
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class ModuleDef(Node):
     name: str
     body: list[Node]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
-@dataclass(eq=True)
+@dataclass
 class Program(Node):
     items: list[Node]
     path: str = field(compare=False, default="<input>")
-    span: Span = field(compare=False, default=DUMMY_SPAN)
 
 
 def children(node: Node):

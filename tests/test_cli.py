@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, DATA_DIR
 from extc.cli import run
+from extc.parser import MAX_TYPE_DEPTH
 
 
 def invoke(capsys, *argv):
@@ -232,6 +233,55 @@ class TestInputsThatUsedToCrash:
         path.write_bytes(b'x = 1\r\n3 + "hi"\r')
         assert invoke(capsys, "check", str(path)) == unix
         assert unix[1].startswith(f"{path}:2:5 E_TYPE_MISMATCH")
+
+
+# Openers and closers of list, tuple, map and function types, which count
+# towards the nesting limit of `@spec` types.
+_TYPE_SHAPES = {
+    "list": ("[", "]"),
+    "tuple": ("{", "}"),
+    "map": ("%{:a => ", "}"),
+    "function": ("(", ") -> integer"),
+}
+
+
+def _deep_spec(tmp_path, shape, depth):
+    opener, closer = _TYPE_SHAPES[shape]
+    t = opener * depth + "integer" + closer * depth
+    path = tmp_path / f"{shape}{depth}.ex"
+    path.write_text(f"@spec f({t}) :: {t}\ndef f(x) do x end\n")
+    return str(path)
+
+
+class TestDeepSpecTypes:
+    """A `@spec` type nests at most `MAX_TYPE_DEPTH` levels; the type
+    relations recurse once per level, so a deeper type is a parse error."""
+
+    @pytest.mark.parametrize("shape", sorted(_TYPE_SHAPES))
+    def test_at_the_limit_checks_and_dumps(self, shape, tmp_path, capsys):
+        path = _deep_spec(tmp_path, shape, MAX_TYPE_DEPTH)
+        assert invoke(capsys, "check", path) == (0, "", "")
+        code, out, _ = invoke(capsys, "check", path, "--format", "json")
+        assert code == 0 and json.loads(out)["diagnostics"] == []
+        code, out, err = invoke(capsys, "parse", path)
+        assert code == 0 and err == "" and out.startswith("Program path=")
+
+    @pytest.mark.parametrize("shape", sorted(_TYPE_SHAPES))
+    def test_past_the_limit_is_a_parse_error(self, shape, tmp_path, capsys):
+        path = _deep_spec(tmp_path, shape, MAX_TYPE_DEPTH + 1)
+        # The error points at the opener of the level past the limit.
+        col = len("@spec f(") + len(_TYPE_SHAPES[shape][0]) * MAX_TYPE_DEPTH + 1
+        code, out, err = invoke(capsys, "check", path)
+        assert code == 2 and err == ""
+        assert out.startswith(f"{path}:1:{col} E_PARSE nesting too deep\n")
+        code, out, _ = invoke(capsys, "check", path, "--format", "json")
+        [diag] = json.loads(out)["diagnostics"]
+        assert code == 2
+        assert (diag["code"], diag["message"], diag["line"], diag["col"]) == \
+            ("E_PARSE", "nesting too deep", 1, col)
+        code, out, err = invoke(capsys, "parse", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"{path}:1:{col} E_PARSE nesting too deep\n")
 
 
 class TestExcerpts:
