@@ -17,6 +17,7 @@ from .diagnostics import (
 from .lexer import LexError
 from .parser import ParseError, parse_program
 from .signatures import collect_all
+from .source import Source
 from .syntax import Program, Span, dump
 
 
@@ -72,12 +73,10 @@ def _load(path: Path) -> tuple[str, Program | Diagnostic]:
     try:
         text = _newlines(data.decode("utf-8"))
     except UnicodeDecodeError as err:
-        head = _newlines(data[:err.start].decode("utf-8"))
-        line = head.count("\n") + 1
-        col = len(head) - head.rfind("\n")
-        span = Span(len(head), len(head) + 1, line, col, line, col + 1)
-        return (_newlines(data.decode("utf-8", "replace")),
-                Diagnostic(E_LEX, "file is not valid UTF-8", span, file=name))
+        offset = len(_newlines(data[:err.start].decode("utf-8")))
+        text = _newlines(data.decode("utf-8", "replace"))
+        span = Span(offset, offset + 1, Source(text))
+        return text, Diagnostic(E_LEX, "file is not valid UTF-8", span, file=name)
     try:
         return text, parse_program(text, path=name)
     except (LexError, ParseError) as err:

@@ -93,13 +93,18 @@ _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
 _RESET = "\x1b[0m"
 
 
+def _ends(span: Span) -> tuple[int, int, int, int]:
+    return (*span.source.position(span.start), *span.source.position(span.end))
+
+
 def render_text(diag: Diagnostic, source: str | None = None, color: bool = False) -> str:
     """One-line header plus a caret-underlined excerpt of the offending source."""
     code = diag.code
     if color:
         code = _COLORS[diag.severity] + code + _RESET
     span = diag.span
-    lines = [f"{diag.file}:{span.line}:{span.col} {code} {diag.message}"]
+    line, col, end_line, end_col = _ends(span)
+    lines = [f"{diag.file}:{line}:{col} {code} {diag.message}"]
     if source is not None:
         # The excerpt is the line holding the span's start. The lexer ends
         # lines at "\n" only, and a final newline starts no line.
@@ -107,14 +112,14 @@ def render_text(diag: Diagnostic, source: str | None = None, color: bool = False
         if first < len(source):
             last = source.find("\n", first)
             text = source[first:last] if last >= 0 else source[first:]
-            gutter = f"  {span.line} | "
+            gutter = f"  {line} | "
             lines.append(gutter + text)
-            if span.end_line == span.line:
-                width = max(1, span.end_col - span.col)
+            if end_line == line:
+                width = max(1, end_col - col)
             else:
-                width = max(1, len(text) - span.col + 1)
-            underline = " " * (len(gutter) + span.col - 1) + "^" * width
-            if span.end_line != span.line:
+                width = max(1, len(text) - col + 1)
+            underline = " " * (len(gutter) + col - 1) + "^" * width
+            if end_line != line:
                 underline += " ..."
             lines.append(underline)
     if diag.expected is not None:
@@ -123,7 +128,8 @@ def render_text(diag: Diagnostic, source: str | None = None, color: bool = False
         lines.append(f"  actual:   {diag.actual}")
     for note in diag.notes:
         if note.span is not None:
-            lines.append(f"  note: {note.text} (at {note.span.line}:{note.span.col})")
+            note_line, note_col = note.span.source.position(note.span.start)
+            lines.append(f"  note: {note.text} (at {note_line}:{note_col})")
         else:
             lines.append(f"  note: {note.text}")
     return "\n".join(lines)
@@ -142,10 +148,7 @@ def render_json(diags: list[Diagnostic]) -> str:
         "diagnostics": [
             {
                 "file": d.file,
-                "line": d.span.line,
-                "col": d.span.col,
-                "end_line": d.span.end_line,
-                "end_col": d.span.end_col,
+                **dict(zip(("line", "col", "end_line", "end_col"), _ends(d.span))),
                 "severity": d.severity,
                 "code": d.code,
                 "message": d.message,

@@ -4,19 +4,18 @@
 the tables below. `tokenize` matches it at the current offset and dispatches
 on the group that matched, the "Writing a Tokenizer" recipe of the `re` docs.
 
-Line and column are tracked as the loop goes, not looked up in a table of
-line-start offsets. Strings and comments stop before a raw newline, so only a
-`newline` match crosses a line, and `line` and `line_start` change there
-alone. Each span also starts at the previous match's end, so neighbouring
-spans share their int objects. Looking positions up per span makes new ints
-for every span: on the `legacy_migration` benchmark corpus (files up to
-150 KB) that raised the peak memory of `extc check` by 8 %.
+Tokens carry offset spans over the file's `Source`; the loop keeps no line or
+column. Only a rendered diagnostic looks its position up, in a table of line
+starts that the `Source` builds then, so a file without diagnostics never
+builds one. Looking up every token's position instead raised the peak memory
+of `extc check` on the `legacy_migration` benchmark corpus by 8 %.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .source import Source
 from .syntax import Span
 
 KEYWORDS = {
@@ -60,14 +59,11 @@ _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # keyword | ident | atom | int | float | string | op | punct | atspec | newline | eof
     lexeme: str
-    span: Span
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.lexeme!r})"
+    span: Span = field(repr=False)
 
 
 class LexError(Exception):
@@ -84,11 +80,10 @@ def _name_start(ch: str) -> bool:
 def tokenize(source: str) -> list[Token]:
     """Tokenize source text; comments and whitespace are dropped, newlines
     that separate statements come through as `newline` tokens."""
+    src = Source(source)
     tokens: list[Token] = []
     match = _TOKEN.match
     pos = 0
-    line = 1
-    line_start = 0
     depth = 0
     while pos < len(source):
         m = match(source, pos)
@@ -97,20 +92,15 @@ def tokenize(source: str) -> list[Token]:
             pos = m.end()
             continue
         start = pos
-        col = start - line_start + 1
         if kind is None or kind == "ident" and not _name_start(source[start]):
-            raise LexError(f"stray character {source[start]!r}",
-                           Span(start, start, line, col, line, col))
+            raise LexError(f"stray character {source[start]!r}", Span(start, start, src))
         pos = m.end()
         lexeme = m.group()
         if kind == "newline":
-            next_line = line + 1
             prev = tokens[-1] if tokens else None
             if not (depth or prev is None or prev.kind in ("newline", "op")
                     or prev.kind in ("punct", "keyword") and prev.lexeme in _CONTINUATION):
-                tokens.append(Token(kind, lexeme, Span(start, pos, line, col, next_line, 1)))
-            line = next_line
-            line_start = pos
+                tokens.append(Token(kind, lexeme, Span(start, pos, src)))
             continue
         if kind == "ident":
             if lexeme in KEYWORDS:
@@ -122,12 +112,9 @@ def tokenize(source: str) -> list[Token]:
                 depth = max(0, depth - 1)
         elif kind == "string":
             if source.startswith("\\", pos):
-                escape_col = pos - line_start + 1
-                raise LexError(f"unknown escape \\{source[pos + 1:pos + 2]}",
-                               Span(pos, pos, line, escape_col, line, escape_col))
+                raise LexError(f"unknown escape \\{source[pos + 1:pos + 2]}", Span(pos, pos, src))
             if not source.startswith('"', pos):
-                raise LexError("unterminated string",
-                               Span(start, pos, line, col, line, pos - line_start + 1))
+                raise LexError("unterminated string", Span(start, pos, src))
             pos += 1
             lexeme = lexeme[1:]
             if "\\" in lexeme:
@@ -135,12 +122,9 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "atom":
             lexeme = lexeme[1:]
             if not (lexeme and _name_start(lexeme[0])):
-                raise LexError("expected atom name after ':'",
-                               Span(start, start + 1, line, col, line, col + 1))
+                raise LexError("expected atom name after ':'", Span(start, start + 1, src))
         elif kind == "atspec" and lexeme != "@spec":
-            raise LexError(f"unknown directive {lexeme}",
-                           Span(start, pos, line, col, line, pos - line_start + 1))
-        tokens.append(Token(kind, lexeme, Span(start, pos, line, col, line, pos - line_start + 1)))
-    col = pos - line_start + 1
-    tokens.append(Token("eof", "", Span(pos, pos, line, col, line, col)))
+            raise LexError(f"unknown directive {lexeme}", Span(start, pos, src))
+        tokens.append(Token(kind, lexeme, Span(start, pos, src)))
+    tokens.append(Token("eof", "", Span(pos, pos, src)))
     return tokens

@@ -8,6 +8,7 @@ associative, lowest), which `parse_expr` handles.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
 from typing import Callable
 
@@ -479,45 +480,41 @@ def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
     return result
 
 
-def _as_tokens(source) -> list[Token]:
-    return source if isinstance(source, list) else tokenize(source)
+@contextmanager
+def _whole(source, path: str = "<input>"):
+    """A parser over all of `source`, text or tokens, that must end at `eof`.
+    Nesting past the interpreter's recursion limit is a ParseError at the token
+    reached; the block runs in the caller's frame, so no frame is added."""
+    parser = Parser(source if isinstance(source, list) else tokenize(source), path)
+    try:
+        yield parser
+    except RecursionError:
+        raise parser.error("nesting too deep") from None
+    parser.expect("eof")
 
 
 def parse_program(source, path: str = "<input>") -> Program:
     """Parse a whole program from source text or a token list."""
-    parser = Parser(_as_tokens(source), path)
-    try:
-        program = parser.parse_program()
-    except RecursionError:
-        raise parser.error("nesting too deep") from None
-    parser.skip_separators()
-    parser.expect("eof")
-    return program
+    with _whole(source, path) as parser:
+        return parser.parse_program()
 
 
 def parse_expression(source) -> syntax.Expr:
     """Parse a single expression statement group (tests and API convenience)."""
-    parser = Parser(_as_tokens(source))
-    parser.skip_separators()
-    expr = parser.parse_expr_group()
-    parser.skip_separators()
-    parser.expect("eof")
-    return expr
+    with _whole(source) as parser:
+        return parser.parse_expr_group()
 
 
 def parse_spec(source) -> SpecDecl:
     """Parse one `@spec` declaration."""
-    parser = Parser(_as_tokens(source))
-    parser.skip_separators()
-    decl = parser.parse_spec_decl()
-    parser.skip_separators()
-    parser.expect("eof")
-    return decl
+    with _whole(source) as parser:
+        parser.skip_separators()
+        decl = parser.parse_spec_decl()
+        parser.skip_separators()
+        return decl
 
 
 def parse_type_text(source) -> Type:
     """Parse a type written in `@spec` surface syntax."""
-    parser = Parser(_as_tokens(source))
-    result = parser.parse_type()
-    parser.expect("eof")
-    return result
+    with _whole(source) as parser:
+        return parser.parse_type()

@@ -10,28 +10,27 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .source import Source
+
 if TYPE_CHECKING:
     from .types import MapKey, Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
-    """Byte offsets plus 1-based line/column positions covering a source range."""
+    """Offsets `start` to `end` into `source`, which resolves their line and
+    column for a rendered diagnostic. Slotted and not frozen, since the lexer
+    makes one per token; hashed, since `Node` takes one as a field default."""
 
     start: int
     end: int
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+    source: Source
 
     def cover(self, other: "Span") -> "Span":
-        first = self if self.start <= other.start else other
-        last = self if self.end >= other.end else other
-        return Span(first.start, last.end, first.line, first.col, last.end_line, last.end_col)
+        return Span(min(self.start, other.start), max(self.end, other.end), self.source)
 
 
-DUMMY_SPAN = Span(0, 0, 1, 1, 1, 1)
+DUMMY_SPAN = Span(0, 0, Source(""))
 
 
 @dataclass

@@ -3,15 +3,16 @@ import json
 import pytest
 
 from extc.diagnostics import (
-    Diagnostic, count_by_severity, render_all_text, render_json, render_text,
+    Diagnostic, Note, count_by_severity, render_all_text, render_json, render_text,
     sort_diagnostics,
 )
+from extc.source import Source
 from extc.syntax import Span
 
 
-def span(start, end, line=1, col=None, end_line=None, end_col=None):
-    col = col if col is not None else start + 1
-    return Span(start, end, line, col, end_line or line, end_col or end + 1)
+def span(start, end, text="x + 1 = 2.5  # one line"):
+    """Offsets into `text`, whose `Source` resolves their line and column."""
+    return Span(start, end, Source(text))
 
 
 def diag(code="E_TYPE_MISMATCH", message="boom", s=None, file="m.ex", **kw):
@@ -32,7 +33,7 @@ def test_severity_from_code():
 def test_render_text_header_and_caret():
     source = '3 + "hi"'
     d = diag(message='expression has type string, expected float',
-             s=span(4, 8, col=5), expected="float", actual="string")
+             s=span(4, 8, source), expected="float", actual="string")
     text = render_text(d, source)
     lines = text.splitlines()
     assert lines[0] == 'm.ex:1:5 E_TYPE_MISMATCH expression has type string, expected float'
@@ -50,24 +51,32 @@ def test_render_text_without_notes_or_types_is_just_excerpt():
 
 
 def test_render_text_multiline_span_excerpts_first_line():
-    d = diag(s=Span(0, 12, 1, 1, 2, 4))
-    text = render_text(d, "if true do\n1 end")
+    source = "if true do\n1 end"
+    d = diag(s=span(0, 12, source))
+    text = render_text(d, source)
     assert "..." in text
 
 
 def test_render_text_has_no_excerpt_past_the_last_line():
     # A final newline ends the last line; it does not start another one.
-    eof = diag(code="E_PARSE", s=Span(9, 9, 2, 1, 2, 1))
+    eof = diag(code="E_PARSE", s=span(9, 9, "x = (1 +\n"))
     assert render_text(eof, "x = (1 +\n") == "m.ex:2:1 E_PARSE boom"
-    assert render_text(diag(code="E_PARSE", s=span(0, 0)), "") == "m.ex:1:1 E_PARSE boom"
+    assert render_text(diag(code="E_PARSE", s=span(0, 0, "")), "") == "m.ex:1:1 E_PARSE boom"
     assert render_text(eof, "x = (1 +\n\n").splitlines()[1] == "  2 | "
 
 
 def test_render_text_excerpt_lines_end_at_newline_only():
-    d = diag(s=Span(14, 17, 2, 9, 2, 12))
     for separator in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
-        text = render_text(d, f"# a{separator}b\ny = 1 + 2\n")
-        assert text.splitlines()[1] == "  2 | y = 1 + 2"
+        source = f"# a{separator}b\ny = 1 + 2\n"
+        text = render_text(diag(s=span(14, 15, source)), source)
+        assert text.splitlines()[:2] == ["m.ex:2:9 E_TYPE_MISMATCH boom", "  2 | y = 1 + 2"]
+
+
+def test_render_text_notes_resolve_through_their_span():
+    source = "x = 1\n  y + x"
+    notes = [Note("y is bound here", span(8, 9, source)), Note("no position")]
+    text = render_text(diag(s=span(12, 13, source), notes=notes), source)
+    assert text.splitlines()[-2:] == ["  note: y is bound here (at 2:3)", "  note: no position"]
 
 
 def test_render_json_empty():

@@ -230,7 +230,8 @@ class TestSiblingIndependence:
 
     def test_operator_chain_checks_each_operator_before_the_next_operand(self):
         mismatch = failure('1 + "a" + y')
-        assert (mismatch.code, mismatch.span.col) == ("E_TYPE_MISMATCH", 5)
+        col = mismatch.span.source.position(mismatch.span.start)[1]
+        assert (mismatch.code, col) == ("E_TYPE_MISMATCH", 5)
 
 
 class TestCalls:

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, DATA_DIR
 from extc.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, tokenize
-from extc.syntax import Span
+from extc.source import Source
 
 
 def kinds_and_lexemes(source):
@@ -97,7 +97,8 @@ def test_unknown_directive():
 def test_unterminated_string():
     with pytest.raises(LexError) as exc:
         tokenize('x = "oops')
-    assert exc.value.span.col == 5
+    span = exc.value.span
+    assert span.source.position(span.start)[1] == 5
 
 
 def test_stray_character():
@@ -123,30 +124,33 @@ def test_spans_cover_input():
 def test_line_and_column_tracking():
     toks = tokenize("x = 1\n  y = 2")
     y = next(t for t in toks if t.lexeme == "y")
-    assert (y.span.line, y.span.col) == (2, 3)
+    assert y.span.source.position(y.span.start) == (2, 3)
 
 
 @pytest.mark.parametrize("source, message, span", [
-    ('"ab', "unterminated string", Span(0, 3, 1, 1, 1, 4)),
-    ('"a\\', "unknown escape \\", Span(2, 2, 1, 3, 1, 3)),
-    ('"a\\\nb"', "unknown escape \\\n", Span(2, 2, 1, 3, 1, 3)),
-    ('"a\\zb"', "unknown escape \\z", Span(2, 2, 1, 3, 1, 3)),
-    ('"ab\ncd"', "unterminated string", Span(0, 3, 1, 1, 1, 4)),
-    (":", "expected atom name after ':'", Span(0, 1, 1, 1, 1, 2)),
-    (": x", "expected atom name after ':'", Span(0, 1, 1, 1, 1, 2)),
-    (":1", "expected atom name after ':'", Span(0, 1, 1, 1, 1, 2)),
-    (":²", "expected atom name after ':'", Span(0, 1, 1, 1, 1, 2)),
-    ("@", "unknown directive @", Span(0, 1, 1, 1, 1, 2)),
-    ("@specs", "unknown directive @specs", Span(0, 6, 1, 1, 1, 7)),
-    ("@doc x", "unknown directive @doc", Span(0, 4, 1, 1, 1, 5)),
-    ("x ~ y", "stray character '~'", Span(2, 2, 1, 3, 1, 3)),
-    ("x = 1\ny = \xa0", "stray character '\\xa0'", Span(10, 10, 2, 5, 2, 5)),
-    ("²", "stray character '²'", Span(0, 0, 1, 1, 1, 1)),
+    ('"ab', "unterminated string", (0, 3, 1, 1, 1, 4)),
+    ('"a\\', "unknown escape \\", (2, 2, 1, 3, 1, 3)),
+    ('"a\\\nb"', "unknown escape \\\n", (2, 2, 1, 3, 1, 3)),
+    ('"a\\zb"', "unknown escape \\z", (2, 2, 1, 3, 1, 3)),
+    ('"ab\ncd"', "unterminated string", (0, 3, 1, 1, 1, 4)),
+    (":", "expected atom name after ':'", (0, 1, 1, 1, 1, 2)),
+    (": x", "expected atom name after ':'", (0, 1, 1, 1, 1, 2)),
+    (":1", "expected atom name after ':'", (0, 1, 1, 1, 1, 2)),
+    (":²", "expected atom name after ':'", (0, 1, 1, 1, 1, 2)),
+    ("@", "unknown directive @", (0, 1, 1, 1, 1, 2)),
+    ("@specs", "unknown directive @specs", (0, 6, 1, 1, 1, 7)),
+    ("@doc x", "unknown directive @doc", (0, 4, 1, 1, 1, 5)),
+    ("x ~ y", "stray character '~'", (2, 2, 1, 3, 1, 3)),
+    ("x = 1\ny = \xa0", "stray character '\\xa0'", (10, 10, 2, 5, 2, 5)),
+    ("²", "stray character '²'", (0, 0, 1, 1, 1, 1)),
 ])
 def test_lex_error_message_and_span(source, message, span):
+    # `span` is (start, end, line, col, end_line, end_col)
     with pytest.raises(LexError) as exc:
         tokenize(source)
-    assert (exc.value.message, exc.value.span) == (message, span)
+    got = exc.value.span
+    positions = (*got.source.position(got.start), *got.source.position(got.end))
+    assert (exc.value.message, (got.start, got.end, *positions)) == (message, span)
 
 
 def _position(source, offset):
@@ -154,8 +158,21 @@ def _position(source, offset):
 
 
 def _assert_span_positions(source, span):
-    assert (span.line, span.col) == _position(source, span.start)
-    assert (span.end_line, span.end_col) == _position(source, span.end)
+    assert span.source.text == source
+    assert span.source.position(span.start) == _position(source, span.start)
+    assert span.source.position(span.end) == _position(source, span.end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=100),
+    # None of "\r", "\f", "\x85" and U+2028 ends a line; only "\n" does.
+    st.text(alphabet="ab \n\r\f\v\x85\u2028\u2029", max_size=100),
+))
+def test_position_agrees_with_count_and_rfind(text):
+    source = Source(text)
+    for offset in range(len(text) + 1):
+        assert source.position(offset) == _position(text, offset)
 
 
 def _raw_text(tok):

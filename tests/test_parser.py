@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -6,7 +8,7 @@ import printer
 from conftest import corpus_files
 from extc import syntax
 from extc.parser import (
-    ParseError, parse_expression, parse_program, parse_spec, parse_type_text,
+    MAX_TYPE_DEPTH, ParseError, parse_expression, parse_program, parse_spec, parse_type_text,
 )
 from extc.syntax import (
     AtomLit, BinOp, Call, Case, ConsPattern, If, IntLit, MapAccess, Match,
@@ -187,6 +189,26 @@ class TestNesting:
             parse_program(source)
         assert 0 < exc.value.span.start < len(source)
 
+    @pytest.mark.parametrize("parse, prefix", [(parse_program, "x = "), (parse_expression, "")])
+    def test_four_hundred_nested_parentheses_are_too_deep(self, parse, prefix):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse(prefix + "(" * 400 + "1" + ")" * 400)
+
+    @pytest.mark.parametrize("parse, prefix", [
+        (parse_spec, "@spec f() :: "), (parse_type_text, ""),
+    ])
+    def test_type_entry_points_turn_recursion_into_a_parse_error(self, parse, prefix):
+        # A type at MAX_TYPE_DEPTH recurses about once per level; on a stack
+        # with less room than that the entry point reports nesting too deep.
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            with pytest.raises(ParseError, match="nesting too deep"):
+                parse(prefix + "[" * MAX_TYPE_DEPTH + "integer" + "]" * MAX_TYPE_DEPTH)
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_overlong_integer_literal_is_a_parse_error(self):
         with pytest.raises(ParseError, match="integer literal is too long") as exc:
             parse_program("x = " + "1" * 5000)
@@ -301,7 +323,7 @@ class TestSpansAndRoundTrip:
         expr = parse_expression(source)
         span = expr.span
         assert (span.start, span.end) == (0, 6)
-        assert (span.line, span.col, span.end_col) == (1, 1, 7)
+        assert (*span.source.position(span.start), span.source.position(span.end)[1]) == (1, 1, 7)
 
     def test_span_of_nested_node_contained_in_parent(self):
         expr = parse_expression("1 + 2 * 3")
@@ -318,7 +340,8 @@ class TestSpansAndRoundTrip:
             stack.extend(syntax.children(node))
             span = node.span
             assert 0 <= span.start <= span.end <= len(source)
-            assert span.line >= 1 and span.col >= 1
+            line, col = span.source.position(span.start)
+            assert span.source.text == source and line >= 1 and col >= 1
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_child_spans_contained_in_parents(self, path):
