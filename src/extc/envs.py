@@ -3,13 +3,25 @@ from __future__ import annotations
 
 from .types import FunctionType, Type
 
-# Variable environments are plain name -> Type dicts (the checker treats them
-# as immutable values and always builds fresh ones).
+# Variable environments are plain name -> Type dicts that the checker never
+# mutates once shared: an expression reports the bindings it adds (usually
+# none), and `merge` is the one place a scope is copied to hold them.
 
 
 def merge(g1: dict[str, Type], g2: dict[str, Type]) -> dict[str, Type]:
     """Right-biased union: on a name collision the second environment wins."""
     return {**g1, **g2}
+
+
+def sibling_bindings(env: dict[str, Type], earlier: dict[str, Type],
+                     later: dict[str, Type]) -> dict[str, Type]:
+    """What two siblings synthesized in `env` add to it, `earlier` then `later`:
+    the bindings `merge(merge(env, earlier), merge(env, later))` adds. So an
+    outer name that only `earlier` rebinds gets its `env` type back."""
+    if not earlier:
+        return later
+    kept = {name: t for name, t in earlier.items() if name not in env}
+    return {**kept, **later} if kept else later
 
 
 def qualify(prefix: tuple[str, ...], name: str) -> str:

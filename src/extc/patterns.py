@@ -43,6 +43,15 @@ def _mismatch(pattern, expected: Type, actual: Type | None = None) -> PatternErr
     )
 
 
+def _pinned(pattern, sigma: dict) -> Type:
+    """The type the enclosing scope gives a pinned variable."""
+    pinned = sigma.get(pattern.name)
+    if pinned is None:
+        raise PatternError(E_PIN_UNBOUND, f"pinned variable '{pattern.name}' is not bound "
+                           "in the enclosing scope", pattern.span)
+    return pinned
+
+
 def _fits_in_mode(actual: Type, expected: Type, mode: PatternMode) -> bool:
     """Whether a literal or pin of type `actual` may stand where `expected` is."""
     if mode is PatternMode.MATCH:
@@ -87,13 +96,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
         return
 
     if isinstance(pattern, syntax.PinPattern):
-        pinned = sigma.get(pattern.name)
-        if pinned is None:
-            raise PatternError(
-                E_PIN_UNBOUND,
-                f"pinned variable '{pattern.name}' is not bound in the enclosing scope",
-                pattern.span,
-            )
+        pinned = _pinned(pattern, sigma)
         if not _fits_in_mode(pinned, expected, mode):
             raise _mismatch(pattern, expected, pinned)
         return
@@ -188,14 +191,7 @@ def _natural_type(pattern, sigma: dict) -> Type:
     if isinstance(pattern, syntax.Literal):
         return types.literal_type(pattern)
     if isinstance(pattern, syntax.PinPattern):
-        pinned = sigma.get(pattern.name)
-        if pinned is None:
-            raise PatternError(
-                E_PIN_UNBOUND,
-                f"pinned variable '{pattern.name}' is not bound in the enclosing scope",
-                pattern.span,
-            )
-        return pinned
+        return _pinned(pattern, sigma)
     if isinstance(pattern, syntax.TuplePattern):
         return TupleType(tuple(_natural_type(p, sigma) for p in pattern.items))
     if isinstance(pattern, syntax.ElistPattern):

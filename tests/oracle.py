@@ -141,7 +141,7 @@ class TypeUniverse:
                 for j, u in enumerate(self.types):
                     if rows[i] >> j & 1:
                         continue
-                    if self._structural_sub(t, u, rows):
+                    if self._structural(t, u, rows, precision=False):
                         rows[i] |= 1 << j
                         changed = True
             # transitivity
@@ -154,7 +154,11 @@ class TypeUniverse:
                         changed = True
         return rows
 
-    def _structural_sub(self, t: Type, u: Type, rows: list[int]) -> bool:
+    def _structural(self, t: Type, u: Type, rows: list[int], precision: bool) -> bool:
+        """The one structural rule behind subtyping and precision, given the
+        relation so far in `rows`. The two differ only on maps, where
+        subtyping allows width and precision needs the same keys, and on
+        function parameters, contravariant under subtyping only."""
         rel = lambda a, b: bool(rows[self.index[a]] >> self.index[b] & 1)
         if isinstance(t, ListType) and isinstance(u, ListType):
             return rel(t.element, u.element)
@@ -162,6 +166,8 @@ class TypeUniverse:
             return len(t.items) == len(u.items) and all(
                 rel(a, b) for a, b in zip(t.items, u.items))
         if isinstance(t, MapType) and isinstance(u, MapType):
+            if precision and t.keys() != u.keys():
+                return False
             for key, value_u in u.entries:
                 value_t = t.get(key)
                 if value_t is None or not rel(value_t, value_u):
@@ -170,8 +176,8 @@ class TypeUniverse:
         if isinstance(t, FunctionType) and isinstance(u, FunctionType):
             if len(t.params) != len(u.params):
                 return False
-            return all(rel(up, tp) for up, tp in zip(u.params, t.params)) and rel(
-                t.result, u.result)
+            params = zip(t.params, u.params) if precision else zip(u.params, t.params)
+            return all(rel(a, b) for a, b in params) and rel(t.result, u.result)
         return False
 
     # --- declarative precision ---
@@ -205,28 +211,10 @@ class TypeUniverse:
                 for j, u in enumerate(self.types):
                     if rows[i] >> j & 1:
                         continue
-                    if self._structural_prec(t, u, rows):
+                    if self._structural(t, u, rows, precision=True):
                         rows[i] |= 1 << j
                         changed = True
         return rows
-
-    def _structural_prec(self, t: Type, u: Type, rows: list[int]) -> bool:
-        rel = lambda a, b: bool(rows[self.index[a]] >> self.index[b] & 1)
-        if isinstance(t, ListType) and isinstance(u, ListType):
-            return rel(t.element, u.element)
-        if isinstance(t, TupleType) and isinstance(u, TupleType):
-            return len(t.items) == len(u.items) and all(
-                rel(a, b) for a, b in zip(t.items, u.items))
-        if isinstance(t, MapType) and isinstance(u, MapType):
-            if t.keys() != u.keys():
-                return False
-            return all(rel(a, b) for (_, a), (_, b) in zip(t.entries, u.entries))
-        if isinstance(t, FunctionType) and isinstance(u, FunctionType):
-            if len(t.params) != len(u.params):
-                return False
-            return all(rel(a, b) for a, b in zip(t.params, u.params)) and rel(
-                t.result, u.result)
-        return False
 
     # --- reachability: subsumption and downcast steps ---
 

@@ -1,7 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extc.envs import SignatureEnv, merge, qualify
+from extc.envs import SignatureEnv, merge, qualify, sibling_bindings
 from extc.types import FLOAT, FunctionType, INTEGER, STRING, Type, BOOLEAN
 
 _types = st.sampled_from([INTEGER, FLOAT, STRING, BOOLEAN])
@@ -30,6 +30,24 @@ def test_merge_associative(g1, g2, g3):
 @given(_envs)
 def test_merge_idempotent(g):
     assert merge(g, g) == g
+
+
+@given(_envs, st.lists(_envs, min_size=1, max_size=4))
+def test_sibling_bindings_unite_whole_environments(env, siblings):
+    """Folding the siblings' added bindings gives what uniting their whole
+    environments, each the incoming one extended, gives."""
+    whole, added = env, {}
+    for bindings in siblings:
+        whole = merge(whole, merge(env, bindings))
+        added = sibling_bindings(env, added, bindings)
+    assert merge(env, added) == whole
+
+
+def test_sibling_bindings_restore_outer_names_a_later_sibling_leaves():
+    env = {"x": INTEGER}
+    assert sibling_bindings(env, {"x": STRING, "y": FLOAT}, {}) == {"y": FLOAT}
+    assert sibling_bindings(env, {"x": STRING}, {"x": FLOAT}) == {"x": FLOAT}
+    assert sibling_bindings(env, {}, {"x": STRING}) == {"x": STRING}
 
 
 def test_qualify():

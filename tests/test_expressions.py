@@ -1,9 +1,11 @@
 import pytest
 
+from extc import envs, expressions, syntax
+from extc.checker import check_programs
 from extc.diagnostics import CheckFailure
 from extc.envs import SignatureEnv
 from extc.expressions import ExprChecker, synthesize
-from extc.parser import parse_expression
+from extc.parser import parse_expression, parse_program
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, FunctionType, INTEGER,
     ListType, MapKey, MapType, NONE, STRING, TERM, TupleType,
@@ -339,3 +341,101 @@ class TestGradualMonotonicity:
         for static, gradual in pairs:
             synth(static, sigs=sigs)  # must not raise
             synth(gradual, sigs=sigs)  # and neither must this
+
+
+class TestSiblingRevert:
+    """Siblings unite their whole environments right-biased, so a later
+    sibling that binds nothing gives an outer name that an earlier sibling
+    rebound its outer type back. Elixir keeps the rebinding; this pins the
+    checker's rule as it stands."""
+
+    @pytest.mark.parametrize("statement", [
+        '{x = "a", 1}', '(x = "a") <> "b"', 'f(x = "a", 1)', '[x = "a" | []]',
+    ])
+    def test_a_later_sibling_restores_an_outer_name(self, statement):
+        mismatch = failure(f'x = 1; {statement}; x <> "b"')
+        assert (mismatch.code, mismatch.message) == (
+            "E_TYPE_MISMATCH", "expression has type integer, expected string")
+
+    def test_the_last_sibling_keeps_its_rebinding(self):
+        assert synth_type('x = 1; {1, x = "a"}; x <> "b"') == STRING
+
+
+class TestScopesAreNotShared:
+    """A sequence updates its own copy of the scope in place; no binding may
+    reach a scope that encloses it or the caller's environment."""
+
+    @pytest.mark.parametrize("statement", [
+        'if true do x = "s"; x else "t" end',
+        'case 1 do _ -> x = "s"; x end',
+        'cond do true -> x = "s"; x end',
+        'fn (y) -> x = "s"; y end',
+    ])
+    def test_a_nested_sequence_keeps_its_bindings(self, statement):
+        assert synth_type(f"x = 1; {statement}; x + 1") == INTEGER
+
+    def test_the_given_environment_is_left_alone(self):
+        env = {"x": INTEGER}
+        result = ExprChecker().synthesize(parse_expression('x = "a"; y = x'), env)
+        assert env == {"x": INTEGER}
+        assert result.env == {"x": STRING, "y": STRING}
+
+
+def _concrete_expression_classes():
+    classes = [c for c in vars(syntax).values()
+               if isinstance(c, type) and issubclass(c, syntax.Expr)]
+    return [c for c in classes if not any(o is not c and issubclass(o, c) for o in classes)]
+
+
+class TestDispatch:
+    def test_every_concrete_expression_class_has_a_handler(self):
+        concrete = _concrete_expression_classes()
+        assert syntax.Seq in concrete and syntax.IntLit in concrete
+        assert [c.__name__ for c in concrete if c not in expressions._SYNTH] == []
+
+    def test_a_node_without_a_handler_cannot_be_synthesized(self):
+        class Unhandled(syntax.Expr):
+            pass
+
+        with pytest.raises(TypeError, match="cannot synthesize Unhandled"):
+            synthesize(Unhandled())
+
+
+def _typed_body(statements: int) -> str:
+    """A `def` of `statements` statements `x_i = ...`, each typed integer.
+    Nothing binds inside a branch, which would still copy the scope it
+    extends."""
+    kinds = [
+        "{p} + 1",
+        "if {p} > 0 do {p} else 0 end",
+        "case {{{p}, 1}} do\n{{0, _}} -> 1\n_ -> {p}\nend",
+        "f({p})",
+        "%{{:a => {p}}}[:a]",
+    ]
+    lines = ["@spec f(integer) :: integer", "def f(x_0) do"]
+    for i in range(1, statements + 1):
+        lines.append(f"x_{i} = " + kinds[i % len(kinds)].format(p=f"x_{i - 1}"))
+    lines += [f"x_{statements}", "end"]
+    return "\n".join(lines) + "\n"
+
+
+def _entries_copied(monkeypatch, statements: int) -> int:
+    """Environment entries copied while checking `_typed_body(statements)`,
+    counted through `merge`, the one helper that extends an environment."""
+    copied = 0
+
+    def counting_merge(g1, g2):
+        nonlocal copied
+        out = envs.merge(g1, g2)
+        copied += len(out)
+        return out
+
+    monkeypatch.setattr(expressions, "merge", counting_merge)
+    assert check_programs([parse_program(_typed_body(statements))]) == []
+    return copied
+
+
+def test_entries_copied_grow_linearly_with_body_length(monkeypatch):
+    short, long = (_entries_copied(monkeypatch, n) for n in (1000, 2000))
+    assert short > 1000
+    assert long <= 2.1 * short
