@@ -19,9 +19,9 @@ def check_program(program: syntax.Program) -> list[Diagnostic]:
     return check_programs([program])
 
 
-def check_programs(programs: list[syntax.Program]) -> list[Diagnostic]:
-    """Check several files against one shared signature environment."""
-    sigs, diags = collect_all(programs)
+def check_programs(programs: list[syntax.Program], collected=None) -> list[Diagnostic]:
+    """Check several files against their shared signatures, `collect_all(programs)` if not given."""
+    sigs, diags = collected or collect_all(programs)
     for program in programs:
         _check_items(program.items, (), sigs, diags, program.path)
     return sort_diagnostics(diags)

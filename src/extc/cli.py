@@ -111,12 +111,12 @@ def _run_check(args) -> int:
         else:
             programs.append(parsed)
 
-    diags.extend(check_programs(programs))
+    sigs, sig_diags = collect_all(programs)
+    diags.extend(check_programs(programs, (sigs, sig_diags)))
     diags = sort_diagnostics(diags)
 
     sig_lines = None
     if args.dump_sigs:
-        sigs, _ = collect_all(programs)
         sig_lines = [f"{name}/{arity} :: {fn_type}" for name, arity, fn_type in sigs.entries()]
 
     if args.format == "json":

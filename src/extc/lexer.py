@@ -4,16 +4,16 @@
 the tables below. `tokenize` matches it at the current offset and dispatches
 on the group that matched, the "Writing a Tokenizer" recipe of the `re` docs.
 
-Tokens carry offset spans over the file's `Source`; the loop keeps no line or
-column. Only a rendered diagnostic looks its position up, in a table of line
-starts that the `Source` builds then, so a file without diagnostics never
-builds one. Looking up every token's position instead raised the peak memory
-of `extc check` on the `legacy_migration` benchmark corpus by 8 %.
+A token is its own span: `Token` extends `Span`, an offset range over the
+file's `Source`, with a kind and a lexeme, and the parser hands tokens on as
+node spans. The loop keeps no line or column; only a rendered diagnostic
+looks one up, in a table of line starts the `Source` builds then. Looking up
+every token's position raised peak memory on `legacy_migration` by 8 %.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .source import Source
 from .syntax import Span
@@ -59,11 +59,10 @@ _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass(slots=True)
-class Token:
+@dataclass(slots=True, eq=False)
+class Token(Span):
     kind: str  # keyword | ident | atom | int | float | string | op | punct | atspec | newline | eof
     lexeme: str
-    span: Span = field(repr=False)
 
 
 class LexError(Exception):
@@ -100,7 +99,7 @@ def tokenize(source: str) -> list[Token]:
             prev = tokens[-1] if tokens else None
             if not (depth or prev is None or prev.kind in ("newline", "op")
                     or prev.kind in ("punct", "keyword") and prev.lexeme in _CONTINUATION):
-                tokens.append(Token(kind, lexeme, Span(start, pos, src)))
+                tokens.append(Token(start, pos, src, kind, lexeme))
             continue
         if kind == "ident":
             if lexeme in KEYWORDS:
@@ -125,6 +124,6 @@ def tokenize(source: str) -> list[Token]:
                 raise LexError("expected atom name after ':'", Span(start, start + 1, src))
         elif kind == "atspec" and lexeme != "@spec":
             raise LexError(f"unknown directive {lexeme}", Span(start, pos, src))
-        tokens.append(Token(kind, lexeme, Span(start, pos, src)))
-    tokens.append(Token("eof", "", Span(pos, pos, src)))
+        tokens.append(Token(start, pos, src, kind, lexeme))
+    tokens.append(Token(pos, pos, src, "eof", ""))
     return tokens

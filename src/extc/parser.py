@@ -1,14 +1,16 @@
 """Recursive-descent parser for the Elixir fragment, with one precedence-climbing
-loop for the binary operators.
+loop for the operators.
 
 Precedence, tightest first: postfix map access; unary `-`/`not`; then the
 `_BINARY` levels `*` `/` (6); binary `+` `-` (5); `++` `--` `<>` (4, right
-associative); comparisons (3); `and` (2); `or` (1); and last `=` (match, right
-associative, lowest), which `parse_expr` handles.
+associative); comparisons (3); `and` (2); `or` (1); `=` (0, right associative),
+loosest as Elixir's own `match_op`. No backtracking: each token is taken once.
+The left side of `=`, parsed as an expression, converts by `to_pattern`; so
+does a clause body statement that stops at `->`, as the next clause's head.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import partial
 from typing import Callable
 
@@ -37,6 +39,7 @@ class ParseError(Exception):
 # Binary operator lexeme -> (precedence, right associative); higher binds
 # tighter. Only `op` and `keyword` tokens are operators.
 _BINARY = {
+    "=": (0, True),
     "or": (1, False),
     "and": (2, False),
     **dict.fromkeys(("<", ">", "<=", ">=", "==", "!=", "===", "!=="), (3, False)),
@@ -44,12 +47,20 @@ _BINARY = {
     "+": (5, False), "-": (5, False),
     "*": (6, False), "/": (6, False),
 }
+_PREFIX = 7  # a unary operand binds tighter than every binary operator
 _OPERATOR_KINDS = ("op", "keyword")
-_UNARY = {("op", "-"), ("keyword", "not")}
+_UNARY = ("-", "not")  # `-` is only ever an `op`, `not` only a `keyword`
+# Token kinds whose primaries `_PRIMARY` keys by lexeme rather than by kind.
+_SYMBOL_KINDS = ("punct", "keyword", "op")
 _DECL_STARTS = {"defmodule", "def"}
+_NOT_A_PATTERN = "left-hand side of '=' is not a valid pattern"
 # Deepest nesting of list, tuple, map and function types in a `@spec`; the
 # type relations recurse once per level.
 MAX_TYPE_DEPTH = 100
+# Deepest nesting of expressions and patterns: an operand, item, argument,
+# body, group or map access is a level. A level costs the parser and the
+# checker at most three Python frames each, within the default limit of 1,000.
+MAX_NESTING = 256
 
 
 class Parser:
@@ -57,6 +68,10 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.path = path
+        self.depth = 0  # nesting levels open
+        self.pattern_only = False
+        self.loose: list[Token] = []  # `_` and `^` of unclaimed pattern nodes, in order
+        self.next_head = None
 
     # --- token plumbing ---
 
@@ -70,7 +85,7 @@ class Parser:
         return tok
 
     def prev_span(self) -> Span:
-        return self.tokens[max(0, self.pos - 1)].span
+        return self.tokens[max(0, self.pos - 1)]
 
     def at(self, kind: str, lexeme: str | None = None) -> bool:
         tok = self.tokens[self.pos]
@@ -80,11 +95,8 @@ class Parser:
         if not self.at(kind, lexeme):
             expected = what or (lexeme if lexeme is not None else kind)
             found = self.peek().lexeme or self.peek().kind
-            raise ParseError(f"expected {expected!r}, found {found!r}", self.peek().span)
+            raise ParseError(f"expected {expected!r}, found {found!r}", self.peek())
         return self.take()
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().span)
 
     def at_separator(self) -> bool:
         return self.at("newline") or self.at("punct", ";")
@@ -106,65 +118,100 @@ class Parser:
         self.expect("punct", close)
         return items
 
-    def map_entries(self, parse_value: Callable, what: str) -> tuple[list, Span]:
-        """`%{key => value, ...}` with distinct keys, and the span of the braces."""
-        start = self.take().span  # '%{'
-        entries = self.comma_list(lambda: self.map_entry(parse_value), "}")
-        span = start.cover(self.prev_span())
-        keys = [k for k, _ in entries]
-        if len(set(keys)) != len(keys):
+    def map_entries(self, start: Token, parse_value: Callable, what: str) -> tuple[list, Span]:
+        """The `key => value, ...}` after `start`, with distinct keys, and the
+        braces' span. `comma_list`'s loop, written out to save frames."""
+        entries = []
+        if not self.at("punct", "}"):
+            while True:
+                key = self.parse_map_key()
+                self.expect("op", "=>")
+                entries.append((key, parse_value()))
+                if not self.at("punct", ","):
+                    break
+                self.take()
+        span = start.cover(self.expect("punct", "}"))
+        if len({key for key, _ in entries}) != len(entries):
             raise ParseError(f"duplicate keys in {what}", span)
         return entries, span
 
-    def map_entry(self, parse_value: Callable) -> tuple[MapKey, object]:
-        key = self.parse_map_key()
-        self.expect("op", "=>")
-        return key, parse_value()
+    def settle(self, expr: syntax.Expr | None = None) -> syntax.Expr:
+        """`expr`, a finished statement: the first unclaimed `_` or `^x` fails."""
+        if self.loose:
+            tok = self.loose[0]
+            raise ParseError("wildcard '_' is not an expression" if tok.lexeme == "_"
+                             else "expected an expression, found '^'", tok)
+        return expr
 
-    def sequence(self, stop: Callable[[], bool] | None = None) -> syntax.Expr:
-        """Expression statements folded into a sequence; it ends at `eof`, at
-        `end`, or where `stop()` holds after a separator."""
+    def sequence(self, stop: Callable[[], bool] | None = None,
+                 head_of: Callable | None = None) -> syntax.Expr:
+        """Statements folded into a sequence, up to `eof`, `end`, `stop()` after
+        a separator, or a later statement that stops at `->` and that
+        `head_of(statement, its first token)` makes `self.next_head`."""
         self.skip_separators()
-        exprs = [self.parse_expr()]
+        exprs = [self.settle(self.parse_expr())]
         while self.at_separator():
             self.skip_separators()
             if self.at("eof") or self.at("keyword", "end") or (stop is not None and stop()):
                 break
-            exprs.append(self.parse_expr())
+            start = self.pos
+            expr = self.parse_expr()
+            if head_of is not None and self.at("op", "->"):
+                with suppress(ParseError):  # else a body statement, and its `->` the error
+                    self.next_head = head_of(expr, start)
+                    return _fold_sequence(exprs)
+            exprs.append(self.settle(expr))
+        self.next_head = None
         return _fold_sequence(exprs)
 
-    def ahead(self, parse_head: Callable) -> bool:
-        """Whether a clause `head ->` starts here; the position never moves."""
-        mark = self.pos
-        try:
-            parse_head()
-            return self.at("op", "->")
-        except ParseError:
-            return False
-        finally:
-            self.pos = mark
-
-    def parse_clauses(self, parse_head: Callable, clause_type: type, what: str) -> list:
-        """`do head -> body ... end` with at least one clause."""
+    def parse_clauses(self, start: Token) -> Case | Cond:
+        """`case subject do head -> body ... end` or `cond do ... end`, with a
+        clause or more; each later head ends the body before it (`sequence`)."""
+        case = start.lexeme == "case"
+        subject = self.parse_expr() if case else None
+        clause_type = CaseClause if case else CondClause
+        head_of = self.to_pattern if case else lambda expr, _: self.settle(expr)
         self.expect("keyword", "do")
         clauses = []
+        head = None
         while True:
-            self.skip_separators()
-            if self.at("keyword", "end"):
-                break
-            head = parse_head()
+            if head is None:
+                self.skip_separators()
+                if self.at("keyword", "end"):
+                    break
+                head = self.pattern() if case else self.settle(self.parse_expr())
             self.expect("op", "->")
-            body = self.sequence(lambda: self.ahead(parse_head))
+            body = self.sequence(head_of=head_of)
             clauses.append(clause_type(head, body, span=head.span.cover(body.span)))
+            head = self.next_head
         if not clauses:
-            raise self.error(f"{what} expression needs at least one clause")
-        self.expect("keyword", "end")
-        return clauses
+            raise ParseError(f"{start.lexeme} expression needs at least one clause", self.peek())
+        span = start.cover(self.expect("keyword", "end"))
+        return Case(subject, clauses, span=span) if case else Cond(clauses, span=span)
+
+    def to_pattern(self, expr: syntax.Expr, start: int) -> syntax.Pattern:
+        """`expr`, parsed from token `start` on, as a pattern, which claims the
+        `_` and `^x` in it. ParseError if it is no pattern."""
+        if self.pos - start > 2 and any(
+                tok.lexeme == "(" and tok.kind == "punct" for tok in self.tokens[start:self.pos]):
+            raise ParseError(_NOT_A_PATTERN, expr.span)  # a group, which the AST does not show
+        pattern = _pattern(expr, expr)
+        offset = self.tokens[start].start
+        while self.loose and self.loose[-1].start >= offset:
+            self.loose.pop()
+        return pattern
+
+    def pattern(self) -> syntax.Pattern:
+        """A `def` or `fn` parameter or first `case` head, where only a pattern may stand."""
+        self.pattern_only = True
+        expr = self.parse_expr()
+        self.pattern_only = False
+        return _pattern(expr, expr)
 
     # --- programs and declarations ---
 
     def parse_program(self) -> Program:
-        start = self.peek().span
+        start = self.peek()
         items = self.parse_items(toplevel=True)
         span = start if not items else items[0].span.cover(self.prev_span())
         return Program(items, path=self.path, span=span)
@@ -175,7 +222,7 @@ class Parser:
             self.skip_separators()
             if self.at("eof") or self.at("keyword", "end"):
                 if toplevel and self.at("keyword", "end"):
-                    raise self.error("unexpected 'end'")
+                    raise ParseError("unexpected 'end'", self.peek())
                 break
             if self.at("keyword", "defmodule"):
                 items.append(self.parse_module())
@@ -184,39 +231,33 @@ class Parser:
             elif self.at("atspec"):
                 items.append(self.parse_spec_decl())
             else:
-                items.append(self.parse_expr_group())
+                items.append(self.sequence(self.at_declaration))  # statements up to a declaration
         return items
 
     def parse_module(self) -> ModuleDef:
-        start = self.expect("keyword", "defmodule").span
+        start = self.expect("keyword", "defmodule")
         name = self.expect("ident", what="module name").lexeme
         self.expect("keyword", "do")
         body = self.parse_items(toplevel=False)
-        self.expect("keyword", "end")
-        return ModuleDef(name, body, span=start.cover(self.prev_span()))
+        return ModuleDef(name, body, span=start.cover(self.expect("keyword", "end")))
 
     def parse_def(self) -> FunctionDef:
-        start = self.expect("keyword", "def").span
+        start = self.expect("keyword", "def")
         name = self.expect("ident", what="function name").lexeme
         self.expect("punct", "(")
-        params = self.comma_list(self.parse_pattern, ")")
+        params = self.comma_list(self.pattern, ")")
         self.expect("keyword", "do")
         body = self.sequence()
-        self.expect("keyword", "end")
-        return FunctionDef(name, params, body, span=start.cover(self.prev_span()))
+        return FunctionDef(name, params, body, span=start.cover(self.expect("keyword", "end")))
 
     def parse_spec_decl(self) -> SpecDecl:
-        start = self.expect("atspec").span
+        start = self.expect("atspec")
         name = self.expect("ident", what="function name").lexeme
         self.expect("punct", "(")
         params = self.comma_list(self.parse_type, ")")
         self.expect("op", "::")
         result = self.parse_type()
         return SpecDecl(name, params, result, span=start.cover(self.prev_span()))
-
-    def parse_expr_group(self) -> syntax.Expr:
-        """A maximal run of expression statements, up to a declaration."""
-        return self.sequence(self.at_declaration)
 
     def at_declaration(self) -> bool:
         tok = self.peek()
@@ -226,24 +267,21 @@ class Parser:
 
     def parse_type(self, depth: int = 0) -> Type:
         """A type inside `depth` enclosing list, tuple, map or function types."""
-        tok = self.peek()
+        tok = self.take()
         if tok.kind == "ident":
-            self.take()
             base = BASE_TYPE_NAMES.get(tok.lexeme)
             if base is None:
-                raise ParseError(f"unknown type name {tok.lexeme!r}", tok.span)
+                raise ParseError(f"unknown type name {tok.lexeme!r}", tok)
             return base
         if tok.kind == "atom":
-            self.take()
             return AtomLiteralType(tok.lexeme)
         if tok.kind != "punct" or tok.lexeme not in ("[", "{", "%{", "("):
-            raise ParseError(f"expected a type, found {tok.lexeme!r}", tok.span)
+            raise ParseError(f"expected a type, found {tok.lexeme!r}", tok)
         if depth == MAX_TYPE_DEPTH:
-            raise ParseError("nesting too deep", tok.span)
+            raise ParseError("nesting too deep", tok)
         inner = partial(self.parse_type, depth + 1)
         if tok.lexeme == "%{":
-            return MapType(self.map_entries(inner, "map type")[0])
-        self.take()
+            return MapType(self.map_entries(tok, inner, "map type")[0])
         if tok.lexeme == "[":
             element = inner()
             self.expect("punct", "]")
@@ -255,194 +293,115 @@ class Parser:
         return FunctionType(tuple(params), inner())
 
     def parse_map_key(self) -> MapKey:
-        tok = self.peek()
+        tok = self.take()
         if tok.kind == "atom":
-            self.take()
             return MapKey.atom(tok.lexeme)
         if tok.kind == "int":
-            self.take()
             return MapKey.integer(_int_value(tok))
         if tok.kind == "keyword" and tok.lexeme in ("true", "false"):
-            self.take()
             return MapKey.boolean(tok.lexeme == "true")
-        raise ParseError("expected a map key (atom, boolean or integer)", tok.span)
-
-    # --- patterns ---
-
-    def parse_pattern(self) -> syntax.Pattern:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.take()
-            if tok.lexeme == "_":
-                return Wildcard(span=tok.span)
-            return VarPattern(tok.lexeme, span=tok.span)
-        if self.at("op", "^"):
-            start = self.take().span
-            name = self.expect("ident", what="variable after '^'")
-            return PinPattern(name.lexeme, span=start.cover(name.span))
-        lit = self.try_literal()
-        if lit is not None:
-            return lit
-        if self.at("punct", "{"):
-            start = self.take().span
-            items = self.comma_list(self.parse_pattern, "}")
-            return TuplePattern(items, span=start.cover(self.prev_span()))
-        if self.at("punct", "["):
-            start = self.take().span
-            if self.at("punct", "]"):
-                self.take()
-                return ElistPattern(span=start.cover(self.prev_span()))
-            head = self.parse_pattern()
-            self.expect("op", "|")
-            tail = self.parse_pattern()
-            self.expect("punct", "]")
-            return ConsPattern(head, tail, span=start.cover(self.prev_span()))
-        if self.at("punct", "%{"):
-            entries, span = self.map_entries(self.parse_pattern, "map pattern")
-            return MapPattern(entries, span=span)
-        raise ParseError(f"expected a pattern, found {tok.lexeme or tok.kind!r}", tok.span)
-
-    def try_literal(self) -> syntax.Literal | None:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.take()
-            return IntLit(_int_value(tok), span=tok.span)
-        if tok.kind == "float":
-            self.take()
-            return FloatLit(float(tok.lexeme), span=tok.span)
-        if tok.kind == "string":
-            self.take()
-            return StringLit(tok.lexeme, span=tok.span)
-        if tok.kind == "atom":
-            self.take()
-            return AtomLit(tok.lexeme, span=tok.span)
-        if tok.kind == "keyword" and tok.lexeme in ("true", "false"):
-            self.take()
-            return BoolLit(tok.lexeme == "true", span=tok.span)
-        return None
+        raise ParseError("expected a map key (atom, boolean or integer)", tok)
 
     # --- expressions ---
 
-    def parse_expr(self) -> syntax.Expr:
-        mark = self.pos
-        pattern = None
-        try:
-            candidate = self.parse_pattern()
-            if self.at("op", "="):
-                pattern = candidate
-        except ParseError:
-            pass
-        if pattern is not None:
-            self.take()  # '=': committed to a match expression
-            value = self.parse_expr()
-            return Match(pattern, value, span=pattern.span.cover(value.span))
-        self.pos = mark
-        expr = self.parse_binary()
-        if self.at("op", "="):
-            raise ParseError("left-hand side of '=' is not a valid pattern", expr.span)
-        return expr
-
-    def parse_binary(self, min_prec: int = 1) -> syntax.Expr:
-        """Precedence climbing over `_BINARY`: operands bind at least `min_prec`."""
-        left = self.parse_unary()
+    def parse_expr(self, min_prec: int = 0) -> syntax.Expr:
+        """Precedence climbing over `_BINARY`: operands bind at least
+        `min_prec`. In `pattern_only` mode, one primary that may be a pattern."""
+        start = self.pos
+        tok = self.take()
+        depth = self.depth
+        if depth == MAX_NESTING:
+            raise ParseError("nesting too deep", tok)
+        self.depth = depth + 1
+        if tok.lexeme in _UNARY and tok.kind in _OPERATOR_KINDS and not self.pattern_only:
+            operand = self.parse_expr(_PREFIX)
+            left = UnaryOp(tok.lexeme, operand, span=tok.cover(operand.span))
+        else:
+            table = _PATTERN_PRIMARY if self.pattern_only else _PRIMARY
+            parse = table.get(tok.lexeme if tok.kind in _SYMBOL_KINDS else tok.kind)
+            if parse is None:
+                what = "a pattern" if self.pattern_only else "an expression"
+                raise ParseError(f"expected {what}, found {tok.lexeme or tok.kind!r}", tok)
+            left = parse(self, tok)
+            while self.at("punct", "[") and not self.pattern_only:  # each access is a level
+                bracket = self.take()
+                if self.depth == MAX_NESTING:
+                    raise ParseError("nesting too deep", bracket)
+                self.depth += 1
+                key = self.parse_map_key()
+                end = self.expect("punct", "]")
+                left = MapAccess(left, key, span=left.span.cover(end))
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             level = _BINARY.get(tok.lexeme) if tok.kind in _OPERATOR_KINDS else None
-            if level is None or level[0] < min_prec:
-                return left
+            if level is None or level[0] < min_prec or self.pattern_only:
+                break
             self.take()
             prec, right_assoc = level
-            right = self.parse_binary(prec if right_assoc else prec + 1)
-            left = BinOp(tok.lexeme, left, right, span=left.span.cover(right.span))
+            if prec == 0:
+                pattern = self.to_pattern(left, start)
+                value = self.parse_expr(prec)
+                left = Match(pattern, value, span=pattern.span.cover(value.span))
+            else:
+                right = self.parse_expr(prec if right_assoc else prec + 1)
+                left = BinOp(tok.lexeme, left, right, span=left.span.cover(right.span))
+        self.depth = depth
+        return left
 
-    def parse_unary(self) -> syntax.Expr:
-        tok = self.peek()
-        if (tok.kind, tok.lexeme) in _UNARY:
-            self.take()
-            operand = self.parse_unary()
-            return UnaryOp(tok.lexeme, operand, span=tok.span.cover(operand.span))
-        expr = self.parse_primary()
-        while self.at("punct", "["):
-            self.take()
-            key = self.parse_map_key()
-            end = self.expect("punct", "]").span
-            expr = MapAccess(expr, key, span=expr.span.cover(end))
-        return expr
+    # --- primaries, each given the token that starts it, taken ---
 
-    def parse_primary(self) -> syntax.Expr:
-        tok = self.peek()
-        lit = self.try_literal()
-        if lit is not None:
-            return lit
-        if tok.kind == "ident":
-            if tok.lexeme == "_":
-                raise ParseError("wildcard '_' is not an expression", tok.span)
-            return self.parse_name()
-        if self.at("punct", "("):
+    def parse_name(self, first: Token) -> syntax.Expr:
+        """`_`, a variable, or a call `f(...)`, `M.f(...)` or `x.(...)`."""
+        if first.lexeme == "_":
+            if not self.pattern_only:
+                self.loose.append(first)
+            return Wildcard(span=first)
+        follow = self.peek()
+        if self.pattern_only or follow.lexeme not in ("(", ".") or follow.kind == "string":
+            return Var(first.lexeme, span=first)
+        path = [first.lexeme]
+        while self.at("op", "."):
             self.take()
-            exprs = [self.parse_expr()]
-            while self.at("punct", ";"):
-                self.take()
-                exprs.append(self.parse_expr())
-            self.expect("punct", ")")
-            return _fold_sequence(exprs)
-        if self.at("punct", "{"):
-            start = self.take().span
-            items = self.comma_list(self.parse_expr, "}")
-            return TupleExpr(items, span=start.cover(self.prev_span()))
-        if self.at("punct", "["):
-            start = self.take().span
-            if self.at("punct", "]"):
-                self.take()
-                return ElistExpr(span=start.cover(self.prev_span()))
-            head = self.parse_expr()
-            self.expect("op", "|")
-            tail = self.parse_expr()
-            self.expect("punct", "]")
-            return ConsExpr(head, tail, span=start.cover(self.prev_span()))
-        if self.at("punct", "%{"):
-            entries, span = self.map_entries(self.parse_expr, "map literal")
-            return MapExpr(entries, span=span)
-        if self.at("keyword", "if"):
-            return self.parse_if()
-        if self.at("keyword", "case"):
-            start = self.take().span
-            subject = self.parse_expr()
-            clauses = self.parse_clauses(self.parse_pattern, CaseClause, "case")
-            return Case(subject, clauses, span=start.cover(self.prev_span()))
-        if self.at("keyword", "cond"):
-            start = self.take().span
-            clauses = self.parse_clauses(self.parse_expr, CondClause, "cond")
-            return Cond(clauses, span=start.cover(self.prev_span()))
-        if self.at("keyword", "fn"):
-            return self.parse_fn()
-        raise ParseError(f"expected an expression, found {tok.lexeme or tok.kind!r}", tok.span)
-
-    def parse_name(self) -> syntax.Expr:
-        first = self.take()
-        if self.at("op", "."):
-            self.take()
-            if self.at("punct", "("):
-                args = self.parse_call_args()
-                return VarCall(first.lexeme, args, span=first.span.cover(self.prev_span()))
-            path = [first.lexeme, self.expect("ident", what="name after '.'").lexeme]
-            while self.at("op", "."):
-                self.take()
-                path.append(self.expect("ident", what="name after '.'").lexeme)
-            args = self.parse_call_args()
-            return Call(tuple(path[:-1]), path[-1], args,
-                        span=first.span.cover(self.prev_span()))
-        if self.at("punct", "("):
-            args = self.parse_call_args()
-            return Call((), first.lexeme, args, span=first.span.cover(self.prev_span()))
-        return Var(first.lexeme, span=first.span)
-
-    def parse_call_args(self) -> list[syntax.Expr]:
+            if len(path) == 1 and self.at("punct", "("):
+                break
+            path.append(self.expect("ident", what="name after '.'").lexeme)
         self.expect("punct", "(")
-        return self.comma_list(self.parse_expr, ")")
+        args = self.comma_list(self.parse_expr, ")")
+        span = first.cover(self.prev_span())
+        if follow.lexeme == "." and len(path) == 1:
+            return VarCall(first.lexeme, args, span=span)
+        return Call(tuple(path[:-1]), path[-1], args, span=span)
 
-    def parse_if(self) -> If:
-        start = self.expect("keyword", "if").span
+    def parse_pin(self, caret: Token) -> syntax.Pattern:
+        if not self.pattern_only:
+            if not self.at("ident"):
+                raise ParseError("expected an expression, found '^'", caret)
+            self.loose.append(caret)
+        name = self.expect("ident", what="variable after '^'")
+        return PinPattern(name.lexeme, span=caret.cover(name))
+
+    def parse_group(self, start: Token) -> syntax.Expr:
+        exprs = [self.parse_expr()]
+        while self.at("punct", ";"):
+            self.take()
+            exprs.append(self.parse_expr())
+        self.expect("punct", ")")
+        return _fold_sequence(exprs)
+
+    def parse_list(self, start: Token) -> syntax.Expr:
+        if self.at("punct", "]"):
+            return ElistExpr(span=start.cover(self.take()))
+        head = self.parse_expr()
+        self.expect("op", "|")
+        tail = self.parse_expr()
+        return ConsExpr(head, tail, span=start.cover(self.expect("punct", "]")))
+
+    def parse_map(self, start: Token) -> MapExpr:
+        what = "map pattern" if self.pattern_only else "map literal"
+        entries, span = self.map_entries(start, self.parse_expr, what)
+        return MapExpr(entries, span=span)
+
+    def parse_if(self, start: Token) -> If:
         cond = self.parse_expr()
         self.expect("keyword", "do")
         then = self.sequence(lambda: self.at("keyword", "else"))
@@ -450,27 +409,61 @@ class Parser:
             self.take()
             orelse = self.sequence()
         else:
-            # An else-less `if` produces :nil when the condition is false; the
-            # synthetic branch points back at the `if` keyword.
+            # An else-less `if` is :nil when false; this branch spans the `if`.
             orelse = AtomLit("nil", span=start)
-        self.expect("keyword", "end")
-        return If(cond, then, orelse, span=start.cover(self.prev_span()))
+        return If(cond, then, orelse, span=start.cover(self.expect("keyword", "end")))
 
-    def parse_fn(self) -> AnonFn:
-        start = self.expect("keyword", "fn").span
+    def parse_fn(self, start: Token) -> AnonFn:
         self.expect("punct", "(")
-        params = self.comma_list(self.parse_pattern, ")")
+        params = self.comma_list(self.pattern, ")")
         self.expect("op", "->")
         body = self.sequence()
-        self.expect("keyword", "end")
-        return AnonFn(params, body, span=start.cover(self.prev_span()))
+        return AnonFn(params, body, span=start.cover(self.expect("keyword", "end")))
+
+
+# Primaries by their first token's kind, or lexeme; a pattern is one of the first.
+_PATTERN_PRIMARY = {
+    "int": lambda parser, tok: IntLit(_int_value(tok), span=tok),
+    "float": lambda parser, tok: FloatLit(float(tok.lexeme), span=tok),
+    "string": lambda parser, tok: StringLit(tok.lexeme, span=tok),
+    "atom": lambda parser, tok: AtomLit(tok.lexeme, span=tok),
+    "true": lambda parser, tok: BoolLit(True, span=tok),
+    "false": lambda parser, tok: BoolLit(False, span=tok),
+    "ident": Parser.parse_name, "^": Parser.parse_pin,
+    "{": lambda parser, tok: TupleExpr(parser.comma_list(parser.parse_expr, "}"),
+                                       span=tok.cover(parser.prev_span())),
+    "[": Parser.parse_list, "%{": Parser.parse_map,
+}
+_PRIMARY = {
+    **_PATTERN_PRIMARY, "(": Parser.parse_group, "if": Parser.parse_if,
+    "case": Parser.parse_clauses, "cond": Parser.parse_clauses, "fn": Parser.parse_fn,
+}
+
+
+def _pattern(expr, whole: syntax.Expr) -> syntax.Pattern:
+    """`expr`, part of `whole`, as a pattern: literals, `_` and `^x` already
+    are patterns, and variables and data constructors convert."""
+    kind = type(expr)
+    if kind is Var:
+        return VarPattern(expr.name, span=expr.span)
+    if kind is TupleExpr:
+        return TuplePattern([_pattern(item, whole) for item in expr.items], span=expr.span)
+    if kind is ConsExpr:
+        return ConsPattern(_pattern(expr.head, whole), _pattern(expr.tail, whole), span=expr.span)
+    if kind is MapExpr:
+        return MapPattern([(k, _pattern(v, whole)) for k, v in expr.entries], span=expr.span)
+    if kind is ElistExpr:
+        return ElistPattern(span=expr.span)
+    if isinstance(expr, syntax.Pattern):
+        return expr
+    raise ParseError(_NOT_A_PATTERN, whole.span)
 
 
 def _int_value(tok: Token) -> int:
     try:
         return int(tok.lexeme)
     except ValueError:  # past the digit limit of int() on text
-        raise ParseError("integer literal is too long", tok.span) from None
+        raise ParseError("integer literal is too long", tok) from None
 
 
 def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
@@ -482,14 +475,18 @@ def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
 
 @contextmanager
 def _whole(source, path: str = "<input>"):
-    """A parser over all of `source`, text or tokens, that must end at `eof`.
-    Nesting past the interpreter's recursion limit is a ParseError at the token
-    reached; the block runs in the caller's frame, so no frame is added."""
+    """A parser over all of `source`, text or tokens, that must end at `eof`. An
+    unclaimed `_` or `^x` fails first. On a stack too full for `MAX_NESTING`,
+    the recursion limit is "nesting too deep"; the block adds no frame."""
     parser = Parser(source if isinstance(source, list) else tokenize(source), path)
     try:
         yield parser
     except RecursionError:
-        raise parser.error("nesting too deep") from None
+        parser.settle()
+        raise ParseError("nesting too deep", parser.peek()) from None
+    except ParseError:
+        parser.settle()
+        raise
     parser.expect("eof")
 
 
@@ -502,7 +499,7 @@ def parse_program(source, path: str = "<input>") -> Program:
 def parse_expression(source) -> syntax.Expr:
     """Parse a single expression statement group (tests and API convenience)."""
     with _whole(source) as parser:
-        return parser.parse_expr_group()
+        return parser.sequence(parser.at_declaration)
 
 
 def parse_spec(source) -> SpecDecl:

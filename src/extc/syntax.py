@@ -19,8 +19,9 @@ if TYPE_CHECKING:
 @dataclass(slots=True, unsafe_hash=True)
 class Span:
     """Offsets `start` to `end` into `source`, which resolves their line and
-    column for a rendered diagnostic. Slotted and not frozen, since the lexer
-    makes one per token; hashed, since `Node` takes one as a field default."""
+    column for a rendered diagnostic. Slotted and not frozen, since every
+    token is one (`lexer.Token`); hashed, since `Node` takes one as a field
+    default."""
 
     start: int
     end: int
@@ -33,44 +34,46 @@ class Span:
 DUMMY_SPAN = Span(0, 0, Source(""))
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     span: Span = field(compare=False, default=DUMMY_SPAN, kw_only=True)
 
 
 class Expr(Node):
-    pass
+    __slots__ = ()
 
 
 class Pattern(Node):
-    pass
+    __slots__ = ()
 
 
 class Literal(Expr, Pattern):
     """Literals appear both as expressions and as patterns."""
 
+    __slots__ = ()
 
-@dataclass
+
+@dataclass(slots=True)
 class IntLit(Literal):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit(Literal):
     value: float
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit(Literal):
     value: str
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Literal):
     value: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class AtomLit(Literal):
     name: str
 
@@ -78,38 +81,38 @@ class AtomLit(Literal):
 # --- patterns ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Wildcard(Pattern):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class VarPattern(Pattern):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class PinPattern(Pattern):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class TuplePattern(Pattern):
     items: list[Pattern]
 
 
-@dataclass
+@dataclass(slots=True)
 class ElistPattern(Pattern):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsPattern(Pattern):
     head: Pattern
     tail: Pattern
 
 
-@dataclass
+@dataclass(slots=True)
 class MapPattern(Pattern):
     entries: list[tuple["MapKey", Pattern]]
 
@@ -117,82 +120,82 @@ class MapPattern(Pattern):
 # --- expressions ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleExpr(Expr):
     items: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class ElistExpr(Expr):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ConsExpr(Expr):
     head: Expr
     tail: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class MapExpr(Expr):
     entries: list[tuple["MapKey", Expr]]
 
 
-@dataclass
+@dataclass(slots=True)
 class MapAccess(Expr):
     subject: Expr
     key: "MapKey"
 
 
-@dataclass
+@dataclass(slots=True)
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class UnaryOp(Expr):
     op: str
     operand: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Expr):
     cond: Expr
     then: Expr
     orelse: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseClause(Node):
     pattern: Pattern
     body: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Case(Expr):
     subject: Expr
     clauses: list[CaseClause]
 
 
-@dataclass
+@dataclass(slots=True)
 class CondClause(Node):
     cond: Expr
     body: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Cond(Expr):
     clauses: list[CondClause]
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     """Named function application, optionally qualified by a module path."""
 
@@ -204,7 +207,7 @@ class Call(Expr):
         return ".".join(self.qualifier + (self.name,))
 
 
-@dataclass
+@dataclass(slots=True)
 class VarCall(Expr):
     """Application of a variable bound to an anonymous function: x.(args)."""
 
@@ -212,19 +215,19 @@ class VarCall(Expr):
     args: list[Expr]
 
 
-@dataclass
+@dataclass(slots=True)
 class AnonFn(Expr):
     params: list[Pattern]
     body: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Match(Expr):
     pattern: Pattern
     value: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Seq(Expr):
     first: Expr
     second: Expr
@@ -233,27 +236,27 @@ class Seq(Expr):
 # --- declarations and programs ----------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SpecDecl(Node):
     name: str
     params: list["Type"]
     result: "Type"
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDef(Node):
     name: str
     params: list[Pattern]
     body: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class ModuleDef(Node):
     name: str
     body: list[Node]
 
 
-@dataclass
+@dataclass(slots=True)
 class Program(Node):
     items: list[Node]
     path: str = field(compare=False, default="<input>")

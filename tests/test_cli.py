@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, DATA_DIR
+from extc import checker, cli, signatures
 from extc.cli import run
 from extc.parser import MAX_TYPE_DEPTH
 
@@ -106,6 +107,19 @@ class TestDumpSigs:
     def test_top_level_signature_has_no_prefix(self, capsys):
         _, out, _ = invoke(capsys, "check", corpus("ok_length.ex"), "--dump-sigs")
         assert "length/1 :: ([any]) -> integer" in out
+
+    def test_signatures_are_collected_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_collect_all(programs):
+            calls.append(programs)
+            return signatures.collect_all(programs)
+
+        for module in (cli, checker):
+            monkeypatch.setattr(module, "collect_all", counting_collect_all)
+        _, out, _ = invoke(capsys, "check", corpus("ok_func_spec.ex"), "--dump-sigs")
+        assert "M.func/1 :: (integer) -> float" in out
+        assert len(calls) == 1
 
 
 class TestMultiFile:

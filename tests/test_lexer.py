@@ -116,15 +116,15 @@ def test_non_decimal_digit_is_a_stray_character(source):
 def test_spans_cover_input():
     source = "x = 10 * 9\nx + 10\n"
     for tok in tokenize(source):
-        assert 0 <= tok.span.start <= tok.span.end <= len(source)
+        assert 0 <= tok.start <= tok.end <= len(source)
         if tok.kind not in ("newline", "eof", "string"):
-            assert source[tok.span.start:tok.span.end] == tok.lexeme
+            assert source[tok.start:tok.end] == tok.lexeme
 
 
 def test_line_and_column_tracking():
     toks = tokenize("x = 1\n  y = 2")
     y = next(t for t in toks if t.lexeme == "y")
-    assert y.span.source.position(y.span.start) == (2, 3)
+    assert y.source.position(y.start) == (2, 3)
 
 
 @pytest.mark.parametrize("source, message, span", [
@@ -205,6 +205,6 @@ def test_spans_agree_with_offsets(source):
         _assert_span_positions(source, err.span)
         return
     for tok in tokens:
-        _assert_span_positions(source, tok.span)
+        _assert_span_positions(source, tok)
         if tok.kind != "string":
-            assert source[tok.span.start:tok.span.end] == _raw_text(tok)
+            assert source[tok.start:tok.end] == _raw_text(tok)

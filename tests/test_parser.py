@@ -1,14 +1,17 @@
 import inspect
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 
 import printer
-from conftest import corpus_files
+from conftest import DATA_DIR, corpus_files
 from extc import syntax
+from extc.lexer import tokenize
 from extc.parser import (
-    MAX_TYPE_DEPTH, ParseError, parse_expression, parse_program, parse_spec, parse_type_text,
+    MAX_NESTING, MAX_TYPE_DEPTH, ParseError, Parser, parse_expression, parse_program,
+    parse_spec, parse_type_text,
 )
 from extc.syntax import (
     AtomLit, BinOp, Call, Case, ConsPattern, If, IntLit, MapAccess, Match,
@@ -60,8 +63,17 @@ class TestExpressions:
         assert isinstance(expr.value, Match)
 
     def test_non_pattern_lhs_is_an_error(self):
-        with pytest.raises(ParseError, match="not a valid pattern"):
+        with pytest.raises(ParseError, match="not a valid pattern") as exc:
             parse_expression("3 + x = 5")
+        assert exc.value.span.start == 0
+
+    @pytest.mark.parametrize("source, start", [
+        ("(x) = 1", 1), ("{(x), y} = t", 0), ("[(1) | t] = l", 0),
+    ])
+    def test_parenthesized_lhs_is_not_a_pattern(self, source, start):
+        with pytest.raises(ParseError, match="not a valid pattern") as exc:
+            parse_expression(source)
+        assert exc.value.span.start == start
 
     def test_parenthesized_match_inside_expression(self):
         expr = parse_expression("(x = 3) > 2")
@@ -111,8 +123,21 @@ class TestExpressions:
         assert len(expr.clauses) == 2
 
     def test_wildcard_is_not_an_expression(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_expression("_ + 1")
+        assert (exc.value.message, exc.value.span.start) == (
+            "wildcard '_' is not an expression", 0)
+
+    @pytest.mark.parametrize("source, message, start", [
+        ("f(_)", "wildcard '_' is not an expression", 2),
+        ("x = _", "wildcard '_' is not an expression", 4),
+        ("^x", "expected an expression, found '^'", 0),
+        ("y = {1, ^x}", "expected an expression, found '^'", 8),
+    ])
+    def test_pattern_only_forms_are_not_expressions(self, source, message, start):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(source)
+        assert (exc.value.message, exc.value.span.start) == (message, start)
 
 
 # The binary operators by level, loosest first; the flag marks a right
@@ -209,10 +234,88 @@ class TestNesting:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_limit_is_the_module_constant(self):
+        depth = MAX_NESTING - 1
+        assert parse_expression("(" * depth + "1" + ")" * depth) == IntLit(1)
+        depth = MAX_NESTING
+        with pytest.raises(ParseError, match="nesting too deep") as exc:
+            parse_expression("(" * depth + "1" + ")" * depth)
+        assert (exc.value.span.start, exc.value.span.end) == (depth, depth + 1)
+
+    @pytest.mark.parametrize("source", [
+        "x = " + "- " * 400 + "1",
+        "x = " + " <> ".join(['"a"'] * 400),
+        " = ".join(f"x{i}" for i in range(400)) + " = 1",
+        "x = m" + "[:a]" * 400,
+    ], ids=["unary", "concat", "match", "map_access"])
+    def test_operator_chains_count_towards_the_limit(self, source):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_program(source)
+
+    def test_error_span_does_not_depend_on_the_callers_stack(self):
+        source = f"xs = {_cons_list(1000)}"
+
+        def span_from(frames):
+            if frames:
+                return span_from(frames - 1)
+            with pytest.raises(ParseError, match="nesting too deep") as exc:
+                parse_program(source)
+            return exc.value.span.start, exc.value.span.end
+
+        assert span_from(0) == span_from(200)
+
     def test_overlong_integer_literal_is_a_parse_error(self):
         with pytest.raises(ParseError, match="integer literal is too long") as exc:
             parse_program("x = " + "1" * 5000)
         assert (exc.value.span.start, exc.value.span.end) == (4, 5004)
+
+
+def _cons_list(length):
+    cons = "[]"
+    for i in reversed(range(length)):
+        cons = f"[{i} | {cons}]"
+    return cons
+
+
+def _taken(monkeypatch, tokens, parse):
+    """How many times `parse(tokens)` takes each token, by index."""
+    counts = Counter()
+    take = Parser.take
+
+    def counting_take(self):
+        if self.peek().kind != "eof":
+            counts[self.pos] += 1
+        return take(self)
+
+    monkeypatch.setattr(Parser, "take", counting_take)
+    parse(tokens)
+    return counts
+
+
+class TestParseOnce:
+    """No rewinds: every token is taken once, so parsing is linear in the input."""
+
+    @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
+    def test_corpus_tokens_are_taken_once(self, monkeypatch, path):
+        tokens = tokenize(path.read_text())
+        counts = _taken(monkeypatch, tokens, parse_program)
+        assert counts == Counter(range(len(tokens) - 1))
+
+    def test_tokens_before_a_syntax_error_are_taken_once(self, monkeypatch):
+        tokens = tokenize((DATA_DIR / "bad_syntax.ex").read_text())
+
+        def parse(tokens):
+            with pytest.raises(ParseError):
+                parse_program(tokens)
+
+        counts = _taken(monkeypatch, tokens, parse)
+        assert counts and set(counts.values()) == {1}
+
+    @pytest.mark.parametrize("depth", [50, 100, 200])
+    def test_nested_tuples_are_taken_once(self, monkeypatch, depth):
+        tokens = tokenize("f(" + "{1, " * depth + "2" + "}" * depth + ")")
+        counts = _taken(monkeypatch, tokens, parse_program)
+        assert counts == Counter(range(len(tokens) - 1))
 
 
 class TestIfDesugaring:
@@ -247,6 +350,23 @@ class TestPatterns:
     def test_duplicate_map_pattern_keys_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_expression("%{9 => a, 9 => b} = m")
+
+    def test_wildcards_and_pins_inside_patterns(self):
+        assert parse_expression("{_, y} = t").pattern == TuplePattern([Wildcard(), VarPattern("y")])
+        assert parse_expression("{1, ^y} = t").pattern == \
+            TuplePattern([IntLit(1), syntax.PinPattern("y")])
+        expr = parse_expression("case t do\n{^x, _} -> 1\n[_ | ^y] -> 2\n_ -> 3\nend")
+        assert [clause.pattern for clause in expr.clauses] == [
+            TuplePattern([syntax.PinPattern("x"), Wildcard()]),
+            ConsPattern(Wildcard(), syntax.PinPattern("y")),
+            Wildcard(),
+        ]
+
+    def test_cond_clause_body_of_several_statements(self):
+        expr = parse_expression("cond do\nx -> a = 1\nb = a\nb\ntrue -> 2\nend")
+        assert [clause.cond for clause in expr.clauses] == [Var("x"), syntax.BoolLit(True)]
+        assert expr.clauses[0].body == Seq(
+            Match(VarPattern("a"), IntLit(1)), Seq(Match(VarPattern("b"), Var("a")), Var("b")))
 
 
 class TestPrograms:
@@ -359,6 +479,14 @@ class TestSpansAndRoundTrip:
         first = parse_program(path.read_text(), path=path.name)
         second = parse_program(printer.source(first), path=path.name)
         assert first == second
+
+    @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
+    def test_nodes_are_slotted(self, path):
+        stack = [parse_program(path.read_text())]
+        while stack:
+            node = stack.pop()
+            assert not hasattr(node, "__dict__"), type(node).__name__
+            stack.extend(syntax.children(node))
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_parse_is_deterministic(self, path):

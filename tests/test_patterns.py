@@ -20,7 +20,7 @@ SPEC = PatternMode.SPEC
 
 def pat(source):
     parser = Parser(tokenize(source))
-    pattern = parser.parse_pattern()
+    pattern = parser.pattern()
     parser.expect("eof")
     return pattern
 
