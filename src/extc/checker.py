@@ -9,7 +9,7 @@ from .diagnostics import (
 )
 from .envs import SignatureEnv, qualify
 from .expressions import ExprChecker
-from .patterns import PatternError, PatternMode, check_pattern
+from .patterns import PatternMode, check_pattern
 from .signatures import collect_all
 from .types import fits
 
@@ -66,7 +66,7 @@ def check_function_clause(clause: syntax.FunctionDef, prefix: tuple[str, ...],
     try:
         for pattern, declared in zip(clause.params, fn_type.params):
             gamma = check_pattern(pattern, declared, {}, gamma, PatternMode.SPEC)
-    except PatternError as err:
+    except CheckFailure as err:
         if err.code == E_PATTERN_TYPE:
             diags.append(Diagnostic(
                 E_SPEC_PARAM_MISMATCH,

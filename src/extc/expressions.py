@@ -68,7 +68,7 @@ class ExprChecker:
     def _list_element(self, t: Type, span) -> Type:
         if isinstance(t, ListType):
             return t.element
-        if isinstance(t, (types.AnyType, types.NoneType)):
+        if t is ANY or t is NONE:
             return t
         raise self._mismatch(t, "[term]", span)
 
@@ -115,16 +115,22 @@ class ExprChecker:
         return MapType(zip([k for k, _ in expr.entries], value_types)), added
 
     def _map_access(self, expr, env: dict):
-        subject_t, added = self._synth(expr.subject, env)
-        if isinstance(subject_t, MapType):
-            value = subject_t.get(expr.key)
-            if value is None:
-                raise CheckFailure(E_UNKNOWN_KEY, f"map of type {subject_t} has no key {expr.key}",
-                                   expr.span, expected=str(subject_t))
-            return value, added
-        if isinstance(subject_t, (types.AnyType, types.NoneType)):
-            return subject_t, added
-        raise self._mismatch(subject_t, "%{" + f"{expr.key} => term" + "}", expr.subject.span)
+        # A chain such as `m[:a][:b]` is walked with a loop (see `_binop`).
+        chain = []
+        while type(expr) is syntax.MapAccess:
+            chain.append(expr)
+            expr = expr.subject
+        result, added = self._synth(expr, env)
+        for node in reversed(chain):
+            if isinstance(result, MapType):
+                value = result.get(node.key)
+                if value is None:
+                    raise CheckFailure(E_UNKNOWN_KEY, f"map of type {result} has no key {node.key}",
+                                       node.span, expected=str(result))
+                result = value
+            elif result is not ANY and result is not NONE:
+                raise self._mismatch(result, "%{" + f"{node.key} => term" + "}", node.subject.span)
+        return result, added
 
     def _match(self, expr, env: dict):
         # A chain such as `x = y = 1` is walked with a loop (see `_binop`);
@@ -197,7 +203,7 @@ class ExprChecker:
             self._require_fits(result, required, node.operand.span)
             # `not` gives boolean; negation keeps a number's type, and an
             # unknown operand settles on float.
-            if node.op == "not" or isinstance(result, types.AnyType):
+            if node.op == "not" or result is ANY:
                 result = required
         return result, added
 
@@ -227,7 +233,7 @@ class ExprChecker:
                 return required
             # An `any` operand materializes to the other operand's numeric
             # type; two unknowns settle on float.
-            known = [t for t in (left_t, right_t) if not isinstance(t, types.AnyType)] or [FLOAT]
+            known = [t for t in (left_t, right_t) if t is not ANY] or [FLOAT]
             return join(known[0], known[-1])
         if op in COMPARISON_OPS:
             # Heterogeneous comparisons are allowed; the result is boolean.
@@ -270,7 +276,7 @@ class ExprChecker:
 
     def _var_call(self, expr, env: dict):
         fn_type, _ = self._var(expr, env)
-        if isinstance(fn_type, types.AnyType):
+        if fn_type is ANY:
             return ANY, self._synth_each(expr.args, env)[1]
         if not isinstance(fn_type, FunctionType):
             raise CheckFailure(E_NOT_FUNCTION, f"variable '{expr.name}' has type {fn_type}, "

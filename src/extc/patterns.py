@@ -29,12 +29,8 @@ class PatternMode(Enum):
     SPEC = "spec"
 
 
-class PatternError(CheckFailure):
-    pass
-
-
-def _mismatch(pattern, expected: Type, actual: Type | None = None) -> PatternError:
-    return PatternError(
+def _mismatch(pattern, expected: Type, actual: Type | None = None) -> CheckFailure:
+    return CheckFailure(
         E_PATTERN_TYPE,
         f"pattern cannot match a value of type {expected}",
         pattern.span,
@@ -47,7 +43,7 @@ def _pinned(pattern, sigma: dict) -> Type:
     """The type the enclosing scope gives a pinned variable."""
     pinned = sigma.get(pattern.name)
     if pinned is None:
-        raise PatternError(E_PIN_UNBOUND, f"pinned variable '{pattern.name}' is not bound "
+        raise CheckFailure(E_PIN_UNBOUND, f"pinned variable '{pattern.name}' is not bound "
                            "in the enclosing scope", pattern.span)
     return pinned
 
@@ -85,7 +81,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
         if bound is None:
             gamma[pattern.name] = expected
         elif bound != expected:
-            raise PatternError(
+            raise CheckFailure(
                 E_NONLINEAR_MISMATCH,
                 f"variable '{pattern.name}' is already bound with type {bound} "
                 f"but is required here at type {expected}",
@@ -104,12 +100,11 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
     # Structured patterns. Against `any` every sub-position is checked against
     # `any`; against `term` (the case-fallback widening) sub-positions recurse
     # against `term`, which only the CASE direction licenses.
-    if isinstance(expected, types.AnyType) or (
-            isinstance(expected, types.TermType) and mode is PatternMode.CASE):
+    if expected is ANY or (expected is TERM and mode is PatternMode.CASE):
         for sub in syntax.children(pattern):
             _check(sub, expected, sigma, gamma, mode)
         return
-    if isinstance(expected, types.TermType):
+    if expected is TERM:
         raise _mismatch(pattern, expected)
 
     if isinstance(pattern, syntax.TuplePattern):
@@ -137,7 +132,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
         for key, sub in pattern.entries:
             value_type = expected.get(key)
             if value_type is None:
-                raise PatternError(
+                raise CheckFailure(
                     E_UNKNOWN_KEY,
                     f"key {key} does not occur in the expected map type {expected}",
                     pattern.span,
@@ -146,7 +141,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
             _check(sub, value_type, sigma, gamma, mode)
         if mode is PatternMode.SPEC and len(pattern.entries) != len(expected.entries):
             # Precision relates maps with identical key sets only.
-            raise PatternError(
+            raise CheckFailure(
                 E_PATTERN_TYPE,
                 f"map pattern must name exactly the keys of the declared type {expected}",
                 pattern.span,
@@ -157,20 +152,16 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
     raise _mismatch(pattern, expected)
 
 
-def case_fallback(pattern, sigma: dict, gamma: dict) -> dict:
-    """Re-check a case pattern against `term` after a structural failure
-    against the selector type (the selector is upcast to the top type)."""
-    return check_pattern(pattern, TERM, sigma, gamma, PatternMode.CASE)
-
-
 def check_case_pattern(pattern, selector_type: Type, sigma: dict) -> tuple[dict, bool]:
     """Case-branch pattern check with fallback. Returns the bindings and
-    whether the fallback widening was needed (the branch can never match)."""
+    whether the fallback widening was needed (the branch can never match).
+    After a structural failure against the selector type the pattern is
+    re-checked against `term`: the selector is upcast to the top type."""
     try:
         return check_pattern(pattern, selector_type, sigma, {}, PatternMode.CASE), False
-    except PatternError as err:
+    except CheckFailure as err:
         if err.code in (E_PATTERN_TYPE, E_UNKNOWN_KEY):
-            return case_fallback(pattern, sigma, {}), True
+            return check_pattern(pattern, TERM, sigma, {}, PatternMode.CASE), True
         raise
 
 
@@ -199,7 +190,7 @@ def _natural_type(pattern, sigma: dict) -> Type:
     if isinstance(pattern, syntax.ConsPattern):
         head = _natural_type(pattern.head, sigma)
         tail = _natural_type(pattern.tail, sigma)
-        if isinstance(tail, types.AnyType):
+        if tail is ANY:
             tail_elem: Type = ANY
         elif isinstance(tail, ListType):
             tail_elem = tail.element

@@ -1,6 +1,9 @@
 """The type language and its lattice: subtyping, precision, fits, join and meet.
 
-Each relation is one structural walk: `_sub` serves both `is_subtype` and
+The eight base types (`none`, `term`, `any`, `integer`, `float`, `boolean`,
+`string`, `atom`) are the eight values of one class, `BaseType`; atom
+singletons and the four constructors (list, tuple, map, function) are a class
+each. Each relation is one structural walk: `_sub` serves both `is_subtype` and
 `fits`, and `_bound` serves both `join` and `meet`.
 """
 from __future__ import annotations
@@ -55,51 +58,20 @@ class Type:
 
 
 @dataclass(frozen=True)
-class NoneType(Type):
+class BaseType(Type):
+    """A base type, named as in typespecs; the eight constants below are its
+    only instances, so a base type is tested with `is`."""
+
+    name: str
+
     def __str__(self) -> str:
-        return "none"
+        return self.name
 
-
-@dataclass(frozen=True)
-class TermType(Type):
-    def __str__(self) -> str:
-        return "term"
-
-
-@dataclass(frozen=True)
-class AnyType(Type):
-    def __str__(self) -> str:
-        return "any"
-
-
-@dataclass(frozen=True)
-class IntegerType(Type):
-    def __str__(self) -> str:
-        return "integer"
-
-
-@dataclass(frozen=True)
-class FloatType(Type):
-    def __str__(self) -> str:
-        return "float"
-
-
-@dataclass(frozen=True)
-class BooleanType(Type):
-    def __str__(self) -> str:
-        return "boolean"
-
-
-@dataclass(frozen=True)
-class StringType(Type):
-    def __str__(self) -> str:
-        return "string"
-
-
-@dataclass(frozen=True)
-class AtomType(Type):
-    def __str__(self) -> str:
-        return "atom"
+    def __repr__(self) -> str:
+        # The capitalized name followed by `Type()`: `extc parse` prints spec
+        # types through `syntax.dump`'s `repr`, and `tests/golden/parse.txt`
+        # pins those bytes.
+        return f"{self.name.capitalize()}Type()"
 
 
 @dataclass(frozen=True)
@@ -168,25 +140,9 @@ class FunctionType(Type):
         return f"({args}) -> {self.result}"
 
 
-NONE = NoneType()
-TERM = TermType()
-ANY = AnyType()
-INTEGER = IntegerType()
-FLOAT = FloatType()
-BOOLEAN = BooleanType()
-STRING = StringType()
-ATOM = AtomType()
-
-BASE_TYPE_NAMES = {
-    "none": NONE,
-    "term": TERM,
-    "any": ANY,
-    "integer": INTEGER,
-    "float": FLOAT,
-    "boolean": BOOLEAN,
-    "string": STRING,
-    "atom": ATOM,
-}
+BASE_TYPE_NAMES = {name: BaseType(name) for name in (
+    "none", "term", "any", "integer", "float", "boolean", "string", "atom")}
+NONE, TERM, ANY, INTEGER, FLOAT, BOOLEAN, STRING, ATOM = BASE_TYPE_NAMES.values()
 
 
 def literal_type(lit) -> Type:
@@ -210,13 +166,13 @@ def literal_type(lit) -> Type:
 def _sub(t: Type, u: Type, gradual: bool) -> bool:
     """The one structural walk behind `is_subtype` and `fits`, which differ
     only in what `any` relates to once the bounds and equality are settled."""
-    if t == u or isinstance(t, NoneType) or isinstance(u, TermType):
+    if t == u or t is NONE or u is TERM:
         return True
-    if isinstance(t, AnyType) or isinstance(u, AnyType):
+    if t is ANY or u is ANY:
         return gradual
-    if isinstance(t, IntegerType) and isinstance(u, FloatType):
+    if t is INTEGER and u is FLOAT:
         return True
-    if isinstance(t, AtomLiteralType) and isinstance(u, AtomType):
+    if isinstance(t, AtomLiteralType) and u is ATOM:
         return True
     if isinstance(t, ListType) and isinstance(u, ListType):
         return _sub(t.element, u.element, gradual)
@@ -253,7 +209,7 @@ def is_more_precise(u: Type, t: Type) -> bool:
     """Precision: u refines occurrences of `any` in t. Covariant everywhere."""
     if u == t:
         return True
-    if isinstance(t, AnyType):
+    if t is ANY:
         return True
     if isinstance(u, ListType) and isinstance(t, ListType):
         return is_more_precise(u.element, t.element)
@@ -307,9 +263,9 @@ def _bound(t: Type, u: Type, up: bool) -> Type:
         return u if up else t
     if _sub(u, t, False):
         return t if up else u
-    if isinstance(t, AnyType):
+    if t is ANY:
         return u
-    if isinstance(u, AnyType):
+    if u is ANY:
         return t
     if up and isinstance(t, AtomLiteralType) and isinstance(u, AtomLiteralType):
         return ATOM

@@ -11,9 +11,8 @@ from __future__ import annotations
 from itertools import product
 
 from extc.types import (
-    ANY, ATOM, AtomLiteralType, AnyType, AtomType, BOOLEAN, FLOAT, FunctionType,
-    INTEGER, IntegerType, FloatType, ListType, MapKey, MapType, NONE, NoneType,
-    STRING, TERM, TermType, TupleType, Type,
+    ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, FunctionType, INTEGER, ListType,
+    MapKey, MapType, NONE, STRING, TERM, TupleType, Type,
 )
 
 DEFAULT_BASES: tuple[Type, ...] = (
@@ -25,7 +24,7 @@ DEFAULT_MAP_KEYS: tuple[MapKey, ...] = (MapKey.atom("a"), MapKey.integer(1))
 
 
 def contains_any(t: Type) -> bool:
-    if isinstance(t, AnyType):
+    if t is ANY:
         return True
     if isinstance(t, ListType):
         return contains_any(t.element)
@@ -122,16 +121,16 @@ class TypeUniverse:
         rows = [1 << i for i in range(n)]  # reflexivity
         term_mask = 0
         for j, u in enumerate(self.types):
-            if isinstance(u, TermType):
+            if u is TERM:
                 term_mask |= 1 << j
         for i, t in enumerate(self.types):
             rows[i] |= term_mask  # everything below term
-            if isinstance(t, NoneType):
+            if t is NONE:
                 rows[i] = full  # none below everything
             for j, u in enumerate(self.types):
-                if isinstance(t, IntegerType) and isinstance(u, FloatType):
+                if t is INTEGER and u is FLOAT:
                     rows[i] |= 1 << j
-                if isinstance(t, AtomLiteralType) and isinstance(u, AtomType):
+                if isinstance(t, AtomLiteralType) and u is ATOM:
                     rows[i] |= 1 << j
 
         changed = True
@@ -199,7 +198,7 @@ class TypeUniverse:
         rows = [1 << i for i in range(n)]  # reflexivity
         any_mask = 0
         for j, u in enumerate(self.types):
-            if isinstance(u, AnyType):
+            if u is ANY:
                 any_mask |= 1 << j
         for i in range(n):
             rows[i] |= any_mask  # everything is more precise than any

@@ -217,6 +217,24 @@ class TestInputsThatUsedToCrash:
         node, count = {"long_body.ex": ("Seq", 1200), "long_sum.ex": ("BinOp", 1499)}[name]
         assert out.count(f" {node}") == count
 
+    def test_map_access_chains_nested_in_tuples(self, tmp_path, capsys):
+        # Three chains of 240 accesses, each inside a tuple that the next
+        # chain accesses; the second access of the innermost is on an integer.
+        chain = "[:a]" * 240
+        path = tmp_path / "tuples.ex"
+        path.write_text("m = %{:a => 1}\nx = {{m" + chain + "}" + chain + "}" + chain + "\n")
+        code, out, err = invoke(capsys, "check", str(path))
+        assert code == 1 and err == ""
+        assert out.startswith(f"{path}:2:7 E_TYPE_MISMATCH expression has type integer, "
+                              "expected %{:a => term}\n")
+        assert out.count("E_TYPE_MISMATCH") == 1
+
+    def test_map_access_chains_nested_in_maps(self, tmp_path, capsys):
+        chain = "[:a]" * 240
+        path = tmp_path / "maps.ex"
+        path.write_text("x = %{:a => %{:a => g(1)" + chain + "}" + chain + "}" + chain + "\n")
+        assert invoke(capsys, "check", str(path)) == (0, "", "")
+
     def test_latin1_bytes_are_a_lex_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.ex"
         path.write_bytes('x = 1\nname = "caf\xe9"\n'.encode("latin-1"))

@@ -2,12 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from extc.diagnostics import CheckFailure
 from extc.parser import Parser
 from extc.lexer import tokenize
-from extc.patterns import (
-    PatternError, PatternMode, case_fallback, check_case_pattern,
-    check_pattern, natural_pattern_type,
-)
+from extc.patterns import PatternMode, check_case_pattern, check_pattern, natural_pattern_type
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, INTEGER, ListType, MapKey,
     MapType, NONE, STRING, TERM, TupleType,
@@ -30,7 +28,7 @@ def check(source, expected, mode, sigma=None, gamma=None):
 
 
 def error_code(source, expected, mode, sigma=None, gamma=None):
-    with pytest.raises(PatternError) as exc:
+    with pytest.raises(CheckFailure) as exc:
         check(source, expected, mode, sigma, gamma)
     return exc.value.code
 
@@ -179,18 +177,19 @@ class TestCaseFallback:
         assert gamma == {"a": TERM, "b": TERM}
 
     def test_pin_unbound_survives_fallback(self):
-        with pytest.raises(PatternError) as exc:
+        with pytest.raises(CheckFailure) as exc:
             check_case_pattern(pat("^x"), INTEGER, {})
         assert exc.value.code == "E_PIN_UNBOUND"
 
     def test_nonlinear_mismatch_survives_fallback(self):
-        with pytest.raises(PatternError) as exc:
+        with pytest.raises(CheckFailure) as exc:
             check_case_pattern(pat("{x, x}"), TupleType((INTEGER, STRING)), {})
         assert exc.value.code == "E_NONLINEAR_MISMATCH"
 
     def test_case_fallback_entry_point(self):
-        gamma = case_fallback(pat("{a, b}"), {}, {})
+        gamma, fell_back = check_case_pattern(pat("{a, b}"), STRING, {})
         assert gamma == {"a": TERM, "b": TERM}
+        assert fell_back is True
 
     def test_pin_below_selector_needs_no_fallback(self):
         gamma, fell_back = check_case_pattern(pat("^x"), TERM, {"x": INTEGER})
@@ -211,7 +210,7 @@ class TestNaturalPatternType:
         assert t == INTEGER and gamma == {}
 
     def test_pin_unbound(self):
-        with pytest.raises(PatternError) as exc:
+        with pytest.raises(CheckFailure) as exc:
             natural_pattern_type(pat("^x"), {})
         assert exc.value.code == "E_PIN_UNBOUND"
 
@@ -235,7 +234,7 @@ class TestNaturalPatternType:
         assert gamma == {"x": ANY, "xs": ListType(ANY)}
 
     def test_literal_tail_is_an_error(self):
-        with pytest.raises(PatternError):
+        with pytest.raises(CheckFailure):
             natural_pattern_type(pat("[x | 5]"), {})
 
     def test_map_exposes_keys(self):

@@ -1,9 +1,10 @@
 import pytest
 
+from extc.parser import parse_type_text
 from extc.syntax import AtomLit, BoolLit, FloatLit, IntLit, StringLit
 from extc.types import (
-    ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, FunctionType, INTEGER,
-    ListType, MapKey, MapType, NONE, STRING, TERM, TupleType, fits,
+    ANY, ATOM, AtomLiteralType, BASE_TYPE_NAMES, BOOLEAN, FLOAT, FunctionType,
+    INTEGER, ListType, MapKey, MapType, NONE, STRING, TERM, TupleType, fits,
     is_more_precise, is_subtype, join, literal_type, meet,
 )
 from oracle import enumerate_types
@@ -19,6 +20,23 @@ K_A = MapKey.atom("a")
 K_B = MapKey.atom("b")
 K_STRANGE = MapKey.atom("strange")
 K_9 = MapKey.integer(9)
+
+
+class TestBaseTypeNames:
+    # `repr` keeps the spelling that `extc parse` prints for spec types.
+    @pytest.mark.parametrize("name, spelling", [
+        ("none", "NoneType()"), ("term", "TermType()"), ("any", "AnyType()"),
+        ("integer", "IntegerType()"), ("float", "FloatType()"),
+        ("boolean", "BooleanType()"), ("string", "StringType()"), ("atom", "AtomType()"),
+    ])
+    def test_name_parses_prints_and_reprs(self, name, spelling):
+        t = parse_type_text(name)
+        assert t is BASE_TYPE_NAMES[name]
+        assert str(t) == name
+        assert repr(t) == spelling
+
+    def test_nested_repr(self):
+        assert repr(ListType(BOOLEAN)) == "ListType(element=BooleanType())"
 
 
 class TestLiteralType:
