@@ -6,6 +6,8 @@ errors, 2 parse/lex errors, 3 usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
 
@@ -51,7 +53,7 @@ def _gather_files(paths: list[str]) -> list[Path] | str:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(p.rglob("*.ex")))
+            files.extend(sorted(f for f in p.rglob("*.ex") if f.is_file()))
         elif p.is_file():
             files.append(p)
         else:
@@ -67,9 +69,13 @@ def _newlines(text: str) -> str:
 def _load(path: Path) -> tuple[str, Program | Diagnostic]:
     """Read and parse one file. Returns its text, in which bytes that are not
     UTF-8 read as U+FFFD, and its program or the E_LEX/E_PARSE diagnostic
-    that stopped it."""
+    that stopped it, or E_LEX at offset 0 when the file cannot be read."""
     name = str(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as err:
+        span = Span(0, 0, Source(""))
+        return "", Diagnostic(E_LEX, f"cannot read file: {err.strerror or err}", span, file=name)
     try:
         text = _newlines(data.decode("utf-8"))
     except UnicodeDecodeError as err:
@@ -156,7 +162,27 @@ def _run_parse(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The `extc` console entry point: `run` the command line, then exit with
+    its status.
+
+    A check builds trees (tokens, AST nodes, types, diagnostics), not
+    reference cycles, so the cyclic collector would walk every live object
+    of the run and free nothing: the collector is off for the whole command.
+    `tests/test_cli.py::TestCycleGate` keeps that true; it fails when a
+    check leaves cyclic garbage that grows with its input. Once the output
+    is flushed, the process ends with `os._exit`, which skips the final
+    collection and freeing the heap one object at a time. If a flush fails
+    (the reader closed the pipe), the exit is the ordinary one. `run` itself
+    leaves the collector as it found it, for callers in a longer process.
+    """
+    gc.disable()
+    status = run()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

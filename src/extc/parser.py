@@ -58,8 +58,8 @@ _NOT_A_PATTERN = "left-hand side of '=' is not a valid pattern"
 # type relations recurse once per level.
 MAX_TYPE_DEPTH = 100
 # Deepest nesting of expressions and patterns: an operand, item, argument,
-# body, group or map access is a level. A level costs the parser and the
-# checker at most three Python frames each, within the default limit of 1,000.
+# body or group is a level. A level costs the parser and the checker at most
+# three Python frames each, within the default limit of 1,000.
 MAX_NESTING = 256
 
 
@@ -323,11 +323,8 @@ class Parser:
                 what = "a pattern" if self.pattern_only else "an expression"
                 raise ParseError(f"expected {what}, found {tok.lexeme or tok.kind!r}", tok)
             left = parse(self, tok)
-            while self.at("punct", "[") and not self.pattern_only:  # each access is a level
-                bracket = self.take()
-                if self.depth == MAX_NESTING:
-                    raise ParseError("nesting too deep", bracket)
-                self.depth += 1
+            while self.at("punct", "[") and not self.pattern_only:
+                self.take()
                 key = self.parse_map_key()
                 end = self.expect("punct", "]")
                 left = MapAccess(left, key, span=left.span.cover(end))

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -258,6 +260,31 @@ class TestInputsThatUsedToCrash:
         assert code == 2 and out == ""
         assert "E_LEX file is not valid UTF-8" in err
 
+    @pytest.mark.parametrize("entry", ["directory", "dangling_symlink"])
+    def test_entries_that_are_not_files_are_skipped(self, entry, tmp_path, capsys):
+        (tmp_path / "a.ex").write_text('3 + "hi"\n')
+        if entry == "directory":
+            (tmp_path / "x.ex").mkdir()
+        else:
+            (tmp_path / "b.ex").symlink_to(tmp_path / "missing.ex")
+        alone = invoke(capsys, "check", str(tmp_path / "a.ex"))
+        assert alone[0] == 1
+        assert invoke(capsys, "check", str(tmp_path)) == alone
+
+    @pytest.mark.parametrize("command", ["check", "parse"])
+    def test_unreadable_file_is_a_lex_error(self, command, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "locked.ex"
+        path.write_text("x = 1\n")
+
+        def refuse(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        code, out, err = invoke(capsys, command, str(path))
+        assert code == 2
+        header = f"{path}:1:1 E_LEX cannot read file: Permission denied\n"
+        assert (out if command == "check" else err) == header
+
     def test_crlf_line_endings_read_as_newlines(self, tmp_path, capsys):
         path = tmp_path / "lines.ex"
         path.write_bytes(b'x = 1\n3 + "hi"\n')
@@ -265,6 +292,110 @@ class TestInputsThatUsedToCrash:
         path.write_bytes(b'x = 1\r\n3 + "hi"\r')
         assert invoke(capsys, "check", str(path)) == unix
         assert unix[1].startswith(f"{path}:2:5 E_TYPE_MISMATCH")
+
+
+def _copies(root, count):
+    """`count` copies of the corpus and the data files under `root`."""
+    for i in range(count):
+        shutil.copytree(CORPUS_DIR, root / f"corpus{i}")
+        shutil.copytree(DATA_DIR, root / f"data{i}")
+    return str(root)
+
+
+def _cyclic_garbage(argv):
+    """Run `argv` with the collector off; return the unreachable objects that
+    one full collection then finds."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            run(argv)
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(0)
+        gc.enable()
+
+
+class TestCycleGate:
+    """`cli.main` turns the collector off for the whole command, which is safe
+    only while a check leaves no cyclic garbage that grows with its input."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, fmt, tmp_path):
+        found = []
+        for count in (1, 3):
+            paths = _copies(tmp_path / f"x{count}", count)
+            garbage = _cyclic_garbage(["check", paths, "--format", fmt])
+            # argparse's back-references put the parser itself in a cycle.
+            ours = [g for g in garbage if type(g).__module__.startswith("extc.")]
+            assert [g for g in ours if type(g) is not cli._ArgumentParser] == []
+            found.append(len(garbage))
+        assert found[0] == found[1]
+
+
+class TestEntryPoint:
+    @pytest.fixture
+    def exits(self, monkeypatch):
+        """Statuses `main` exits with: `os._exit` and `sys.exit` both raise
+        SystemExit, and the collector is on again afterwards."""
+        statuses = []
+
+        def recorder(kind):
+            def exit_(status):
+                statuses.append((kind, status))
+                raise SystemExit(status)
+            return exit_
+
+        monkeypatch.setattr(cli.os, "_exit", recorder("hard"))
+        monkeypatch.setattr(cli.sys, "exit", recorder("soft"))
+        yield statuses
+        gc.enable()
+
+    def test_main_runs_the_command_with_the_collector_off(self, exits, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda: seen.append(gc.isenabled()) or 1)
+        with pytest.raises(SystemExit):
+            cli.main()
+        assert seen == [False]
+        assert exits == [("hard", 1)]
+
+    def test_main_exits_normally_when_a_flush_fails(self, exits, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "run", lambda: 2)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(SystemExit):
+            cli.main()
+        assert exits == [("soft", 2)]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_as_it_found_it(self, enabled, capsys):
+        if not enabled:
+            gc.disable()
+        try:
+            invoke(capsys, "check", str(CORPUS_DIR))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_process_output_matches_run(self, fmt, tmp_path, capsys):
+        argv = ["check", str(CORPUS_DIR), "--format", fmt]
+        code, out, _ = invoke(capsys, *argv)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        stdout = tmp_path / "stdout"
+        with stdout.open("wb") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from extc.cli import main; main()", *argv],
+                stdout=sink, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert proc.returncode == code
+        assert proc.stderr == b""
+        assert stdout.read_bytes() == out.encode()
 
 
 # Openers and closers of list, tuple, map and function types, which count

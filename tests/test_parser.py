@@ -8,6 +8,7 @@ import pytest
 import printer
 from conftest import DATA_DIR, corpus_files
 from extc import syntax
+from extc.checker import check_programs
 from extc.lexer import tokenize
 from extc.parser import (
     MAX_NESTING, MAX_TYPE_DEPTH, ParseError, Parser, parse_expression, parse_program,
@@ -246,11 +247,16 @@ class TestNesting:
         "x = " + "- " * 400 + "1",
         "x = " + " <> ".join(['"a"'] * 400),
         " = ".join(f"x{i}" for i in range(400)) + " = 1",
-        "x = m" + "[:a]" * 400,
-    ], ids=["unary", "concat", "match", "map_access"])
+    ], ids=["unary", "concat", "match"])
     def test_operator_chains_count_towards_the_limit(self, source):
         with pytest.raises(ParseError, match="nesting too deep"):
             parse_program(source)
+
+    def test_map_access_chain_is_not_a_level(self):
+        # The checker and `syntax.dump` walk access chains with loops.
+        program = parse_program("x = g(1)" + "[:a]" * 1000)
+        assert check_programs([program]) == []
+        assert syntax.dump(program).count(" MapAccess") == 1000
 
     def test_error_span_does_not_depend_on_the_callers_stack(self):
         source = f"xs = {_cons_list(1000)}"
