@@ -1,11 +1,11 @@
 """extc: a gradual type checker for a core Elixir fragment."""
 
-from .checker import check_program, check_programs
+from .checker import check_programs
 from .diagnostics import Diagnostic, render_json, render_text
-from .expressions import ExprChecker, SynthResult, synthesize
+from .expressions import ExprChecker, SynthResult
 from .lexer import tokenize
 from .parser import parse_expression, parse_program, parse_spec, parse_type_text
-from .signatures import collect_all, collect_signatures
+from .signatures import collect_all
 
 __version__ = "0.1.0"
 
@@ -13,16 +13,13 @@ __all__ = [
     "Diagnostic",
     "ExprChecker",
     "SynthResult",
-    "check_program",
     "check_programs",
     "collect_all",
-    "collect_signatures",
     "parse_expression",
     "parse_program",
     "parse_spec",
     "parse_type_text",
     "render_json",
     "render_text",
-    "synthesize",
     "tokenize",
 ]

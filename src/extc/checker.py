@@ -10,38 +10,24 @@ from .diagnostics import (
 from .envs import SignatureEnv, qualify
 from .expressions import ExprChecker
 from .patterns import PatternMode, check_pattern
-from .signatures import collect_all
+from .signatures import collect_all, scopes
 from .types import fits
-
-
-def check_program(program: syntax.Program) -> list[Diagnostic]:
-    """Check one program; an empty result means it is well-typed."""
-    return check_programs([program])
 
 
 def check_programs(programs: list[syntax.Program], collected=None) -> list[Diagnostic]:
     """Check several files against their shared signatures, `collect_all(programs)` if not given."""
     sigs, diags = collected or collect_all(programs)
-    for program in programs:
-        _check_items(program.items, (), sigs, diags, program.path)
+    for program, prefix, items in scopes(programs):
+        for item in items:
+            if isinstance(item, syntax.FunctionDef):
+                check_function_clause(item, prefix, sigs, diags, program.path)
+            elif not isinstance(item, (syntax.ModuleDef, syntax.SpecDecl)):  # specs are trusted
+                checker = ExprChecker(sigs, prefix, program.path, sink=diags)
+                try:
+                    checker.synthesize(item, {})
+                except CheckFailure as err:
+                    diags.append(err.to_diagnostic(program.path))
     return sort_diagnostics(diags)
-
-
-def _check_items(items, prefix: tuple[str, ...], sigs: SignatureEnv,
-                 diags: list[Diagnostic], file: str):
-    for item in items:
-        if isinstance(item, syntax.ModuleDef):
-            _check_items(item.body, (*prefix, item.name), sigs, diags, file)
-        elif isinstance(item, syntax.SpecDecl):
-            pass  # specs are trusted
-        elif isinstance(item, syntax.FunctionDef):
-            check_function_clause(item, prefix, sigs, diags, file)
-        else:
-            checker = ExprChecker(sigs, prefix, file, sink=diags)
-            try:
-                checker.synthesize(item, {})
-            except CheckFailure as err:
-                diags.append(err.to_diagnostic(file))
 
 
 def check_function_clause(clause: syntax.FunctionDef, prefix: tuple[str, ...],

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 clean (warnings allowed unless --strict-warnings), 1 type
-errors, 2 parse/lex errors, 3 usage errors.
+errors, 2 parse/lex errors or output that cannot be written, 3 usage errors.
+A reader that closes the pipe early ends the output quietly, with the status
+the verdict gives.
 """
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import argparse
 import gc
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .checker import check_programs
@@ -49,16 +52,20 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _gather_files(paths: list[str]) -> list[Path] | str:
-    files: list[Path] = []
+    """The files `paths` name, each once: a file named again, or also reached
+    through its directory, keeps its first place and spelling."""
+    files: dict[Path, Path] = {}  # resolved path -> path as first seen
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(f for f in p.rglob("*.ex") if f.is_file()))
+            found = sorted(f for f in p.rglob("*.ex") if f.is_file())
         elif p.is_file():
-            files.append(p)
+            found = [p]
         else:
             return raw
-    return files
+        for f in found:
+            files.setdefault(f.resolve(), f)
+    return list(files.values())
 
 
 def _newlines(text: str) -> str:
@@ -86,8 +93,7 @@ def _load(path: Path) -> tuple[str, Program | Diagnostic]:
     try:
         return text, parse_program(text, path=name)
     except (LexError, ParseError) as err:
-        code = E_LEX if isinstance(err, LexError) else E_PARSE
-        return text, Diagnostic(code, err.message, err.span, file=name)
+        return text, err.to_diagnostic(name)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -96,16 +102,34 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "check":
-        return _run_check(args)
-    return _run_parse(args)
+    status, output = (_run_check if args.command == "check" else _run_parse)(args)
+    try:
+        for stream, text in output:
+            print(text, file=stream)
+    except OSError as err:
+        return _write_failed(err, status)
+    return status
 
 
-def _run_check(args) -> int:
+def _write_failed(err: OSError, status: int) -> int:
+    """The exit status once writing the output failed: the verdict's if the
+    reader closed the pipe, else 2, with one line on stderr. Stdout points at
+    `os.devnull` from then on, so what is left to flush fails no more (the
+    SIGPIPE note in the `signal` docs)."""
+    with suppress(OSError):  # a stdout that is no file has no descriptor
+        stdout = sys.stdout.fileno()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+    if isinstance(err, BrokenPipeError):
+        return status
+    print(f"extc: error: cannot write output: {err.strerror or err}", file=sys.stderr)
+    return 2
+
+
+def _run_check(args) -> tuple[int, list]:
+    """The status of `extc check` and its output, as (stream, text) pairs to print."""
     files = _gather_files(args.paths)
     if isinstance(files, str):
-        print(f"extc: error: no such file or directory: {files}", file=sys.stderr)
-        return 3
+        return 3, [(sys.stderr, f"extc: error: no such file or directory: {files}")]
 
     programs = []
     diags: list[Diagnostic] = []
@@ -121,44 +145,31 @@ def _run_check(args) -> int:
     diags.extend(check_programs(programs, (sigs, sig_diags)))
     diags = sort_diagnostics(diags)
 
-    sig_lines = None
+    output = []
     if args.dump_sigs:
-        sig_lines = [f"{name}/{arity} :: {fn_type}" for name, arity, fn_type in sigs.entries()]
-
+        stream = sys.stderr if args.format == "json" else sys.stdout
+        output = [(stream, f"{name}/{arity} :: {fn_type}")
+                  for name, arity, fn_type in sigs.entries()]
     if args.format == "json":
-        if sig_lines is not None:
-            for line in sig_lines:
-                print(line, file=sys.stderr)
-        print(render_json(diags))
-    else:
-        if sig_lines is not None:
-            for line in sig_lines:
-                print(line)
-        if diags:
-            color = not args.no_color and sys.stdout.isatty()
-            print(render_all_text(diags, sources, color=color))
+        output.append((sys.stdout, render_json(diags)))
+    elif diags:
+        color = not args.no_color and sys.stdout.isatty()
+        output.append((sys.stdout, render_all_text(diags, sources, color=color)))
 
-    if any(d.code in (E_PARSE, E_LEX) for d in diags):
-        return 2
     errors, warnings = count_by_severity(diags)
-    if errors:
-        return 1
-    if args.strict_warnings and warnings:
-        return 1
-    return 0
+    if any(d.code in (E_PARSE, E_LEX) for d in diags):
+        return 2, output
+    return (1 if errors or args.strict_warnings and warnings else 0), output
 
 
-def _run_parse(args) -> int:
+def _run_parse(args) -> tuple[int, list]:
     path = Path(args.path)
     if not path.is_file():
-        print(f"extc: error: no such file: {args.path}", file=sys.stderr)
-        return 3
+        return 3, [(sys.stderr, f"extc: error: no such file: {args.path}")]
     text, parsed = _load(path)
     if isinstance(parsed, Diagnostic):
-        print(render_text(parsed, text), file=sys.stderr)
-        return 2
-    print(dump(parsed))
-    return 0
+        return 2, [(sys.stderr, render_text(parsed, text))]
+    return 0, [(sys.stdout, dump(parsed))]
 
 
 def main() -> None:
@@ -171,17 +182,18 @@ def main() -> None:
     `tests/test_cli.py::TestCycleGate` keeps that true; it fails when a
     check leaves cyclic garbage that grows with its input. Once the output
     is flushed, the process ends with `os._exit`, which skips the final
-    collection and freeing the heap one object at a time. If a flush fails
-    (the reader closed the pipe), the exit is the ordinary one. `run` itself
-    leaves the collector as it found it, for callers in a longer process.
+    collection and freeing the heap one object at a time. If a flush fails,
+    `_write_failed` gives the status and the exit is the ordinary one. `run`
+    itself leaves the collector as it found it, for callers in a longer
+    process.
     """
     gc.disable()
     status = run()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError:
-        sys.exit(status)
+    except OSError as err:
+        sys.exit(_write_failed(err, status))
     os._exit(status)
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import Span
 
@@ -34,8 +34,8 @@ _SEVERITY = {"E": "error", "W": "warning", "I": "info"}
 
 
 class CheckFailure(Exception):
-    """Raised by the checking passes; converted to a Diagnostic at a statement
-    or clause boundary."""
+    """Raised by the lexer, the parser and the checking passes; converted to a
+    Diagnostic at a file, statement or clause boundary."""
 
     def __init__(self, code: str, message: str, span: Span,
                  expected: str | None = None, actual: str | None = None):
@@ -52,12 +52,6 @@ class CheckFailure(Exception):
 
 
 @dataclass
-class Note:
-    text: str
-    span: Span | None = None
-
-
-@dataclass
 class Diagnostic:
     code: str
     message: str
@@ -65,7 +59,6 @@ class Diagnostic:
     file: str = "<input>"
     expected: str | None = None
     actual: str | None = None
-    notes: list[Note] = field(default_factory=list)
 
     def __post_init__(self):
         if self.code not in ALL_CODES:
@@ -126,12 +119,6 @@ def render_text(diag: Diagnostic, source: str | None = None, color: bool = False
         lines.append(f"  expected: {diag.expected}")
     if diag.actual is not None:
         lines.append(f"  actual:   {diag.actual}")
-    for note in diag.notes:
-        if note.span is not None:
-            note_line, note_col = note.span.source.position(note.span.start)
-            lines.append(f"  note: {note.text} (at {note_line}:{note_col})")
-        else:
-            lines.append(f"  note: {note.text}")
     return "\n".join(lines)
 
 

@@ -11,7 +11,7 @@ threads its scope; control structures keep branch bindings local.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import syntax, types
 from .diagnostics import (
@@ -34,9 +34,7 @@ OPERAND_TYPES = {**dict.fromkeys((*ARITH_OPS, "/"), FLOAT), "and": BOOLEAN, "or"
 UNARY_OPERAND_TYPES = {"-": FLOAT, "not": BOOLEAN}
 
 
-class SynthResult(NamedTuple):
-    type: Type
-    env: dict
+SynthResult = namedtuple("SynthResult", "type env")
 
 
 class ExprChecker:
@@ -133,17 +131,9 @@ class ExprChecker:
         return result, added
 
     def _match(self, expr, env: dict):
-        # A chain such as `x = y = 1` is walked with a loop (see `_binop`);
-        # every pattern is checked against the innermost value's type.
-        patterns = []
-        while type(expr) is syntax.Match:
-            patterns.append(expr.pattern)
-            expr = expr.value
-        value_t, added = self._synth(expr, env)
-        for pattern in reversed(patterns):
-            bindings = check_pattern(pattern, value_t, env, {}, PatternMode.MATCH)
-            added = {**added, **bindings} if added else bindings
-        return value_t, added
+        value_t, added = self._synth(expr.value, env)
+        bindings = check_pattern(expr.pattern, value_t, env, {}, PatternMode.MATCH)
+        return value_t, {**added, **bindings} if added else bindings
 
     def _seq(self, expr, env: dict):
         # A loop, so a body's length is not bounded by the recursion limit.
@@ -190,22 +180,14 @@ class ExprChecker:
         return FunctionType(tuple(param_types), body_t), _NO_BINDINGS
 
     def _unary(self, expr, env: dict):
-        # A chain such as `not not x` is walked with a loop (see `_binop`).
-        chain = []
-        while type(expr) is syntax.UnaryOp:
-            chain.append(expr)
-            expr = expr.operand
-        result, added = self._synth(expr, env)
-        for node in reversed(chain):
-            required = UNARY_OPERAND_TYPES.get(node.op)
-            if required is None:
-                raise TypeError(f"unknown unary operator {node.op!r}")
-            self._require_fits(result, required, node.operand.span)
-            # `not` gives boolean; negation keeps a number's type, and an
-            # unknown operand settles on float.
-            if node.op == "not" or result is ANY:
-                result = required
-        return result, added
+        operand_t, added = self._synth(expr.operand, env)
+        required = UNARY_OPERAND_TYPES.get(expr.op)
+        if required is None:
+            raise TypeError(f"unknown unary operator {expr.op!r}")
+        self._require_fits(operand_t, required, expr.operand.span)
+        # `not` gives boolean; negation keeps a number's type, and an unknown
+        # operand settles on float.
+        return required if expr.op == "not" or operand_t is ANY else operand_t, added
 
     def _binop(self, expr, env: dict):
         # A left-nested chain such as `1 + 1 + ... + 1` is walked with a loop,
@@ -321,9 +303,3 @@ _SYNTH = {
     syntax.AnonFn: ExprChecker._anon_fn,
 }
 
-
-def synthesize(expr, env: dict | None = None, sigs: SignatureEnv | None = None,
-               prefix: tuple[str, ...] = ()) -> SynthResult:
-    """Convenience wrapper: synthesize one expression in a fresh checker."""
-    checker = ExprChecker(sigs, prefix)
-    return checker.synthesize(expr, env or {})

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .diagnostics import CheckFailure, E_LEX
 from .source import Source
 from .syntax import Span
 
@@ -65,11 +66,9 @@ class Token(Span):
     lexeme: str
 
 
-class LexError(Exception):
+class LexError(CheckFailure):
     def __init__(self, message: str, span: Span):
-        super().__init__(message)
-        self.message = message
-        self.span = span
+        super().__init__(E_LEX, message, span)
 
 
 def _name_start(ch: str) -> bool:

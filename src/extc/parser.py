@@ -10,11 +10,12 @@ does a clause body statement that stops at `->`, as the next clause's head.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from functools import partial
-from typing import Callable
 
 from . import syntax
+from .diagnostics import CheckFailure, E_PARSE
 from .lexer import Token, tokenize
 from .syntax import (
     AnonFn, AtomLit, BinOp, BoolLit, Call, Case, CaseClause, Cond, CondClause,
@@ -29,11 +30,9 @@ from .types import (
 )
 
 
-class ParseError(Exception):
+class ParseError(CheckFailure):
     def __init__(self, message: str, span: Span):
-        super().__init__(message)
-        self.message = message
-        self.span = span
+        super().__init__(E_PARSE, message, span)
 
 
 # Binary operator lexeme -> (precedence, right associative); higher binds

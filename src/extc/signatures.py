@@ -7,49 +7,48 @@ from .envs import SignatureEnv, qualify
 from .types import FunctionType
 
 
-def collect_signatures(program: syntax.Program) -> tuple[SignatureEnv, list[Diagnostic]]:
-    """Collect every signature of one program."""
-    return collect_all([program])
+def scopes(programs: list[syntax.Program]):
+    """Every module scope as `(program, prefix, items)`: each file's top level
+    and its modules, outer before inner and in document order. Both passes
+    walk this; specs and defs are matched within one scope."""
+    for program in programs:
+        stack = [((), program.items)]
+        while stack:
+            prefix, items = stack.pop()
+            yield program, prefix, items
+            stack.extend(reversed([((*prefix, item.name), item.body) for item in items
+                                   if isinstance(item, syntax.ModuleDef)]))
 
 
 def collect_all(programs: list[syntax.Program]) -> tuple[SignatureEnv, list[Diagnostic]]:
     """Collect signatures across several files into one shared environment."""
     env = SignatureEnv()
     diags: list[Diagnostic] = []
-    for program in programs:
-        _collect_items(program.items, (), env, diags, program.path)
-    return env, diags
-
-
-def _collect_items(items, prefix: tuple[str, ...], env: SignatureEnv,
-                   diags: list[Diagnostic], file: str):
-    # Specs and defs are matched within one module scope; nested modules have
-    # their own scope.
-    local_specs: list[tuple[syntax.SpecDecl, int]] = []
-    local_defs: set[tuple[str, int]] = set()
-    for item in items:
-        if isinstance(item, syntax.ModuleDef):
-            _collect_items(item.body, (*prefix, item.name), env, diags, file)
-        elif isinstance(item, syntax.SpecDecl):
-            fn_type = FunctionType(tuple(item.params), item.result)
-            if env.add(prefix, item.name, fn_type):
-                local_specs.append((item, len(item.params)))
-            else:
+    for program, prefix, items in scopes(programs):
+        local_specs: list[tuple[syntax.SpecDecl, int]] = []
+        local_defs: set[tuple[str, int]] = set()
+        for item in items:
+            if isinstance(item, syntax.SpecDecl):
+                fn_type = FunctionType(tuple(item.params), item.result)
+                if env.add(prefix, item.name, fn_type):
+                    local_specs.append((item, len(item.params)))
+                else:
+                    diags.append(Diagnostic(
+                        E_DUP_SPEC,
+                        f"duplicate @spec for {qualify(prefix, item.name)}/{len(item.params)}; "
+                        "the first declaration stays in effect",
+                        item.span,
+                        file=program.path,
+                    ))
+            elif isinstance(item, syntax.FunctionDef):
+                local_defs.add((item.name, len(item.params)))
+        for spec, arity in local_specs:
+            if (spec.name, arity) not in local_defs:
                 diags.append(Diagnostic(
-                    E_DUP_SPEC,
-                    f"duplicate @spec for {qualify(prefix, item.name)}/{len(item.params)}; "
-                    "the first declaration stays in effect",
-                    item.span,
-                    file=file,
+                    W_SPEC_NO_DEF,
+                    f"@spec {qualify(prefix, spec.name)}/{arity} has no matching definition "
+                    "in this module",
+                    spec.span,
+                    file=program.path,
                 ))
-        elif isinstance(item, syntax.FunctionDef):
-            local_defs.add((item.name, len(item.params)))
-    for spec, arity in local_specs:
-        if (spec.name, arity) not in local_defs:
-            diags.append(Diagnostic(
-                W_SPEC_NO_DEF,
-                f"@spec {qualify(prefix, spec.name)}/{arity} has no matching definition "
-                "in this module",
-                spec.span,
-                file=file,
-            ))
+    return env, diags

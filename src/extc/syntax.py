@@ -8,12 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .source import Source
-
-if TYPE_CHECKING:
-    from .types import MapKey, Type
+from .types import MapKey, Type
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -114,7 +111,7 @@ class ConsPattern(Pattern):
 
 @dataclass(slots=True)
 class MapPattern(Pattern):
-    entries: list[tuple["MapKey", Pattern]]
+    entries: list[tuple[MapKey, Pattern]]
 
 
 # --- expressions ------------------------------------------------------------
@@ -143,13 +140,13 @@ class ConsExpr(Expr):
 
 @dataclass(slots=True)
 class MapExpr(Expr):
-    entries: list[tuple["MapKey", Expr]]
+    entries: list[tuple[MapKey, Expr]]
 
 
 @dataclass(slots=True)
 class MapAccess(Expr):
     subject: Expr
-    key: "MapKey"
+    key: MapKey
 
 
 @dataclass(slots=True)
@@ -239,8 +236,8 @@ class Seq(Expr):
 @dataclass(slots=True)
 class SpecDecl(Node):
     name: str
-    params: list["Type"]
-    result: "Type"
+    params: list[Type]
+    result: Type
 
 
 @dataclass(slots=True)

@@ -107,8 +107,6 @@ class MapType(Type):
     entries: tuple[tuple[MapKey, Type], ...]
 
     def __init__(self, entries):
-        if isinstance(entries, dict):
-            entries = entries.items()
         pairs = tuple(sorted(entries, key=lambda kv: kv[0].sort_key()))
         seen = set()
         for key, _ in pairs:
@@ -255,7 +253,7 @@ def _bound(t: Type, u: Type, up: bool) -> Type:
         # The upper bound keeps the shared keys, the lower bound every key.
         mine, theirs = dict(t.entries), dict(u.entries)
         shared = {k: _bound(v, theirs[k], up) for k, v in mine.items() if k in theirs}
-        return MapType(shared if up else {**mine, **theirs, **shared})
+        return MapType((shared if up else {**mine, **theirs, **shared}).items())
     if isinstance(t, FunctionType) and isinstance(u, FunctionType) and len(t.params) == len(u.params):
         params = tuple(_bound(a, b, not up) for a, b in zip(t.params, u.params))
         return FunctionType(params, _bound(t.result, u.result, up))

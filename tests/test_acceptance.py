@@ -12,7 +12,7 @@ from functools import lru_cache
 from conftest import (
     CORPUS_DIR, EXPECTED_ERRORS, accepted_corpus_files, corpus_files, strip_specs,
 )
-from extc.checker import check_program
+from extc.checker import check_programs
 from extc.cli import run
 from extc.envs import SignatureEnv
 from extc.expressions import ExprChecker
@@ -49,7 +49,7 @@ def _accepted(source, sigs=None, prefix=()):
 
 
 def _error_codes(source):
-    diags = check_program(parse_program(source))
+    diags = check_programs([parse_program(source)])
     return [d.code for d in diags if d.severity == "error"]
 
 
@@ -58,7 +58,7 @@ def test_criterion_1_paper_corpus_verdicts():
 
     # the checked-in corpus reproduces every listing's verdict
     for path in corpus_files():
-        diags = check_program(parse_program(path.read_text(), path=path.name))
+        diags = check_programs([parse_program(path.read_text(), path=path.name)])
         got = [d.code for d in diags if d.severity == "error"]
         want = EXPECTED_ERRORS.get(path.name, [])
         assert got == want, f"{path.name}: expected {want}, got {got}"
@@ -173,7 +173,7 @@ def test_criterion_4_spec_erasure():
     failures = []
     for path in accepted_corpus_files():
         erased = strip_specs(path.read_text())
-        diags = check_program(parse_program(erased, path=path.name))
+        diags = check_programs([parse_program(erased, path=path.name)])
         errors = [d.code for d in diags if d.severity == "error"]
         if errors:
             failures.append((path.name, errors))

@@ -3,12 +3,12 @@ import itertools
 import pytest
 
 from conftest import CORPUS_DIR, accepted_corpus_files, strip_specs
-from extc.checker import check_program, check_programs
+from extc.checker import check_programs
 from extc.parser import parse_program
 
 
 def check(source, path="<input>"):
-    return check_program(parse_program(source, path=path))
+    return check_programs([parse_program(source, path=path)])
 
 
 def errors_of(source):

@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS_DIR, DATA_DIR
 from extc import checker, cli, signatures
 from extc.cli import run
-from extc.parser import MAX_TYPE_DEPTH
+from extc.parser import MAX_NESTING, MAX_TYPE_DEPTH
 
 
 def invoke(capsys, *argv):
@@ -27,6 +28,13 @@ def invoke(capsys, *argv):
 
 def corpus(name):
     return str(CORPUS_DIR / name)
+
+
+def fresh_main(*argv, **kwargs) -> subprocess.Popen:
+    """`argv` through `cli.main` in a fresh interpreter, started, not waited for."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, "-c", "from extc.cli import main; main()", *argv],
+                            env=env, **kwargs)
 
 
 class TestExitCodes:
@@ -151,6 +159,30 @@ class TestMultiFile:
         code, out, _ = invoke(capsys, "check", str(tmp_path))
         assert code == 2
         assert "E_PARSE" in out and "E_TYPE_MISMATCH" in out
+
+
+class TestRepeatedPaths:
+    """A file is checked once however often it is named: a second check
+    would report each of its specs as E_DUP_SPEC and each diagnostic twice."""
+
+    @pytest.mark.parametrize("name", ["ok_func_spec.ex", "err_dup_spec.ex", "wrong_plus.ex"])
+    def test_a_file_named_twice(self, name, capsys):
+        assert invoke(capsys, "check", corpus(name), corpus(name)) == \
+            invoke(capsys, "check", corpus(name))
+
+    def test_a_file_also_reached_through_its_directory(self, capsys):
+        once = invoke(capsys, "check", str(CORPUS_DIR))
+        assert once[0] == 1
+        assert invoke(capsys, "check", str(CORPUS_DIR), corpus("ok_func_spec.ex")) == once
+        assert invoke(capsys, "check", str(CORPUS_DIR), str(CORPUS_DIR)) == once
+
+    def test_the_first_spelling_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "a.ex").write_text('3 + "hi"\n')
+        other = str(tmp_path / "sub" / ".." / "a.ex")
+        code, out, _ = invoke(capsys, "check", other, str(tmp_path / "a.ex"))
+        assert code == 1 and out.count("E_TYPE_MISMATCH") == 1
+        assert out.startswith(f"{other}:1:5 ")
 
 
 class TestDeterminism:
@@ -396,6 +428,77 @@ class TestEntryPoint:
         assert proc.returncode == code
         assert proc.stderr == b""
         assert stdout.read_bytes() == out.encode()
+
+
+class TestOutputErrors:
+    """Writing the output may fail. A reader that closes the pipe ends it
+    quietly with the verdict's status; any other failure is one line on
+    stderr and status 2."""
+
+    @pytest.fixture
+    def many_errors(self, tmp_path):
+        """A file of 1,000 failing clauses, whose report (168 KB as text)
+        outgrows a pipe's buffer, so that writing fails inside `run`."""
+        path = tmp_path / "many.ex"
+        path.write_text("".join(f"@spec f{i}(integer) :: integer\ndef f{i}(x) do x + :a end\n"
+                                for i in range(1000)))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_closed_pipe_ends_the_output_quietly(self, fmt, many_errors):
+        for argv, status in [(["check", corpus("ok_func_spec.ex")], 0),
+                             (["check", many_errors], 1)]:
+            proc = fresh_main(*argv, "--format", fmt, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == status
+            assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_full_device_is_one_error_line(self, fmt, many_errors):
+        line = f"extc: error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+        sigs = ["--dump-sigs"] if fmt == "text" else []  # a clean check has text to write
+        for path in (corpus("ok_func_spec.ex"), many_errors):  # fails in the flush, in `run`
+            with open("/dev/full", "wb") as full:
+                proc = fresh_main("check", path, "--format", fmt, *sigs,
+                                  stdout=full, stderr=subprocess.PIPE)
+                _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (2, line)
+
+
+class TestRecursionBudget:
+    """The parser counts each unary operator and each `=` as a nesting level,
+    so the checker may recurse on them: a chain one level under the limit
+    checks clean in a fresh process, and one more level is a parse error."""
+
+    _CHAINS = {
+        "not": ("boolean", lambda n: "not " * n + "x"),
+        "negation": ("integer", lambda n: "- " * n + "x"),
+        "match": ("integer", lambda n: "".join(f"a{i} = " for i in range(n)) + "x"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_CHAINS))
+    def test_chain_at_the_limit(self, shape, tmp_path):
+        t, chain = self._CHAINS[shape]
+        for n, status in [(MAX_NESTING - 1, 0), (MAX_NESTING, 2)]:
+            path = tmp_path / f"{shape}{n}.ex"
+            path.write_text(f"defmodule M do\n  @spec f({t}) :: {t}\n"
+                            f"  def f(x) do {chain(n)} end\nend\n")
+            proc = fresh_main("check", str(path), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE)
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (status, b"")
+            assert (b"E_PARSE nesting too deep" in out) == bool(status)
+
+
+def test_import_loads_no_typing():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, extc.cli; print('typing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 # Openers and closers of list, tuple, map and function types, which count

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from extc.diagnostics import (
-    Diagnostic, Note, count_by_severity, render_all_text, render_json, render_text,
+    Diagnostic, count_by_severity, render_all_text, render_json, render_text,
     sort_diagnostics,
 )
 from extc.source import Source
@@ -70,13 +70,6 @@ def test_render_text_excerpt_lines_end_at_newline_only():
         source = f"# a{separator}b\ny = 1 + 2\n"
         text = render_text(diag(s=span(14, 15, source)), source)
         assert text.splitlines()[:2] == ["m.ex:2:9 E_TYPE_MISMATCH boom", "  2 | y = 1 + 2"]
-
-
-def test_render_text_notes_resolve_through_their_span():
-    source = "x = 1\n  y + x"
-    notes = [Note("y is bound here", span(8, 9, source)), Note("no position")]
-    text = render_text(diag(s=span(12, 13, source), notes=notes), source)
-    assert text.splitlines()[-2:] == ["  note: y is bound here (at 2:3)", "  note: no position"]
 
 
 def test_render_json_empty():

@@ -4,7 +4,7 @@ from extc import envs, expressions, syntax
 from extc.checker import check_programs
 from extc.diagnostics import CheckFailure
 from extc.envs import SignatureEnv
-from extc.expressions import ExprChecker, synthesize
+from extc.expressions import ExprChecker
 from extc.parser import parse_expression, parse_program
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, FunctionType, INTEGER,
@@ -398,7 +398,7 @@ class TestDispatch:
             pass
 
         with pytest.raises(TypeError, match="cannot synthesize Unhandled"):
-            synthesize(Unhandled())
+            ExprChecker().synthesize(Unhandled(), {})
 
 
 def _typed_body(statements: int) -> str:

@@ -234,8 +234,9 @@ class TestNaturalPatternType:
         assert gamma == {"x": ANY, "xs": ListType(ANY)}
 
     def test_literal_tail_is_an_error(self):
-        with pytest.raises(CheckFailure):
+        with pytest.raises(CheckFailure) as exc:
             natural_pattern_type(pat("[x | 5]"), {})
+        assert exc.value.code == "E_PATTERN_TYPE"
 
     def test_map_exposes_keys(self):
         t, gamma = natural_pattern_type(pat("%{:a => x}"), {})

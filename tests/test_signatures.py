@@ -1,10 +1,10 @@
 from extc.parser import parse_program
-from extc.signatures import collect_all, collect_signatures
+from extc.signatures import collect_all, scopes
 from extc.types import ANY, FLOAT, FunctionType, INTEGER
 
 
 def collect(source):
-    return collect_signatures(parse_program(source))
+    return collect_all([parse_program(source)])
 
 
 def test_spec_inside_module_is_prefixed():
@@ -109,3 +109,54 @@ def test_cross_file_duplicates_detected():
     dups = [d for d in diags if d.code == "E_DUP_SPEC"]
     assert len(dups) == 1 and dups[0].file == "b.ex"
     assert env.lookup("f", 1) == FunctionType((INTEGER,), INTEGER)
+
+
+def test_scopes_are_outer_before_inner_in_document_order():
+    a = parse_program("""
+x = 1
+defmodule A do
+  defmodule B do
+    defmodule C do end
+  end
+  y = 2
+  defmodule D do end
+end
+defmodule E do end
+""", path="a.ex")
+    b = parse_program("defmodule F do end", path="b.ex")
+    walked = [(program.path, ".".join(prefix), len(items)) for program, prefix, items
+              in scopes([a, b])]
+    assert walked == [("a.ex", "", 3), ("a.ex", "A", 3), ("a.ex", "A.B", 1),
+                      ("a.ex", "A.B.C", 0), ("a.ex", "A.D", 0), ("a.ex", "E", 0),
+                      ("b.ex", "", 1), ("b.ex", "F", 0)]
+
+
+def test_same_nested_module_in_two_files_keeps_the_first_spec():
+    def nested(path, t):
+        return parse_program("defmodule A do\n  defmodule B do\n"
+                             f"    @spec f({t}) :: {t}\n    def f(x) do x end\n  end\nend\n",
+                             path=path)
+    env, diags = collect_all([nested("a.ex", "integer"), nested("b.ex", "string")])
+    assert [(d.code, d.file, d.span.source.position(d.span.start)) for d in diags] == [
+        ("E_DUP_SPEC", "b.ex", (3, 5))]
+    assert diags[0].message == ("duplicate @spec for A.B.f/1; "
+                                "the first declaration stays in effect")
+    assert env.lookup("A.B.f", 1) == FunctionType((INTEGER,), INTEGER)
+
+
+def test_spec_without_def_is_matched_in_its_own_scope():
+    env, diags = collect("""
+defmodule A do
+  @spec g(integer) :: integer
+  defmodule B do
+    @spec f(integer) :: integer
+    def g(x) do x end
+  end
+  def f(x) do x end
+end
+""")
+    assert len(env) == 2
+    assert sorted((d.code, d.message) for d in diags) == [
+        ("W_SPEC_NO_DEF", "@spec A.B.f/1 has no matching definition in this module"),
+        ("W_SPEC_NO_DEF", "@spec A.g/1 has no matching definition in this module"),
+    ]
