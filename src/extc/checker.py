@@ -9,7 +9,7 @@ from .diagnostics import (
 )
 from .envs import SignatureEnv, qualify
 from .expressions import ExprChecker
-from .patterns import PatternMode, check_pattern
+from .patterns import SPEC, check_pattern
 from .signatures import collect_all, scopes
 from .types import fits
 
@@ -51,7 +51,7 @@ def check_function_clause(clause: syntax.FunctionDef, prefix: tuple[str, ...],
     gamma: dict = {}
     try:
         for pattern, declared in zip(clause.params, fn_type.params):
-            gamma = check_pattern(pattern, declared, {}, gamma, PatternMode.SPEC)
+            gamma = check_pattern(pattern, declared, {}, gamma, SPEC)
     except CheckFailure as err:
         if err.code == E_PATTERN_TYPE:
             diags.append(Diagnostic(

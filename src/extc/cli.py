@@ -3,16 +3,17 @@
 Exit codes: 0 clean (warnings allowed unless --strict-warnings), 1 type
 errors, 2 parse/lex errors or output that cannot be written, 3 usage errors.
 A reader that closes the pipe early ends the output quietly, with the status
-the verdict gives.
+the verdict gives. A standard stream closed at start takes no output: writing
+to it fails, and the other stream still gets its own.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
 from contextlib import suppress
-from pathlib import Path
 
 from .checker import check_programs
 from .diagnostics import (
@@ -51,20 +52,48 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _gather_files(paths: list[str]) -> list[Path] | str:
+def _spell(raw: str) -> str:
+    """`raw` as `str(pathlib.Path(raw))` spells it: without empty or `.`
+    components, and `.` for none; two leading slashes stay two."""
+    rel = raw.lstrip("/")
+    root = "/" * (len(raw) - len(rel))
+    return (root if len(root) == 2 else root[:1]) + "/".join(
+        part for part in rel.split("/") if part not in ("", ".")) or "."
+
+
+def _ex_files(top: str) -> list[str]:
+    """The files named `*.ex` under directory `top`, as `sorted(Path(top).rglob(
+    "*.ex"))` finds them: ordered by path components, hidden ones included,
+    symlinked directories not descended, and entries that are not files dropped."""
+    prefix = "" if top == "." else top if top.endswith("/") else top + "/"
+    found = []
+    stack = [((), top)]
+    while stack:
+        parts, directory = stack.pop()
+        with suppress(OSError), os.scandir(directory) as entries:  # rglob skips what it cannot list
+            for entry in entries:
+                child = (*parts, entry.name)
+                if entry.name.endswith(".ex"):
+                    found.append((child, prefix + "/".join(child)))
+                if entry.is_dir(follow_symlinks=False):
+                    stack.append((child, entry.path))
+    return [path for _, path in sorted(found) if os.path.isfile(path)]
+
+
+def _gather_files(paths: list[str]) -> list[str] | str:
     """The files `paths` name, each once: a file named again, or also reached
     through its directory, keeps its first place and spelling."""
-    files: dict[Path, Path] = {}  # resolved path -> path as first seen
+    files: dict[str, str] = {}  # resolved path -> path as first seen
     for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            found = sorted(f for f in p.rglob("*.ex") if f.is_file())
-        elif p.is_file():
+        p = _spell(raw)
+        if os.path.isdir(p):
+            found = _ex_files(p)
+        elif os.path.isfile(p):
             found = [p]
         else:
             return raw
         for f in found:
-            files.setdefault(f.resolve(), f)
+            files.setdefault(os.path.realpath(f), f)
     return list(files.values())
 
 
@@ -73,13 +102,13 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load(path: Path) -> tuple[str, Program | Diagnostic]:
+def _load(name: str) -> tuple[str, Program | Diagnostic]:
     """Read and parse one file. Returns its text, in which bytes that are not
     UTF-8 read as U+FFFD, and its program or the E_LEX/E_PARSE diagnostic
     that stopped it, or E_LEX at offset 0 when the file cannot be read."""
-    name = str(path)
     try:
-        data = path.read_bytes()
+        with open(name, "rb") as file:
+            data = file.read()
     except OSError as err:
         span = Span(0, 0, Source(""))
         return "", Diagnostic(E_LEX, f"cannot read file: {err.strerror or err}", span, file=name)
@@ -103,25 +132,36 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     status, output = (_run_check if args.command == "check" else _run_parse)(args)
-    try:
-        for stream, text in output:
-            print(text, file=stream)
-    except OSError as err:
-        return _write_failed(err, status)
+    failed = []  # streams that take no more output
+    for stream, text in output:
+        if stream not in failed:
+            try:
+                _write(stream, text)
+            except OSError as err:
+                failed.append(stream)
+                status = _write_failed(err, status, stream)
     return status
 
 
-def _write_failed(err: OSError, status: int) -> int:
-    """The exit status once writing the output failed: the verdict's if the
-    reader closed the pipe, else 2, with one line on stderr. Stdout points at
-    `os.devnull` from then on, so what is left to flush fails no more (the
-    SIGPIPE note in the `signal` docs)."""
-    with suppress(OSError):  # a stdout that is no file has no descriptor
-        stdout = sys.stdout.fileno()
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+def _write(stream, text: str) -> None:
+    """Print `text` to `stream`. A stream that was closed at start is None,
+    and writing to it fails as writing to a closed descriptor does."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    print(text, file=stream)
+
+
+def _write_failed(err: OSError, status: int, stream) -> int:
+    """The exit status once writing to `stream` failed: the verdict's if the
+    reader closed the pipe, else 2, with one line on stderr if stderr takes
+    it. The stream points at `os.devnull` from then on, so what is left to
+    flush fails no more (the SIGPIPE note in the `signal` docs)."""
+    with suppress(AttributeError, OSError):  # None, or a stream with no descriptor
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     if isinstance(err, BrokenPipeError):
         return status
-    print(f"extc: error: cannot write output: {err.strerror or err}", file=sys.stderr)
+    with suppress(OSError):  # stderr may be the stream that failed
+        _write(sys.stderr, f"extc: error: cannot write output: {err.strerror or err}")
     return 2
 
 
@@ -135,7 +175,7 @@ def _run_check(args) -> tuple[int, list]:
     diags: list[Diagnostic] = []
     sources: dict[str, str] = {}
     for path in files:
-        sources[str(path)], parsed = _load(path)
+        sources[path], parsed = _load(path)
         if isinstance(parsed, Diagnostic):
             diags.append(parsed)
         else:
@@ -153,7 +193,7 @@ def _run_check(args) -> tuple[int, list]:
     if args.format == "json":
         output.append((sys.stdout, render_json(diags)))
     elif diags:
-        color = not args.no_color and sys.stdout.isatty()
+        color = not args.no_color and sys.stdout is not None and sys.stdout.isatty()
         output.append((sys.stdout, render_all_text(diags, sources, color=color)))
 
     errors, warnings = count_by_severity(diags)
@@ -163,8 +203,8 @@ def _run_check(args) -> tuple[int, list]:
 
 
 def _run_parse(args) -> tuple[int, list]:
-    path = Path(args.path)
-    if not path.is_file():
+    path = _spell(args.path)
+    if not os.path.isfile(path):
         return 3, [(sys.stderr, f"extc: error: no such file: {args.path}")]
     text, parsed = _load(path)
     if isinstance(parsed, Diagnostic):
@@ -183,17 +223,22 @@ def main() -> None:
     check leaves cyclic garbage that grows with its input. Once the output
     is flushed, the process ends with `os._exit`, which skips the final
     collection and freeing the heap one object at a time. If a flush fails,
-    `_write_failed` gives the status and the exit is the ordinary one. `run`
+    `_write_failed` gives the status and the exit is the ordinary one; a
+    stream closed at start (None) has nothing to flush. `run`
     itself leaves the collector as it found it, for callers in a longer
     process.
     """
     gc.disable()
     status = run()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError as err:
-        sys.exit(_write_failed(err, status))
+    flushed = True
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as err:
+            status, flushed = _write_failed(err, status, stream), False
+    if not flushed:
+        sys.exit(status)
     os._exit(status)
 
 

@@ -1,10 +1,8 @@
 """Structured diagnostics and their text/JSON rendering."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .syntax import Span
+from .types import Record
 
 E_PARSE = "E_PARSE"
 E_LEX = "E_LEX"
@@ -51,18 +49,16 @@ class CheckFailure(Exception):
                           expected=self.expected, actual=self.actual)
 
 
-@dataclass
-class Diagnostic:
-    code: str
-    message: str
-    span: Span
-    file: str = "<input>"
-    expected: str | None = None
-    actual: str | None = None
+class Diagnostic(Record):
+    __slots__ = ("code", "message", "span", "file", "expected", "actual")
+    __hash__ = None  # mutable
 
-    def __post_init__(self):
-        if self.code not in ALL_CODES:
-            raise ValueError(f"unknown diagnostic code {self.code!r}")
+    def __init__(self, code: str, message: str, span: Span, file: str = "<input>",
+                 expected: str | None = None, actual: str | None = None):
+        if code not in ALL_CODES:
+            raise ValueError(f"unknown diagnostic code {code!r}")
+        self.code, self.message, self.span = code, message, span
+        self.file, self.expected, self.actual = file, expected, actual
 
     @property
     def severity(self) -> str:
@@ -130,6 +126,8 @@ def render_all_text(diags: list[Diagnostic], sources: dict[str, str] | None = No
 
 def render_json(diags: list[Diagnostic]) -> str:
     """Single JSON document: diagnostics array plus an error/warning summary."""
+    import json  # here, so that a text check does not load it
+
     errors, warnings = count_by_severity(diags)
     payload = {
         "diagnostics": [

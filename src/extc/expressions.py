@@ -19,7 +19,7 @@ from .diagnostics import (
     E_UNBOUND_VAR, E_UNKNOWN_KEY, W_UNREACHABLE_PATTERN,
 )
 from .envs import SignatureEnv, merge, qualify, sibling_bindings
-from .patterns import PatternMode, check_case_pattern, check_pattern, natural_pattern_type
+from .patterns import MATCH, check_case_pattern, check_pattern, natural_pattern_type
 from .types import (
     ANY, BOOLEAN, FLOAT, FunctionType, ListType, MapType, NONE, STRING,
     TupleType, Type, fits, join,
@@ -132,7 +132,7 @@ class ExprChecker:
 
     def _match(self, expr, env: dict):
         value_t, added = self._synth(expr.value, env)
-        bindings = check_pattern(expr.pattern, value_t, env, {}, PatternMode.MATCH)
+        bindings = check_pattern(expr.pattern, value_t, env, {}, MATCH)
         return value_t, {**added, **bindings} if added else bindings
 
     def _seq(self, expr, env: dict):

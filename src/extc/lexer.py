@@ -13,7 +13,6 @@ every token's position raised peak memory on `legacy_migration` by 8 %.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .diagnostics import CheckFailure, E_LEX
 from .source import Source
@@ -60,10 +59,16 @@ _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass(slots=True, eq=False)
 class Token(Span):
-    kind: str  # keyword | ident | atom | int | float | string | op | punct | atspec | newline | eof
-    lexeme: str
+    # kind: keyword | ident | atom | int | float | string | op | punct | atspec | newline | eof
+    __slots__ = ("kind", "lexeme")
+
+    def __init__(self, start: int, end: int, source: Source, kind: str, lexeme: str):
+        self.start = start
+        self.end = end
+        self.source = source
+        self.kind = kind
+        self.lexeme = lexeme
 
 
 class LexError(CheckFailure):

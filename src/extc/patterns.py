@@ -13,8 +13,6 @@ One traversal serves three judgement shapes, selected by mode:
 """
 from __future__ import annotations
 
-from enum import Enum
-
 from . import syntax, types
 from .diagnostics import (
     CheckFailure, E_NONLINEAR_MISMATCH, E_PATTERN_TYPE, E_PIN_UNBOUND,
@@ -23,10 +21,7 @@ from .diagnostics import (
 from .types import ANY, ListType, MapType, TERM, TupleType, Type, fits, is_more_precise, join
 
 
-class PatternMode(Enum):
-    MATCH = "match"
-    CASE = "case"
-    SPEC = "spec"
+MATCH, CASE, SPEC = "match", "case", "spec"  # the modes above
 
 
 def _mismatch(pattern, expected: Type, actual: Type | None = None) -> CheckFailure:
@@ -48,17 +43,17 @@ def _pinned(pattern, sigma: dict) -> Type:
     return pinned
 
 
-def _fits_in_mode(actual: Type, expected: Type, mode: PatternMode) -> bool:
+def _fits_in_mode(actual: Type, expected: Type, mode: str) -> bool:
     """Whether a literal or pin of type `actual` may stand where `expected` is."""
-    if mode is PatternMode.MATCH:
+    if mode == MATCH:
         return fits(expected, actual)
-    if mode is PatternMode.CASE:
+    if mode == CASE:
         return fits(actual, expected)
     return is_more_precise(actual, expected)
 
 
 def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict,
-                  mode: PatternMode) -> dict:
+                  mode: str) -> dict:
     """Check `pattern` against `expected`, returning `gamma` extended with the
     pattern's bindings. `sigma` is the enclosing scope, consulted for pins."""
     out = dict(gamma)
@@ -66,7 +61,7 @@ def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict,
     return out
 
 
-def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode):
+def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
     if isinstance(pattern, syntax.Wildcard):
         return
 
@@ -100,7 +95,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
     # Structured patterns. Against `any` every sub-position is checked against
     # `any`; against `term` (the case-fallback widening) sub-positions recurse
     # against `term`, which only the CASE direction licenses.
-    if expected is ANY or (expected is TERM and mode is PatternMode.CASE):
+    if expected is ANY or (expected is TERM and mode == CASE):
         for sub in syntax.children(pattern):
             _check(sub, expected, sigma, gamma, mode)
         return
@@ -139,7 +134,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: PatternMode)
                     expected=str(expected),
                 )
             _check(sub, value_type, sigma, gamma, mode)
-        if mode is PatternMode.SPEC and len(pattern.entries) != len(expected.entries):
+        if mode == SPEC and len(pattern.entries) != len(expected.entries):
             # Precision relates maps with identical key sets only.
             raise CheckFailure(
                 E_PATTERN_TYPE,
@@ -158,10 +153,10 @@ def check_case_pattern(pattern, selector_type: Type, sigma: dict) -> tuple[dict,
     After a structural failure against the selector type the pattern is
     re-checked against `term`: the selector is upcast to the top type."""
     try:
-        return check_pattern(pattern, selector_type, sigma, {}, PatternMode.CASE), False
+        return check_pattern(pattern, selector_type, sigma, {}, CASE), False
     except CheckFailure as err:
         if err.code in (E_PATTERN_TYPE, E_UNKNOWN_KEY):
-            return check_pattern(pattern, TERM, sigma, {}, PatternMode.CASE), True
+            return check_pattern(pattern, TERM, sigma, {}, CASE), True
         raise
 
 
@@ -172,7 +167,7 @@ def natural_pattern_type(pattern, sigma: dict, gamma: dict | None = None) -> tup
     take the enclosing binding, structured patterns compose.
     """
     natural = _natural_type(pattern, sigma)
-    bindings = check_pattern(pattern, natural, sigma, gamma or {}, PatternMode.CASE)
+    bindings = check_pattern(pattern, natural, sigma, gamma or {}, CASE)
     return natural, bindings
 
 

@@ -10,19 +10,19 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .source import Source
-from .types import MapKey, Type
+from .types import MapKey, Record, Type
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Span:
+class Span(Record):
     """Offsets `start` to `end` into `source`, which resolves their line and
-    column for a rendered diagnostic. Slotted and not frozen, since every
-    token is one (`lexer.Token`); hashed, since `Node` takes one as a field
-    default."""
+    column for a rendered diagnostic. Not frozen, since every token is one
+    (`lexer.Token`) and plain assignment builds it fastest; hashed, since
+    `Node` takes one as a field default."""
 
-    start: int
-    end: int
-    source: Source
+    __slots__ = ("start", "end", "source")
+
+    def __init__(self, start: int, end: int, source: Source):
+        self.start, self.end, self.source = start, end, source
 
     def cover(self, other: "Span") -> "Span":
         return Span(min(self.start, other.start), max(self.end, other.end), self.source)

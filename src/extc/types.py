@@ -8,25 +8,68 @@ each. Each relation is one structural walk: `_sub` serves both `is_subtype` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 _KEY_KINDS = ("atom", "boolean", "integer")
 
 
-@dataclass(frozen=True)
-class MapKey:
+class Record:
+    """Equality, hashing and a dataclass-style repr, derived from the fields
+    that the `__slots__` of a class and of its bases list, in that order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += cls.__dict__.get("__slots__", ())
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """A record set once from its arguments, one per field; it refuses assignment
+    and deletion."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} arguments")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class MapKey(Value):
     """A map key: an atom, a boolean or an integer literal.
 
     Booleans must not be conflated with the integers 0/1 (Python's bool is an
     int), so the kind tag takes part in identity and ordering.
     """
 
-    kind: str
-    value: object
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self):
-        if self.kind not in _KEY_KINDS:
-            raise ValueError(f"bad map key kind: {self.kind!r}")
+    def __init__(self, kind: str, value):
+        if kind not in _KEY_KINDS:
+            raise ValueError(f"bad map key kind: {kind!r}")
+        object.__setattr__(self, "kind", kind)  # as `Value.__init__` does, without its loop
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def atom(cls, name: str) -> "MapKey":
@@ -51,18 +94,19 @@ class MapKey:
         return str(self.value)
 
 
-class Type:
-    """Base class of all types; concrete variants are frozen dataclasses."""
+class Type(Value):
+    """Base class of all types, which compare and hash by class and fields."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BaseType(Type):
     """A base type, named as in typespecs; the eight constants below are its
-    only instances, so a base type is tested with `is`."""
+    only instances, so a base type is tested, and compares, by identity."""
 
-    name: str
+    __slots__ = ("name",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.name
@@ -74,37 +118,33 @@ class BaseType(Type):
         return f"{self.name.capitalize()}Type()"
 
 
-@dataclass(frozen=True)
 class AtomLiteralType(Type):
     """A singleton type: the atom `:name` inhabited only by itself."""
 
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return f":{self.name}"
 
 
-@dataclass(frozen=True)
 class ListType(Type):
-    element: Type
+    __slots__ = ("element",)
 
     def __str__(self) -> str:
         return f"[{self.element}]"
 
 
-@dataclass(frozen=True)
 class TupleType(Type):
-    items: tuple[Type, ...]
+    __slots__ = ("items",)  # tuple[Type, ...]
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(t) for t in self.items) + "}"
 
 
-@dataclass(frozen=True, init=False)
 class MapType(Type):
     """A record-like map type; keys are normalized so equality ignores order."""
 
-    entries: tuple[tuple[MapKey, Type], ...]
+    __slots__ = ("entries",)  # tuple[tuple[MapKey, Type], ...]
 
     def __init__(self, entries):
         pairs = tuple(sorted(entries, key=lambda kv: kv[0].sort_key()))
@@ -128,10 +168,8 @@ class MapType(Type):
         return "%{" + ", ".join(f"{k} => {t}" for k, t in self.entries) + "}"
 
 
-@dataclass(frozen=True)
 class FunctionType(Type):
-    params: tuple[Type, ...]
-    result: Type
+    __slots__ = ("params", "result")  # tuple[Type, ...], Type
 
     def __str__(self) -> str:
         args = ", ".join(str(t) for t in self.params)

@@ -185,6 +185,80 @@ class TestRepeatedPaths:
         assert out.startswith(f"{other}:1:5 ")
 
 
+_SPEC_F = "@spec f(integer) :: integer\ndef f(x) do x end\n"
+
+
+def _files_reported(out: str) -> list[str]:
+    """The file of each diagnostic line in text output, in order."""
+    return [line.split(":")[0] for line in out.splitlines() if " E_" in line]
+
+
+class TestFileDiscovery:
+    """Which files a directory argument finds, in which order, and how their
+    names are spelled: as `sorted(Path(arg).rglob("*.ex"))` has them."""
+
+    def test_files_sort_by_path_components(self, tmp_path, capsys):
+        # A string sort puts "a-b/x.ex" first ("-" < "/"); by components
+        # "a" < "a-b", so the spec in a/b.ex is the first and a-b/x.ex repeats it.
+        for name in ("a/b.ex", "a-b/x.ex"):
+            (tmp_path / name).parent.mkdir()
+            (tmp_path / name).write_text(_SPEC_F)
+        code, out, _ = invoke(capsys, "check", str(tmp_path))
+        assert code == 1
+        assert _files_reported(out) == [str(tmp_path / "a-b" / "x.ex")]
+        assert "E_DUP_SPEC" in out
+
+    @pytest.mark.parametrize("arg, files", [
+        ("./d/", ["d/e.ex", "d/s/f.ex"]),
+        ("d//", ["d/e.ex", "d/s/f.ex"]),
+        ("d/./s", ["d/s/f.ex"]),
+        ("d/../d", ["d/../d/e.ex", "d/../d/s/f.ex"]),
+        (".", ["d/e.ex", "d/s/f.ex", "x.ex"]),
+        ("./x.ex", ["x.ex"]),
+    ])
+    def test_names_are_spelled_as_pathlib_spells_them(self, arg, files, tmp_path,
+                                                      capsys, monkeypatch):
+        (tmp_path / "d" / "s").mkdir(parents=True)
+        for name in ("x.ex", "d/e.ex", "d/s/f.ex"):
+            (tmp_path / name).write_text('3 + "hi"\n')
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = invoke(capsys, "check", arg)
+        assert code == 1
+        assert _files_reported(out) == files
+
+    def test_parse_spells_the_name_as_pathlib_does(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "x.ex").write_text("1\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = invoke(capsys, "parse", "./x.ex")
+        assert code == 0 and out.startswith("Program path='x.ex'\n")
+
+    def test_symlinked_directory_is_not_descended(self, tmp_path, capsys):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "real" / "a.ex").write_text('3 + "hi"\n')
+        (tmp_path / "top").mkdir()
+        (tmp_path / "top" / "b.ex").write_text('3 + "hi"\n')
+        (tmp_path / "top" / "link").symlink_to(tmp_path / "real")
+        code, out, _ = invoke(capsys, "check", str(tmp_path / "top"))
+        assert code == 1
+        assert _files_reported(out) == [str(tmp_path / "top" / "b.ex")]
+
+    def test_symlinked_file_is_checked(self, tmp_path, capsys):
+        (tmp_path / "real.txt").write_text('3 + "hi"\n')
+        (tmp_path / "top").mkdir()
+        (tmp_path / "top" / "z.ex").symlink_to(tmp_path / "real.txt")
+        code, out, _ = invoke(capsys, "check", str(tmp_path / "top"))
+        assert code == 1
+        assert _files_reported(out) == [str(tmp_path / "top" / "z.ex")]
+
+    def test_hidden_files_and_directories_are_checked(self, tmp_path, capsys):
+        (tmp_path / ".hid").mkdir()
+        for name in (".h.ex", ".hid/a.ex"):
+            (tmp_path / name).write_text('3 + "hi"\n')
+        code, out, _ = invoke(capsys, "check", str(tmp_path))
+        assert code == 1
+        assert _files_reported(out) == [str(tmp_path / ".h.ex"), str(tmp_path / ".hid" / "a.ex")]
+
+
 class TestDeterminism:
     def test_text_output_byte_identical(self, capsys):
         args = ["check", str(CORPUS_DIR)]
@@ -308,10 +382,11 @@ class TestInputsThatUsedToCrash:
         path = tmp_path / "locked.ex"
         path.write_text("x = 1\n")
 
-        def refuse(self):
-            raise PermissionError(13, "Permission denied", str(self))
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
 
-        monkeypatch.setattr(Path, "read_bytes", refuse)
+        # `_load` reads through `open`; a chmod would not stop a root user reading.
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
         code, out, err = invoke(capsys, command, str(path))
         assert code == 2
         header = f"{path}:1:1 E_LEX cannot read file: Permission denied\n"
@@ -468,6 +543,53 @@ class TestOutputErrors:
             assert (proc.returncode, err) == (2, line)
 
 
+def _closing(fd):
+    """A `preexec_fn` that starts the child with descriptor `fd` closed."""
+    return lambda: os.close(fd)
+
+
+class TestClosedOrUnwritableStreams:
+    """A standard stream closed at start (`>&-`, `2>&-`) is None in the
+    process; writing to it fails as writing to a closed descriptor does.
+    Output that needs no writing still exits 0, the stderr line is best
+    effort, and stdout is whole when only stderr fails."""
+
+    def test_a_closed_stdout_fails_the_report(self):
+        proc = fresh_main("check", str(CORPUS_DIR), stderr=subprocess.PIPE,
+                          preexec_fn=_closing(1))
+        _, err = proc.communicate(timeout=60)
+        line = f"extc: error: cannot write output: {os.strerror(errno.EBADF)}\n"
+        assert (proc.returncode, err) == (2, line.encode())
+
+    def test_a_closed_stdout_is_fine_for_a_clean_check(self):
+        proc = fresh_main("check", corpus("ok_func_spec.ex"), stderr=subprocess.PIPE,
+                          preexec_fn=_closing(1))
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+
+    @pytest.mark.parametrize("stderr", ["full", "closed"])
+    def test_stdout_is_whole_when_stderr_fails(self, stderr, capsys):
+        argv = ["check", corpus("ok_func_spec.ex"), "--format", "json", "--dump-sigs"]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        if stderr == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "wb") as full:
+                proc = fresh_main(*argv, stdout=subprocess.PIPE, stderr=full)
+                got, _ = proc.communicate(timeout=60)
+        else:
+            proc = fresh_main(*argv, stdout=subprocess.PIPE, preexec_fn=_closing(2))
+            got, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, got) == (2, out.encode())
+
+    def test_a_closed_stderr_fails_a_usage_error(self):
+        proc = fresh_main("check", "nonexistent.ex", stdout=subprocess.PIPE,
+                          preexec_fn=_closing(2))
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, b"")
+
+
 class TestRecursionBudget:
     """The parser counts each unary operator and each `=` as a nesting level,
     so the checker may recurse on them: a chain one level under the limit
@@ -494,11 +616,15 @@ class TestRecursionBudget:
 
 
 def test_import_loads_no_typing():
+    """Start-up imports only what a check needs: no `typing`, no `pathlib`
+    (with `urllib.parse` behind it), and `json` only once JSON is rendered."""
+    unwanted = ["typing", "pathlib", "json", "urllib.parse"]
+    code = f"import sys, extc.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, extc.cli; print('typing' in sys.modules)"],
+        [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # Openers and closers of list, tuple, map and function types, which count

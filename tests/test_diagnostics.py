@@ -120,3 +120,18 @@ def test_color_wraps_the_code_only():
     colored = render_text(diag(), "x + 1", color=True)
     assert "\x1b[31mE_TYPE_MISMATCH\x1b[0m" in colored
     assert "\x1b[" not in plain
+
+
+def test_spans_compare_and_hash_by_offsets_and_source():
+    source = Source("x = 1")
+    assert Span(0, 1, source) == Span(0, 1, source)
+    assert hash(Span(0, 1, source)) == hash(Span(0, 1, source))
+    assert Span(0, 1, source) != Span(0, 2, source) and Span(0, 1, source) != Span(0, 1, Source("x = 1"))
+
+
+def test_diagnostics_compare_by_every_field():
+    s = span(4, 8)
+    assert diag(s=s, expected="float") == diag(s=s, expected="float")
+    assert diag(s=s, expected="float") != diag(s=s, expected="integer")
+    assert diag(s=s) != diag(s=s, file="n.ex")
+    assert repr(diag(s=s)).startswith("Diagnostic(code='E_TYPE_MISMATCH', message='boom', span=Span(")

@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 from extc.diagnostics import CheckFailure
 from extc.parser import Parser
 from extc.lexer import tokenize
-from extc.patterns import PatternMode, check_case_pattern, check_pattern, natural_pattern_type
+from extc.patterns import (
+    CASE, MATCH, SPEC, check_case_pattern, check_pattern, natural_pattern_type,
+)
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, INTEGER, ListType, MapKey,
     MapType, NONE, STRING, TERM, TupleType,
 )
-
-MATCH = PatternMode.MATCH
-CASE = PatternMode.CASE
-SPEC = PatternMode.SPEC
 
 
 def pat(source):

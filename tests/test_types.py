@@ -302,3 +302,55 @@ class TestRendering:
     def test_duplicate_map_keys_rejected(self):
         with pytest.raises(ValueError):
             MapType([(K_A, INTEGER), (K_A, FLOAT)])
+
+
+_VALUES = [
+    (INTEGER, "name"), (AL("ok"), "name"), (ListType(INTEGER), "element"),
+    (TupleType((ANY, FLOAT)), "items"), (map_of((K_A, INTEGER)), "entries"),
+    (FunctionType((INTEGER,), FLOAT), "result"), (K_A, "value"),
+]
+
+
+class TestValueSemantics:
+    """Types and map keys are values: equal by class and fields, hashed to
+    match, and never changed after they are made."""
+
+    @pytest.mark.parametrize("value, field", _VALUES, ids=lambda v: type(v).__name__)
+    def test_assignment_and_deletion_raise(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, STRING)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+
+    def test_equal_by_class_and_fields(self):
+        pairs = [
+            (AL("ok"), AL("ok")), (ListType(INTEGER), ListType(INTEGER)),
+            (TupleType((ANY, FLOAT)), TupleType((ANY, FLOAT))),
+            (map_of((K_A, INTEGER), (K_9, ATOM)), map_of((K_9, ATOM), (K_A, INTEGER))),
+            (FunctionType((INTEGER,), FLOAT), FunctionType((INTEGER,), FLOAT)),
+            (MapKey.atom("a"), K_A),
+        ]
+        for t, u in pairs:
+            assert t == u and hash(t) == hash(u) and t is not u
+        assert len({t for pair in pairs for t in pair}) == len(pairs)
+        assert AL("ok") != AL("no") and ListType(INTEGER) != ListType(FLOAT)
+        assert AL("integer") != INTEGER and ListType(INTEGER) != TupleType((INTEGER,))
+        assert MapKey.boolean(True) != MapKey.integer(1)
+
+    def test_reprs_keep_the_dataclass_form(self):
+        assert repr(map_of((K_A, INTEGER))) == \
+            "MapType(entries=((MapKey(kind='atom', value='a'), IntegerType()),))"
+        assert repr(FunctionType((INTEGER,), AL("ok"))) == \
+            "FunctionType(params=(IntegerType(),), result=AtomLiteralType(name='ok'))"
+
+    def test_map_key_kind_is_checked(self):
+        with pytest.raises(ValueError):
+            MapKey("string", "a")
+
+    def test_arity_is_checked(self):
+        with pytest.raises(TypeError):
+            ListType()
+        with pytest.raises(TypeError):
+            FunctionType((INTEGER,), FLOAT, ANY)
