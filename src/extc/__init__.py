@@ -2,9 +2,9 @@
 
 from .checker import check_programs
 from .diagnostics import Diagnostic, render_json, render_text
-from .expressions import ExprChecker, SynthResult
+from .expressions import ExprChecker
 from .lexer import tokenize
-from .parser import parse_expression, parse_program, parse_spec, parse_type_text
+from .parser import parse_program
 from .signatures import collect_all
 
 __version__ = "0.1.0"
@@ -12,13 +12,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Diagnostic",
     "ExprChecker",
-    "SynthResult",
     "check_programs",
     "collect_all",
-    "parse_expression",
     "parse_program",
-    "parse_spec",
-    "parse_type_text",
     "render_json",
     "render_text",
     "tokenize",

@@ -51,7 +51,7 @@ def check_function_clause(clause: syntax.FunctionDef, prefix: tuple[str, ...],
     gamma: dict = {}
     try:
         for pattern, declared in zip(clause.params, fn_type.params):
-            gamma = check_pattern(pattern, declared, {}, gamma, SPEC)
+            check_pattern(pattern, declared, {}, gamma, SPEC)
     except CheckFailure as err:
         if err.code == E_PATTERN_TYPE:
             diags.append(Diagnostic(
@@ -69,17 +69,17 @@ def check_function_clause(clause: syntax.FunctionDef, prefix: tuple[str, ...],
 
     checker = ExprChecker(sigs, prefix, file, sink=diags)
     try:
-        result = checker.synthesize(clause.body, gamma)
+        body_t, _ = checker.synthesize(clause.body, gamma)
     except CheckFailure as err:
         diags.append(err.to_diagnostic(file))
         return
-    if not fits(result.type, fn_type.result):
+    if not fits(body_t, fn_type.result):
         diags.append(Diagnostic(
             E_SPEC_BODY_MISMATCH,
-            f"body of {name}/{arity} has type {result.type} but the @spec declares "
+            f"body of {name}/{arity} has type {body_t} but the @spec declares "
             f"{fn_type.result}",
             clause.body.span,
             file=file,
             expected=str(fn_type.result),
-            actual=str(result.type),
+            actual=str(body_t),
         ))

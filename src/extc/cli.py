@@ -21,7 +21,7 @@ from .diagnostics import (
     render_json, render_text, sort_diagnostics,
 )
 from .lexer import LexError
-from .parser import ParseError, parse_program
+from .parser import RECURSION_LIMIT, ParseError, parse_program
 from .signatures import collect_all
 from .source import Source
 from .syntax import Program, Span, dump
@@ -126,6 +126,7 @@ def _load(name: str) -> tuple[str, Program | Diagnostic]:
 
 
 def run(argv: list[str] | None = None) -> int:
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

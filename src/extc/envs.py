@@ -5,18 +5,19 @@ from .types import FunctionType, Type
 
 # Variable environments are plain name -> Type dicts that the checker never
 # mutates once shared: an expression reports the bindings it adds (usually
-# none), and `merge` is the one place a scope is copied to hold them.
+# none), and `extend` is the one place a scope is copied to hold them.
 
 
-def merge(g1: dict[str, Type], g2: dict[str, Type]) -> dict[str, Type]:
-    """Right-biased union: on a name collision the second environment wins."""
-    return {**g1, **g2}
+def extend(env: dict[str, Type], added: dict[str, Type]) -> dict[str, Type]:
+    """`env` with the bindings `added` holds, which win on a name collision:
+    a new dict, or `env` itself when nothing is added."""
+    return {**env, **added} if added else env
 
 
 def sibling_bindings(env: dict[str, Type], earlier: dict[str, Type],
                      later: dict[str, Type]) -> dict[str, Type]:
     """What two siblings synthesized in `env` add to it, `earlier` then `later`:
-    the bindings `merge(merge(env, earlier), merge(env, later))` adds. So an
+    the bindings `extend(extend(env, earlier), extend(env, later))` adds. So an
     outer name that only `earlier` rebinds gets its `env` type back."""
     if not earlier:
         return later

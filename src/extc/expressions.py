@@ -11,15 +11,13 @@ threads its scope; control structures keep branch bindings local.
 """
 from __future__ import annotations
 
-from collections import namedtuple
-
-from . import syntax, types
+from . import syntax
 from .diagnostics import (
     CheckFailure, Diagnostic, E_ARITY, E_NOT_FUNCTION, E_TYPE_MISMATCH,
     E_UNBOUND_VAR, E_UNKNOWN_KEY, W_UNREACHABLE_PATTERN,
 )
-from .envs import SignatureEnv, merge, qualify, sibling_bindings
-from .patterns import MATCH, check_case_pattern, check_pattern, natural_pattern_type
+from .envs import SignatureEnv, extend, qualify, sibling_bindings
+from .patterns import CASE, MATCH, check_case_pattern, check_pattern, literal_type, natural_type
 from .types import (
     ANY, BOOLEAN, FLOAT, FunctionType, ListType, MapType, NONE, STRING,
     TupleType, Type, fits, join,
@@ -34,19 +32,15 @@ OPERAND_TYPES = {**dict.fromkeys((*ARITH_OPS, "/"), FLOAT), "and": BOOLEAN, "or"
 UNARY_OPERAND_TYPES = {"-": FLOAT, "not": BOOLEAN}
 
 
-SynthResult = namedtuple("SynthResult", "type env")
-
-
 class ExprChecker:
     """Synthesizes types for expressions against a fixed signature environment
     and module prefix; warnings go to the sink."""
 
-    def __init__(self, sigs: SignatureEnv | None = None, prefix: tuple[str, ...] = (),
-                 file: str = "<input>", sink: list | None = None):
-        self.sigs = sigs if sigs is not None else SignatureEnv()
+    def __init__(self, sigs: SignatureEnv, prefix: tuple[str, ...], file: str, sink: list):
+        self.sigs = sigs
         self.prefix = prefix
         self.file = file
-        self.sink = sink if sink is not None else []
+        self.sink = sink
 
     # --- helpers ---
 
@@ -72,12 +66,7 @@ class ExprChecker:
 
     # --- synthesis ---
 
-    def synthesize(self, expr, env: dict) -> SynthResult:
-        """The type of `expr` in `env` and the environment it leaves behind."""
-        t, added = self._synth(expr, env)
-        return SynthResult(t, merge(env, added))
-
-    def _synth(self, expr, env: dict) -> tuple[Type, dict]:
+    def synthesize(self, expr, env: dict) -> tuple[Type, dict]:
         """The type of `expr` in `env` and the bindings it adds to `env`.
         Neither `env` nor the returned bindings may be mutated."""
         handler = _SYNTH.get(type(expr))
@@ -86,7 +75,7 @@ class ExprChecker:
         return handler(self, expr, env)
 
     def _literal(self, expr, env: dict):
-        return types.literal_type(expr), _NO_BINDINGS
+        return literal_type(expr), _NO_BINDINGS
 
     def _var(self, expr, env: dict):
         """The type bound to a `Var` or to a `VarCall`'s name."""
@@ -118,7 +107,7 @@ class ExprChecker:
         while type(expr) is syntax.MapAccess:
             chain.append(expr)
             expr = expr.subject
-        result, added = self._synth(expr, env)
+        result, added = self.synthesize(expr, env)
         for node in reversed(chain):
             if isinstance(result, MapType):
                 value = result.get(node.key)
@@ -131,8 +120,9 @@ class ExprChecker:
         return result, added
 
     def _match(self, expr, env: dict):
-        value_t, added = self._synth(expr.value, env)
-        bindings = check_pattern(expr.pattern, value_t, env, {}, MATCH)
+        value_t, added = self.synthesize(expr.value, env)
+        bindings: dict = {}  # not `added`, whose names the pattern may rebind at any type
+        check_pattern(expr.pattern, value_t, env, bindings, MATCH)
         return value_t, {**added, **bindings} if added else bindings
 
     def _seq(self, expr, env: dict):
@@ -141,10 +131,10 @@ class ExprChecker:
         scope, added = env, {}
         while True:
             last = type(expr) is not syntax.Seq
-            t, new = self._synth(expr if last else expr.first, scope)
+            t, new = self.synthesize(expr if last else expr.first, scope)
             if new:
                 if scope is env:
-                    scope = merge(env, new)
+                    scope = extend(env, new)
                 else:
                     scope.update(new)
                 added.update(new)
@@ -153,34 +143,35 @@ class ExprChecker:
             expr = expr.second
 
     def _if(self, expr, env: dict):
-        cond_t, added = self._synth(expr.cond, env)
+        cond_t, added = self.synthesize(expr.cond, env)
         self._require_fits(cond_t, BOOLEAN, expr.cond.span)
-        branch_env = merge(env, added) if added else env
-        then_t, _ = self._synth(expr.then, branch_env)
-        else_t, _ = self._synth(expr.orelse, branch_env)
+        branch_env = extend(env, added)
+        then_t, _ = self.synthesize(expr.then, branch_env)
+        else_t, _ = self.synthesize(expr.orelse, branch_env)
         return join(then_t, else_t), added
 
     def _cond(self, expr, env: dict):
         result: Type | None = None
         for clause in expr.clauses:
-            cond_t, added = self._synth(clause.cond, env)
+            cond_t, added = self.synthesize(clause.cond, env)
             self._require_fits(cond_t, BOOLEAN, clause.cond.span)
-            body_t, _ = self._synth(clause.body, merge(env, added) if added else env)
+            body_t, _ = self.synthesize(clause.body, extend(env, added))
             result = body_t if result is None else join(result, body_t)
         return result, _NO_BINDINGS
 
     def _anon_fn(self, expr, env: dict):
         param_types = []
         bindings: dict = {}
-        for param in expr.params:
-            t, bindings = natural_pattern_type(param, env, bindings)
+        for param in expr.params:  # each typed and bound before the next
+            t = natural_type(param, env)
+            check_pattern(param, t, env, bindings, CASE)
             param_types.append(t)
-        body_t, _ = self._synth(expr.body, merge(env, bindings) if bindings else env)
+        body_t, _ = self.synthesize(expr.body, extend(env, bindings))
         # Parameters and body bindings stay local to the function.
         return FunctionType(tuple(param_types), body_t), _NO_BINDINGS
 
     def _unary(self, expr, env: dict):
-        operand_t, added = self._synth(expr.operand, env)
+        operand_t, added = self.synthesize(expr.operand, env)
         required = UNARY_OPERAND_TYPES.get(expr.op)
         if required is None:
             raise TypeError(f"unknown unary operator {expr.op!r}")
@@ -198,9 +189,9 @@ class ExprChecker:
         while type(expr) is syntax.BinOp:
             chain.append(expr)
             expr = expr.left
-        result, added = self._synth(expr, env)
+        result, added = self.synthesize(expr, env)
         for node in reversed(chain):
-            right_t, right_added = self._synth(node.right, env)
+            right_t, right_added = self.synthesize(node.right, env)
             added = sibling_bindings(env, added, right_added)
             result = self._binop_type(node, result, right_t)
         return result, added
@@ -227,8 +218,8 @@ class ExprChecker:
         raise TypeError(f"unknown binary operator {op!r}")
 
     def _case(self, expr, env: dict):
-        subject_t, added = self._synth(expr.subject, env)
-        subject_env = merge(env, added) if added else env
+        subject_t, added = self.synthesize(expr.subject, env)
+        subject_env = extend(env, added)
         result: Type | None = None
         for clause in expr.clauses:
             bindings, fell_back = check_case_pattern(clause.pattern, subject_t, subject_env)
@@ -241,8 +232,7 @@ class ExprChecker:
                     file=self.file,
                     expected=str(subject_t),
                 ))
-            body_t, _ = self._synth(clause.body,
-                                    merge(subject_env, bindings) if bindings else subject_env)
+            body_t, _ = self.synthesize(clause.body, extend(subject_env, bindings))
             result = body_t if result is None else join(result, body_t)
         return result, added
 
@@ -276,7 +266,7 @@ class ExprChecker:
         item_types = []
         added = _NO_BINDINGS
         for i, item in enumerate(exprs):
-            t, item_added = self._synth(item, env)
+            t, item_added = self.synthesize(item, env)
             if params is not None and not fits(t, params[i]):
                 raise CheckFailure(
                     E_TYPE_MISMATCH,

@@ -11,7 +11,7 @@ does a clause body statement that stops at `->`, as the next clause's head.
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from functools import partial
 
 from . import syntax
@@ -53,13 +53,20 @@ _UNARY = ("-", "not")  # `-` is only ever an `op`, `not` only a `keyword`
 _SYMBOL_KINDS = ("punct", "keyword", "op")
 _DECL_STARTS = {"defmodule", "def"}
 _NOT_A_PATTERN = "left-hand side of '=' is not a valid pattern"
-# Deepest nesting of list, tuple, map and function types in a `@spec`; the
-# type relations recurse once per level.
+# Deepest nesting of list, tuple, map and function types in a `@spec`.
 MAX_TYPE_DEPTH = 100
 # Deepest nesting of expressions and patterns: an operand, item, argument,
-# body or group is a level. A level costs the parser and the checker at most
-# three Python frames each, within the default limit of 1,000.
+# body or group is a level.
 MAX_NESTING = 256
+# The interpreter's recursion limit that both bounds need; `cli.run` raises
+# the limit to it. An expression level costs the parser and the checker at
+# most three Python frames each, and a type level costs the type relations,
+# equality and `str` at most five (a map type's `str`). One expression nests
+# its type at most MAX_NESTING levels around a `@spec` type, so no walk over
+# it needs more than five frames a level over both bounds; 200 more cover the
+# frames beneath. A variable can carry such a type into another expression,
+# past this bound.
+RECURSION_LIMIT = 5 * (MAX_NESTING + MAX_TYPE_DEPTH) + 200
 
 
 class Parser:
@@ -228,7 +235,7 @@ class Parser:
             elif self.at("keyword", "def"):
                 items.append(self.parse_def())
             elif self.at("atspec"):
-                items.append(self.parse_spec_decl())
+                items.append(self.parse_signature())
             else:
                 items.append(self.sequence(self.at_declaration))  # statements up to a declaration
         return items
@@ -249,7 +256,7 @@ class Parser:
         body = self.sequence()
         return FunctionDef(name, params, body, span=start.cover(self.expect("keyword", "end")))
 
-    def parse_spec_decl(self) -> SpecDecl:
+    def parse_signature(self) -> SpecDecl:
         start = self.expect("atspec")
         name = self.expect("ident", what="function name").lexeme
         self.expect("punct", "(")
@@ -469,45 +476,16 @@ def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
     return result
 
 
-@contextmanager
-def _whole(source, path: str = "<input>"):
-    """A parser over all of `source`, text or tokens, that must end at `eof`. An
-    unclaimed `_` or `^x` fails first. On a stack too full for `MAX_NESTING`,
-    the recursion limit is "nesting too deep"; the block adds no frame."""
+def parse_program(source, path: str = "<input>") -> Program:
+    """Parse a whole program from source text or a token list. An unclaimed
+    `_` or `^x` fails first; on a stack too full for `MAX_NESTING`, the
+    recursion limit is "nesting too deep"."""
     parser = Parser(source if isinstance(source, list) else tokenize(source), path)
     try:
-        yield parser
+        return parser.parse_program()
     except RecursionError:
         parser.settle()
         raise ParseError("nesting too deep", parser.peek()) from None
     except ParseError:
         parser.settle()
         raise
-    parser.expect("eof")
-
-
-def parse_program(source, path: str = "<input>") -> Program:
-    """Parse a whole program from source text or a token list."""
-    with _whole(source, path) as parser:
-        return parser.parse_program()
-
-
-def parse_expression(source) -> syntax.Expr:
-    """Parse a single expression statement group (tests and API convenience)."""
-    with _whole(source) as parser:
-        return parser.sequence(parser.at_declaration)
-
-
-def parse_spec(source) -> SpecDecl:
-    """Parse one `@spec` declaration."""
-    with _whole(source) as parser:
-        parser.skip_separators()
-        decl = parser.parse_spec_decl()
-        parser.skip_separators()
-        return decl
-
-
-def parse_type_text(source) -> Type:
-    """Parse a type written in `@spec` surface syntax."""
-    with _whole(source) as parser:
-        return parser.parse_type()

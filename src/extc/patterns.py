@@ -13,15 +13,26 @@ One traversal serves three judgement shapes, selected by mode:
 """
 from __future__ import annotations
 
-from . import syntax, types
+from . import syntax
 from .diagnostics import (
     CheckFailure, E_NONLINEAR_MISMATCH, E_PATTERN_TYPE, E_PIN_UNBOUND,
     E_UNKNOWN_KEY,
 )
-from .types import ANY, ListType, MapType, TERM, TupleType, Type, fits, is_more_precise, join
+from .types import (
+    ANY, AtomLiteralType, BOOLEAN, FLOAT, INTEGER, ListType, MapType, STRING, TERM,
+    TupleType, Type, fits, is_more_precise, join,
+)
 
 
 MATCH, CASE, SPEC = "match", "case", "spec"  # the modes above
+
+# The base type of each literal class; an atom literal has its singleton type.
+_LITERAL_TYPES = {syntax.IntLit: INTEGER, syntax.FloatLit: FLOAT, syntax.StringLit: STRING,
+                  syntax.BoolLit: BOOLEAN}
+
+
+def literal_type(lit: syntax.Literal) -> Type:
+    return _LITERAL_TYPES.get(type(lit)) or AtomLiteralType(lit.name)
 
 
 def _mismatch(pattern, expected: Type, actual: Type | None = None) -> CheckFailure:
@@ -52,21 +63,14 @@ def _fits_in_mode(actual: Type, expected: Type, mode: str) -> bool:
     return is_more_precise(actual, expected)
 
 
-def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict,
-                  mode: str) -> dict:
-    """Check `pattern` against `expected`, returning `gamma` extended with the
-    pattern's bindings. `sigma` is the enclosing scope, consulted for pins."""
-    out = dict(gamma)
-    _check(pattern, expected, sigma, out, mode)
-    return out
-
-
-def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
+def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
+    """Check `pattern` against `expected`, adding its bindings to `gamma`, the
+    caller's. `sigma` is the enclosing scope, consulted for pins."""
     if isinstance(pattern, syntax.Wildcard):
         return
 
     if isinstance(pattern, syntax.Literal):
-        lit_type = types.literal_type(pattern)
+        lit_type = literal_type(pattern)
         if not _fits_in_mode(lit_type, expected, mode):
             raise _mismatch(pattern, expected, lit_type)
         return
@@ -97,7 +101,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
     # against `term`, which only the CASE direction licenses.
     if expected is ANY or (expected is TERM and mode == CASE):
         for sub in syntax.children(pattern):
-            _check(sub, expected, sigma, gamma, mode)
+            check_pattern(sub, expected, sigma, gamma, mode)
         return
     if expected is TERM:
         raise _mismatch(pattern, expected)
@@ -106,7 +110,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
         if not isinstance(expected, TupleType) or len(expected.items) != len(pattern.items):
             raise _mismatch(pattern, expected)
         for sub, sub_type in zip(pattern.items, expected.items):
-            _check(sub, sub_type, sigma, gamma, mode)
+            check_pattern(sub, sub_type, sigma, gamma, mode)
         return
 
     if isinstance(pattern, syntax.ElistPattern):
@@ -117,8 +121,8 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
     if isinstance(pattern, syntax.ConsPattern):
         if not isinstance(expected, ListType):
             raise _mismatch(pattern, expected)
-        _check(pattern.head, expected.element, sigma, gamma, mode)
-        _check(pattern.tail, expected, sigma, gamma, mode)
+        check_pattern(pattern.head, expected.element, sigma, gamma, mode)
+        check_pattern(pattern.tail, expected, sigma, gamma, mode)
         return
 
     if isinstance(pattern, syntax.MapPattern):
@@ -133,7 +137,7 @@ def _check(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
                     pattern.span,
                     expected=str(expected),
                 )
-            _check(sub, value_type, sigma, gamma, mode)
+            check_pattern(sub, value_type, sigma, gamma, mode)
         if mode == SPEC and len(pattern.entries) != len(expected.entries):
             # Precision relates maps with identical key sets only.
             raise CheckFailure(
@@ -152,39 +156,35 @@ def check_case_pattern(pattern, selector_type: Type, sigma: dict) -> tuple[dict,
     whether the fallback widening was needed (the branch can never match).
     After a structural failure against the selector type the pattern is
     re-checked against `term`: the selector is upcast to the top type."""
+    bindings: dict = {}
     try:
-        return check_pattern(pattern, selector_type, sigma, {}, CASE), False
+        check_pattern(pattern, selector_type, sigma, bindings, CASE)
+        return bindings, False
     except CheckFailure as err:
-        if err.code in (E_PATTERN_TYPE, E_UNKNOWN_KEY):
-            return check_pattern(pattern, TERM, sigma, {}, CASE), True
-        raise
+        if err.code not in (E_PATTERN_TYPE, E_UNKNOWN_KEY):
+            raise
+    bindings = {}
+    check_pattern(pattern, TERM, sigma, bindings, CASE)
+    return bindings, True
 
 
-def natural_pattern_type(pattern, sigma: dict, gamma: dict | None = None) -> tuple[Type, dict]:
-    """Type an anonymous-function parameter pattern with no expected type.
-
-    Literals keep their own type, variables and wildcards are unknown, pins
-    take the enclosing binding, structured patterns compose.
-    """
-    natural = _natural_type(pattern, sigma)
-    bindings = check_pattern(pattern, natural, sigma, gamma or {}, CASE)
-    return natural, bindings
-
-
-def _natural_type(pattern, sigma: dict) -> Type:
+def natural_type(pattern, sigma: dict) -> Type:
+    """The type of an anonymous-function parameter pattern, which has no
+    expected type: literals keep their own type, variables and wildcards are
+    unknown, pins take the enclosing binding, structured patterns compose."""
     if isinstance(pattern, (syntax.Wildcard, syntax.VarPattern)):
         return ANY
     if isinstance(pattern, syntax.Literal):
-        return types.literal_type(pattern)
+        return literal_type(pattern)
     if isinstance(pattern, syntax.PinPattern):
         return _pinned(pattern, sigma)
     if isinstance(pattern, syntax.TuplePattern):
-        return TupleType(tuple(_natural_type(p, sigma) for p in pattern.items))
+        return TupleType(tuple(natural_type(p, sigma) for p in pattern.items))
     if isinstance(pattern, syntax.ElistPattern):
         return ListType(ANY)
     if isinstance(pattern, syntax.ConsPattern):
-        head = _natural_type(pattern.head, sigma)
-        tail = _natural_type(pattern.tail, sigma)
+        head = natural_type(pattern.head, sigma)
+        tail = natural_type(pattern.tail, sigma)
         if tail is ANY:
             tail_elem: Type = ANY
         elif isinstance(tail, ListType):
@@ -193,5 +193,5 @@ def _natural_type(pattern, sigma: dict) -> Type:
             raise _mismatch(pattern.tail, ListType(head), tail)
         return ListType(join(head, tail_elem))
     if isinstance(pattern, syntax.MapPattern):
-        return MapType([(k, _natural_type(p, sigma)) for k, p in pattern.entries])
+        return MapType([(k, natural_type(p, sigma)) for k, p in pattern.entries])
     raise _mismatch(pattern, ANY)

@@ -261,8 +261,6 @@ class Program(Node):
 
 def children(node: Node):
     """Yield the direct AST children of a node."""
-    if not dataclasses.is_dataclass(node):
-        return
     for f in dataclasses.fields(node):
         value = getattr(node, f.name)
         if isinstance(value, Node):

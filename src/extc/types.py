@@ -181,24 +181,6 @@ BASE_TYPE_NAMES = {name: BaseType(name) for name in (
 NONE, TERM, ANY, INTEGER, FLOAT, BOOLEAN, STRING, ATOM = BASE_TYPE_NAMES.values()
 
 
-def literal_type(lit) -> Type:
-    """Type of a literal: numbers, strings and booleans get their base type,
-    atoms are singleton types."""
-    from . import syntax
-
-    if isinstance(lit, syntax.IntLit):
-        return INTEGER
-    if isinstance(lit, syntax.FloatLit):
-        return FLOAT
-    if isinstance(lit, syntax.StringLit):
-        return STRING
-    if isinstance(lit, syntax.BoolLit):
-        return BOOLEAN
-    if isinstance(lit, syntax.AtomLit):
-        return AtomLiteralType(lit.name)
-    raise TypeError(f"not a literal: {lit!r}")
-
-
 def _sub(t: Type, u: Type, gradual: bool) -> bool:
     """The one structural walk behind `is_subtype` and `fits`, which differ
     only in what `any` relates to once the bounds and equality are settled."""

@@ -1,3 +1,4 @@
+import ast
 import errno
 import gc
 import io
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS_DIR, DATA_DIR
 from extc import checker, cli, signatures
 from extc.cli import run
-from extc.parser import MAX_NESTING, MAX_TYPE_DEPTH
+from extc.parser import MAX_NESTING, MAX_TYPE_DEPTH, RECURSION_LIMIT
 
 
 def invoke(capsys, *argv):
@@ -627,6 +628,32 @@ def test_import_loads_no_typing():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+
+def _imports(tree):
+    """Each import statement under `tree`, with the modules it names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node, ["." * node.level + (node.module or "")]
+
+
+def test_imports_stay_out_of_functions():
+    """An import inside a function runs again on every call; the one allowed
+    is `json` in `diagnostics.render_json`, so that text checks never load it.
+    `types` imports no `extc` module: it is the base the others build on."""
+    inside = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inside |= {(path.name, getattr(fn, "name", "<lambda>"), module)
+                           for _, modules in _imports(fn) for module in modules}
+    assert inside == {("diagnostics.py", "render_json", "json")}
+    types_source = (Path(cli.__file__).parent / "types.py").read_text()
+    imported = [module for _, modules in _imports(ast.parse(types_source)) for module in modules]
+    assert [m for m in imported if m.startswith(".") or m.split(".")[0] == "extc"] == []
+
 # Openers and closers of list, tuple, map and function types, which count
 # towards the nesting limit of `@spec` types.
 _TYPE_SHAPES = {
@@ -675,6 +702,70 @@ class TestDeepSpecTypes:
         assert code == 2 and out == ""
         assert err.startswith(f"{path}:1:{col} E_PARSE nesting too deep\n")
 
+
+
+def _deep_type_in_deep_nesting(path, shape, context):
+    """Write a file where a `@spec` type of `shape`, one level short of the
+    type limit, meets a type walk inside an expression two levels short of
+    the nesting limit. Returns the status and the code its verdict gives."""
+    opener, closer = _TYPE_SHAPES[shape]
+    depth, levels = MAX_TYPE_DEPTH - 1, MAX_NESTING - 2
+    t, u = (opener * depth + leaf + closer * depth for leaf in ("integer", "string"))
+
+    def wrap(expr):
+        return "{" * levels + expr + "}" * levels
+
+    call = f"@spec g({t}) :: integer\ndef g(x) do {wrap('f(x)')}; 1 end\ndef f(y) do 1 end\n"
+    text, status, code = {
+        "call": (f"@spec f({t}) :: integer\n" + call, 0, None),
+        "mismatch": (f"@spec f({u}) :: integer\n" + call, 1, "E_TYPE_MISMATCH"),
+        "join": (f"@spec g({t}, {u}) :: integer\n"
+                 f"def g(x, y) do {wrap('if true do x else y end')}; 1 end\n", 0, None),
+        "body": (f"@spec g({t}) :: integer\ndef g(x) do {wrap('x')} end\n",
+                 1, "E_SPEC_BODY_MISMATCH"),
+    }[context]
+    path.write_text(text)
+    return status, code
+
+
+class TestDeepTypesUnderDeepNesting:
+    """A type walk (`fits`, equality, `join`, `str`) over a spec type nested
+    inside a synthesized type nested almost to both limits fits the
+    recursion limit `run` sets: each such check gives its verdict."""
+
+    @pytest.mark.parametrize("context", ["call", "mismatch", "join", "body"])
+    @pytest.mark.parametrize("shape", sorted(_TYPE_SHAPES))
+    def test_check_gives_its_verdict(self, shape, context, tmp_path):
+        path = tmp_path / f"{shape}_{context}.ex"
+        status, code = _deep_type_in_deep_nesting(path, shape, context)
+        procs = [fresh_main("check", str(path), "--format", fmt, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE) for fmt in ("text", "json")]
+        (text, text_err), (out, json_err) = (proc.communicate(timeout=60) for proc in procs)
+        assert [proc.returncode for proc in procs] == [status, status]
+        assert (text_err, json_err) == (b"", b"")
+        codes = [diag["code"] for diag in json.loads(out)["diagnostics"]]
+        assert codes == ([code] if code else [])
+        assert (f" {code} ".encode() in text) if code else text == b""
+
+    def test_other_files_still_report(self, tmp_path):
+        _deep_type_in_deep_nesting(tmp_path / "deep.ex", "map", "body")
+        (tmp_path / "other.ex").write_text('3 + "hi"\n')
+        proc = fresh_main("check", str(tmp_path), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+        assert _files_reported(out.decode()) == [str(tmp_path / "deep.ex"),
+                                                 str(tmp_path / "other.ex")]
+
+    def test_run_raises_the_recursion_limit_and_never_lowers_it(self, capsys):
+        limit = sys.getrecursionlimit()
+        try:
+            for start, after in [(1000, RECURSION_LIMIT), (RECURSION_LIMIT + 500,) * 2]:
+                sys.setrecursionlimit(start)
+                invoke(capsys, "check", corpus("ok_arith.ex"))
+                assert sys.getrecursionlimit() == after
+        finally:
+            sys.setrecursionlimit(limit)
 
 class TestExcerpts:
     """The excerpt is the line the span names: the lexer ends lines at "\\n"

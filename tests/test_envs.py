@@ -1,7 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extc.envs import SignatureEnv, merge, qualify, sibling_bindings
+from extc.envs import SignatureEnv, extend, qualify, sibling_bindings
 from extc.types import FLOAT, FunctionType, INTEGER, STRING, Type, BOOLEAN
 
 _types = st.sampled_from([INTEGER, FLOAT, STRING, BOOLEAN])
@@ -9,27 +9,29 @@ _envs = st.dictionaries(st.sampled_from("wxyz"), _types, max_size=4)
 
 
 def test_merge_right_bias():
-    assert merge({"x": INTEGER}, {"x": STRING}) == {"x": STRING}
+    assert extend({"x": INTEGER}, {"x": STRING}) == {"x": STRING}
 
 
 def test_merge_identity():
     g = {"x": INTEGER, "y": FLOAT}
-    assert merge({}, g) == g
-    assert merge(g, {}) == g
+    assert extend({}, g) == g
+    assert extend(g, {}) is g
 
 
 def test_merge_disjoint_union():
-    assert merge({"x": INTEGER}, {"y": FLOAT}) == {"x": INTEGER, "y": FLOAT}
+    g = {"x": INTEGER}
+    assert extend(g, {"y": FLOAT}) == {"x": INTEGER, "y": FLOAT}
+    assert g == {"x": INTEGER}
 
 
 @given(_envs, _envs, _envs)
 def test_merge_associative(g1, g2, g3):
-    assert merge(merge(g1, g2), g3) == merge(g1, merge(g2, g3))
+    assert extend(extend(g1, g2), g3) == extend(g1, extend(g2, g3))
 
 
 @given(_envs)
 def test_merge_idempotent(g):
-    assert merge(g, g) == g
+    assert extend(g, g) == g
 
 
 @given(_envs, st.lists(_envs, min_size=1, max_size=4))
@@ -38,9 +40,9 @@ def test_sibling_bindings_unite_whole_environments(env, siblings):
     environments, each the incoming one extended, gives."""
     whole, added = env, {}
     for bindings in siblings:
-        whole = merge(whole, merge(env, bindings))
+        whole = extend(whole, extend(env, bindings))
         added = sibling_bindings(env, added, bindings)
-    assert merge(env, added) == whole
+    assert extend(env, added) == whole
 
 
 def test_sibling_bindings_restore_outer_names_a_later_sibling_leaves():

@@ -10,10 +10,7 @@ from conftest import DATA_DIR, corpus_files
 from extc import syntax
 from extc.checker import check_programs
 from extc.lexer import tokenize
-from extc.parser import (
-    MAX_NESTING, MAX_TYPE_DEPTH, ParseError, Parser, parse_expression, parse_program,
-    parse_spec, parse_type_text,
-)
+from extc.parser import MAX_NESTING, MAX_TYPE_DEPTH, ParseError, Parser, parse_program
 from extc.syntax import (
     AtomLit, BinOp, Call, Case, ConsPattern, If, IntLit, MapAccess, Match,
     ModuleDef, Seq, TuplePattern, UnaryOp, Var, VarCall, VarPattern, Wildcard,
@@ -24,48 +21,58 @@ from extc.types import (
 )
 
 
+def expression(source):
+    """The statements of `source`, a program that declares nothing."""
+    return parse_program(source).items[0]
+
+
+def spec_type(text):
+    """The result type of a `@spec` that declares `text`."""
+    return parse_program(f"@spec f() :: {text}").items[0].result
+
+
 class TestExpressions:
     def test_sequence_with_match(self):
-        expr = parse_expression("x = 10 * 9\nx + 10")
+        expr = expression("x = 10 * 9\nx + 10")
         assert expr == Seq(
             Match(VarPattern("x"), BinOp("*", IntLit(10), IntLit(9))),
             BinOp("+", Var("x"), IntLit(10)),
         )
 
     def test_semicolon_and_newline_interchangeable(self):
-        assert parse_expression("x = 1; x") == parse_expression("x = 1\nx")
+        assert expression("x = 1; x") == expression("x = 1\nx")
 
     def test_multiplication_binds_tighter(self):
-        assert parse_expression("1 + 2 * 3") == \
+        assert expression("1 + 2 * 3") == \
             BinOp("+", IntLit(1), BinOp("*", IntLit(2), IntLit(3)))
 
     def test_comparison_looser_than_arith(self):
-        expr = parse_expression("1 + 2 > 2")
+        expr = expression("1 + 2 > 2")
         assert expr.op == ">"
 
     def test_and_or_precedence(self):
-        expr = parse_expression("true and false or true")
+        expr = expression("true and false or true")
         assert expr.op == "or"
         assert expr.left.op == "and"
 
     def test_concat_right_associative(self):
-        expr = parse_expression('"a" <> "b" <> "c"')
+        expr = expression('"a" <> "b" <> "c"')
         assert expr.op == "<>"
         assert isinstance(expr.right, BinOp) and expr.right.op == "<>"
 
     def test_unary_minus_binds_tightest(self):
-        expr = parse_expression("-1 + 2")
+        expr = expression("-1 + 2")
         assert expr.op == "+"
         assert expr.left == syntax.UnaryOp("-", IntLit(1))
 
     def test_match_is_lowest_and_right_associative(self):
-        expr = parse_expression("x = y = 3")
+        expr = expression("x = y = 3")
         assert isinstance(expr, Match)
         assert isinstance(expr.value, Match)
 
     def test_non_pattern_lhs_is_an_error(self):
         with pytest.raises(ParseError, match="not a valid pattern") as exc:
-            parse_expression("3 + x = 5")
+            expression("3 + x = 5")
         assert exc.value.span.start == 0
 
     @pytest.mark.parametrize("source, start", [
@@ -73,59 +80,59 @@ class TestExpressions:
     ])
     def test_parenthesized_lhs_is_not_a_pattern(self, source, start):
         with pytest.raises(ParseError, match="not a valid pattern") as exc:
-            parse_expression(source)
+            expression(source)
         assert exc.value.span.start == start
 
     def test_parenthesized_match_inside_expression(self):
-        expr = parse_expression("(x = 3) > 2")
+        expr = expression("(x = 3) > 2")
         assert expr.op == ">"
         assert isinstance(expr.left, Match)
 
     def test_map_access_key_must_be_literal(self):
         with pytest.raises(ParseError):
-            parse_expression("m[x]")
+            expression("m[x]")
 
     def test_map_access(self):
-        expr = parse_expression("m[9]")
+        expr = expression("m[9]")
         assert expr == syntax.MapAccess(Var("m"), MapKey.integer(9))
 
     def test_duplicate_map_literal_keys_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
-            parse_expression("%{:a => 1, :a => 2}")
+            expression("%{:a => 1, :a => 2}")
 
     def test_qualified_call(self):
-        expr = parse_expression("Base.Math.dec(n)")
+        expr = expression("Base.Math.dec(n)")
         assert expr == Call(("Base", "Math"), "dec", [Var("n")])
 
     def test_local_call(self):
-        assert parse_expression("dec(1)") == Call((), "dec", [IntLit(1)])
+        assert expression("dec(1)") == Call((), "dec", [IntLit(1)])
 
     def test_var_call(self):
-        assert parse_expression("f.(8)") == VarCall("f", [IntLit(8)])
+        assert expression("f.(8)") == VarCall("f", [IntLit(8)])
 
     def test_anon_fn(self):
-        expr = parse_expression("fn (x, _) -> x end")
+        expr = expression("fn (x, _) -> x end")
         assert expr == syntax.AnonFn([VarPattern("x"), Wildcard()], Var("x"))
 
     def test_case_branches(self):
-        expr = parse_expression("case :yes do :yes -> 1\n:no -> 2 end")
+        expr = expression("case :yes do :yes -> 1\n:no -> 2 end")
         assert isinstance(expr, Case)
         assert len(expr.clauses) == 2
         assert expr.clauses[1].pattern == AtomLit("no")
 
     def test_case_branch_body_can_be_a_sequence(self):
-        expr = parse_expression("case x do :a -> y = 1\ny + 1\n:b -> 2 end")
+        expr = expression("case x do :a -> y = 1\ny + 1\n:b -> 2 end")
         assert len(expr.clauses) == 2
         assert isinstance(expr.clauses[0].body, Seq)
 
     def test_cond(self):
-        expr = parse_expression("cond do x > 1 -> 1\ntrue -> 2 end")
+        expr = expression("cond do x > 1 -> 1\ntrue -> 2 end")
         assert isinstance(expr, syntax.Cond)
         assert len(expr.clauses) == 2
 
     def test_wildcard_is_not_an_expression(self):
         with pytest.raises(ParseError) as exc:
-            parse_expression("_ + 1")
+            expression("_ + 1")
         assert (exc.value.message, exc.value.span.start) == (
             "wildcard '_' is not an expression", 0)
 
@@ -137,7 +144,7 @@ class TestExpressions:
     ])
     def test_pattern_only_forms_are_not_expressions(self, source, message, start):
         with pytest.raises(ParseError) as exc:
-            parse_expression(source)
+            expression(source)
         assert (exc.value.message, exc.value.span.start) == (message, start)
 
 
@@ -169,7 +176,7 @@ class TestOperatorTable:
     @pytest.mark.parametrize("op1,op2", itertools.product(_PRECEDENCE, repeat=2))
     def test_grouping_of_every_operator_pair(self, op1, op2):
         source = f"a {op1} b {op2} c"
-        expr = parse_expression(source)
+        expr = expression(source)
         (level1, right1), (level2, _) = _PRECEDENCE[op1], _PRECEDENCE[op2]
         a, b, c = Var("a"), Var("b"), Var("c")
         if level1 > level2 or (level1 == level2 and not right1):
@@ -180,21 +187,21 @@ class TestOperatorTable:
         _assert_binop_spans_cover_operands(expr)
 
     def test_unary_minus_applies_to_map_access(self):
-        expr = parse_expression("-a[:k]")
+        expr = expression("-a[:k]")
         assert expr == UnaryOp("-", MapAccess(Var("a"), MapKey.atom("k")))
         assert (expr.span.start, expr.span.end) == (0, 6)
 
     def test_not_binds_tighter_than_and(self):
-        assert parse_expression("not a and b") == BinOp("and", UnaryOp("not", Var("a")), Var("b"))
+        assert expression("not a and b") == BinOp("and", UnaryOp("not", Var("a")), Var("b"))
 
     def test_unary_minus_nests(self):
-        expr = parse_expression("- - a")
+        expr = expression("- - a")
         assert expr == UnaryOp("-", UnaryOp("-", Var("a")))
         assert (expr.operand.span.start, expr.operand.span.end) == (2, 5)
 
     def test_string_with_operator_text_is_not_an_operator(self):
-        with pytest.raises(ParseError, match="expected 'eof', found '\\+'"):
-            parse_expression('a "+" b')
+        with pytest.raises(ParseError, match="expected 'end', found '\\+'"):
+            parse_program('def f() do a "+" b end')
 
 
 class TestNesting:
@@ -215,32 +222,29 @@ class TestNesting:
             parse_program(source)
         assert 0 < exc.value.span.start < len(source)
 
-    @pytest.mark.parametrize("parse, prefix", [(parse_program, "x = "), (parse_expression, "")])
+    @pytest.mark.parametrize("parse, prefix", [(parse_program, "x = "), (expression, "")])
     def test_four_hundred_nested_parentheses_are_too_deep(self, parse, prefix):
         with pytest.raises(ParseError, match="nesting too deep"):
             parse(prefix + "(" * 400 + "1" + ")" * 400)
 
-    @pytest.mark.parametrize("parse, prefix", [
-        (parse_spec, "@spec f() :: "), (parse_type_text, ""),
-    ])
-    def test_type_entry_points_turn_recursion_into_a_parse_error(self, parse, prefix):
+    def test_program_entry_point_turns_type_recursion_into_a_parse_error(self):
         # A type at MAX_TYPE_DEPTH recurses about once per level; on a stack
-        # with less room than that the entry point reports nesting too deep.
+        # with less room than that `parse_program` reports nesting too deep.
         depth = len(inspect.stack(0))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 60)
         try:
             with pytest.raises(ParseError, match="nesting too deep"):
-                parse(prefix + "[" * MAX_TYPE_DEPTH + "integer" + "]" * MAX_TYPE_DEPTH)
+                spec_type("[" * MAX_TYPE_DEPTH + "integer" + "]" * MAX_TYPE_DEPTH)
         finally:
             sys.setrecursionlimit(limit)
 
     def test_limit_is_the_module_constant(self):
         depth = MAX_NESTING - 1
-        assert parse_expression("(" * depth + "1" + ")" * depth) == IntLit(1)
+        assert expression("(" * depth + "1" + ")" * depth) == IntLit(1)
         depth = MAX_NESTING
         with pytest.raises(ParseError, match="nesting too deep") as exc:
-            parse_expression("(" * depth + "1" + ")" * depth)
+            expression("(" * depth + "1" + ")" * depth)
         assert (exc.value.span.start, exc.value.span.end) == (depth, depth + 1)
 
     @pytest.mark.parametrize("source", [
@@ -326,42 +330,42 @@ class TestParseOnce:
 
 class TestIfDesugaring:
     def test_else_kept(self):
-        expr = parse_expression("if c do 1 else 2 end")
+        expr = expression("if c do 1 else 2 end")
         assert expr == If(Var("c"), IntLit(1), IntLit(2))
 
     def test_else_less_if_desugars_to_nil(self):
-        expr = parse_expression("if c do 1 end")
+        expr = expression("if c do 1 end")
         assert expr == If(Var("c"), IntLit(1), AtomLit("nil"))
 
     def test_synthetic_else_span_is_the_if_keyword(self):
         source = "y = if c do 1 end"
-        expr = parse_expression(source)
+        expr = expression(source)
         synthetic = expr.value.orelse
         assert source[synthetic.span.start:synthetic.span.end] == "if"
 
 
 class TestPatterns:
     def test_pin_and_tuple(self):
-        expr = parse_expression("{^x, y} = {1, 2}")
+        expr = expression("{^x, y} = {1, 2}")
         assert expr.pattern == TuplePattern([syntax.PinPattern("x"), VarPattern("y")])
 
     def test_cons_pattern(self):
-        expr = parse_expression("[x | _] = l")
+        expr = expression("[x | _] = l")
         assert expr.pattern == ConsPattern(VarPattern("x"), Wildcard())
 
     def test_map_pattern(self):
-        expr = parse_expression("%{9 => b} = m")
+        expr = expression("%{9 => b} = m")
         assert expr.pattern == syntax.MapPattern([(MapKey.integer(9), VarPattern("b"))])
 
     def test_duplicate_map_pattern_keys_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
-            parse_expression("%{9 => a, 9 => b} = m")
+            expression("%{9 => a, 9 => b} = m")
 
     def test_wildcards_and_pins_inside_patterns(self):
-        assert parse_expression("{_, y} = t").pattern == TuplePattern([Wildcard(), VarPattern("y")])
-        assert parse_expression("{1, ^y} = t").pattern == \
+        assert expression("{_, y} = t").pattern == TuplePattern([Wildcard(), VarPattern("y")])
+        assert expression("{1, ^y} = t").pattern == \
             TuplePattern([IntLit(1), syntax.PinPattern("y")])
-        expr = parse_expression("case t do\n{^x, _} -> 1\n[_ | ^y] -> 2\n_ -> 3\nend")
+        expr = expression("case t do\n{^x, _} -> 1\n[_ | ^y] -> 2\n_ -> 3\nend")
         assert [clause.pattern for clause in expr.clauses] == [
             TuplePattern([syntax.PinPattern("x"), Wildcard()]),
             ConsPattern(Wildcard(), syntax.PinPattern("y")),
@@ -369,7 +373,7 @@ class TestPatterns:
         ]
 
     def test_cond_clause_body_of_several_statements(self):
-        expr = parse_expression("cond do\nx -> a = 1\nb = a\nb\ntrue -> 2\nend")
+        expr = expression("cond do\nx -> a = 1\nb = a\nb\ntrue -> 2\nend")
         assert [clause.cond for clause in expr.clauses] == [Var("x"), syntax.BoolLit(True)]
         assert expr.clauses[0].body == Seq(
             Match(VarPattern("a"), IntLit(1)), Seq(Match(VarPattern("b"), Var("a")), Var("b")))
@@ -406,53 +410,53 @@ class TestPrograms:
 
 class TestSpecParsing:
     def test_simple_spec(self):
-        decl = parse_spec("@spec func(integer) :: float")
+        decl = parse_program("@spec func(integer) :: float").items[0]
         assert decl.name == "func"
         assert decl.params == [INTEGER]
         assert decl.result == FLOAT
 
     def test_list_of_any(self):
-        decl = parse_spec("@spec length([any]) :: integer")
+        decl = parse_program("@spec length([any]) :: integer").items[0]
         assert decl.params == [ListType(ANY)]
         assert decl.result == INTEGER
 
     def test_function_typed_parameter(self):
-        decl = parse_spec("@spec f((integer) -> integer) :: integer")
+        decl = parse_program("@spec f((integer) -> integer) :: integer").items[0]
         assert decl.params == [FunctionType((INTEGER,), INTEGER)]
 
     def test_compound_types(self):
-        assert parse_type_text("{any, float}") == TupleType((ANY, FLOAT))
-        assert parse_type_text("%{:a => integer, 9 => boolean}") == MapType([
+        assert spec_type("{any, float}") == TupleType((ANY, FLOAT))
+        assert spec_type("%{:a => integer, 9 => boolean}") == MapType([
             (MapKey.atom("a"), INTEGER),
-            (MapKey.integer(9), parse_type_text("boolean")),
+            (MapKey.integer(9), spec_type("boolean")),
         ])
-        assert parse_type_text(":ok") == AtomLiteralType("ok")
-        assert parse_type_text("(string) -> (integer) -> integer") == \
+        assert spec_type(":ok") == AtomLiteralType("ok")
+        assert spec_type("(string) -> (integer) -> integer") == \
             FunctionType((STRING,), FunctionType((INTEGER,), INTEGER))
 
     def test_duplicate_map_type_keys_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
-            parse_type_text("%{:a => integer, :a => float}")
+            spec_type("%{:a => integer, :a => float}")
 
     def test_unknown_type_name(self):
         with pytest.raises(ParseError, match="unknown type"):
-            parse_type_text("number")
+            spec_type("number")
 
     def test_boolean_literals_are_not_types(self):
         with pytest.raises(ParseError):
-            parse_type_text("true")
+            spec_type("true")
 
 
 class TestSpansAndRoundTrip:
     def test_span_of_records_parse_position(self):
         source = "x + 10"
-        expr = parse_expression(source)
+        expr = expression(source)
         span = expr.span
         assert (span.start, span.end) == (0, 6)
         assert (*span.source.position(span.start), span.source.position(span.end)[1]) == (1, 1, 7)
 
     def test_span_of_nested_node_contained_in_parent(self):
-        expr = parse_expression("1 + 2 * 3")
+        expr = expression("1 + 2 * 3")
         inner = expr.right.span
         outer = expr.span
         assert outer.start <= inner.start and inner.end <= outer.end

@@ -6,7 +6,7 @@ from extc.diagnostics import CheckFailure
 from extc.parser import Parser
 from extc.lexer import tokenize
 from extc.patterns import (
-    CASE, MATCH, SPEC, check_case_pattern, check_pattern, natural_pattern_type,
+    CASE, MATCH, SPEC, check_case_pattern, check_pattern, natural_type,
 )
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, INTEGER, ListType, MapKey,
@@ -22,7 +22,20 @@ def pat(source):
 
 
 def check(source, expected, mode, sigma=None, gamma=None):
-    return check_pattern(pat(source), expected, sigma or {}, gamma or {}, mode)
+    """The bindings of `source`'s pattern, added to a copy of `gamma`."""
+    gamma = dict(gamma or {})
+    check_pattern(pat(source), expected, sigma or {}, gamma, mode)
+    return gamma
+
+
+def natural(source, sigma=None, gamma=None):
+    """The natural type of `source`'s pattern, and its bindings at that type
+    added to `gamma`, as an anonymous function's parameter binds."""
+    pattern, sigma = pat(source), sigma or {}
+    gamma = {} if gamma is None else gamma
+    t = natural_type(pattern, sigma)
+    check_pattern(pattern, t, sigma, gamma, CASE)
+    return t, gamma
 
 
 def error_code(source, expected, mode, sigma=None, gamma=None):
@@ -196,54 +209,54 @@ class TestCaseFallback:
 
 class TestNaturalPatternType:
     def test_variable_is_unknown(self):
-        t, gamma = natural_pattern_type(pat("x"), {})
+        t, gamma = natural("x")
         assert t == ANY and gamma == {"x": ANY}
 
     def test_literal_keeps_its_type(self):
-        t, gamma = natural_pattern_type(pat("0"), {})
+        t, gamma = natural("0")
         assert t == INTEGER and gamma == {}
 
     def test_pin_takes_enclosing_type(self):
-        t, gamma = natural_pattern_type(pat("^x"), {"x": INTEGER})
+        t, gamma = natural("^x", {"x": INTEGER})
         assert t == INTEGER and gamma == {}
 
     def test_pin_unbound(self):
         with pytest.raises(CheckFailure) as exc:
-            natural_pattern_type(pat("^x"), {})
+            natural("^x")
         assert exc.value.code == "E_PIN_UNBOUND"
 
     def test_tuple_composes(self):
-        t, gamma = natural_pattern_type(pat("{x, 1}"), {})
+        t, gamma = natural("{x, 1}")
         assert t == TupleType((ANY, INTEGER))
         assert gamma == {"x": ANY}
 
     def test_empty_list(self):
-        t, _ = natural_pattern_type(pat("[]"), {})
+        t, _ = natural("[]")
         assert t == ListType(ANY)
 
     def test_cons_takes_informative_element(self):
-        t, gamma = natural_pattern_type(pat("[1 | rest]"), {})
+        t, gamma = natural("[1 | rest]")
         assert t == ListType(INTEGER)
         assert gamma == {"rest": ListType(INTEGER)}
 
     def test_cons_of_variables(self):
-        t, gamma = natural_pattern_type(pat("[x | xs]"), {})
+        t, gamma = natural("[x | xs]")
         assert t == ListType(ANY)
         assert gamma == {"x": ANY, "xs": ListType(ANY)}
 
     def test_literal_tail_is_an_error(self):
         with pytest.raises(CheckFailure) as exc:
-            natural_pattern_type(pat("[x | 5]"), {})
+            natural("[x | 5]")
         assert exc.value.code == "E_PATTERN_TYPE"
 
     def test_map_exposes_keys(self):
-        t, gamma = natural_pattern_type(pat("%{:a => x}"), {})
+        t, gamma = natural("%{:a => x}")
         assert t == MapType([(MapKey.atom("a"), ANY)])
         assert gamma == {"x": ANY}
 
     def test_threading_detects_nonlinear_conflicts(self):
-        _, gamma = natural_pattern_type(pat("x"), {})
-        t, gamma = natural_pattern_type(pat("{x, y}"), {}, gamma)
+        _, gamma = natural("x")
+        t, gamma = natural("{x, y}", gamma=gamma)
         assert gamma == {"x": ANY, "y": ANY}
 
 
@@ -282,7 +295,8 @@ def test_any_expected_always_succeeds_binding_any(node):
     except Exception:
         return  # a malformed rendering is outside the property
     for mode in (MATCH, CASE, SPEC):
-        gamma = check_pattern(pattern, ANY, {}, {}, mode)
+        gamma = {}
+        check_pattern(pattern, ANY, {}, gamma, mode)
         assert all(t == ANY for t in gamma.values())
 
 
@@ -293,10 +307,9 @@ def test_output_gamma_extends_input(node):
         pattern = pat(source)
     except Exception:
         return
-    seed = {"w": STRING}
-    gamma = check_pattern(pattern, ANY, {}, seed, MATCH)
-    assert gamma["w"] == STRING
-    assert seed == {"w": STRING}  # input untouched
+    gamma = {"w": STRING}
+    check_pattern(pattern, ANY, {}, gamma, MATCH)
+    assert gamma["w"] == STRING  # bindings are added; those already there stay
 
 
 @given(_pattern_nodes)

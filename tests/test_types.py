@@ -1,12 +1,13 @@
 import pytest
 
-from extc.parser import parse_type_text
+from extc.parser import parse_program
 from extc.syntax import AtomLit, BoolLit, FloatLit, IntLit, StringLit
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BASE_TYPE_NAMES, BOOLEAN, FLOAT, FunctionType,
     INTEGER, ListType, MapKey, MapType, NONE, STRING, TERM, TupleType, fits,
-    is_more_precise, is_subtype, join, literal_type, meet,
+    is_more_precise, is_subtype, join, meet,
 )
+from extc.patterns import literal_type
 from oracle import enumerate_types
 
 AL = AtomLiteralType
@@ -30,7 +31,7 @@ class TestBaseTypeNames:
         ("boolean", "BooleanType()"), ("string", "StringType()"), ("atom", "AtomType()"),
     ])
     def test_name_parses_prints_and_reprs(self, name, spelling):
-        t = parse_type_text(name)
+        t = parse_program(f"@spec f() :: {name}").items[0].result
         assert t is BASE_TYPE_NAMES[name]
         assert str(t) == name
         assert repr(t) == spelling
