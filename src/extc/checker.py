@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from . import syntax
 from .diagnostics import (
-    CheckFailure, Diagnostic, E_PATTERN_TYPE, E_SPEC_BODY_MISMATCH,
-    E_SPEC_PARAM_MISMATCH, I_UNTYPED_DEF, sort_diagnostics,
+    CheckFailure, Diagnostic, E_PARSE, E_PATTERN_TYPE, E_SPEC_BODY_MISMATCH,
+    E_SPEC_PARAM_MISMATCH, I_UNTYPED_DEF,
 )
-from .envs import SignatureEnv, qualify
+from .envs import qualify
 from .expressions import ExprChecker
 from .patterns import SPEC, check_pattern
 from .signatures import collect_all, scopes
@@ -15,33 +15,36 @@ from .types import fits
 
 
 def check_programs(programs: list[syntax.Program], collected=None) -> list[Diagnostic]:
-    """Check several files against their shared signatures, `collect_all(programs)` if not given."""
+    """Check several files against their shared signatures, `collect_all(programs)`
+    if not given. The diagnostics come in the order found; callers sort them."""
     sigs, diags = collected or collect_all(programs)
     for program, prefix, items in scopes(programs):
+        checker = ExprChecker(sigs, prefix, program.path, sink=diags)
         for item in items:
-            if isinstance(item, syntax.FunctionDef):
-                check_function_clause(item, prefix, sigs, diags, program.path)
-            elif not isinstance(item, (syntax.ModuleDef, syntax.SpecDecl)):  # specs are trusted
-                checker = ExprChecker(sigs, prefix, program.path, sink=diags)
-                try:
+            try:
+                if isinstance(item, syntax.FunctionDef):
+                    check_function_clause(item, checker)
+                elif not isinstance(item, (syntax.ModuleDef, syntax.SpecDecl)):  # specs are trusted
                     checker.synthesize(item, {})
-                except CheckFailure as err:
-                    diags.append(err.to_diagnostic(program.path))
-    return sort_diagnostics(diags)
+            except CheckFailure as err:
+                diags.append(err.to_diagnostic(program.path))
+            except RecursionError:  # a type variables carried past `RECURSION_LIMIT`
+                diags.append(Diagnostic(E_PARSE, "nesting too deep", item.span, file=program.path))
+    return diags
 
 
-def check_function_clause(clause: syntax.FunctionDef, prefix: tuple[str, ...],
-                          sigs: SignatureEnv, diags: list[Diagnostic], file: str):
-    """Check one `def` clause against its declared signature, if any."""
-    name = qualify(prefix, clause.name)
+def check_function_clause(clause: syntax.FunctionDef, checker: ExprChecker):
+    """Check one `def` clause against its declared signature, if any, with the
+    checker of its module scope; raise the failure that stops it."""
+    name = qualify(checker.prefix, clause.name)
     arity = len(clause.params)
-    fn_type = sigs.lookup(name, arity)
+    fn_type = checker.sigs.lookup(name, arity)
     if fn_type is None:
-        diags.append(Diagnostic(
+        checker.sink.append(Diagnostic(
             I_UNTYPED_DEF,
             f"{name}/{arity} has no @spec; the definition is accepted unchecked",
             clause.span,
-            file=file,
+            file=checker.file,
         ))
         return
 
@@ -53,33 +56,24 @@ def check_function_clause(clause: syntax.FunctionDef, prefix: tuple[str, ...],
         for pattern, declared in zip(clause.params, fn_type.params):
             check_pattern(pattern, declared, {}, gamma, SPEC)
     except CheckFailure as err:
-        if err.code == E_PATTERN_TYPE:
-            diags.append(Diagnostic(
-                E_SPEC_PARAM_MISMATCH,
-                f"parameter pattern of {name}/{arity} does not refine its declared type: "
-                f"{err.message}",
-                err.span,
-                file=file,
-                expected=err.expected,
-                actual=err.actual,
-            ))
-        else:
-            diags.append(err.to_diagnostic(file))
-        return
+        if err.code != E_PATTERN_TYPE:
+            raise
+        raise CheckFailure(
+            E_SPEC_PARAM_MISMATCH,
+            f"parameter pattern of {name}/{arity} does not refine its declared type: "
+            f"{err.message}",
+            err.span,
+            expected=err.expected,
+            actual=err.actual,
+        ) from None
 
-    checker = ExprChecker(sigs, prefix, file, sink=diags)
-    try:
-        body_t, _ = checker.synthesize(clause.body, gamma)
-    except CheckFailure as err:
-        diags.append(err.to_diagnostic(file))
-        return
+    body_t, _ = checker.synthesize(clause.body, gamma)
     if not fits(body_t, fn_type.result):
-        diags.append(Diagnostic(
+        raise CheckFailure(
             E_SPEC_BODY_MISMATCH,
             f"body of {name}/{arity} has type {body_t} but the @spec declares "
             f"{fn_type.result}",
             clause.body.span,
-            file=file,
             expected=str(fn_type.result),
             actual=str(body_t),
-        ))
+        )

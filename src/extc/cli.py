@@ -2,9 +2,10 @@
 
 Exit codes: 0 clean (warnings allowed unless --strict-warnings), 1 type
 errors, 2 parse/lex errors or output that cannot be written, 3 usage errors.
-A reader that closes the pipe early ends the output quietly, with the status
-the verdict gives. A standard stream closed at start takes no output: writing
-to it fails, and the other stream still gets its own.
+`run` writes all output and flushes both standard streams. A reader that
+closes the pipe early ends the output quietly, with the status the verdict
+gives. A standard stream closed at start takes no output: writing to it
+fails, and the other stream still gets its own.
 """
 from __future__ import annotations
 
@@ -102,39 +103,42 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load(name: str) -> tuple[str, Program | Diagnostic]:
-    """Read and parse one file. Returns its text, in which bytes that are not
-    UTF-8 read as U+FFFD, and its program or the E_LEX/E_PARSE diagnostic
-    that stopped it, or E_LEX at offset 0 when the file cannot be read."""
+def _load(name: str) -> Program | Diagnostic:
+    """Read and parse one file: its program, or the E_LEX/E_PARSE diagnostic
+    that stopped it, or E_LEX at offset 0 when the file cannot be read. Every
+    span points into the file's text, in which bytes that are not UTF-8 read
+    as U+FFFD."""
     try:
         with open(name, "rb") as file:
             data = file.read()
     except OSError as err:
         span = Span(0, 0, Source(""))
-        return "", Diagnostic(E_LEX, f"cannot read file: {err.strerror or err}", span, file=name)
+        return Diagnostic(E_LEX, f"cannot read file: {err.strerror or err}", span, file=name)
     try:
         text = _newlines(data.decode("utf-8"))
     except UnicodeDecodeError as err:
         offset = len(_newlines(data[:err.start].decode("utf-8")))
-        text = _newlines(data.decode("utf-8", "replace"))
-        span = Span(offset, offset + 1, Source(text))
-        return text, Diagnostic(E_LEX, "file is not valid UTF-8", span, file=name)
+        span = Span(offset, offset + 1, Source(_newlines(data.decode("utf-8", "replace"))))
+        return Diagnostic(E_LEX, "file is not valid UTF-8", span, file=name)
     try:
-        return text, parse_program(text, path=name)
+        return parse_program(text, path=name)
     except (LexError, ParseError) as err:
-        return text, err.to_diagnostic(name)
+        return err.to_diagnostic(name)
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run the command line `argv`, write its output, flush both standard
+    streams, and return the exit status."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    status, output = (_run_check if args.command == "check" else _run_parse)(args)
+    except SystemExit as exc:  # argparse has written the usage error or `--help`
+        status, output = int(exc.code or 0), []
+    else:
+        status, output = (_run_check if args.command == "check" else _run_parse)(args)
     failed = []  # streams that take no more output
-    for stream, text in output:
+    for stream, text in [*output, (sys.stdout, None), (sys.stderr, None)]:
         if stream not in failed:
             try:
                 _write(stream, text)
@@ -144,12 +148,17 @@ def run(argv: list[str] | None = None) -> int:
     return status
 
 
-def _write(stream, text: str) -> None:
-    """Print `text` to `stream`. A stream that was closed at start is None,
-    and writing to it fails as writing to a closed descriptor does."""
-    if stream is None:
+def _write(stream, text: str | None) -> None:
+    """Print `text` to `stream`, or flush it when `text` is None. A stream
+    that was closed at start is None: writing to it fails as writing to a
+    closed descriptor does, and it has nothing to flush."""
+    if text is None:
+        if stream is not None:
+            stream.flush()
+    elif stream is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    print(text, file=stream)
+    else:
+        print(text, file=stream)
 
 
 def _write_failed(err: OSError, status: int, stream) -> int:
@@ -174,27 +183,22 @@ def _run_check(args) -> tuple[int, list]:
 
     programs = []
     diags: list[Diagnostic] = []
-    sources: dict[str, str] = {}
     for path in files:
-        sources[path], parsed = _load(path)
-        if isinstance(parsed, Diagnostic):
-            diags.append(parsed)
-        else:
-            programs.append(parsed)
-
+        parsed = _load(path)
+        (diags if isinstance(parsed, Diagnostic) else programs).append(parsed)
     sigs, sig_diags = collect_all(programs)
-    diags.extend(check_programs(programs, (sigs, sig_diags)))
-    diags = sort_diagnostics(diags)
+    diags = sort_diagnostics(diags + check_programs(programs, (sigs, sig_diags)))
 
     output = []
-    if args.dump_sigs:
+    if args.dump_sigs and sigs:
         stream = sys.stderr if args.format == "json" else sys.stdout
-        output = [(stream, f"{name}/{arity} :: {fn_type}")
-                  for name, arity, fn_type in sigs.entries()]
+        output.append((stream, "\n".join(f"{name}/{arity} :: {fn_type}"
+                                          for name, arity, fn_type in sigs.entries())))
     if args.format == "json":
         output.append((sys.stdout, render_json(diags)))
     elif diags:
         color = not args.no_color and sys.stdout is not None and sys.stdout.isatty()
+        sources = {d.file: d.span.source.text for d in diags}
         output.append((sys.stdout, render_all_text(diags, sources, color=color)))
 
     errors, warnings = count_by_severity(diags)
@@ -207,40 +211,27 @@ def _run_parse(args) -> tuple[int, list]:
     path = _spell(args.path)
     if not os.path.isfile(path):
         return 3, [(sys.stderr, f"extc: error: no such file: {args.path}")]
-    text, parsed = _load(path)
+    parsed = _load(path)
     if isinstance(parsed, Diagnostic):
-        return 2, [(sys.stderr, render_text(parsed, text))]
+        return 2, [(sys.stderr, render_text(parsed, parsed.span.source.text))]
     return 0, [(sys.stdout, dump(parsed))]
 
 
 def main() -> None:
-    """The `extc` console entry point: `run` the command line, then exit with
-    its status.
+    """The `extc` console entry point: `run` the command line, which writes
+    and flushes all output, then exit with its status.
 
     A check builds trees (tokens, AST nodes, types, diagnostics), not
     reference cycles, so the cyclic collector would walk every live object
     of the run and free nothing: the collector is off for the whole command.
     `tests/test_cli.py::TestCycleGate` keeps that true; it fails when a
-    check leaves cyclic garbage that grows with its input. Once the output
-    is flushed, the process ends with `os._exit`, which skips the final
-    collection and freeing the heap one object at a time. If a flush fails,
-    `_write_failed` gives the status and the exit is the ordinary one; a
-    stream closed at start (None) has nothing to flush. `run`
-    itself leaves the collector as it found it, for callers in a longer
-    process.
+    check leaves cyclic garbage that grows with its input. With nothing left
+    to flush, the process ends with `os._exit`, which skips the final
+    collection and freeing the heap one object at a time. `run` itself
+    leaves the collector as it found it, for callers in a longer process.
     """
     gc.disable()
-    status = run()
-    flushed = True
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if stream is not None:
-                stream.flush()
-        except OSError as err:
-            status, flushed = _write_failed(err, status, stream), False
-    if not flushed:
-        sys.exit(status)
-    os._exit(status)
+    os._exit(run())
 
 
 if __name__ == "__main__":

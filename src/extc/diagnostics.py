@@ -33,7 +33,7 @@ _SEVERITY = {"E": "error", "W": "warning", "I": "info"}
 
 class CheckFailure(Exception):
     """Raised by the lexer, the parser and the checking passes; converted to a
-    Diagnostic at a file, statement or clause boundary."""
+    Diagnostic where a file is parsed or a clause or statement is checked."""
 
     def __init__(self, code: str, message: str, span: Span,
                  expected: str | None = None, actual: str | None = None):

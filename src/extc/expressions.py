@@ -237,7 +237,7 @@ class ExprChecker:
         return result, added
 
     def _call(self, expr, env: dict):
-        qualified = expr.qualified_name() if expr.qualifier else qualify(self.prefix, expr.name)
+        qualified = qualify(expr.qualifier or self.prefix, expr.name)
         fn_type = self.sigs.lookup(qualified, len(expr.args))
         if fn_type is None:
             # An untyped callee: arguments only need to typecheck on their own.

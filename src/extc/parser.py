@@ -65,15 +65,15 @@ MAX_NESTING = 256
 # its type at most MAX_NESTING levels around a `@spec` type, so no walk over
 # it needs more than five frames a level over both bounds; 200 more cover the
 # frames beneath. A variable can carry such a type into another expression,
-# past this bound.
+# past this bound: `check_programs` reports the item that runs out of stack
+# as "nesting too deep".
 RECURSION_LIMIT = 5 * (MAX_NESTING + MAX_TYPE_DEPTH) + 200
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], path: str = "<input>"):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.path = path
         self.depth = 0  # nesting levels open
         self.pattern_only = False
         self.loose: list[Token] = []  # `_` and `^` of unclaimed pattern nodes, in order
@@ -104,8 +104,9 @@ class Parser:
             raise ParseError(f"expected {expected!r}, found {found!r}", self.peek())
         return self.take()
 
-    def at_separator(self) -> bool:
-        return self.at("newline") or self.at("punct", ";")
+    def at_separator(self, back: int = 0) -> bool:
+        tok = self.tokens[self.pos - back]
+        return tok.kind == "newline" or tok.kind == "punct" and tok.lexeme == ";"
 
     def skip_separators(self):
         while self.at_separator():
@@ -216,12 +217,6 @@ class Parser:
 
     # --- programs and declarations ---
 
-    def parse_program(self) -> Program:
-        start = self.peek()
-        items = self.parse_items(toplevel=True)
-        span = start if not items else items[0].span.cover(self.prev_span())
-        return Program(items, path=self.path, span=span)
-
     def parse_items(self, toplevel: bool) -> list[syntax.Node]:
         items: list[syntax.Node] = []
         while True:
@@ -236,8 +231,11 @@ class Parser:
                 items.append(self.parse_def())
             elif self.at("atspec"):
                 items.append(self.parse_signature())
-            else:
-                items.append(self.sequence(self.at_declaration))  # statements up to a declaration
+            else:  # statements up to a declaration, ended by a separator, `end` or `eof`
+                items.append(self.sequence(self.at_declaration))
+                if not (self.at_separator(back=1) or self.at("eof") or self.at("keyword", "end")):
+                    found = self.peek().lexeme or self.peek().kind
+                    raise ParseError(f"expected a newline or ';', found {found!r}", self.peek())
         return items
 
     def parse_module(self) -> ModuleDef:
@@ -480,12 +478,14 @@ def parse_program(source, path: str = "<input>") -> Program:
     """Parse a whole program from source text or a token list. An unclaimed
     `_` or `^x` fails first; on a stack too full for `MAX_NESTING`, the
     recursion limit is "nesting too deep"."""
-    parser = Parser(source if isinstance(source, list) else tokenize(source), path)
+    parser = Parser(source if isinstance(source, list) else tokenize(source))
     try:
-        return parser.parse_program()
+        items = parser.parse_items(toplevel=True)
     except RecursionError:
         parser.settle()
         raise ParseError("nesting too deep", parser.peek()) from None
     except ParseError:
         parser.settle()
         raise
+    span = items[0].span.cover(parser.prev_span()) if items else parser.tokens[0]
+    return Program(items, path=path, span=span)

@@ -200,9 +200,6 @@ class Call(Expr):
     name: str
     args: list[Expr]
 
-    def qualified_name(self) -> str:
-        return ".".join(self.qualifier + (self.name,))
-
 
 @dataclass(slots=True)
 class VarCall(Expr):

@@ -1,0 +1,117 @@
+"""Compare what `extc` prints at a git revision with what the working tree prints.
+
+    python tests/compare_outputs.py [REVISION]     (REVISION defaults to HEAD)
+
+The revision's `src/` is exported with `git archive` into a temporary
+directory. The same fixed list of `extc` invocations then runs against that
+tree and against the working tree's `src/`, each in a fresh `python -S` with
+`PYTHONHASHSEED=0`:
+
+- `check --dump-sigs`, as text and as JSON, and `parse`, on every file in
+  `tests/corpus` and `tests/data`, and `check` on both directories;
+- `check --dump-sigs`, as text and as JSON, on both perfbench workloads'
+  corpora for seeds 1-3, generated with `perfbench.gen`;
+- `check`, as text and as JSON, and `parse` on each of `perfbench.gen.PROBES`;
+- usage errors, `--help` included.
+
+Every invocation whose stdout, stderr or exit status differs is printed, and
+the script exits 1 if any does. pytest does not collect this file.
+"""
+from __future__ import annotations
+
+import difflib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from perfbench import gen  # noqa: E402
+
+USAGE_ERRORS = [
+    [], ["--help"], ["check"], ["check", "--help"], ["parse"], ["bogus"],
+    ["check", "missing.ex"], ["parse", "missing.ex"], ["parse", "tests/corpus"],
+    ["check", "--format", "xml", "tests/corpus"], ["check", "tests/corpus", "missing.ex"],
+]
+
+
+def invocations(work: Path) -> list[tuple[Path, list[str]]]:
+    """`(directory to run in, argv)` for every run, writing generated inputs under `work`."""
+    runs = []
+    files = sorted(p.relative_to(ROOT).as_posix()
+                   for folder in ("corpus", "data") for p in (ROOT / "tests" / folder).glob("*.ex"))
+    for name in [*files, "tests/corpus", "tests/data"]:
+        runs += [(ROOT, ["check", "--dump-sigs", name]),
+                 (ROOT, ["check", "--dump-sigs", "--format", "json", name])]
+    runs += [(ROOT, ["parse", name]) for name in files]
+    for workload in (gen.legacy_migration, gen.dense_bodies):
+        for seed in (1, 2, 3):
+            name = f"{workload.__name__}_{seed}"
+            (work / name).mkdir()
+            workload(seed).write(work / name)
+            runs += [(work, ["check", "--dump-sigs", name]),
+                     (work, ["check", "--dump-sigs", "--format", "json", name])]
+    (work / "probes").mkdir()
+    for name, data in gen.PROBES.items():
+        path = work / "probes" / name
+        path.write_bytes(data)
+        runs += [(work, ["check", f"probes/{name}"]),
+                 (work, ["check", "--format", "json", f"probes/{name}"]),
+                 (work, ["parse", f"probes/{name}"])]
+    return runs + [(ROOT, argv) for argv in USAGE_ERRORS]
+
+
+def extc(src: Path, cwd: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    proc = subprocess.run([sys.executable, "-S", "-c", "from extc.cli import main; main()", *argv],
+                          cwd=cwd, env=env, capture_output=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def export(revision: str, into: Path) -> Path:
+    """`revision`'s `src/`, unpacked under `into`."""
+    archive = subprocess.run(["git", "archive", revision, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return into / "src"
+
+
+def describe(name: str, old: bytes, new: bytes) -> list[str]:
+    diff = difflib.unified_diff(old.decode(errors="replace").splitlines(),
+                                new.decode(errors="replace").splitlines(),
+                                f"{name} (revision)", f"{name} (working tree)", lineterm="", n=1)
+    return ["    " + line for line in list(diff)[:20]]
+
+
+def main(argv: list[str]) -> int:
+    revision = argv[0] if argv else "HEAD"
+    with tempfile.TemporaryDirectory() as tmp:
+        base = export(revision, Path(tmp) / "revision")
+        work = Path(tmp) / "work"
+        work.mkdir()
+        runs = invocations(work)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            old = list(pool.map(lambda run: extc(base, *run), runs))
+            new = list(pool.map(lambda run: extc(ROOT / "src", *run), runs))
+    differing = 0
+    for (_, args), (old_status, *old_streams), (new_status, *new_streams) in zip(runs, old, new):
+        if (old_status, *old_streams) == (new_status, *new_streams):
+            continue
+        differing += 1
+        print(f"extc {' '.join(args)}: status {old_status} -> {new_status}")
+        for name, before, after in zip(("stdout", "stderr"), old_streams, new_streams):
+            if before != after:
+                print("\n".join(describe(name, before, after)))
+    print(f"{len(runs)} invocations, {differing} differ from {revision}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -5,6 +5,7 @@ an equal AST without a precedence table. Patterns admit no parentheses and
 are printed bare.
 """
 from extc import syntax as s
+from extc.envs import qualify
 
 
 def _items(nodes, render) -> str:
@@ -66,8 +67,8 @@ def source(node) -> str:
             return f"{_paren(cond)} -> {source(body)}"
         case s.Cond(clauses):
             return f"cond do {'; '.join(map(source, clauses))} end"
-        case s.Call(_, _, args):
-            return f"{node.qualified_name()}({_items(args, _paren)})"
+        case s.Call(qualifier, name, args):
+            return f"{qualify(qualifier, name)}({_items(args, _paren)})"
         case s.VarCall(name, args):
             return f"{name}.({_items(args, _paren)})"
         case s.AnonFn(params, body):

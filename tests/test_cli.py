@@ -470,16 +470,20 @@ class TestEntryPoint:
         assert seen == [False]
         assert exits == [("hard", 1)]
 
-    def test_main_exits_normally_when_a_flush_fails(self, exits, monkeypatch):
-        class ClosedPipe(io.StringIO):
+    @pytest.mark.parametrize("error, status, line", [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), 1, ""),
+        (OSError(errno.ENOSPC, "No space left on device"), 2,
+         "extc: error: cannot write output: No space left on device\n"),
+    ], ids=["broken-pipe", "full-device"])
+    def test_run_turns_a_failing_flush_into_the_status(self, error, status, line, capsys,
+                                                        monkeypatch):
+        class Unflushable(io.StringIO):
             def flush(self):
-                raise BrokenPipeError(32, "Broken pipe")
+                raise error
 
-        monkeypatch.setattr(cli, "run", lambda: 2)
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        with pytest.raises(SystemExit):
-            cli.main()
-        assert exits == [("soft", 2)]
+        monkeypatch.setattr(sys, "stdout", Unflushable())
+        assert run(["check", corpus("wrong_plus.ex")]) == status
+        assert capsys.readouterr().err == line
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_the_collector_as_it_found_it(self, enabled, capsys):
@@ -766,6 +770,58 @@ class TestDeepTypesUnderDeepNesting:
                 assert sys.getrecursionlimit() == after
         finally:
             sys.setrecursionlimit(limit)
+
+
+def _nest(expr, levels=250):
+    return "{" * levels + expr + "}" * levels
+
+
+class TestDeepTypesThroughVariables:
+    """A variable carries a built type into the next expression, which nests
+    it further, past what the recursion limit covers. The item that runs out
+    of stack is `E_PARSE` "nesting too deep", the parser's message for the
+    same budget, at the item's span, and the rest of the check goes on."""
+
+    _SHAPES = {
+        "top": (f"x = {_nest('1')}\ny = {_nest('x')}\ny + 1\n", 1, 1),
+        "def": (f"@spec f(integer) :: integer\ndef f(n) do\n  x = {_nest('1')}\n"
+                f"  y = {_nest('x')}\n  y + 1\nend\n", 2, 1),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_is_nesting_too_deep(self, shape, fmt, tmp_path):
+        text, line, col = self._SHAPES[shape]
+        path = tmp_path / "deep.ex"
+        path.write_text(text)
+        proc = fresh_main("check", str(path), "--format", fmt, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, b"")
+        if fmt == "json":
+            [diag] = json.loads(out)["diagnostics"]
+            assert (diag["code"], diag["message"], diag["line"], diag["col"]) == \
+                ("E_PARSE", "nesting too deep", line, col)
+        else:
+            assert out.startswith(f"{path}:{line}:{col} E_PARSE nesting too deep\n".encode())
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_other_files_still_report(self, shape, fmt, tmp_path):
+        (tmp_path / "deep.ex").write_text(self._SHAPES[shape][0])
+        (tmp_path / "other.ex").write_text('3 + "hi"\n')
+        proc = fresh_main("check", str(tmp_path), "--format", fmt, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, b"")
+        if fmt == "json":
+            found = [(d["file"], d["code"]) for d in json.loads(out)["diagnostics"]]
+        else:
+            found = [(line.split(":")[0], line.split()[1]) for line in out.decode().splitlines()
+                     if line.startswith(str(tmp_path))]
+        assert found == [(str(tmp_path / "deep.ex"), "E_PARSE"),
+                         (str(tmp_path / "other.ex"), "E_TYPE_MISMATCH")]
+
 
 class TestExcerpts:
     """The excerpt is the line the span names: the lexer ends lines at "\\n"

@@ -202,6 +202,8 @@ class TestOperatorTable:
     def test_string_with_operator_text_is_not_an_operator(self):
         with pytest.raises(ParseError, match="expected 'end', found '\\+'"):
             parse_program('def f() do a "+" b end')
+        with pytest.raises(ParseError, match="expected a newline or ';', found '\\+'"):
+            parse_program('a "+" b')
 
 
 class TestNesting:
@@ -398,6 +400,24 @@ class TestPrograms:
     def test_def_params_are_patterns(self):
         program = parse_program("def fact(0) do 1 end")
         assert program.items[0].params == [IntLit(0)]
+
+    @pytest.mark.parametrize("source, col", [
+        ("x = 1 y = 2", 7), ('a "+" b', 3), ("x = 1 def f() do 1 end", 7),
+        ("defmodule M do x = 1 y = 2 end", 22),
+        ("defmodule M do\n  x = 1 @spec f() :: atom\nend", 9),
+    ])
+    def test_statements_need_a_separator_before_the_next_item(self, source, col):
+        with pytest.raises(ParseError, match="expected a newline or ';'") as exc:
+            parse_program(source)
+        assert exc.value.span.source.position(exc.value.span.start)[1] == col
+
+    @pytest.mark.parametrize("source, count", [
+        ("x = 1; y = 2", 1), ("x = 1\ny = 2\n", 1), ("x = 1;\ndef f() do 1 end", 2),
+        ("def f() do 1 end def g() do 1 end", 2), ("defmodule M do x = 1 end", 1),
+        ("defmodule M do\n  x = 1\n  def f() do 1 end\nend", 1),
+    ])
+    def test_separated_statements_and_declarations_parse(self, source, count):
+        assert len(parse_program(source).items) == count
 
     def test_unbalanced_end(self):
         with pytest.raises(ParseError):
