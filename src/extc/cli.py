@@ -167,7 +167,9 @@ def _write_failed(err: OSError, status: int, stream) -> int:
     it. The stream points at `os.devnull` from then on, so what is left to
     flush fails no more (the SIGPIPE note in the `signal` docs)."""
     with suppress(AttributeError, OSError):  # None, or a stream with no descriptor
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        fd = stream.fileno()
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), fd)
     if isinstance(err, BrokenPipeError):
         return status
     with suppress(OSError):  # stderr may be the stream that failed

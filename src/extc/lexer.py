@@ -1,22 +1,23 @@
 """Tokenizer for the Elixir fragment.
 
-`_TOKEN` is one compiled pattern with a named group per token kind, built from
-the tables below. `tokenize` matches it at the current offset and dispatches
-on the group that matched, the "Writing a Tokenizer" recipe of the `re` docs.
-
-A token is its own span: `Token` extends `Span`, an offset range over the
-file's `Source`, with a kind and a lexeme, and the parser hands tokens on as
-node spans. The loop keeps no line or column; only a rendered diagnostic
-looks one up, in a table of line starts the `Source` builds then. Looking up
-every token's position raised peak memory on `legacy_migration` by 8 %.
+`tokenize` gives a file's tokens as parallel columns, with no Python object
+per token, built by whole-list passes that run in C. `_TOKEN.findall` cuts
+the text into matches with no gaps, so the end offsets are the running sum of
+the match lengths. A match's kind comes from its lexeme, else from its first
+character; whitespace and comments, of kind "", drop out in `compress`.
+Python visits only the rare tokens, in source order so that the first error
+wins, and then the newlines and brackets.
 """
 from __future__ import annotations
 
 import re
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter
 
 from .diagnostics import CheckFailure, E_LEX
 from .source import Source
 from .syntax import Span
+from .types import Value
 
 KEYWORDS = {
     "defmodule", "def", "do", "end", "else", "fn", "case", "cond", "if",
@@ -31,44 +32,52 @@ OPERATORS = [
 
 PUNCTUATION = ["%{", "(", ")", "[", "]", "{", "}", ",", ";"]
 
-_OPENERS = {"(", "[", "{", "%{"}
-_CLOSERS = {")", "]", "}"}
+# Each bracket's step in nesting depth, and 0 for a newline: one loop visits both.
+_DEPTH = {"(": 1, "[": 1, "{": 1, "%{": 1, ")": -1, "]": -1, "}": -1, "\n": 0}
 
 # A newline after an operator or after one of these punctuation or keyword
 # lexemes continues the current expression instead of separating statements.
 _CONTINUATION = {",", ";", "(", "[", "{", "%{", "do", "else", "fn", "not", "and", "or"}
 
 # Alternatives are tried in order: numbers before `\w+`, `:` before `::`, and
-# each table longest first. `\w` is `str.isalnum()` or `_` and `\d` is
-# `str.isdecimal()`, as the language wants, but a name must also start with
-# `str.isalpha()` or `_`, which `tokenize` checks. A string match stops before
-# its closing quote, a bad escape or the end of its line.
+# each table longest first. Each takes a character or more, but `.` takes any
+# one and `\Z`'s empty match at the end is the `eof` token. `\w` is
+# `str.isalnum()` or `_` and `\d` is `str.isdecimal()`, as the language wants,
+# but a name must also start with `str.isalpha()` or `_`. A string's body
+# stops before its closing quote, a bad escape or the end of its line.
+_STRING = r'"(?:[^"\\\n]+|\\[nt"\\])*'
 _TOKEN = re.compile("|".join([
-    r"(?P<skip>[ \t\r]+|#[^\n]*)",
-    r"(?P<newline>\n)",
-    r"(?P<float>\d+\.\d+)",
-    r"(?P<int>\d+)",
-    r'(?P<string>"(?:[^"\\\n]+|\\[nt"\\])*)',
-    r"(?P<atom>:(?!:)\w*)",
-    r"(?P<atspec>@\w*)",
-    r"(?P<ident>\w+)",
-    "(?P<punct>" + "|".join(map(re.escape, PUNCTUATION)) + ")",
-    "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
+    r"[ \t\r]+", r"#[^\n]*", r"\n", r"\d+\.\d+", r"\d+", _STRING + '"?',
+    r":(?!:)\w*", r"@\w*", r"\w+", *map(re.escape, PUNCTUATION + OPERATORS), ".", r"\Z",
 ]))
+_STRING_BODY = re.compile(_STRING)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
+# A match's kind by its lexeme, else by its first character, else "?". `tokenize`
+# resolves the `_RARE` kinds, and gives strings and atoms their lexeme.
+_KIND = {
+    **dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(OPERATORS, "op"),
+    **dict.fromkeys(PUNCTUATION, "punct"), "\n": "newline", "@spec": "atspec", "": "eof",
+}
+_FIRST = {
+    **dict.fromkeys(" \t\r#", ""), **dict.fromkeys("0123456789", "number"),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_", "ident"),
+    '"': "string", ":": "atom", "@": "@",
+}
+_RARE = frozenset(("number", "string", "atom", "@", "?"))
 
-class Token(Span):
-    # kind: keyword | ident | atom | int | float | string | op | punct | atspec | newline | eof
-    __slots__ = ("kind", "lexeme")
 
-    def __init__(self, start: int, end: int, source: Source, kind: str, lexeme: str):
-        self.start = start
-        self.end = end
-        self.source = source
-        self.kind = kind
-        self.lexeme = lexeme
+class Tokens(Value):
+    """A file's tokens as parallel columns: token `i` has kind `kinds[i]`
+    (keyword, ident, atom, int, float, string, op, punct, atspec, newline or
+    eof), lexeme `lexemes[i]`, and offsets `starts[i]` to `ends[i]` into
+    `source`. The last token is `eof`."""
+
+    __slots__ = ("kinds", "lexemes", "starts", "ends", "source")
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
 
 class LexError(CheckFailure):
@@ -76,58 +85,46 @@ class LexError(CheckFailure):
         super().__init__(E_LEX, message, span)
 
 
-def _name_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def tokenize(source: str) -> list[Token]:
-    """Tokenize source text; comments and whitespace are dropped, newlines
-    that separate statements come through as `newline` tokens."""
+def tokenize(source: str) -> Tokens:
+    """The tokens of `source`, with a `newline` token only where a statement ends."""
     src = Source(source)
-    tokens: list[Token] = []
-    match = _TOKEN.match
-    pos = 0
-    depth = 0
-    while pos < len(source):
-        m = match(source, pos)
-        kind = m and m.lastgroup
-        if kind == "skip":
-            pos = m.end()
-            continue
-        start = pos
-        if kind is None or kind == "ident" and not _name_start(source[start]):
-            raise LexError(f"stray character {source[start]!r}", Span(start, start, src))
-        pos = m.end()
-        lexeme = m.group()
-        if kind == "newline":
-            prev = tokens[-1] if tokens else None
-            if not (depth or prev is None or prev.kind in ("newline", "op")
-                    or prev.kind in ("punct", "keyword") and prev.lexeme in _CONTINUATION):
-                tokens.append(Token(start, pos, src, kind, lexeme))
-            continue
-        if kind == "ident":
-            if lexeme in KEYWORDS:
-                kind = "keyword"
-        elif kind == "punct":
-            if lexeme in _OPENERS:
-                depth += 1
-            elif lexeme in _CLOSERS:
-                depth = max(0, depth - 1)
-        elif kind == "string":
+    lexemes = _TOKEN.findall(source)
+    ends = list(accumulate(map(len, lexemes)))
+    firsts = map(_FIRST.get, map(itemgetter(slice(1)), lexemes), repeat("?"))
+    kinds = list(map(_KIND.get, lexemes, firsts))
+    columns = [list(compress(col, kinds)) for col in (kinds, lexemes, chain((0,), ends), ends)]
+    kinds, lexemes, starts, ends = columns  # which frees the lists with whitespace and comments
+
+    for i in compress(count(), map(_RARE.__contains__, kinds)):
+        kind, lexeme, start = kinds[i], lexemes[i], starts[i]
+        if kind == "string":
+            pos = _STRING_BODY.match(source, start).end()
             if source.startswith("\\", pos):
                 raise LexError(f"unknown escape \\{source[pos + 1:pos + 2]}", Span(pos, pos, src))
             if not source.startswith('"', pos):
                 raise LexError("unterminated string", Span(start, pos, src))
-            pos += 1
-            lexeme = lexeme[1:]
-            if "\\" in lexeme:
-                lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme)
+            lexemes[i] = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme[1:-1])
         elif kind == "atom":
-            lexeme = lexeme[1:]
-            if not (lexeme and _name_start(lexeme[0])):
+            lexemes[i] = name = lexeme[1:]
+            if not (name[:1].isalpha() or name[:1] == "_"):
                 raise LexError("expected atom name after ':'", Span(start, start + 1, src))
-        elif kind == "atspec" and lexeme != "@spec":
-            raise LexError(f"unknown directive {lexeme}", Span(start, pos, src))
-        tokens.append(Token(start, pos, src, kind, lexeme))
-    tokens.append(Token(pos, pos, src, "eof", ""))
-    return tokens
+        elif kind == "@":
+            raise LexError(f"unknown directive {lexeme}", Span(start, ends[i], src))
+        elif kind == "number" or lexeme[0].isdecimal():
+            kinds[i] = "float" if "." in lexeme else "int"
+        elif lexeme[0].isalpha():  # `_` and ASCII letters start an "ident" already
+            kinds[i] = "ident"
+        else:
+            raise LexError(f"stray character {lexeme[0]!r}", Span(start, start, src))
+
+    # A newline is dropped inside brackets, at the start, and after another
+    # newline (kind "" once dropped), an operator or a continuation lexeme.
+    depth = 0
+    for i in compress(count(), map(_DEPTH.__contains__, lexemes)):
+        if kinds[i] == "punct":
+            depth = max(0, depth + _DEPTH[lexemes[i]])
+        elif kinds[i] == "newline" and (
+                depth or not i or kinds[i - 1] in ("", "newline", "op")
+                or kinds[i - 1] in ("punct", "keyword") and lexemes[i - 1] in _CONTINUATION):
+            kinds[i] = ""
+    return Tokens(*[list(compress(col, kinds)) for col in columns], src)

@@ -4,9 +4,10 @@ loop for the operators.
 Precedence, tightest first: postfix map access; unary `-`/`not`; then the
 `_BINARY` levels `*` `/` (6); binary `+` `-` (5); `++` `--` `<>` (4, right
 associative); comparisons (3); `and` (2); `or` (1); `=` (0, right associative),
-loosest as Elixir's own `match_op`. No backtracking: each token is taken once.
-The left side of `=`, parsed as an expression, converts by `to_pattern`; so
-does a clause body statement that stops at `->`, as the next clause's head.
+loosest as Elixir's own `match_op`. No backtracking: each token, an index into
+the lexer's columns, is taken once. The left side of `=`, parsed as an
+expression, converts by `to_pattern`; so does a clause body statement that
+stops at `->`, as the next clause's head.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import partial
 
 from . import syntax
 from .diagnostics import CheckFailure, E_PARSE
-from .lexer import Token, tokenize
+from .lexer import Tokens, tokenize
 from .syntax import (
     AnonFn, AtomLit, BinOp, BoolLit, Call, Case, CaseClause, Cond, CondClause,
     ConsExpr, ConsPattern, ElistExpr, ElistPattern, FloatLit, FunctionDef, If,
@@ -38,13 +39,10 @@ class ParseError(CheckFailure):
 # Binary operator lexeme -> (precedence, right associative); higher binds
 # tighter. Only `op` and `keyword` tokens are operators.
 _BINARY = {
-    "=": (0, True),
-    "or": (1, False),
-    "and": (2, False),
+    "=": (0, True), "or": (1, False), "and": (2, False),
     **dict.fromkeys(("<", ">", "<=", ">=", "==", "!=", "===", "!=="), (3, False)),
     **dict.fromkeys(("++", "--", "<>"), (4, True)),
-    "+": (5, False), "-": (5, False),
-    "*": (6, False), "/": (6, False),
+    "+": (5, False), "-": (5, False), "*": (6, False), "/": (6, False),
 }
 _PREFIX = 7  # a unary operand binds tighter than every binary operator
 _OPERATOR_KINDS = ("op", "keyword")
@@ -71,42 +69,43 @@ RECURSION_LIMIT = 5 * (MAX_NESTING + MAX_TYPE_DEPTH) + 200
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens):
+        self.kinds, self.lexemes = tokens.kinds, tokens.lexemes
+        self.starts, self.ends, self.source = tokens.starts, tokens.ends, tokens.source
         self.pos = 0
         self.depth = 0  # nesting levels open
         self.pattern_only = False
-        self.loose: list[Token] = []  # `_` and `^` of unclaimed pattern nodes, in order
+        self.loose: list[int] = []  # `_` and `^` of unclaimed pattern nodes, in order
         self.next_head = None
 
-    # --- token plumbing ---
+    # --- token plumbing; the hottest paths test the columns inline, not through `at` ---
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def take(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "eof":
+            self.pos = i + 1
+        return i
 
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def span(self, first: int, last: int) -> Span:
+        return Span(self.starts[first], self.ends[last], self.source)
 
-    def prev_span(self) -> Span:
-        return self.tokens[max(0, self.pos - 1)]
+    def unexpected(self, i: int, expected: str) -> ParseError:
+        """The error for token `i` where `expected` should stand, naming a string as written."""
+        found = (self.source.text[self.starts[i]:self.ends[i]] if self.kinds[i] == "string"
+                 else self.lexemes[i] or self.kinds[i])
+        return ParseError(f"expected {expected}, found {found!r}", self.span(i, i))
 
     def at(self, kind: str, lexeme: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (lexeme is None or tok.lexeme == lexeme)
+        return self.kinds[self.pos] == kind and (lexeme is None or self.lexemes[self.pos] == lexeme)
 
-    def expect(self, kind: str, lexeme: str | None = None, what: str | None = None) -> Token:
-        if not self.at(kind, lexeme):
-            expected = what or (lexeme if lexeme is not None else kind)
-            found = self.peek().lexeme or self.peek().kind
-            raise ParseError(f"expected {expected!r}, found {found!r}", self.peek())
+    def expect(self, kind: str, lexeme: str | None = None, what: str | None = None) -> int:
+        if self.kinds[self.pos] != kind or lexeme is not None and self.lexemes[self.pos] != lexeme:
+            raise self.unexpected(self.pos, repr(what or (lexeme if lexeme is not None else kind)))
         return self.take()
 
     def at_separator(self, back: int = 0) -> bool:
-        tok = self.tokens[self.pos - back]
-        return tok.kind == "newline" or tok.kind == "punct" and tok.lexeme == ";"
+        i = self.pos - back
+        return self.kinds[i] == "newline" or self.kinds[i] == "punct" and self.lexemes[i] == ";"
 
     def skip_separators(self):
         while self.at_separator():
@@ -125,9 +124,9 @@ class Parser:
         self.expect("punct", close)
         return items
 
-    def map_entries(self, start: Token, parse_value: Callable, what: str) -> tuple[list, Span]:
-        """The `key => value, ...}` after `start`, with distinct keys, and the
-        braces' span. `comma_list`'s loop, written out to save frames."""
+    def map_entries(self, start: int, parse_value: Callable, what: str) -> tuple[list, Span]:
+        """The `key => value, ...}` after token `start`, with distinct keys, and
+        the braces' span. `comma_list`'s loop, written out to save frames."""
         entries = []
         if not self.at("punct", "}"):
             while True:
@@ -137,7 +136,7 @@ class Parser:
                 if not self.at("punct", ","):
                     break
                 self.take()
-        span = start.cover(self.expect("punct", "}"))
+        span = self.span(start, self.expect("punct", "}"))
         if len({key for key, _ in entries}) != len(entries):
             raise ParseError(f"duplicate keys in {what}", span)
         return entries, span
@@ -145,9 +144,9 @@ class Parser:
     def settle(self, expr: syntax.Expr | None = None) -> syntax.Expr:
         """`expr`, a finished statement: the first unclaimed `_` or `^x` fails."""
         if self.loose:
-            tok = self.loose[0]
-            raise ParseError("wildcard '_' is not an expression" if tok.lexeme == "_"
-                             else "expected an expression, found '^'", tok)
+            i = self.loose[0]
+            raise ParseError("wildcard '_' is not an expression" if self.lexemes[i] == "_"
+                             else "expected an expression, found '^'", self.span(i, i))
         return expr
 
     def sequence(self, stop: Callable[[], bool] | None = None,
@@ -171,10 +170,10 @@ class Parser:
         self.next_head = None
         return _fold_sequence(exprs)
 
-    def parse_clauses(self, start: Token) -> Case | Cond:
+    def parse_clauses(self, start: int) -> Case | Cond:
         """`case subject do head -> body ... end` or `cond do ... end`, with a
         clause or more; each later head ends the body before it (`sequence`)."""
-        case = start.lexeme == "case"
+        case = self.lexemes[start] == "case"
         subject = self.parse_expr() if case else None
         clause_type = CaseClause if case else CondClause
         head_of = self.to_pattern if case else lambda expr, _: self.settle(expr)
@@ -192,19 +191,19 @@ class Parser:
             clauses.append(clause_type(head, body, span=head.span.cover(body.span)))
             head = self.next_head
         if not clauses:
-            raise ParseError(f"{start.lexeme} expression needs at least one clause", self.peek())
-        span = start.cover(self.expect("keyword", "end"))
+            raise ParseError(f"{self.lexemes[start]} expression needs at least one clause",
+                             self.span(self.pos, self.pos))
+        span = self.span(start, self.expect("keyword", "end"))
         return Case(subject, clauses, span=span) if case else Cond(clauses, span=span)
 
     def to_pattern(self, expr: syntax.Expr, start: int) -> syntax.Pattern:
         """`expr`, parsed from token `start` on, as a pattern, which claims the
         `_` and `^x` in it. ParseError if it is no pattern."""
-        if self.pos - start > 2 and any(
-                tok.lexeme == "(" and tok.kind == "punct" for tok in self.tokens[start:self.pos]):
+        if self.pos - start > 2 and any(self.lexemes[i] == "(" and self.kinds[i] == "punct"
+                                        for i in range(start, self.pos)):
             raise ParseError(_NOT_A_PATTERN, expr.span)  # a group, which the AST does not show
         pattern = _pattern(expr, expr)
-        offset = self.tokens[start].start
-        while self.loose and self.loose[-1].start >= offset:
+        while self.loose and self.loose[-1] >= start:
             self.loose.pop()
         return pattern
 
@@ -223,7 +222,7 @@ class Parser:
             self.skip_separators()
             if self.at("eof") or self.at("keyword", "end"):
                 if toplevel and self.at("keyword", "end"):
-                    raise ParseError("unexpected 'end'", self.peek())
+                    raise ParseError("unexpected 'end'", self.span(self.pos, self.pos))
                 break
             if self.at("keyword", "defmodule"):
                 items.append(self.parse_module())
@@ -234,63 +233,63 @@ class Parser:
             else:  # statements up to a declaration, ended by a separator, `end` or `eof`
                 items.append(self.sequence(self.at_declaration))
                 if not (self.at_separator(back=1) or self.at("eof") or self.at("keyword", "end")):
-                    found = self.peek().lexeme or self.peek().kind
-                    raise ParseError(f"expected a newline or ';', found {found!r}", self.peek())
+                    raise self.unexpected(self.pos, "a newline or ';'")
         return items
 
     def parse_module(self) -> ModuleDef:
         start = self.expect("keyword", "defmodule")
-        name = self.expect("ident", what="module name").lexeme
+        name = self.lexemes[self.expect("ident", what="module name")]
         self.expect("keyword", "do")
         body = self.parse_items(toplevel=False)
-        return ModuleDef(name, body, span=start.cover(self.expect("keyword", "end")))
+        return ModuleDef(name, body, span=self.span(start, self.expect("keyword", "end")))
 
     def parse_def(self) -> FunctionDef:
         start = self.expect("keyword", "def")
-        name = self.expect("ident", what="function name").lexeme
+        name = self.lexemes[self.expect("ident", what="function name")]
         self.expect("punct", "(")
         params = self.comma_list(self.pattern, ")")
         self.expect("keyword", "do")
         body = self.sequence()
-        return FunctionDef(name, params, body, span=start.cover(self.expect("keyword", "end")))
+        return FunctionDef(name, params, body, span=self.span(start, self.expect("keyword", "end")))
 
     def parse_signature(self) -> SpecDecl:
         start = self.expect("atspec")
-        name = self.expect("ident", what="function name").lexeme
+        name = self.lexemes[self.expect("ident", what="function name")]
         self.expect("punct", "(")
         params = self.comma_list(self.parse_type, ")")
         self.expect("op", "::")
         result = self.parse_type()
-        return SpecDecl(name, params, result, span=start.cover(self.prev_span()))
+        return SpecDecl(name, params, result, span=self.span(start, self.pos - 1))
 
     def at_declaration(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.lexeme in _DECL_STARTS or tok.kind == "atspec"
+        kind = self.kinds[self.pos]
+        return kind == "keyword" and self.lexemes[self.pos] in _DECL_STARTS or kind == "atspec"
 
     # --- types ---
 
     def parse_type(self, depth: int = 0) -> Type:
         """A type inside `depth` enclosing list, tuple, map or function types."""
         tok = self.take()
-        if tok.kind == "ident":
-            base = BASE_TYPE_NAMES.get(tok.lexeme)
+        kind, lexeme = self.kinds[tok], self.lexemes[tok]
+        if kind == "ident":
+            base = BASE_TYPE_NAMES.get(lexeme)
             if base is None:
-                raise ParseError(f"unknown type name {tok.lexeme!r}", tok)
+                raise ParseError(f"unknown type name {lexeme!r}", self.span(tok, tok))
             return base
-        if tok.kind == "atom":
-            return AtomLiteralType(tok.lexeme)
-        if tok.kind != "punct" or tok.lexeme not in ("[", "{", "%{", "("):
-            raise ParseError(f"expected a type, found {tok.lexeme!r}", tok)
+        if kind == "atom":
+            return AtomLiteralType(lexeme)
+        if kind != "punct" or lexeme not in ("[", "{", "%{", "("):
+            raise self.unexpected(tok, "a type")
         if depth == MAX_TYPE_DEPTH:
-            raise ParseError("nesting too deep", tok)
+            raise ParseError("nesting too deep", self.span(tok, tok))
         inner = partial(self.parse_type, depth + 1)
-        if tok.lexeme == "%{":
+        if lexeme == "%{":
             return MapType(self.map_entries(tok, inner, "map type")[0])
-        if tok.lexeme == "[":
+        if lexeme == "[":
             element = inner()
             self.expect("punct", "]")
             return ListType(element)
-        if tok.lexeme == "{":
+        if lexeme == "{":
             return TupleType(tuple(self.comma_list(inner, "}")))
         params = self.comma_list(inner, ")")
         self.expect("op", "->")
@@ -298,13 +297,19 @@ class Parser:
 
     def parse_map_key(self) -> MapKey:
         tok = self.take()
-        if tok.kind == "atom":
-            return MapKey.atom(tok.lexeme)
-        if tok.kind == "int":
-            return MapKey.integer(_int_value(tok))
-        if tok.kind == "keyword" and tok.lexeme in ("true", "false"):
-            return MapKey.boolean(tok.lexeme == "true")
-        raise ParseError("expected a map key (atom, boolean or integer)", tok)
+        if self.kinds[tok] == "atom":
+            return MapKey.atom(self.lexemes[tok])
+        if self.kinds[tok] == "int":
+            return MapKey.integer(self.int_value(tok))
+        if self.kinds[tok] == "keyword" and self.lexemes[tok] in ("true", "false"):
+            return MapKey.boolean(self.lexemes[tok] == "true")
+        raise ParseError("expected a map key (atom, boolean or integer)", self.span(tok, tok))
+
+    def int_value(self, tok: int) -> int:
+        try:
+            return int(self.lexemes[tok])
+        except ValueError:  # past the digit limit of int() on text
+            raise ParseError("integer literal is too long", self.span(tok, tok)) from None
 
     # --- expressions ---
 
@@ -315,26 +320,27 @@ class Parser:
         tok = self.take()
         depth = self.depth
         if depth == MAX_NESTING:
-            raise ParseError("nesting too deep", tok)
+            raise ParseError("nesting too deep", self.span(tok, tok))
         self.depth = depth + 1
-        if tok.lexeme in _UNARY and tok.kind in _OPERATOR_KINDS and not self.pattern_only:
+        kinds, lexemes = self.kinds, self.lexemes
+        kind, lexeme = kinds[tok], lexemes[tok]
+        if lexeme in _UNARY and kind in _OPERATOR_KINDS and not self.pattern_only:
             operand = self.parse_expr(_PREFIX)
-            left = UnaryOp(tok.lexeme, operand, span=tok.cover(operand.span))
+            left = UnaryOp(lexeme, operand, span=self.span(tok, tok).cover(operand.span))
         else:
             table = _PATTERN_PRIMARY if self.pattern_only else _PRIMARY
-            parse = table.get(tok.lexeme if tok.kind in _SYMBOL_KINDS else tok.kind)
+            parse = table.get(lexeme if kind in _SYMBOL_KINDS else kind)
             if parse is None:
-                what = "a pattern" if self.pattern_only else "an expression"
-                raise ParseError(f"expected {what}, found {tok.lexeme or tok.kind!r}", tok)
+                raise self.unexpected(tok, "a pattern" if self.pattern_only else "an expression")
             left = parse(self, tok)
-            while self.at("punct", "[") and not self.pattern_only:
+            while lexemes[self.pos] == "[" and kinds[self.pos] == "punct" and not self.pattern_only:
                 self.take()
                 key = self.parse_map_key()
-                end = self.expect("punct", "]")
-                left = MapAccess(left, key, span=left.span.cover(end))
+                end = self.ends[self.expect("punct", "]")]
+                left = MapAccess(left, key, span=Span(left.span.start, end, self.source))
         while True:
-            tok = self.tokens[self.pos]
-            level = _BINARY.get(tok.lexeme) if tok.kind in _OPERATOR_KINDS else None
+            tok = self.pos
+            level = _BINARY.get(lexemes[tok]) if kinds[tok] in _OPERATOR_KINDS else None
             if level is None or level[0] < min_prec or self.pattern_only:
                 break
             self.take()
@@ -345,43 +351,44 @@ class Parser:
                 left = Match(pattern, value, span=pattern.span.cover(value.span))
             else:
                 right = self.parse_expr(prec if right_assoc else prec + 1)
-                left = BinOp(tok.lexeme, left, right, span=left.span.cover(right.span))
+                left = BinOp(lexemes[tok], left, right, span=left.span.cover(right.span))
         self.depth = depth
         return left
 
     # --- primaries, each given the token that starts it, taken ---
 
-    def parse_name(self, first: Token) -> syntax.Expr:
+    def parse_name(self, first: int) -> syntax.Expr:
         """`_`, a variable, or a call `f(...)`, `M.f(...)` or `x.(...)`."""
-        if first.lexeme == "_":
+        name = self.lexemes[first]
+        if name == "_":
             if not self.pattern_only:
                 self.loose.append(first)
-            return Wildcard(span=first)
-        follow = self.peek()
-        if self.pattern_only or follow.lexeme not in ("(", ".") or follow.kind == "string":
-            return Var(first.lexeme, span=first)
-        path = [first.lexeme]
+            return Wildcard(span=self.span(first, first))
+        follow = self.lexemes[self.pos]
+        if self.pattern_only or follow not in ("(", ".") or self.kinds[self.pos] == "string":
+            return Var(name, span=self.span(first, first))
+        path = [name]
         while self.at("op", "."):
             self.take()
             if len(path) == 1 and self.at("punct", "("):
                 break
-            path.append(self.expect("ident", what="name after '.'").lexeme)
+            path.append(self.lexemes[self.expect("ident", what="name after '.'")])
         self.expect("punct", "(")
         args = self.comma_list(self.parse_expr, ")")
-        span = first.cover(self.prev_span())
-        if follow.lexeme == "." and len(path) == 1:
-            return VarCall(first.lexeme, args, span=span)
+        span = self.span(first, self.pos - 1)
+        if follow == "." and len(path) == 1:
+            return VarCall(name, args, span=span)
         return Call(tuple(path[:-1]), path[-1], args, span=span)
 
-    def parse_pin(self, caret: Token) -> syntax.Pattern:
+    def parse_pin(self, caret: int) -> syntax.Pattern:
         if not self.pattern_only:
             if not self.at("ident"):
-                raise ParseError("expected an expression, found '^'", caret)
+                raise ParseError("expected an expression, found '^'", self.span(caret, caret))
             self.loose.append(caret)
         name = self.expect("ident", what="variable after '^'")
-        return PinPattern(name.lexeme, span=caret.cover(name))
+        return PinPattern(self.lexemes[name], span=self.span(caret, name))
 
-    def parse_group(self, start: Token) -> syntax.Expr:
+    def parse_group(self, start: int) -> syntax.Expr:
         exprs = [self.parse_expr()]
         while self.at("punct", ";"):
             self.take()
@@ -389,20 +396,20 @@ class Parser:
         self.expect("punct", ")")
         return _fold_sequence(exprs)
 
-    def parse_list(self, start: Token) -> syntax.Expr:
+    def parse_list(self, start: int) -> syntax.Expr:
         if self.at("punct", "]"):
-            return ElistExpr(span=start.cover(self.take()))
+            return ElistExpr(span=self.span(start, self.take()))
         head = self.parse_expr()
         self.expect("op", "|")
         tail = self.parse_expr()
-        return ConsExpr(head, tail, span=start.cover(self.expect("punct", "]")))
+        return ConsExpr(head, tail, span=self.span(start, self.expect("punct", "]")))
 
-    def parse_map(self, start: Token) -> MapExpr:
+    def parse_map(self, start: int) -> MapExpr:
         what = "map pattern" if self.pattern_only else "map literal"
         entries, span = self.map_entries(start, self.parse_expr, what)
         return MapExpr(entries, span=span)
 
-    def parse_if(self, start: Token) -> If:
+    def parse_if(self, start: int) -> If:
         cond = self.parse_expr()
         self.expect("keyword", "do")
         then = self.sequence(lambda: self.at("keyword", "else"))
@@ -411,28 +418,28 @@ class Parser:
             orelse = self.sequence()
         else:
             # An else-less `if` is :nil when false; this branch spans the `if`.
-            orelse = AtomLit("nil", span=start)
-        return If(cond, then, orelse, span=start.cover(self.expect("keyword", "end")))
+            orelse = AtomLit("nil", span=self.span(start, start))
+        return If(cond, then, orelse, span=self.span(start, self.expect("keyword", "end")))
 
-    def parse_fn(self, start: Token) -> AnonFn:
+    def parse_fn(self, start: int) -> AnonFn:
         self.expect("punct", "(")
         params = self.comma_list(self.pattern, ")")
         self.expect("op", "->")
         body = self.sequence()
-        return AnonFn(params, body, span=start.cover(self.expect("keyword", "end")))
+        return AnonFn(params, body, span=self.span(start, self.expect("keyword", "end")))
 
 
 # Primaries by their first token's kind, or lexeme; a pattern is one of the first.
 _PATTERN_PRIMARY = {
-    "int": lambda parser, tok: IntLit(_int_value(tok), span=tok),
-    "float": lambda parser, tok: FloatLit(float(tok.lexeme), span=tok),
-    "string": lambda parser, tok: StringLit(tok.lexeme, span=tok),
-    "atom": lambda parser, tok: AtomLit(tok.lexeme, span=tok),
-    "true": lambda parser, tok: BoolLit(True, span=tok),
-    "false": lambda parser, tok: BoolLit(False, span=tok),
+    "int": lambda parser, tok: IntLit(parser.int_value(tok), span=parser.span(tok, tok)),
+    "float": lambda parser, tok: FloatLit(float(parser.lexemes[tok]), span=parser.span(tok, tok)),
+    "string": lambda parser, tok: StringLit(parser.lexemes[tok], span=parser.span(tok, tok)),
+    "atom": lambda parser, tok: AtomLit(parser.lexemes[tok], span=parser.span(tok, tok)),
+    "true": lambda parser, tok: BoolLit(True, span=parser.span(tok, tok)),
+    "false": lambda parser, tok: BoolLit(False, span=parser.span(tok, tok)),
     "ident": Parser.parse_name, "^": Parser.parse_pin,
     "{": lambda parser, tok: TupleExpr(parser.comma_list(parser.parse_expr, "}"),
-                                       span=tok.cover(parser.prev_span())),
+                                       span=parser.span(tok, parser.pos - 1)),
     "[": Parser.parse_list, "%{": Parser.parse_map,
 }
 _PRIMARY = {
@@ -460,13 +467,6 @@ def _pattern(expr, whole: syntax.Expr) -> syntax.Pattern:
     raise ParseError(_NOT_A_PATTERN, whole.span)
 
 
-def _int_value(tok: Token) -> int:
-    try:
-        return int(tok.lexeme)
-    except ValueError:  # past the digit limit of int() on text
-        raise ParseError("integer literal is too long", tok) from None
-
-
 def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
     result = exprs[-1]
     for expr in reversed(exprs[:-1]):
@@ -475,17 +475,18 @@ def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
 
 
 def parse_program(source, path: str = "<input>") -> Program:
-    """Parse a whole program from source text or a token list. An unclaimed
+    """Parse a whole program from source text or its `Tokens`. An unclaimed
     `_` or `^x` fails first; on a stack too full for `MAX_NESTING`, the
     recursion limit is "nesting too deep"."""
-    parser = Parser(source if isinstance(source, list) else tokenize(source))
+    parser = Parser(tokenize(source) if isinstance(source, str) else source)
     try:
         items = parser.parse_items(toplevel=True)
     except RecursionError:
         parser.settle()
-        raise ParseError("nesting too deep", parser.peek()) from None
+        raise ParseError("nesting too deep", parser.span(parser.pos, parser.pos)) from None
     except ParseError:
         parser.settle()
         raise
-    span = items[0].span.cover(parser.prev_span()) if items else parser.tokens[0]
+    span = (Span(items[0].span.start, parser.ends[parser.pos - 1], parser.source) if items
+            else parser.span(0, 0))
     return Program(items, path=path, span=span)

@@ -15,8 +15,8 @@ from .types import MapKey, Record, Type
 
 class Span(Record):
     """Offsets `start` to `end` into `source`, which resolves their line and
-    column for a rendered diagnostic. Not frozen, since every token is one
-    (`lexer.Token`) and plain assignment builds it fastest; hashed, since
+    column for a rendered diagnostic. Not frozen, since the parser builds one
+    for every leaf node and plain assignment builds it fastest; hashed, since
     `Node` takes one as a field default."""
 
     __slots__ = ("start", "end", "source")

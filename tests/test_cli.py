@@ -548,6 +548,17 @@ class TestOutputErrors:
             assert (proc.returncode, err) == (2, line)
 
 
+    @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                        reason="no /dev/full or /proc/self/fd")
+    def test_failed_writes_leave_no_descriptor_open(self, capsys):
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            with open("/dev/full", "w") as full, redirect_stdout(full):
+                assert run(["check", str(CORPUS_DIR)]) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err.count("cannot write output") == 5
+
+
 def _closing(fd):
     """A `preexec_fn` that starts the child with descriptor `fd` closed."""
     return lambda: os.close(fd)

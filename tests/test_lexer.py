@@ -1,14 +1,28 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, DATA_DIR
 from extc.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, tokenize
 from extc.source import Source
+from extc.syntax import Span
+from reference_lexer import reference_tokenize
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import gen  # noqa: E402
+
+
+def rows(tokens):
+    """`tokens`, the columns `tokenize` gives, as (kind, lexeme, start, end) rows."""
+    return list(zip(tokens.kinds, tokens.lexemes, tokens.starts, tokens.ends))
 
 
 def kinds_and_lexemes(source):
-    return [(t.kind, t.lexeme) for t in tokenize(source) if t.kind != "eof"]
+    return [(kind, lexeme) for kind, lexeme, _, _ in rows(tokenize(source)) if kind != "eof"]
 
 
 def test_atom():
@@ -68,9 +82,9 @@ def test_newline_inside_brackets_continues():
 
 
 def test_string_escapes():
-    toks = tokenize(r'"a\nb\t\"q\\"')
-    assert toks[0].kind == "string"
-    assert toks[0].lexeme == 'a\nb\t"q\\'
+    kind, lexeme, _, _ = rows(tokenize(r'"a\nb\t\"q\\"'))[0]
+    assert kind == "string"
+    assert lexeme == 'a\nb\t"q\\'
 
 
 def test_unknown_escape():
@@ -115,16 +129,16 @@ def test_non_decimal_digit_is_a_stray_character(source):
 
 def test_spans_cover_input():
     source = "x = 10 * 9\nx + 10\n"
-    for tok in tokenize(source):
-        assert 0 <= tok.start <= tok.end <= len(source)
-        if tok.kind not in ("newline", "eof", "string"):
-            assert source[tok.start:tok.end] == tok.lexeme
+    for kind, lexeme, start, end in rows(tokenize(source)):
+        assert 0 <= start <= end <= len(source)
+        if kind not in ("newline", "eof", "string"):
+            assert source[start:end] == lexeme
 
 
 def test_line_and_column_tracking():
     toks = tokenize("x = 1\n  y = 2")
-    y = next(t for t in toks if t.lexeme == "y")
-    assert y.source.position(y.start) == (2, 3)
+    y = toks.lexemes.index("y")
+    assert toks.source.position(toks.starts[y]) == (2, 3)
 
 
 @pytest.mark.parametrize("source, message, span", [
@@ -175,13 +189,13 @@ def test_position_agrees_with_count_and_rfind(text):
         assert source.position(offset) == _position(text, offset)
 
 
-def _raw_text(tok):
+def _raw_text(kind, lexeme):
     """The source text a token spans, for every kind but strings."""
-    if tok.kind == "newline":
+    if kind == "newline":
         return "\n"
-    if tok.kind == "atom":
-        return ":" + tok.lexeme
-    return tok.lexeme
+    if kind == "atom":
+        return ":" + lexeme
+    return lexeme
 
 
 _LEXEMES = sorted(KEYWORDS) + OPERATORS + PUNCTUATION + [
@@ -204,7 +218,82 @@ def test_spans_agree_with_offsets(source):
     except LexError as err:
         _assert_span_positions(source, err.span)
         return
-    for tok in tokens:
-        _assert_span_positions(source, tok)
-        if tok.kind != "string":
-            assert source[tok.start:tok.end] == _raw_text(tok)
+    for kind, lexeme, start, end in rows(tokens):
+        _assert_span_positions(source, Span(start, end, tokens.source))
+        if kind != "string":
+            assert source[start:end] == _raw_text(kind, lexeme)
+
+
+def _outcome(text):
+    """`tokenize(text)` as rows, or its `LexError` as (message, start, end)."""
+    try:
+        return rows(tokenize(text))
+    except LexError as err:
+        return err.message, err.span.start, err.span.end
+
+
+def _reference(text):
+    result = reference_tokenize(text)
+    if isinstance(result, LexError):
+        return result.message, result.span.start, result.span.end
+    return result
+
+
+# Pieces that meet the lexer's edge cases: brackets around newlines, escapes
+# and quotes, comments, atoms, directives, and characters that start no token
+# or are word characters but start no name.
+_EDGE = ["(", ")", "[", "]", "{", "}", "%{", "\n", "\n", "\\", '"', '\\"', "\\n", "\\z",
+         "#", "# c\n", ":", ":ok", "::", "@", "@spec", "@doc", "é", "²", "$", " ", "\t",
+         "x", "_", "1", "1.5", ",", ";", "do", "end", "fn", "+", "->", "="]
+
+
+def _mutants(sources, count, seed):
+    """`count` excerpts of `sources`, each with one to three pieces of
+    `_EDGE` inserted, characters deleted or a stretch repeated."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(sources)
+        start = rng.randrange(len(text))
+        text = text[start:start + rng.randrange(20, 300)]
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:at] + rng.choice(_EDGE) + text[at:]
+            elif edit == 1:
+                text = text[:at] + text[at + rng.randint(1, 3):]
+            else:
+                text = text[:at] + text[at:at + 8] + text[at:]
+        yield text
+
+
+class TestDifferential:
+    """`tokenize` gives the tokens of the match-loop tokenizer it replaced,
+    frozen in `tests/reference_lexer.py`: the same kind, lexeme, start and
+    end, or the same `LexError` message and span."""
+
+    @pytest.fixture(scope="class")
+    def workload_sources(self):
+        return [text for workload in (gen.legacy_migration, gen.dense_bodies)
+                for seed in (1, 2, 3) for text in workload(seed).files.values()]
+
+    def test_corpus_and_data(self):
+        for text in _SOURCES:
+            assert _outcome(text) == _reference(text)
+
+    def test_workload_corpora(self, workload_sources):
+        for text in workload_sources:
+            assert _outcome(text) == _reference(text)
+
+    def test_mutated_excerpts(self, workload_sources):
+        for text in _mutants(_SOURCES + workload_sources, 3000, seed=15):
+            assert _outcome(text) == _reference(text), text
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(_EDGE), max_size=30).map("".join))
+    @example(")\nx\ny")  # a closer at depth 0 leaves the depth at 0
+    @example('"a\\"')  # an escaped quote closes no string
+    @example(': "a')  # the first error in source order wins
+    @example('"\\n"\n"("\nx')  # strings that unescape to a newline or a bracket
+    def test_edge_alphabet(self, text):
+        assert _outcome(text) == _reference(text)

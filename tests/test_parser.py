@@ -200,10 +200,28 @@ class TestOperatorTable:
         assert (expr.operand.span.start, expr.operand.span.end) == (2, 5)
 
     def test_string_with_operator_text_is_not_an_operator(self):
-        with pytest.raises(ParseError, match="expected 'end', found '\\+'"):
+        with pytest.raises(ParseError) as exc:
             parse_program('def f() do a "+" b end')
-        with pytest.raises(ParseError, match="expected a newline or ';', found '\\+'"):
+        assert exc.value.message == "expected 'end', found '\"+\"'"
+        with pytest.raises(ParseError) as exc:
             parse_program('a "+" b')
+        assert exc.value.message == "expected a newline or ';', found '\"+\"'"
+
+
+@pytest.mark.parametrize("source, message, span", [
+    ('def f() do a "" b end', "expected 'end', found '\"\"'", (13, 15)),
+    ('@spec f("x") :: integer', "expected a type, found '\"x\"'", (8, 11)),
+    ('@spec f("a\\"b") :: integer', "expected a type, found '\"a\\\\\"b\"'", (8, 14)),
+    ("@spec f(", "expected a type, found 'eof'", (8, 8)),
+    ("x = ", "expected an expression, found 'eof'", (4, 4)),
+    ("def f(", "expected a pattern, found 'eof'", (6, 6)),
+    ("def f() do 1", "expected 'end', found 'eof'", (12, 12)),
+])
+def test_found_token_is_named_as_written(source, message, span):
+    """A string is named with its quotes and escapes, the end of file as `eof`."""
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (message, span)
 
 
 class TestNesting:
@@ -295,7 +313,7 @@ def _taken(monkeypatch, tokens, parse):
     take = Parser.take
 
     def counting_take(self):
-        if self.peek().kind != "eof":
+        if self.kinds[self.pos] != "eof":
             counts[self.pos] += 1
         return take(self)
 
