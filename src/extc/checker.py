@@ -19,7 +19,7 @@ def check_programs(programs: list[syntax.Program], collected=None) -> list[Diagn
     if not given. The diagnostics come in the order found; callers sort them."""
     sigs, diags = collected or collect_all(programs)
     for program, prefix, items in scopes(programs):
-        checker = ExprChecker(sigs, prefix, program.path, sink=diags)
+        checker = ExprChecker(sigs, prefix, program, sink=diags)
         for item in items:
             try:
                 if isinstance(item, syntax.FunctionDef):
@@ -27,9 +27,10 @@ def check_programs(programs: list[syntax.Program], collected=None) -> list[Diagn
                 elif not isinstance(item, (syntax.ModuleDef, syntax.SpecDecl)):  # specs are trusted
                     checker.synthesize(item, {})
             except CheckFailure as err:
-                diags.append(err.to_diagnostic(program.path))
+                diags.append(Diagnostic.at(program, err, err.code, err.message,
+                                           expected=err.expected, actual=err.actual))
             except RecursionError:  # a type variables carried past `RECURSION_LIMIT`
-                diags.append(Diagnostic(E_PARSE, "nesting too deep", item.span, file=program.path))
+                diags.append(Diagnostic.at(program, item, E_PARSE, "nesting too deep"))
     return diags
 
 
@@ -40,12 +41,9 @@ def check_function_clause(clause: syntax.FunctionDef, checker: ExprChecker):
     arity = len(clause.params)
     fn_type = checker.sigs.lookup(name, arity)
     if fn_type is None:
-        checker.sink.append(Diagnostic(
-            I_UNTYPED_DEF,
-            f"{name}/{arity} has no @spec; the definition is accepted unchecked",
-            clause.span,
-            file=checker.file,
-        ))
+        checker.sink.append(Diagnostic.at(
+            checker.program, clause, I_UNTYPED_DEF,
+            f"{name}/{arity} has no @spec; the definition is accepted unchecked"))
         return
 
     # Parameter patterns are checked left to right against the declared
@@ -62,7 +60,7 @@ def check_function_clause(clause: syntax.FunctionDef, checker: ExprChecker):
             E_SPEC_PARAM_MISMATCH,
             f"parameter pattern of {name}/{arity} does not refine its declared type: "
             f"{err.message}",
-            err.span,
+            err,
             expected=err.expected,
             actual=err.actual,
         ) from None
@@ -73,7 +71,7 @@ def check_function_clause(clause: syntax.FunctionDef, checker: ExprChecker):
             E_SPEC_BODY_MISMATCH,
             f"body of {name}/{arity} has type {body_t} but the @spec declares "
             f"{fn_type.result}",
-            clause.body.span,
+            clause.body,
             expected=str(fn_type.result),
             actual=str(body_t),
         )

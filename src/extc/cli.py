@@ -123,7 +123,7 @@ def _load(name: str) -> Program | Diagnostic:
     try:
         return parse_program(text, path=name)
     except (LexError, ParseError) as err:
-        return err.to_diagnostic(name)
+        return Diagnostic(err.code, err.message, err.span, file=name)
 
 
 def run(argv: list[str] | None = None) -> int:

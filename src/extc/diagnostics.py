@@ -1,7 +1,7 @@
 """Structured diagnostics and their text/JSON rendering."""
 from __future__ import annotations
 
-from .syntax import Span
+from .syntax import Program, Span
 from .types import Record
 
 E_PARSE = "E_PARSE"
@@ -33,20 +33,17 @@ _SEVERITY = {"E": "error", "W": "warning", "I": "info"}
 
 class CheckFailure(Exception):
     """Raised by the lexer, the parser and the checking passes; converted to a
-    Diagnostic where a file is parsed or a clause or statement is checked."""
+    Diagnostic where a file is parsed or a clause or statement is checked.
+    It keeps the offsets of `at`: the node, span or failure it is about."""
 
-    def __init__(self, code: str, message: str, span: Span,
+    def __init__(self, code: str, message: str, at,
                  expected: str | None = None, actual: str | None = None):
         super().__init__(message)
         self.code = code
         self.message = message
-        self.span = span
+        self.start, self.end = at.start, at.end
         self.expected = expected
         self.actual = actual
-
-    def to_diagnostic(self, file: str = "<input>") -> "Diagnostic":
-        return Diagnostic(self.code, self.message, self.span, file=file,
-                          expected=self.expected, actual=self.actual)
 
 
 class Diagnostic(Record):
@@ -59,6 +56,11 @@ class Diagnostic(Record):
             raise ValueError(f"unknown diagnostic code {code!r}")
         self.code, self.message, self.span = code, message, span
         self.file, self.expected, self.actual = file, expected, actual
+
+    @classmethod
+    def at(cls, program: Program, node, code: str, message: str, **extra) -> "Diagnostic":
+        """A diagnostic on the offsets of `node`, or of a failure, in `program`."""
+        return cls(code, message, Span(node.start, node.end, program.source), file=program.path, **extra)
 
     @property
     def severity(self) -> str:

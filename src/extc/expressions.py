@@ -34,35 +34,35 @@ UNARY_OPERAND_TYPES = {"-": FLOAT, "not": BOOLEAN}
 
 class ExprChecker:
     """Synthesizes types for expressions against a fixed signature environment
-    and module prefix; warnings go to the sink."""
+    and module prefix, in `program`; warnings go to the sink."""
 
-    def __init__(self, sigs: SignatureEnv, prefix: tuple[str, ...], file: str, sink: list):
+    def __init__(self, sigs: SignatureEnv, prefix: tuple[str, ...], program, sink: list):
         self.sigs = sigs
         self.prefix = prefix
-        self.file = file
+        self.program = program
         self.sink = sink
 
     # --- helpers ---
 
-    def _mismatch(self, actual: Type, expected_text: str, span) -> CheckFailure:
+    def _mismatch(self, actual: Type, expected_text: str, at) -> CheckFailure:
         return CheckFailure(
             E_TYPE_MISMATCH,
             f"expression has type {actual}, expected {expected_text}",
-            span,
+            at,
             expected=expected_text,
             actual=str(actual),
         )
 
-    def _require_fits(self, actual: Type, expected: Type, span):
+    def _require_fits(self, actual: Type, expected: Type, at):
         if not fits(actual, expected):
-            raise self._mismatch(actual, str(expected), span)
+            raise self._mismatch(actual, str(expected), at)
 
-    def _list_element(self, t: Type, span) -> Type:
+    def _list_element(self, t: Type, at) -> Type:
         if isinstance(t, ListType):
             return t.element
         if t is ANY or t is NONE:
             return t
-        raise self._mismatch(t, "[term]", span)
+        raise self._mismatch(t, "[term]", at)
 
     # --- synthesis ---
 
@@ -81,7 +81,7 @@ class ExprChecker:
         """The type bound to a `Var` or to a `VarCall`'s name."""
         bound = env.get(expr.name)
         if bound is None:
-            raise CheckFailure(E_UNBOUND_VAR, f"variable '{expr.name}' is not bound", expr.span)
+            raise CheckFailure(E_UNBOUND_VAR, f"variable '{expr.name}' is not bound", expr)
         return bound, _NO_BINDINGS
 
     def _tuple(self, expr, env: dict):
@@ -94,7 +94,7 @@ class ExprChecker:
 
     def _cons(self, expr, env: dict):
         (head_t, tail_t), added = self._synth_each((expr.head, expr.tail), env)
-        element = self._list_element(tail_t, expr.tail.span)
+        element = self._list_element(tail_t, expr.tail)
         return ListType(join(head_t, element)), added
 
     def _map(self, expr, env: dict):
@@ -113,10 +113,10 @@ class ExprChecker:
                 value = result.get(node.key)
                 if value is None:
                     raise CheckFailure(E_UNKNOWN_KEY, f"map of type {result} has no key {node.key}",
-                                       node.span, expected=str(result))
+                                       node, expected=str(result))
                 result = value
             elif result is not ANY and result is not NONE:
-                raise self._mismatch(result, "%{" + f"{node.key} => term" + "}", node.subject.span)
+                raise self._mismatch(result, "%{" + f"{node.key} => term" + "}", node.subject)
         return result, added
 
     def _match(self, expr, env: dict):
@@ -144,7 +144,7 @@ class ExprChecker:
 
     def _if(self, expr, env: dict):
         cond_t, added = self.synthesize(expr.cond, env)
-        self._require_fits(cond_t, BOOLEAN, expr.cond.span)
+        self._require_fits(cond_t, BOOLEAN, expr.cond)
         branch_env = extend(env, added)
         then_t, _ = self.synthesize(expr.then, branch_env)
         else_t, _ = self.synthesize(expr.orelse, branch_env)
@@ -154,7 +154,7 @@ class ExprChecker:
         result: Type | None = None
         for clause in expr.clauses:
             cond_t, added = self.synthesize(clause.cond, env)
-            self._require_fits(cond_t, BOOLEAN, clause.cond.span)
+            self._require_fits(cond_t, BOOLEAN, clause.cond)
             body_t, _ = self.synthesize(clause.body, extend(env, added))
             result = body_t if result is None else join(result, body_t)
         return result, _NO_BINDINGS
@@ -175,7 +175,7 @@ class ExprChecker:
         required = UNARY_OPERAND_TYPES.get(expr.op)
         if required is None:
             raise TypeError(f"unknown unary operator {expr.op!r}")
-        self._require_fits(operand_t, required, expr.operand.span)
+        self._require_fits(operand_t, required, expr.operand)
         # `not` gives boolean; negation keeps a number's type, and an unknown
         # operand settles on float.
         return required if expr.op == "not" or operand_t is ANY else operand_t, added
@@ -200,8 +200,8 @@ class ExprChecker:
         op = expr.op
         required = OPERAND_TYPES.get(op)
         if required is not None:
-            self._require_fits(left_t, required, expr.left.span)
-            self._require_fits(right_t, required, expr.right.span)
+            self._require_fits(left_t, required, expr.left)
+            self._require_fits(right_t, required, expr.right)
             if op not in ARITH_OPS:
                 return required
             # An `any` operand materializes to the other operand's numeric
@@ -212,8 +212,8 @@ class ExprChecker:
             # Heterogeneous comparisons are allowed; the result is boolean.
             return BOOLEAN
         if op in LIST_OPS:
-            left_elem = self._list_element(left_t, expr.left.span)
-            right_elem = self._list_element(right_t, expr.right.span)
+            left_elem = self._list_element(left_t, expr.left)
+            right_elem = self._list_element(right_t, expr.right)
             return ListType(join(left_elem, right_elem))
         raise TypeError(f"unknown binary operator {op!r}")
 
@@ -224,14 +224,10 @@ class ExprChecker:
         for clause in expr.clauses:
             bindings, fell_back = check_case_pattern(clause.pattern, subject_t, subject_env)
             if fell_back:
-                self.sink.append(Diagnostic(
-                    W_UNREACHABLE_PATTERN,
+                self.sink.append(Diagnostic.at(
+                    self.program, clause.pattern, W_UNREACHABLE_PATTERN,
                     f"pattern can never match the selector type {subject_t}; "
-                    "checked against term instead",
-                    clause.pattern.span,
-                    file=self.file,
-                    expected=str(subject_t),
-                ))
+                    "checked against term instead", expected=str(subject_t)))
             body_t, _ = self.synthesize(clause.body, extend(subject_env, bindings))
             result = body_t if result is None else join(result, body_t)
         return result, added
@@ -252,10 +248,10 @@ class ExprChecker:
             return ANY, self._synth_each(expr.args, env)[1]
         if not isinstance(fn_type, FunctionType):
             raise CheckFailure(E_NOT_FUNCTION, f"variable '{expr.name}' has type {fn_type}, "
-                               "which is not a function", expr.span, actual=str(fn_type))
+                               "which is not a function", expr, actual=str(fn_type))
         if len(fn_type.params) != len(expr.args):
             raise CheckFailure(E_ARITY, f"function '{expr.name}' takes {len(fn_type.params)} "
-                               f"argument(s), got {len(expr.args)}", expr.span)
+                               f"argument(s), got {len(expr.args)}", expr)
         return fn_type.result, self._synth_each(expr.args, env, fn_type.params)[1]
 
     def _synth_each(self, exprs, env: dict, params=None,
@@ -271,7 +267,7 @@ class ExprChecker:
                 raise CheckFailure(
                     E_TYPE_MISMATCH,
                     f"argument of type {t} does not fit parameter type {params[i]}{callee}",
-                    item.span, expected=str(params[i]), actual=str(t))
+                    item, expected=str(params[i]), actual=str(t))
             item_types.append(t)
             added = sibling_bindings(env, added, item_added)
         return item_types, added

@@ -83,6 +83,7 @@ class Tokens(Value):
 class LexError(CheckFailure):
     def __init__(self, message: str, span: Span):
         super().__init__(E_LEX, message, span)
+        self.span = span  # whole, since no program holds the source yet
 
 
 def tokenize(source: str) -> Tokens:

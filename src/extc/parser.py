@@ -34,6 +34,7 @@ from .types import (
 class ParseError(CheckFailure):
     def __init__(self, message: str, span: Span):
         super().__init__(E_PARSE, message, span)
+        self.span = span  # whole, since no program holds the source yet
 
 
 # Binary operator lexeme -> (precedence, right associative); higher binds
@@ -90,9 +91,8 @@ class Parser:
         return Span(self.starts[first], self.ends[last], self.source)
 
     def unexpected(self, i: int, expected: str) -> ParseError:
-        """The error for token `i` where `expected` should stand, naming a string as written."""
-        found = (self.source.text[self.starts[i]:self.ends[i]] if self.kinds[i] == "string"
-                 else self.lexemes[i] or self.kinds[i])
+        """The error for token `i` where `expected` should stand, naming the token as written."""
+        found = self.source.text[self.starts[i]:self.ends[i]] or self.kinds[i]
         return ParseError(f"expected {expected}, found {found!r}", self.span(i, i))
 
     def at(self, kind: str, lexeme: str | None = None) -> bool:
@@ -124,9 +124,9 @@ class Parser:
         self.expect("punct", close)
         return items
 
-    def map_entries(self, start: int, parse_value: Callable, what: str) -> tuple[list, Span]:
+    def map_entries(self, start: int, parse_value: Callable, what: str) -> tuple[list, int]:
         """The `key => value, ...}` after token `start`, with distinct keys, and
-        the braces' span. `comma_list`'s loop, written out to save frames."""
+        the closing brace's token. `comma_list`'s loop, written out to save frames."""
         entries = []
         if not self.at("punct", "}"):
             while True:
@@ -136,10 +136,10 @@ class Parser:
                 if not self.at("punct", ","):
                     break
                 self.take()
-        span = self.span(start, self.expect("punct", "}"))
+        close = self.expect("punct", "}")
         if len({key for key, _ in entries}) != len(entries):
-            raise ParseError(f"duplicate keys in {what}", span)
-        return entries, span
+            raise ParseError(f"duplicate keys in {what}", self.span(start, close))
+        return entries, close
 
     def settle(self, expr: syntax.Expr | None = None) -> syntax.Expr:
         """`expr`, a finished statement: the first unclaimed `_` or `^x` fails."""
@@ -188,21 +188,22 @@ class Parser:
                 head = self.pattern() if case else self.settle(self.parse_expr())
             self.expect("op", "->")
             body = self.sequence(head_of=head_of)
-            clauses.append(clause_type(head, body, span=head.span.cover(body.span)))
+            clauses.append(clause_type(head, body, start=head.start, end=body.end))
             head = self.next_head
         if not clauses:
             raise ParseError(f"{self.lexemes[start]} expression needs at least one clause",
                              self.span(self.pos, self.pos))
-        span = self.span(start, self.expect("keyword", "end"))
-        return Case(subject, clauses, span=span) if case else Cond(clauses, span=span)
+        first, last = self.starts[start], self.ends[self.expect("keyword", "end")]
+        return (Case(subject, clauses, start=first, end=last) if case
+                else Cond(clauses, start=first, end=last))
 
     def to_pattern(self, expr: syntax.Expr, start: int) -> syntax.Pattern:
         """`expr`, parsed from token `start` on, as a pattern, which claims the
         `_` and `^x` in it. ParseError if it is no pattern."""
         if self.pos - start > 2 and any(self.lexemes[i] == "(" and self.kinds[i] == "punct"
                                         for i in range(start, self.pos)):
-            raise ParseError(_NOT_A_PATTERN, expr.span)  # a group, which the AST does not show
-        pattern = _pattern(expr, expr)
+            raise self.not_a_pattern(expr)  # a group, which the AST does not show
+        pattern = self.as_pattern(expr, expr)
         while self.loose and self.loose[-1] >= start:
             self.loose.pop()
         return pattern
@@ -212,7 +213,31 @@ class Parser:
         self.pattern_only = True
         expr = self.parse_expr()
         self.pattern_only = False
-        return _pattern(expr, expr)
+        return self.as_pattern(expr, expr)
+
+    def as_pattern(self, expr, whole: syntax.Expr) -> syntax.Pattern:
+        """`expr`, part of `whole`, as a pattern: literals, `_` and `^x` already
+        are patterns, and variables and data constructors convert."""
+        kind = type(expr)
+        if kind is Var:
+            return VarPattern(expr.name, start=expr.start, end=expr.end)
+        if kind is TupleExpr:
+            return TuplePattern([self.as_pattern(item, whole) for item in expr.items],
+                                start=expr.start, end=expr.end)
+        if kind is ConsExpr:
+            return ConsPattern(self.as_pattern(expr.head, whole), self.as_pattern(expr.tail, whole),
+                               start=expr.start, end=expr.end)
+        if kind is MapExpr:
+            return MapPattern([(k, self.as_pattern(v, whole)) for k, v in expr.entries],
+                              start=expr.start, end=expr.end)
+        if kind is ElistExpr:
+            return ElistPattern(start=expr.start, end=expr.end)
+        if isinstance(expr, syntax.Pattern):
+            return expr
+        raise self.not_a_pattern(whole)
+
+    def not_a_pattern(self, expr: syntax.Expr) -> ParseError:
+        return ParseError(_NOT_A_PATTERN, Span(expr.start, expr.end, self.source))
 
     # --- programs and declarations ---
 
@@ -241,7 +266,8 @@ class Parser:
         name = self.lexemes[self.expect("ident", what="module name")]
         self.expect("keyword", "do")
         body = self.parse_items(toplevel=False)
-        return ModuleDef(name, body, span=self.span(start, self.expect("keyword", "end")))
+        return ModuleDef(name, body, start=self.starts[start],
+                         end=self.ends[self.expect("keyword", "end")])
 
     def parse_def(self) -> FunctionDef:
         start = self.expect("keyword", "def")
@@ -250,7 +276,8 @@ class Parser:
         params = self.comma_list(self.pattern, ")")
         self.expect("keyword", "do")
         body = self.sequence()
-        return FunctionDef(name, params, body, span=self.span(start, self.expect("keyword", "end")))
+        return FunctionDef(name, params, body, start=self.starts[start],
+                           end=self.ends[self.expect("keyword", "end")])
 
     def parse_signature(self) -> SpecDecl:
         start = self.expect("atspec")
@@ -259,7 +286,7 @@ class Parser:
         params = self.comma_list(self.parse_type, ")")
         self.expect("op", "::")
         result = self.parse_type()
-        return SpecDecl(name, params, result, span=self.span(start, self.pos - 1))
+        return SpecDecl(name, params, result, start=self.starts[start], end=self.ends[self.pos - 1])
 
     def at_declaration(self) -> bool:
         kind = self.kinds[self.pos]
@@ -326,7 +353,7 @@ class Parser:
         kind, lexeme = kinds[tok], lexemes[tok]
         if lexeme in _UNARY and kind in _OPERATOR_KINDS and not self.pattern_only:
             operand = self.parse_expr(_PREFIX)
-            left = UnaryOp(lexeme, operand, span=self.span(tok, tok).cover(operand.span))
+            left = UnaryOp(lexeme, operand, start=self.starts[tok], end=operand.end)
         else:
             table = _PATTERN_PRIMARY if self.pattern_only else _PRIMARY
             parse = table.get(lexeme if kind in _SYMBOL_KINDS else kind)
@@ -336,8 +363,8 @@ class Parser:
             while lexemes[self.pos] == "[" and kinds[self.pos] == "punct" and not self.pattern_only:
                 self.take()
                 key = self.parse_map_key()
-                end = self.ends[self.expect("punct", "]")]
-                left = MapAccess(left, key, span=Span(left.span.start, end, self.source))
+                left = MapAccess(left, key, start=left.start,
+                                 end=self.ends[self.expect("punct", "]")])
         while True:
             tok = self.pos
             level = _BINARY.get(lexemes[tok]) if kinds[tok] in _OPERATOR_KINDS else None
@@ -348,10 +375,10 @@ class Parser:
             if prec == 0:
                 pattern = self.to_pattern(left, start)
                 value = self.parse_expr(prec)
-                left = Match(pattern, value, span=pattern.span.cover(value.span))
+                left = Match(pattern, value, start=pattern.start, end=value.end)
             else:
                 right = self.parse_expr(prec if right_assoc else prec + 1)
-                left = BinOp(lexemes[tok], left, right, span=left.span.cover(right.span))
+                left = BinOp(lexemes[tok], left, right, start=left.start, end=right.end)
         self.depth = depth
         return left
 
@@ -363,10 +390,10 @@ class Parser:
         if name == "_":
             if not self.pattern_only:
                 self.loose.append(first)
-            return Wildcard(span=self.span(first, first))
+            return Wildcard(start=self.starts[first], end=self.ends[first])
         follow = self.lexemes[self.pos]
         if self.pattern_only or follow not in ("(", ".") or self.kinds[self.pos] == "string":
-            return Var(name, span=self.span(first, first))
+            return Var(name, start=self.starts[first], end=self.ends[first])
         path = [name]
         while self.at("op", "."):
             self.take()
@@ -375,10 +402,10 @@ class Parser:
             path.append(self.lexemes[self.expect("ident", what="name after '.'")])
         self.expect("punct", "(")
         args = self.comma_list(self.parse_expr, ")")
-        span = self.span(first, self.pos - 1)
+        start, end = self.starts[first], self.ends[self.pos - 1]
         if follow == "." and len(path) == 1:
-            return VarCall(name, args, span=span)
-        return Call(tuple(path[:-1]), path[-1], args, span=span)
+            return VarCall(name, args, start=start, end=end)
+        return Call(tuple(path[:-1]), path[-1], args, start=start, end=end)
 
     def parse_pin(self, caret: int) -> syntax.Pattern:
         if not self.pattern_only:
@@ -386,7 +413,7 @@ class Parser:
                 raise ParseError("expected an expression, found '^'", self.span(caret, caret))
             self.loose.append(caret)
         name = self.expect("ident", what="variable after '^'")
-        return PinPattern(self.lexemes[name], span=self.span(caret, name))
+        return PinPattern(self.lexemes[name], start=self.starts[caret], end=self.ends[name])
 
     def parse_group(self, start: int) -> syntax.Expr:
         exprs = [self.parse_expr()]
@@ -398,16 +425,17 @@ class Parser:
 
     def parse_list(self, start: int) -> syntax.Expr:
         if self.at("punct", "]"):
-            return ElistExpr(span=self.span(start, self.take()))
+            return ElistExpr(start=self.starts[start], end=self.ends[self.take()])
         head = self.parse_expr()
         self.expect("op", "|")
         tail = self.parse_expr()
-        return ConsExpr(head, tail, span=self.span(start, self.expect("punct", "]")))
+        return ConsExpr(head, tail, start=self.starts[start],
+                        end=self.ends[self.expect("punct", "]")])
 
     def parse_map(self, start: int) -> MapExpr:
         what = "map pattern" if self.pattern_only else "map literal"
-        entries, span = self.map_entries(start, self.parse_expr, what)
-        return MapExpr(entries, span=span)
+        entries, close = self.map_entries(start, self.parse_expr, what)
+        return MapExpr(entries, start=self.starts[start], end=self.ends[close])
 
     def parse_if(self, start: int) -> If:
         cond = self.parse_expr()
@@ -418,28 +446,30 @@ class Parser:
             orelse = self.sequence()
         else:
             # An else-less `if` is :nil when false; this branch spans the `if`.
-            orelse = AtomLit("nil", span=self.span(start, start))
-        return If(cond, then, orelse, span=self.span(start, self.expect("keyword", "end")))
+            orelse = AtomLit("nil", start=self.starts[start], end=self.ends[start])
+        return If(cond, then, orelse, start=self.starts[start],
+                  end=self.ends[self.expect("keyword", "end")])
 
     def parse_fn(self, start: int) -> AnonFn:
         self.expect("punct", "(")
         params = self.comma_list(self.pattern, ")")
         self.expect("op", "->")
         body = self.sequence()
-        return AnonFn(params, body, span=self.span(start, self.expect("keyword", "end")))
+        return AnonFn(params, body, start=self.starts[start],
+                      end=self.ends[self.expect("keyword", "end")])
 
 
 # Primaries by their first token's kind, or lexeme; a pattern is one of the first.
 _PATTERN_PRIMARY = {
-    "int": lambda parser, tok: IntLit(parser.int_value(tok), span=parser.span(tok, tok)),
-    "float": lambda parser, tok: FloatLit(float(parser.lexemes[tok]), span=parser.span(tok, tok)),
-    "string": lambda parser, tok: StringLit(parser.lexemes[tok], span=parser.span(tok, tok)),
-    "atom": lambda parser, tok: AtomLit(parser.lexemes[tok], span=parser.span(tok, tok)),
-    "true": lambda parser, tok: BoolLit(True, span=parser.span(tok, tok)),
-    "false": lambda parser, tok: BoolLit(False, span=parser.span(tok, tok)),
+    "int": lambda p, tok: IntLit(p.int_value(tok), start=p.starts[tok], end=p.ends[tok]),
+    "float": lambda p, tok: FloatLit(float(p.lexemes[tok]), start=p.starts[tok], end=p.ends[tok]),
+    "string": lambda p, tok: StringLit(p.lexemes[tok], start=p.starts[tok], end=p.ends[tok]),
+    "atom": lambda p, tok: AtomLit(p.lexemes[tok], start=p.starts[tok], end=p.ends[tok]),
+    "true": lambda p, tok: BoolLit(True, start=p.starts[tok], end=p.ends[tok]),
+    "false": lambda p, tok: BoolLit(False, start=p.starts[tok], end=p.ends[tok]),
     "ident": Parser.parse_name, "^": Parser.parse_pin,
-    "{": lambda parser, tok: TupleExpr(parser.comma_list(parser.parse_expr, "}"),
-                                       span=parser.span(tok, parser.pos - 1)),
+    "{": lambda p, tok: TupleExpr(p.comma_list(p.parse_expr, "}"),
+                                  start=p.starts[tok], end=p.ends[p.pos - 1]),
     "[": Parser.parse_list, "%{": Parser.parse_map,
 }
 _PRIMARY = {
@@ -448,29 +478,10 @@ _PRIMARY = {
 }
 
 
-def _pattern(expr, whole: syntax.Expr) -> syntax.Pattern:
-    """`expr`, part of `whole`, as a pattern: literals, `_` and `^x` already
-    are patterns, and variables and data constructors convert."""
-    kind = type(expr)
-    if kind is Var:
-        return VarPattern(expr.name, span=expr.span)
-    if kind is TupleExpr:
-        return TuplePattern([_pattern(item, whole) for item in expr.items], span=expr.span)
-    if kind is ConsExpr:
-        return ConsPattern(_pattern(expr.head, whole), _pattern(expr.tail, whole), span=expr.span)
-    if kind is MapExpr:
-        return MapPattern([(k, _pattern(v, whole)) for k, v in expr.entries], span=expr.span)
-    if kind is ElistExpr:
-        return ElistPattern(span=expr.span)
-    if isinstance(expr, syntax.Pattern):
-        return expr
-    raise ParseError(_NOT_A_PATTERN, whole.span)
-
-
 def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
     result = exprs[-1]
     for expr in reversed(exprs[:-1]):
-        result = Seq(expr, result, span=expr.span.cover(result.span))
+        result = Seq(expr, result, start=expr.start, end=result.end)
     return result
 
 
@@ -487,6 +498,4 @@ def parse_program(source, path: str = "<input>") -> Program:
     except ParseError:
         parser.settle()
         raise
-    span = (Span(items[0].span.start, parser.ends[parser.pos - 1], parser.source) if items
-            else parser.span(0, 0))
-    return Program(items, path=path, span=span)
+    return Program(items, path=path, source=parser.source, end=len(parser.source.text))

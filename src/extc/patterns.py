@@ -39,7 +39,7 @@ def _mismatch(pattern, expected: Type, actual: Type | None = None) -> CheckFailu
     return CheckFailure(
         E_PATTERN_TYPE,
         f"pattern cannot match a value of type {expected}",
-        pattern.span,
+        pattern,
         expected=str(expected),
         actual=None if actual is None else str(actual),
     )
@@ -50,7 +50,7 @@ def _pinned(pattern, sigma: dict) -> Type:
     pinned = sigma.get(pattern.name)
     if pinned is None:
         raise CheckFailure(E_PIN_UNBOUND, f"pinned variable '{pattern.name}' is not bound "
-                           "in the enclosing scope", pattern.span)
+                           "in the enclosing scope", pattern)
     return pinned
 
 
@@ -84,7 +84,7 @@ def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
                 E_NONLINEAR_MISMATCH,
                 f"variable '{pattern.name}' is already bound with type {bound} "
                 f"but is required here at type {expected}",
-                pattern.span,
+                pattern,
                 expected=str(bound),
                 actual=str(expected),
             )
@@ -134,7 +134,7 @@ def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
                 raise CheckFailure(
                     E_UNKNOWN_KEY,
                     f"key {key} does not occur in the expected map type {expected}",
-                    pattern.span,
+                    pattern,
                     expected=str(expected),
                 )
             check_pattern(sub, value_type, sigma, gamma, mode)
@@ -143,7 +143,7 @@ def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
             raise CheckFailure(
                 E_PATTERN_TYPE,
                 f"map pattern must name exactly the keys of the declared type {expected}",
-                pattern.span,
+                pattern,
                 expected=str(expected),
             )
         return

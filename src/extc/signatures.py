@@ -33,22 +33,16 @@ def collect_all(programs: list[syntax.Program]) -> tuple[SignatureEnv, list[Diag
                 if env.add(prefix, item.name, fn_type):
                     local_specs.append((item, len(item.params)))
                 else:
-                    diags.append(Diagnostic(
-                        E_DUP_SPEC,
+                    diags.append(Diagnostic.at(
+                        program, item, E_DUP_SPEC,
                         f"duplicate @spec for {qualify(prefix, item.name)}/{len(item.params)}; "
-                        "the first declaration stays in effect",
-                        item.span,
-                        file=program.path,
-                    ))
+                        "the first declaration stays in effect"))
             elif isinstance(item, syntax.FunctionDef):
                 local_defs.add((item.name, len(item.params)))
         for spec, arity in local_specs:
             if (spec.name, arity) not in local_defs:
-                diags.append(Diagnostic(
-                    W_SPEC_NO_DEF,
+                diags.append(Diagnostic.at(
+                    program, spec, W_SPEC_NO_DEF,
                     f"@spec {qualify(prefix, spec.name)}/{arity} has no matching definition "
-                    "in this module",
-                    spec.span,
-                    file=program.path,
-                ))
+                    "in this module"))
     return env, diags

@@ -1,8 +1,10 @@
 """AST for the Elixir fragment: programs, modules, functions, expressions and
-patterns, every node carrying a source span.
+patterns. Every node holds the offsets `start` and `end` of its source text,
+and a `Program` holds the file's `Source`, which turns offsets into lines and
+columns once a diagnostic reports them.
 
-Spans never take part in equality, so two parses of equivalent source compare
-structurally equal.
+Offsets never take part in equality, so two parses of equivalent source
+compare structurally equal.
 """
 from __future__ import annotations
 
@@ -15,25 +17,19 @@ from .types import MapKey, Record, Type
 
 class Span(Record):
     """Offsets `start` to `end` into `source`, which resolves their line and
-    column for a rendered diagnostic. Not frozen, since the parser builds one
-    for every leaf node and plain assignment builds it fastest; hashed, since
-    `Node` takes one as a field default."""
+    column: the location of a diagnostic, or of the lex or parse error that
+    becomes one. Nodes hold only the offsets."""
 
     __slots__ = ("start", "end", "source")
 
     def __init__(self, start: int, end: int, source: Source):
         self.start, self.end, self.source = start, end, source
 
-    def cover(self, other: "Span") -> "Span":
-        return Span(min(self.start, other.start), max(self.end, other.end), self.source)
-
-
-DUMMY_SPAN = Span(0, 0, Source(""))
-
 
 @dataclass(slots=True)
 class Node:
-    span: Span = field(compare=False, default=DUMMY_SPAN, kw_only=True)
+    start: int = field(compare=False, default=0, kw_only=True)
+    end: int = field(compare=False, default=0, kw_only=True)
 
 
 class Expr(Node):
@@ -254,6 +250,7 @@ class ModuleDef(Node):
 class Program(Node):
     items: list[Node]
     path: str = field(compare=False, default="<input>")
+    source: Source = field(compare=False, kw_only=True)
 
 
 def children(node: Node):
@@ -270,6 +267,9 @@ def children(node: Node):
                     for part in item:
                         if isinstance(part, Node):
                             yield part
+
+
+_LOCATION = ("start", "end", "source")  # fields `dump` leaves out
 
 
 def dump(node: Node) -> str:
@@ -289,9 +289,9 @@ def dump(node: Node) -> str:
         scalars = []
         todo = []
         for f in dataclasses.fields(item):
-            value = getattr(item, f.name)
-            if isinstance(value, Span):
+            if f.name in _LOCATION:
                 continue
+            value = getattr(item, f.name)
             if isinstance(value, Node):
                 value = [value]
             elif not (isinstance(value, list) and value and isinstance(value[0], (Node, tuple))):

@@ -37,8 +37,9 @@ def _universe():
 
 def _synth(source, env=None, sigs=None, prefix=()):
     """The type of the statements `source` holds, and the bindings they add."""
-    checker = ExprChecker(sigs or SignatureEnv(), prefix, "<input>", [])
-    return checker.synthesize(parse_program(source).items[0], dict(env or {}))
+    program = parse_program(source)
+    checker = ExprChecker(sigs or SignatureEnv(), prefix, program, [])
+    return checker.synthesize(program.items[0], dict(env or {}))
 
 
 def _accepted(source, sigs=None, prefix=()):

@@ -139,6 +139,18 @@ class TestMultiplePrograms:
         assert errors[0].file == "b.ex"
         assert errors[0].code == "E_TYPE_MISMATCH"
 
+    def test_each_diagnostic_points_into_its_own_file(self):
+        """Checked together, the corpus files clash over shared specs; every
+        diagnostic, of every code, still resolves against its own file."""
+        texts = {path.name: path.read_text() for path in sorted(CORPUS_DIR.glob("*.ex"))}
+        diags = check_programs([parse_program(text, path=name) for name, text in texts.items()])
+        assert {"E_DUP_SPEC", "W_SPEC_NO_DEF", "I_UNTYPED_DEF", "W_UNREACHABLE_PATTERN",
+                "E_TYPE_MISMATCH", "E_PATTERN_TYPE"} <= {d.code for d in diags}
+        assert len({d.file for d in diags}) > 2
+        for d in diags:
+            assert d.span.source.text == texts[d.file], (d.file, d.code)
+            assert 0 <= d.span.start <= d.span.end <= len(texts[d.file])
+
 
 class TestOrderIndependence:
     def test_permuting_defs_yields_same_codes(self):

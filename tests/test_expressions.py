@@ -6,19 +6,21 @@ from extc.diagnostics import CheckFailure
 from extc.envs import SignatureEnv
 from extc.expressions import ExprChecker
 from extc.parser import parse_program
+from extc.source import Source
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, FunctionType, INTEGER,
     ListType, MapKey, MapType, NONE, STRING, TERM, TupleType,
 )
 
 
-def checker(sigs=None, prefix=()):
-    return ExprChecker(sigs or SignatureEnv(), prefix, "<input>", [])
+def checker(program, sigs=None, prefix=()):
+    return ExprChecker(sigs or SignatureEnv(), prefix, program, [])
 
 
 def synth(source, env=None, sigs=None, prefix=()):
     """The type of the statements `source` holds, and the bindings they add."""
-    return checker(sigs, prefix).synthesize(parse_program(source).items[0], dict(env or {}))
+    program = parse_program(source)
+    return checker(program, sigs, prefix).synthesize(program.items[0], dict(env or {}))
 
 
 def synth_type(source, env=None, sigs=None, prefix=()):
@@ -194,10 +196,12 @@ class TestControlStructures:
         assert synth_type("case m do %{9 => b} -> b end", env) == BOOLEAN
 
     def test_case_selector_widening_warns(self):
-        case = checker()
-        t, _ = case.synthesize(parse_program("case :yes do :yes -> 1\n:no -> 2 end").items[0], {})
+        program = parse_program("case :yes do :yes -> 1\n:no -> 2 end")
+        case = checker(program)
+        t, _ = case.synthesize(program.items[0], {})
         assert t == INTEGER
-        assert [d.code for d in case.sink] == ["W_UNREACHABLE_PATTERN"]
+        assert [(d.code, d.span.start, d.span.source) for d in case.sink] == [
+            ("W_UNREACHABLE_PATTERN", 23, program.source)]
 
     def test_cond_env_unchanged(self):
         assert synth("cond do (z = true) -> 1 end") == (INTEGER, {})
@@ -229,8 +233,9 @@ class TestSiblingIndependence:
             "x": INTEGER, "y": INTEGER, "z": INTEGER}
 
     def test_operator_chain_checks_each_operator_before_the_next_operand(self):
-        mismatch = failure('1 + "a" + y')
-        col = mismatch.span.source.position(mismatch.span.start)[1]
+        source = '1 + "a" + y'
+        mismatch = failure(source)
+        col = Source(source).position(mismatch.start)[1]
         assert (mismatch.code, col) == ("E_TYPE_MISMATCH", 5)
 
 
@@ -327,8 +332,9 @@ class TestAnonymousFunctions:
 
     def test_parameters_fail_in_order(self):
         # The first parameter's failure reports, not the unbound pin after it.
-        mismatch = failure("f = fn([x | x], ^y) -> 1 end")
-        position = mismatch.span.source.position(mismatch.span.start)
+        source = "f = fn([x | x], ^y) -> 1 end"
+        mismatch = failure(source)
+        position = Source(source).position(mismatch.start)
         assert (mismatch.code, position) == ("E_NONLINEAR_MISMATCH", (1, 13))
 
 
@@ -402,7 +408,7 @@ class TestDispatch:
             pass
 
         with pytest.raises(TypeError, match="cannot synthesize Unhandled"):
-            checker().synthesize(Unhandled(), {})
+            checker(parse_program("")).synthesize(Unhandled(), {})
 
 
 def _typed_body(statements: int) -> str:

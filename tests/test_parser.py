@@ -164,7 +164,7 @@ _PRECEDENCE = {op: (level, right) for level, (ops, right) in enumerate(_LEVELS) 
 
 def _assert_binop_spans_cover_operands(expr):
     if isinstance(expr, BinOp):
-        assert (expr.span.start, expr.span.end) == (expr.left.span.start, expr.right.span.end)
+        assert (expr.start, expr.end) == (expr.left.start, expr.right.end)
         _assert_binop_spans_cover_operands(expr.left)
         _assert_binop_spans_cover_operands(expr.right)
 
@@ -183,13 +183,13 @@ class TestOperatorTable:
             assert expr == BinOp(op2, BinOp(op1, a, b), c)
         else:
             assert expr == BinOp(op1, a, BinOp(op2, b, c))
-        assert (expr.span.start, expr.span.end) == (0, len(source))
+        assert (expr.start, expr.end) == (0, len(source))
         _assert_binop_spans_cover_operands(expr)
 
     def test_unary_minus_applies_to_map_access(self):
         expr = expression("-a[:k]")
         assert expr == UnaryOp("-", MapAccess(Var("a"), MapKey.atom("k")))
-        assert (expr.span.start, expr.span.end) == (0, 6)
+        assert (expr.start, expr.end) == (0, 6)
 
     def test_not_binds_tighter_than_and(self):
         assert expression("not a and b") == BinOp("and", UnaryOp("not", Var("a")), Var("b"))
@@ -197,7 +197,7 @@ class TestOperatorTable:
     def test_unary_minus_nests(self):
         expr = expression("- - a")
         assert expr == UnaryOp("-", UnaryOp("-", Var("a")))
-        assert (expr.operand.span.start, expr.operand.span.end) == (2, 5)
+        assert (expr.operand.start, expr.operand.end) == (2, 5)
 
     def test_string_with_operator_text_is_not_an_operator(self):
         with pytest.raises(ParseError) as exc:
@@ -216,9 +216,12 @@ class TestOperatorTable:
     ("x = ", "expected an expression, found 'eof'", (4, 4)),
     ("def f(", "expected a pattern, found 'eof'", (6, 6)),
     ("def f() do 1", "expected 'end', found 'eof'", (12, 12)),
+    ("x = 1 :ok", "expected a newline or ';', found ':ok'", (6, 9)),
+    ("def f() do a :ok end", "expected 'end', found ':ok'", (13, 16)),
 ])
 def test_found_token_is_named_as_written(source, message, span):
-    """A string is named with its quotes and escapes, the end of file as `eof`."""
+    """A string is named with its quotes and escapes, an atom with its colon,
+    the end of file as `eof`."""
     with pytest.raises(ParseError) as exc:
         parse_program(source)
     assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (message, span)
@@ -361,7 +364,7 @@ class TestIfDesugaring:
         source = "y = if c do 1 end"
         expr = expression(source)
         synthetic = expr.value.orelse
-        assert source[synthetic.span.start:synthetic.span.end] == "if"
+        assert source[synthetic.start:synthetic.end] == "if"
 
 
 class TestPatterns:
@@ -487,29 +490,28 @@ class TestSpecParsing:
 
 class TestSpansAndRoundTrip:
     def test_span_of_records_parse_position(self):
-        source = "x + 10"
-        expr = expression(source)
-        span = expr.span
-        assert (span.start, span.end) == (0, 6)
-        assert (*span.source.position(span.start), span.source.position(span.end)[1]) == (1, 1, 7)
+        program = parse_program("x + 10")
+        expr, source = program.items[0], program.source
+        assert (expr.start, expr.end) == (0, 6)
+        assert (*source.position(expr.start), source.position(expr.end)[1]) == (1, 1, 7)
 
     def test_span_of_nested_node_contained_in_parent(self):
-        expr = expression("1 + 2 * 3")
-        inner = expr.right.span
-        outer = expr.span
+        outer = expression("1 + 2 * 3")
+        inner = outer.right
         assert outer.start <= inner.start and inner.end <= outer.end
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_spans_index_valid_source(self, path):
         source = path.read_text()
-        stack = [parse_program(source, path=path.name)]
+        program = parse_program(source, path=path.name)
+        assert program.source.text == source
+        stack = [program]
         while stack:
             node = stack.pop()
             stack.extend(syntax.children(node))
-            span = node.span
-            assert 0 <= span.start <= span.end <= len(source)
-            line, col = span.source.position(span.start)
-            assert span.source.text == source and line >= 1 and col >= 1
+            assert 0 <= node.start <= node.end <= len(source)
+            line, col = program.source.position(node.start)
+            assert line >= 1 and col >= 1
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_child_spans_contained_in_parents(self, path):
@@ -518,9 +520,19 @@ class TestSpansAndRoundTrip:
         while stack:
             node = stack.pop()
             for child in syntax.children(node):
-                assert node.span.start <= child.span.start
-                assert child.span.end <= node.span.end
+                assert node.start <= child.start
+                assert child.end <= node.end
                 stack.append(child)
+
+    @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
+    def test_clean_parse_builds_no_span(self, monkeypatch, path):
+        """Nodes hold offsets; a `Span` is built only for a reported location."""
+        built = []
+        init = syntax.Span.__init__
+        monkeypatch.setattr(syntax.Span, "__init__",
+                            lambda span, *args: built.append(args) or init(span, *args))
+        parse_program(path.read_text(), path=path.name)
+        assert built == []
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_pretty_print_reparses_to_equal_ast(self, path):
