@@ -7,6 +7,12 @@ the match lengths. A match's kind comes from its lexeme, else from its first
 character; whitespace and comments, of kind "", drop out in `compress`.
 Python visits only the rare tokens, in source order so that the first error
 wins, and then the newlines and brackets.
+
+A keyword, operator or punctuation token is its own kind: `"==="`, `"do"`
+and `","` are kinds, so the parser dispatches on one column. Every other
+token has a class kind, `ident`, `int`, `float`, `string`, `atom`, `atspec`,
+`newline` or `eof`, none of which spells a symbol; a string or atom whose
+text spells one, such as `"("` or `:do`, keeps its class kind.
 """
 from __future__ import annotations
 
@@ -32,12 +38,14 @@ OPERATORS = [
 
 PUNCTUATION = ["%{", "(", ")", "[", "]", "{", "}", ",", ";"]
 
-# Each bracket's step in nesting depth, and 0 for a newline: one loop visits both.
-_DEPTH = {"(": 1, "[": 1, "{": 1, "%{": 1, ")": -1, "]": -1, "}": -1, "\n": 0}
+# Each bracket kind's step in nesting depth, and 0 for a newline: one loop visits both.
+_DEPTH = {"(": 1, "[": 1, "{": 1, "%{": 1, ")": -1, "]": -1, "}": -1, "newline": 0}
 
-# A newline after an operator or after one of these punctuation or keyword
-# lexemes continues the current expression instead of separating statements.
-_CONTINUATION = {",", ";", "(", "[", "{", "%{", "do", "else", "fn", "not", "and", "or"}
+# A newline after a token of one of these kinds continues the current
+# expression instead of separating statements: an operator, some punctuation
+# and keywords, and a newline, kept or already dropped (kind "").
+_CONTINUATION = {*OPERATORS, ",", ";", "(", "[", "{", "%{", "do", "else", "fn", "not", "and", "or",
+                 "newline", ""}
 
 # Alternatives are tried in order: numbers before `\w+`, `:` before `::`, and
 # each table longest first. Each takes a character or more, but `.` takes any
@@ -54,11 +62,12 @@ _STRING_BODY = re.compile(_STRING)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
-# A match's kind by its lexeme, else by its first character, else "?". `tokenize`
-# resolves the `_RARE` kinds, and gives strings and atoms their lexeme.
+# A match's kind by its lexeme, a symbol's being the symbol, else by its first
+# character, else "?". `tokenize` resolves the `_RARE` kinds, and gives
+# strings and atoms their lexeme.
 _KIND = {
-    **dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(OPERATORS, "op"),
-    **dict.fromkeys(PUNCTUATION, "punct"), "\n": "newline", "@spec": "atspec", "": "eof",
+    **{symbol: symbol for symbol in (*KEYWORDS, *OPERATORS, *PUNCTUATION)},
+    "\n": "newline", "@spec": "atspec", "": "eof",
 }
 _FIRST = {
     **dict.fromkeys(" \t\r#", ""), **dict.fromkeys("0123456789", "number"),
@@ -69,10 +78,11 @@ _RARE = frozenset(("number", "string", "atom", "@", "?"))
 
 
 class Tokens(Value):
-    """A file's tokens as parallel columns: token `i` has kind `kinds[i]`
-    (keyword, ident, atom, int, float, string, op, punct, atspec, newline or
-    eof), lexeme `lexemes[i]`, and offsets `starts[i]` to `ends[i]` into
-    `source`. The last token is `eof`."""
+    """A file's tokens as parallel columns: token `i` has kind `kinds[i]`,
+    lexeme `lexemes[i]`, and offsets `starts[i]` to `ends[i]` into `source`.
+    A keyword, operator or punctuation token's kind is its lexeme, such as
+    `"=="` or `"end"`; any other token's is ident, atom, int, float, string,
+    atspec, newline or eof. The last token is `eof`."""
 
     __slots__ = ("kinds", "lexemes", "starts", "ends", "source")
 
@@ -118,14 +128,13 @@ def tokenize(source: str) -> Tokens:
         else:
             raise LexError(f"stray character {lexeme[0]!r}", Span(start, start, src))
 
-    # A newline is dropped inside brackets, at the start, and after another
-    # newline (kind "" once dropped), an operator or a continuation lexeme.
+    # A newline is dropped inside brackets, at the start, and after a
+    # continuation kind.
     depth = 0
-    for i in compress(count(), map(_DEPTH.__contains__, lexemes)):
-        if kinds[i] == "punct":
-            depth = max(0, depth + _DEPTH[lexemes[i]])
-        elif kinds[i] == "newline" and (
-                depth or not i or kinds[i - 1] in ("", "newline", "op")
-                or kinds[i - 1] in ("punct", "keyword") and lexemes[i - 1] in _CONTINUATION):
+    for i in compress(count(), map(_DEPTH.__contains__, kinds)):
+        step = _DEPTH[kinds[i]]
+        if step:
+            depth = max(0, depth + step)
+        elif depth or not i or kinds[i - 1] in _CONTINUATION:
             kinds[i] = ""
     return Tokens(*[list(compress(col, kinds)) for col in columns], src)

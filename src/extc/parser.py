@@ -8,6 +8,12 @@ loosest as Elixir's own `match_op`. No backtracking: each token, an index into
 the lexer's columns, is taken once. The left side of `=`, parsed as an
 expression, converts by `to_pattern`; so does a clause body statement that
 stops at `->`, as the next clause's head.
+
+Every decision reads one column, `kinds`: a keyword, operator or punctuation
+token's kind is its own text, so `at("do")`, `expect(")")` and the `_PRIMARY`
+and `_BINARY` tables look up a kind alone, and a string or atom that spells a
+symbol never matches one. The hot loops advance `self.pos` themselves rather
+than through `take`, and nodes are built with positional offsets.
 """
 from __future__ import annotations
 
@@ -37,8 +43,7 @@ class ParseError(CheckFailure):
         self.span = span  # whole, since no program holds the source yet
 
 
-# Binary operator lexeme -> (precedence, right associative); higher binds
-# tighter. Only `op` and `keyword` tokens are operators.
+# Binary operator kind -> (precedence, right associative); higher binds tighter.
 _BINARY = {
     "=": (0, True), "or": (1, False), "and": (2, False),
     **dict.fromkeys(("<", ">", "<=", ">=", "==", "!=", "===", "!=="), (3, False)),
@@ -46,11 +51,7 @@ _BINARY = {
     "+": (5, False), "-": (5, False), "*": (6, False), "/": (6, False),
 }
 _PREFIX = 7  # a unary operand binds tighter than every binary operator
-_OPERATOR_KINDS = ("op", "keyword")
-_UNARY = ("-", "not")  # `-` is only ever an `op`, `not` only a `keyword`
-# Token kinds whose primaries `_PRIMARY` keys by lexeme rather than by kind.
-_SYMBOL_KINDS = ("punct", "keyword", "op")
-_DECL_STARTS = {"defmodule", "def"}
+_DECLARATIONS = ("defmodule", "def", "atspec")
 _NOT_A_PATTERN = "left-hand side of '=' is not a valid pattern"
 # Deepest nesting of list, tuple, map and function types in a `@spec`.
 MAX_TYPE_DEPTH = 100
@@ -79,7 +80,7 @@ class Parser:
         self.loose: list[int] = []  # `_` and `^` of unclaimed pattern nodes, in order
         self.next_head = None
 
-    # --- token plumbing; the hottest paths test the columns inline, not through `at` ---
+    # --- token plumbing; the hottest paths test `kinds` and move `pos` inline ---
 
     def take(self) -> int:
         i = self.pos
@@ -95,48 +96,54 @@ class Parser:
         found = self.source.text[self.starts[i]:self.ends[i]] or self.kinds[i]
         return ParseError(f"expected {expected}, found {found!r}", self.span(i, i))
 
-    def at(self, kind: str, lexeme: str | None = None) -> bool:
-        return self.kinds[self.pos] == kind and (lexeme is None or self.lexemes[self.pos] == lexeme)
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
 
-    def expect(self, kind: str, lexeme: str | None = None, what: str | None = None) -> int:
-        if self.kinds[self.pos] != kind or lexeme is not None and self.lexemes[self.pos] != lexeme:
-            raise self.unexpected(self.pos, repr(what or (lexeme if lexeme is not None else kind)))
-        return self.take()
+    def expect(self, kind: str, what: str | None = None) -> int:
+        """The current token, taken, which must be of `kind` (never `eof`)."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self.unexpected(i, repr(what or kind))
+        self.pos = i + 1
+        return i
 
     def at_separator(self, back: int = 0) -> bool:
-        i = self.pos - back
-        return self.kinds[i] == "newline" or self.kinds[i] == "punct" and self.lexemes[i] == ";"
+        kind = self.kinds[self.pos - back]
+        return kind == "newline" or kind == ";"
 
     def skip_separators(self):
-        while self.at_separator():
-            self.take()
+        kinds, i = self.kinds, self.pos
+        while kinds[i] == "newline" or kinds[i] == ";":
+            i += 1
+        self.pos = i
 
     # --- shared shapes ---
 
     def comma_list(self, parse_item: Callable, close: str) -> list:
         """`item, item, ...` up to and including the `close` punctuation."""
         items = []
-        if not self.at("punct", close):
+        kinds = self.kinds
+        if kinds[self.pos] != close:
             items.append(parse_item())
-            while self.at("punct", ","):
-                self.take()
+            while kinds[self.pos] == ",":
+                self.pos += 1
                 items.append(parse_item())
-        self.expect("punct", close)
+        self.expect(close)
         return items
 
     def map_entries(self, start: int, parse_value: Callable, what: str) -> tuple[list, int]:
         """The `key => value, ...}` after token `start`, with distinct keys, and
         the closing brace's token. `comma_list`'s loop, written out to save frames."""
         entries = []
-        if not self.at("punct", "}"):
+        if not self.at("}"):
             while True:
                 key = self.parse_map_key()
-                self.expect("op", "=>")
+                self.expect("=>")
                 entries.append((key, parse_value()))
-                if not self.at("punct", ","):
+                if not self.at(","):
                     break
-                self.take()
-        close = self.expect("punct", "}")
+                self.pos += 1
+        close = self.expect("}")
         if len({key for key, _ in entries}) != len(entries):
             raise ParseError(f"duplicate keys in {what}", self.span(start, close))
         return entries, close
@@ -158,11 +165,11 @@ class Parser:
         exprs = [self.settle(self.parse_expr())]
         while self.at_separator():
             self.skip_separators()
-            if self.at("eof") or self.at("keyword", "end") or (stop is not None and stop()):
+            if self.kinds[self.pos] in ("eof", "end") or (stop is not None and stop()):
                 break
             start = self.pos
             expr = self.parse_expr()
-            if head_of is not None and self.at("op", "->"):
+            if head_of is not None and self.at("->"):
                 with suppress(ParseError):  # else a body statement, and its `->` the error
                     self.next_head = head_of(expr, start)
                     return _fold_sequence(exprs)
@@ -177,31 +184,29 @@ class Parser:
         subject = self.parse_expr() if case else None
         clause_type = CaseClause if case else CondClause
         head_of = self.to_pattern if case else lambda expr, _: self.settle(expr)
-        self.expect("keyword", "do")
+        self.expect("do")
         clauses = []
         head = None
         while True:
             if head is None:
                 self.skip_separators()
-                if self.at("keyword", "end"):
+                if self.at("end"):
                     break
                 head = self.pattern() if case else self.settle(self.parse_expr())
-            self.expect("op", "->")
+            self.expect("->")
             body = self.sequence(head_of=head_of)
-            clauses.append(clause_type(head, body, start=head.start, end=body.end))
+            clauses.append(clause_type(head, body, head.start, body.end))
             head = self.next_head
         if not clauses:
             raise ParseError(f"{self.lexemes[start]} expression needs at least one clause",
                              self.span(self.pos, self.pos))
-        first, last = self.starts[start], self.ends[self.expect("keyword", "end")]
-        return (Case(subject, clauses, start=first, end=last) if case
-                else Cond(clauses, start=first, end=last))
+        first, last = self.starts[start], self.ends[self.expect("end")]
+        return Case(subject, clauses, first, last) if case else Cond(clauses, first, last)
 
     def to_pattern(self, expr: syntax.Expr, start: int) -> syntax.Pattern:
         """`expr`, parsed from token `start` on, as a pattern, which claims the
         `_` and `^x` in it. ParseError if it is no pattern."""
-        if self.pos - start > 2 and any(self.lexemes[i] == "(" and self.kinds[i] == "punct"
-                                        for i in range(start, self.pos)):
+        if self.pos - start > 2 and "(" in self.kinds[start:self.pos]:
             raise self.not_a_pattern(expr)  # a group, which the AST does not show
         pattern = self.as_pattern(expr, expr)
         while self.loose and self.loose[-1] >= start:
@@ -220,18 +225,18 @@ class Parser:
         are patterns, and variables and data constructors convert."""
         kind = type(expr)
         if kind is Var:
-            return VarPattern(expr.name, start=expr.start, end=expr.end)
+            return VarPattern(expr.name, expr.start, expr.end)
         if kind is TupleExpr:
             return TuplePattern([self.as_pattern(item, whole) for item in expr.items],
-                                start=expr.start, end=expr.end)
+                                expr.start, expr.end)
         if kind is ConsExpr:
             return ConsPattern(self.as_pattern(expr.head, whole), self.as_pattern(expr.tail, whole),
-                               start=expr.start, end=expr.end)
+                               expr.start, expr.end)
         if kind is MapExpr:
             return MapPattern([(k, self.as_pattern(v, whole)) for k, v in expr.entries],
-                              start=expr.start, end=expr.end)
+                              expr.start, expr.end)
         if kind is ElistExpr:
-            return ElistPattern(start=expr.start, end=expr.end)
+            return ElistPattern(expr.start, expr.end)
         if isinstance(expr, syntax.Pattern):
             return expr
         raise self.not_a_pattern(whole)
@@ -245,52 +250,50 @@ class Parser:
         items: list[syntax.Node] = []
         while True:
             self.skip_separators()
-            if self.at("eof") or self.at("keyword", "end"):
-                if toplevel and self.at("keyword", "end"):
+            kind = self.kinds[self.pos]
+            if kind == "eof" or kind == "end":
+                if toplevel and kind == "end":
                     raise ParseError("unexpected 'end'", self.span(self.pos, self.pos))
                 break
-            if self.at("keyword", "defmodule"):
+            if kind == "defmodule":
                 items.append(self.parse_module())
-            elif self.at("keyword", "def"):
+            elif kind == "def":
                 items.append(self.parse_def())
-            elif self.at("atspec"):
+            elif kind == "atspec":
                 items.append(self.parse_signature())
             else:  # statements up to a declaration, ended by a separator, `end` or `eof`
                 items.append(self.sequence(self.at_declaration))
-                if not (self.at_separator(back=1) or self.at("eof") or self.at("keyword", "end")):
+                if not (self.at_separator(back=1) or self.kinds[self.pos] in ("eof", "end")):
                     raise self.unexpected(self.pos, "a newline or ';'")
         return items
 
     def parse_module(self) -> ModuleDef:
-        start = self.expect("keyword", "defmodule")
-        name = self.lexemes[self.expect("ident", what="module name")]
-        self.expect("keyword", "do")
+        start = self.expect("defmodule")
+        name = self.lexemes[self.expect("ident", "module name")]
+        self.expect("do")
         body = self.parse_items(toplevel=False)
-        return ModuleDef(name, body, start=self.starts[start],
-                         end=self.ends[self.expect("keyword", "end")])
+        return ModuleDef(name, body, self.starts[start], self.ends[self.expect("end")])
 
     def parse_def(self) -> FunctionDef:
-        start = self.expect("keyword", "def")
-        name = self.lexemes[self.expect("ident", what="function name")]
-        self.expect("punct", "(")
+        start = self.expect("def")
+        name = self.lexemes[self.expect("ident", "function name")]
+        self.expect("(")
         params = self.comma_list(self.pattern, ")")
-        self.expect("keyword", "do")
+        self.expect("do")
         body = self.sequence()
-        return FunctionDef(name, params, body, start=self.starts[start],
-                           end=self.ends[self.expect("keyword", "end")])
+        return FunctionDef(name, params, body, self.starts[start], self.ends[self.expect("end")])
 
     def parse_signature(self) -> SpecDecl:
         start = self.expect("atspec")
-        name = self.lexemes[self.expect("ident", what="function name")]
-        self.expect("punct", "(")
+        name = self.lexemes[self.expect("ident", "function name")]
+        self.expect("(")
         params = self.comma_list(self.parse_type, ")")
-        self.expect("op", "::")
+        self.expect("::")
         result = self.parse_type()
-        return SpecDecl(name, params, result, start=self.starts[start], end=self.ends[self.pos - 1])
+        return SpecDecl(name, params, result, self.starts[start], self.ends[self.pos - 1])
 
     def at_declaration(self) -> bool:
-        kind = self.kinds[self.pos]
-        return kind == "keyword" and self.lexemes[self.pos] in _DECL_STARTS or kind == "atspec"
+        return self.kinds[self.pos] in _DECLARATIONS
 
     # --- types ---
 
@@ -305,31 +308,32 @@ class Parser:
             return base
         if kind == "atom":
             return AtomLiteralType(lexeme)
-        if kind != "punct" or lexeme not in ("[", "{", "%{", "("):
+        if kind not in ("[", "{", "%{", "("):
             raise self.unexpected(tok, "a type")
         if depth == MAX_TYPE_DEPTH:
             raise ParseError("nesting too deep", self.span(tok, tok))
         inner = partial(self.parse_type, depth + 1)
-        if lexeme == "%{":
+        if kind == "%{":
             return MapType(self.map_entries(tok, inner, "map type")[0])
-        if lexeme == "[":
+        if kind == "[":
             element = inner()
-            self.expect("punct", "]")
+            self.expect("]")
             return ListType(element)
-        if lexeme == "{":
+        if kind == "{":
             return TupleType(tuple(self.comma_list(inner, "}")))
         params = self.comma_list(inner, ")")
-        self.expect("op", "->")
+        self.expect("->")
         return FunctionType(tuple(params), inner())
 
     def parse_map_key(self) -> MapKey:
         tok = self.take()
-        if self.kinds[tok] == "atom":
+        kind = self.kinds[tok]
+        if kind == "atom":
             return MapKey.atom(self.lexemes[tok])
-        if self.kinds[tok] == "int":
+        if kind == "int":
             return MapKey.integer(self.int_value(tok))
-        if self.kinds[tok] == "keyword" and self.lexemes[tok] in ("true", "false"):
-            return MapKey.boolean(self.lexemes[tok] == "true")
+        if kind == "true" or kind == "false":
+            return MapKey.boolean(kind == "true")
         raise ParseError("expected a map key (atom, boolean or integer)", self.span(tok, tok))
 
     def int_value(self, tok: int) -> int:
@@ -344,41 +348,48 @@ class Parser:
         """Precedence climbing over `_BINARY`: operands bind at least
         `min_prec`. In `pattern_only` mode, one primary that may be a pattern."""
         start = self.pos
-        tok = self.take()
         depth = self.depth
         if depth == MAX_NESTING:
-            raise ParseError("nesting too deep", self.span(tok, tok))
+            raise ParseError("nesting too deep", self.span(start, start))
         self.depth = depth + 1
-        kinds, lexemes = self.kinds, self.lexemes
-        kind, lexeme = kinds[tok], lexemes[tok]
-        if lexeme in _UNARY and kind in _OPERATOR_KINDS and not self.pattern_only:
-            operand = self.parse_expr(_PREFIX)
-            left = UnaryOp(lexeme, operand, start=self.starts[tok], end=operand.end)
-        else:
-            table = _PATTERN_PRIMARY if self.pattern_only else _PRIMARY
-            parse = table.get(lexeme if kind in _SYMBOL_KINDS else kind)
+        kinds = self.kinds
+        kind = kinds[start]
+        if self.pattern_only:
+            parse = _PATTERN_PRIMARY.get(kind)
             if parse is None:
-                raise self.unexpected(tok, "a pattern" if self.pattern_only else "an expression")
-            left = parse(self, tok)
-            while lexemes[self.pos] == "[" and kinds[self.pos] == "punct" and not self.pattern_only:
-                self.take()
+                raise self.unexpected(start, "a pattern")
+            self.pos = start + 1
+            left = parse(self, start)
+            self.depth = depth
+            return left
+        if kind == "-" or kind == "not":
+            self.pos = start + 1
+            operand = self.parse_expr(_PREFIX)
+            left = UnaryOp(kind, operand, self.starts[start], operand.end)
+        else:
+            parse = _PRIMARY.get(kind)
+            if parse is None:
+                raise self.unexpected(start, "an expression")
+            self.pos = start + 1
+            left = parse(self, start)
+            while kinds[self.pos] == "[":
+                self.pos += 1
                 key = self.parse_map_key()
-                left = MapAccess(left, key, start=left.start,
-                                 end=self.ends[self.expect("punct", "]")])
+                left = MapAccess(left, key, left.start, self.ends[self.expect("]")])
         while True:
             tok = self.pos
-            level = _BINARY.get(lexemes[tok]) if kinds[tok] in _OPERATOR_KINDS else None
-            if level is None or level[0] < min_prec or self.pattern_only:
+            level = _BINARY.get(kinds[tok])
+            if level is None or level[0] < min_prec:
                 break
-            self.take()
+            self.pos = tok + 1
             prec, right_assoc = level
             if prec == 0:
                 pattern = self.to_pattern(left, start)
                 value = self.parse_expr(prec)
-                left = Match(pattern, value, start=pattern.start, end=value.end)
+                left = Match(pattern, value, pattern.start, value.end)
             else:
                 right = self.parse_expr(prec if right_assoc else prec + 1)
-                left = BinOp(lexemes[tok], left, right, start=left.start, end=right.end)
+                left = BinOp(kinds[tok], left, right, left.start, right.end)
         self.depth = depth
         return left
 
@@ -390,86 +401,83 @@ class Parser:
         if name == "_":
             if not self.pattern_only:
                 self.loose.append(first)
-            return Wildcard(start=self.starts[first], end=self.ends[first])
-        follow = self.lexemes[self.pos]
-        if self.pattern_only or follow not in ("(", ".") or self.kinds[self.pos] == "string":
-            return Var(name, start=self.starts[first], end=self.ends[first])
+            return Wildcard(self.starts[first], self.ends[first])
+        follow = self.kinds[self.pos]
+        if self.pattern_only or follow != "(" and follow != ".":
+            return Var(name, self.starts[first], self.ends[first])
         path = [name]
-        while self.at("op", "."):
-            self.take()
-            if len(path) == 1 and self.at("punct", "("):
+        while self.at("."):
+            self.pos += 1
+            if len(path) == 1 and self.at("("):
                 break
-            path.append(self.lexemes[self.expect("ident", what="name after '.'")])
-        self.expect("punct", "(")
+            path.append(self.lexemes[self.expect("ident", "name after '.'")])
+        self.expect("(")
         args = self.comma_list(self.parse_expr, ")")
         start, end = self.starts[first], self.ends[self.pos - 1]
         if follow == "." and len(path) == 1:
-            return VarCall(name, args, start=start, end=end)
-        return Call(tuple(path[:-1]), path[-1], args, start=start, end=end)
+            return VarCall(name, args, start, end)
+        return Call(tuple(path[:-1]), path[-1], args, start, end)
 
     def parse_pin(self, caret: int) -> syntax.Pattern:
         if not self.pattern_only:
             if not self.at("ident"):
                 raise ParseError("expected an expression, found '^'", self.span(caret, caret))
             self.loose.append(caret)
-        name = self.expect("ident", what="variable after '^'")
-        return PinPattern(self.lexemes[name], start=self.starts[caret], end=self.ends[name])
+        name = self.expect("ident", "variable after '^'")
+        return PinPattern(self.lexemes[name], self.starts[caret], self.ends[name])
 
     def parse_group(self, start: int) -> syntax.Expr:
         exprs = [self.parse_expr()]
-        while self.at("punct", ";"):
-            self.take()
+        while self.at(";"):
+            self.pos += 1
             exprs.append(self.parse_expr())
-        self.expect("punct", ")")
+        self.expect(")")
         return _fold_sequence(exprs)
 
     def parse_list(self, start: int) -> syntax.Expr:
-        if self.at("punct", "]"):
-            return ElistExpr(start=self.starts[start], end=self.ends[self.take()])
+        if self.at("]"):
+            return ElistExpr(self.starts[start], self.ends[self.take()])
         head = self.parse_expr()
-        self.expect("op", "|")
+        self.expect("|")
         tail = self.parse_expr()
-        return ConsExpr(head, tail, start=self.starts[start],
-                        end=self.ends[self.expect("punct", "]")])
+        return ConsExpr(head, tail, self.starts[start], self.ends[self.expect("]")])
 
     def parse_map(self, start: int) -> MapExpr:
         what = "map pattern" if self.pattern_only else "map literal"
         entries, close = self.map_entries(start, self.parse_expr, what)
-        return MapExpr(entries, start=self.starts[start], end=self.ends[close])
+        return MapExpr(entries, self.starts[start], self.ends[close])
 
     def parse_if(self, start: int) -> If:
         cond = self.parse_expr()
-        self.expect("keyword", "do")
-        then = self.sequence(lambda: self.at("keyword", "else"))
-        if self.at("keyword", "else"):
+        self.expect("do")
+        then = self.sequence(lambda: self.at("else"))
+        if self.at("else"):
             self.take()
             orelse = self.sequence()
         else:
             # An else-less `if` is :nil when false; this branch spans the `if`.
-            orelse = AtomLit("nil", start=self.starts[start], end=self.ends[start])
-        return If(cond, then, orelse, start=self.starts[start],
-                  end=self.ends[self.expect("keyword", "end")])
+            orelse = AtomLit("nil", self.starts[start], self.ends[start])
+        return If(cond, then, orelse, self.starts[start], self.ends[self.expect("end")])
 
     def parse_fn(self, start: int) -> AnonFn:
-        self.expect("punct", "(")
+        self.expect("(")
         params = self.comma_list(self.pattern, ")")
-        self.expect("op", "->")
+        self.expect("->")
         body = self.sequence()
-        return AnonFn(params, body, start=self.starts[start],
-                      end=self.ends[self.expect("keyword", "end")])
+        return AnonFn(params, body, self.starts[start], self.ends[self.expect("end")])
 
 
-# Primaries by their first token's kind, or lexeme; a pattern is one of the first.
+# Primaries by their first token's kind; a pattern is one of the first.
 _PATTERN_PRIMARY = {
-    "int": lambda p, tok: IntLit(p.int_value(tok), start=p.starts[tok], end=p.ends[tok]),
-    "float": lambda p, tok: FloatLit(float(p.lexemes[tok]), start=p.starts[tok], end=p.ends[tok]),
-    "string": lambda p, tok: StringLit(p.lexemes[tok], start=p.starts[tok], end=p.ends[tok]),
-    "atom": lambda p, tok: AtomLit(p.lexemes[tok], start=p.starts[tok], end=p.ends[tok]),
-    "true": lambda p, tok: BoolLit(True, start=p.starts[tok], end=p.ends[tok]),
-    "false": lambda p, tok: BoolLit(False, start=p.starts[tok], end=p.ends[tok]),
+    "int": lambda p, tok: IntLit(p.int_value(tok), p.starts[tok], p.ends[tok]),
+    "float": lambda p, tok: FloatLit(float(p.lexemes[tok]), p.starts[tok], p.ends[tok]),
+    "string": lambda p, tok: StringLit(p.lexemes[tok], p.starts[tok], p.ends[tok]),
+    "atom": lambda p, tok: AtomLit(p.lexemes[tok], p.starts[tok], p.ends[tok]),
+    "true": lambda p, tok: BoolLit(True, p.starts[tok], p.ends[tok]),
+    "false": lambda p, tok: BoolLit(False, p.starts[tok], p.ends[tok]),
     "ident": Parser.parse_name, "^": Parser.parse_pin,
-    "{": lambda p, tok: TupleExpr(p.comma_list(p.parse_expr, "}"),
-                                  start=p.starts[tok], end=p.ends[p.pos - 1]),
+    "{": lambda p, tok: TupleExpr(p.comma_list(p.parse_expr, "}"), p.starts[tok],
+                                  p.ends[p.pos - 1]),
     "[": Parser.parse_list, "%{": Parser.parse_map,
 }
 _PRIMARY = {
@@ -481,7 +489,7 @@ _PRIMARY = {
 def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
     result = exprs[-1]
     for expr in reversed(exprs[:-1]):
-        result = Seq(expr, result, start=expr.start, end=result.end)
+        result = Seq(expr, result, expr.start, result.end)
     return result
 
 

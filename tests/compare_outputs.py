@@ -12,6 +12,9 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
 - `check --dump-sigs`, as text and as JSON, on both perfbench workloads'
   corpora for seeds 1-3, generated with `perfbench.gen`;
 - `check`, as text and as JSON, and `parse` on each of `perfbench.gen.PROBES`;
+- `check` and `parse` on each of `MALFORMED`, one-line files that between
+  them raise every lex and parse error message, from each site that raises
+  one;
 - usage errors, `--help` included.
 
 Every invocation whose stdout, stderr or exit status differs is printed, and
@@ -40,6 +43,38 @@ USAGE_ERRORS = [
     ["check", "--format", "xml", "tests/corpus"], ["check", "tests/corpus", "missing.ex"],
 ]
 
+# One-line files that between them raise every lex and parse error message,
+# grouped by the part of the grammar that raises it.
+MALFORMED = [
+    # lexer: each message
+    'x = "a\\zb"', 'x = "ab', "x = :1", "@doc x", "x = 1 ~ 2",
+    # declarations: each `expect`, and `end` where no item may stand
+    "defmodule 1 do end", "defmodule M end", "defmodule M do", "def 1() do 1 end",
+    "def f do 1 end", "def f(x do 1 end", "def f(x) 1 end", "def f(x) do 1",
+    "@spec 1() :: integer", "@spec f :: integer", "@spec f(integer :: integer",
+    "@spec f() integer", "end", "def f() do 1 end end",
+    # types: unknown names, each bracket's `expect`, map keys, duplicates, depth
+    "@spec f(foo) :: integer", "@spec f(1) :: integer", "@spec f([integer) :: integer",
+    "@spec f({integer) :: integer", "@spec f((integer)) :: integer",
+    "@spec f((integer) -> integer :: integer", "@spec f(%{:a integer}) :: integer",
+    "@spec f(%{:a => integer) :: integer", '@spec f(%{"a" => integer}) :: integer',
+    "@spec f(%{:a => integer, :a => float}) :: integer",
+    "@spec f(" + "[" * 101 + "integer" + "]" * 101 + ") :: integer",
+    # expressions: each primary's `expect`, map keys and duplicates, long
+    # integers, depth, and the separator between statements
+    "x = )", "x = 1 +", "x = " + "9" * 5000, "x = " + "(" * 300 + "1" + ")" * 300,
+    "x = (1 2)", "x = {1 2}", "x = [1, 2]", "x = [1 | 2", "x = m[:a", 'x = m["a"]',
+    "x = f(1 2)", "x = M.1()", "x = %{:a 1}", "x = %{:a => 1", "x = %{1.5 => 1}",
+    "x = %{:a => 1, :a => 2}", "if x 1 end", "if x do 1", "if x do 1 else 2",
+    "case x 1 -> 2 end", "case x do 1 2 end", "case x do 1 -> 2", "case x do end",
+    "case x do 1 -> 2; f(y) -> 3 end", "cond do end", "cond do x 1 end", "fn x -> x end",
+    "fn (x) x end", "fn (x -> x end", "fn (x) -> x", "x = 1 y = 2", 'x = 1 "s"',
+    # patterns, wildcards and pins
+    "def f(+) do 1 end", "def f(^1) do 1 end", "def f(%{:a => x, :a => y}) do 1 end",
+    "case x do f(y) -> 1 end", "x = _", "_", "x = ^y", "x = ^1", "f(x) = 1",
+    "{(a), b} = t", "%{:a => x, :a => y} = m",
+]
+
 
 def invocations(work: Path) -> list[tuple[Path, list[str]]]:
     """`(directory to run in, argv)` for every run, writing generated inputs under `work`."""
@@ -64,6 +99,11 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
         runs += [(work, ["check", f"probes/{name}"]),
                  (work, ["check", "--format", "json", f"probes/{name}"]),
                  (work, ["parse", f"probes/{name}"])]
+    (work / "malformed").mkdir()
+    for number, text in enumerate(MALFORMED):
+        name = f"malformed/{number:02}.ex"
+        (work / name).write_text(text + "\n")
+        runs += [(work, ["check", name]), (work, ["parse", name])]
     return runs + [(ROOT, argv) for argv in USAGE_ERRORS]
 
 

@@ -35,34 +35,34 @@ def test_atoms_from_listing():
 
 
 def test_longest_match_identity_op():
-    assert kinds_and_lexemes("a===b") == [("ident", "a"), ("op", "==="), ("ident", "b")]
+    assert kinds_and_lexemes("a===b") == [("ident", "a"), ("===", "==="), ("ident", "b")]
 
 
 def test_longest_match_not_identical():
-    assert kinds_and_lexemes("a!==b") == [("ident", "a"), ("op", "!=="), ("ident", "b")]
+    assert kinds_and_lexemes("a!==b") == [("ident", "a"), ("!==", "!=="), ("ident", "b")]
 
 
 def test_float_then_plus():
-    assert kinds_and_lexemes("1.5+x") == [("float", "1.5"), ("op", "+"), ("ident", "x")]
+    assert kinds_and_lexemes("1.5+x") == [("float", "1.5"), ("+", "+"), ("ident", "x")]
 
 
 def test_integer_dot_is_not_float():
     # No digits after the dot: lexes as integer followed by '.'
-    assert kinds_and_lexemes("1.x") == [("int", "1"), ("op", "."), ("ident", "x")]
+    assert kinds_and_lexemes("1.x") == [("int", "1"), (".", "."), ("ident", "x")]
 
 
 def test_double_colon_vs_atom():
-    assert kinds_and_lexemes(") :: float")[1] == ("op", "::")
+    assert kinds_and_lexemes(") :: float")[1] == ("::", "::")
 
 
 def test_compound_tokens_stay_whole():
     for op in ["<>", "++", "--", "::", "=>", "->", "<=", ">=", "!=", "!=="]:
-        assert kinds_and_lexemes(f"a {op} b")[1] == ("op", op)
+        assert kinds_and_lexemes(f"a {op} b")[1] == (op, op)
 
 
 def test_comments_and_whitespace_dropped():
     toks = kinds_and_lexemes("x = 1 # comment to end of line\ny")
-    assert toks == [("ident", "x"), ("op", "="), ("int", "1"),
+    assert toks == [("ident", "x"), ("=", "="), ("int", "1"),
                     ("newline", "\n"), ("ident", "y")]
 
 
@@ -87,6 +87,20 @@ def test_string_escapes():
     assert lexeme == 'a\nb\t"q\\'
 
 
+def test_class_kinds_spell_no_symbol():
+    # A symbol's kind is its text, so a class kind that spelled one would be taken for it.
+    class_kinds = {"ident", "int", "float", "string", "atom", "atspec", "newline", "eof"}
+    assert not class_kinds & (KEYWORDS | set(OPERATORS) | set(PUNCTUATION))
+
+
+@pytest.mark.parametrize("source, row", [
+    ('"("', ("string", "(")), ('"end"', ("string", "end")), (r'"\n"', ("string", "\n")),
+    (":do", ("atom", "do")), (":end", ("atom", "end")),
+])
+def test_string_or_atom_that_spells_a_symbol_keeps_its_class_kind(source, row):
+    assert kinds_and_lexemes(source) == [row]
+
+
 def test_unknown_escape():
     with pytest.raises(LexError):
         tokenize(r'"\z"')
@@ -94,9 +108,9 @@ def test_unknown_escape():
 
 def test_keywords():
     toks = kinds_and_lexemes("if true do :x else not false end")
-    assert toks[0] == ("keyword", "if")
-    assert ("keyword", "true") in toks
-    assert ("keyword", "not") in toks
+    assert toks[0] == ("if", "if")
+    assert ("true", "true") in toks
+    assert ("not", "not") in toks
 
 
 def test_spec_directive():
@@ -233,10 +247,14 @@ def _outcome(text):
 
 
 def _reference(text):
+    """`reference_tokenize(text)` as `_outcome` gives it. The reference's
+    `keyword`, `op` and `punct` kinds become the lexeme, which is the kind
+    `tokenize` gives a symbol; that loses nothing, as lexemes are compared too."""
     result = reference_tokenize(text)
     if isinstance(result, LexError):
         return result.message, result.span.start, result.span.end
-    return result
+    return [(lexeme if kind in ("keyword", "op", "punct") else kind, lexeme, start, end)
+            for kind, lexeme, start, end in result]
 
 
 # Pieces that meet the lexer's edge cases: brackets around newlines, escapes

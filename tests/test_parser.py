@@ -207,6 +207,17 @@ class TestOperatorTable:
             parse_program('a "+" b')
         assert exc.value.message == "expected a newline or ';', found '\"+\"'"
 
+    @pytest.mark.parametrize("source, expected", [
+        ('{"(", "a", x} = t', Match(TuplePattern([syntax.StringLit("("), syntax.StringLit("a"),
+                                                  VarPattern("x")]), Var("t"))),
+        ('f(x, "(")', Call((), "f", [Var("x"), syntax.StringLit("(")])),
+        ("%{:do => 1}", syntax.MapExpr([(MapKey.atom("do"), IntLit(1))])),
+        ('if "do" do :end end', If(syntax.StringLit("do"), AtomLit("end"), AtomLit("nil"))),
+    ], ids=["group-check", "call-argument", "map-key", "if"])
+    def test_string_or_atom_that_spells_a_symbol_is_no_symbol(self, source, expected):
+        # Such a token keeps kind `string` or `atom`, so no kind test takes it for the symbol.
+        assert expression(source) == expected
+
 
 @pytest.mark.parametrize("source, message, span", [
     ('def f() do a "" b end', "expected 'end', found '\"\"'", (13, 15)),
@@ -311,16 +322,20 @@ def _cons_list(length):
 
 
 def _taken(monkeypatch, tokens, parse):
-    """How many times `parse(tokens)` takes each token, by index."""
+    """How many times `parse(tokens)` takes each token, by index. The parser
+    takes tokens by writing `pos`, often inline, so a property on `Parser.pos`
+    credits every token a write steps over; a write that steps back fails."""
     counts = Counter()
-    take = Parser.take
 
-    def counting_take(self):
-        if self.kinds[self.pos] != "eof":
-            counts[self.pos] += 1
-        return take(self)
+    def step(self, pos):
+        old = vars(self).get("pos", 0)
+        if pos < old:
+            pytest.fail(f"pos stepped back from {old} to {pos}")
+        counts.update(range(old, pos))
+        vars(self)["pos"] = pos
 
-    monkeypatch.setattr(Parser, "take", counting_take)
+    monkeypatch.setattr(Parser, "pos", property(lambda self: vars(self)["pos"], step),
+                        raising=False)
     parse(tokens)
     return counts
 
