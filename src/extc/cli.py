@@ -200,8 +200,7 @@ def _run_check(args) -> tuple[int, list]:
         output.append((sys.stdout, render_json(diags)))
     elif diags:
         color = not args.no_color and sys.stdout is not None and sys.stdout.isatty()
-        sources = {d.file: d.span.source.text for d in diags}
-        output.append((sys.stdout, render_all_text(diags, sources, color=color)))
+        output.append((sys.stdout, render_all_text(diags, color=color)))
 
     errors, warnings = count_by_severity(diags)
     if any(d.code in (E_PARSE, E_LEX) for d in diags):
@@ -215,7 +214,7 @@ def _run_parse(args) -> tuple[int, list]:
         return 3, [(sys.stderr, f"extc: error: no such file: {args.path}")]
     parsed = _load(path)
     if isinstance(parsed, Diagnostic):
-        return 2, [(sys.stderr, render_text(parsed, parsed.span.source.text))]
+        return 2, [(sys.stderr, render_text(parsed))]
     return 0, [(sys.stdout, dump(parsed))]
 
 

@@ -1,4 +1,4 @@
-"""Structured diagnostics and their text/JSON rendering."""
+"""Structured diagnostics, rendered as text or JSON from the `Source` each span holds."""
 from __future__ import annotations
 
 from .syntax import Program, Span
@@ -88,31 +88,22 @@ def _ends(span: Span) -> tuple[int, int, int, int]:
     return (*span.source.position(span.start), *span.source.position(span.end))
 
 
-def render_text(diag: Diagnostic, source: str | None = None, color: bool = False) -> str:
-    """One-line header plus a caret-underlined excerpt of the offending source."""
+def render_text(diag: Diagnostic, color: bool = False) -> str:
+    """One-line header plus a caret-underlined excerpt of the line the span
+    starts on, which its `Source` gives; a span past the last line has none."""
     code = diag.code
     if color:
         code = _COLORS[diag.severity] + code + _RESET
-    span = diag.span
-    line, col, end_line, end_col = _ends(span)
+    line, col, end_line, end_col = _ends(diag.span)
     lines = [f"{diag.file}:{line}:{col} {code} {diag.message}"]
-    if source is not None:
-        # The excerpt is the line holding the span's start. The lexer ends
-        # lines at "\n" only, and a final newline starts no line.
-        first = source.rfind("\n", 0, span.start) + 1
-        if first < len(source):
-            last = source.find("\n", first)
-            text = source[first:last] if last >= 0 else source[first:]
-            gutter = f"  {line} | "
-            lines.append(gutter + text)
-            if end_line == line:
-                width = max(1, end_col - col)
-            else:
-                width = max(1, len(text) - col + 1)
-            underline = " " * (len(gutter) + col - 1) + "^" * width
-            if end_line != line:
-                underline += " ..."
-            lines.append(underline)
+    text = diag.span.source.line(line)
+    if text is not None:
+        gutter = f"  {line} | "
+        if end_line == line:
+            underline = "^" * max(1, end_col - col)
+        else:
+            underline = "^" * max(1, len(text) - col + 1) + " ..."
+        lines += [gutter + text, " " * (len(gutter) + col - 1) + underline]
     if diag.expected is not None:
         lines.append(f"  expected: {diag.expected}")
     if diag.actual is not None:
@@ -122,8 +113,9 @@ def render_text(diag: Diagnostic, source: str | None = None, color: bool = False
 
 def render_all_text(diags: list[Diagnostic], sources: dict[str, str] | None = None,
                     color: bool = False) -> str:
-    sources = sources or {}
-    return "\n".join(render_text(d, sources.get(d.file), color) for d in diags)
+    """`render_text` of each diagnostic. `sources` is ignored, as each span holds
+    its file's text; perfbench's traced check still passes the texts it read."""
+    return "\n".join(render_text(d, color) for d in diags)
 
 
 def render_json(diags: list[Diagnostic]) -> str:

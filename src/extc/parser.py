@@ -100,10 +100,11 @@ class Parser:
         return self.kinds[self.pos] == kind
 
     def expect(self, kind: str, what: str | None = None) -> int:
-        """The current token, taken, which must be of `kind` (never `eof`)."""
+        """The current token, taken, which must be of `kind` (never `eof`); an
+        error names what was expected by the description `what`, else by `kind`, quoted."""
         i = self.pos
         if self.kinds[i] != kind:
-            raise self.unexpected(i, repr(what or kind))
+            raise self.unexpected(i, what or repr(kind))
         self.pos = i + 1
         return i
 
@@ -443,8 +444,7 @@ class Parser:
         return ConsExpr(head, tail, self.starts[start], self.ends[self.expect("]")])
 
     def parse_map(self, start: int) -> MapExpr:
-        what = "map pattern" if self.pattern_only else "map literal"
-        entries, close = self.map_entries(start, self.parse_expr, what)
+        entries, close = self.map_entries(start, self.parse_expr, "map")
         return MapExpr(entries, self.starts[start], self.ends[close])
 
     def parse_if(self, start: int) -> If:

@@ -9,6 +9,8 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
 
 - `check --dump-sigs`, as text and as JSON, and `parse`, on every file in
   `tests/corpus` and `tests/data`, and `check` on both directories;
+- `check` on `tests/corpus` with `--strict-warnings`, with `--no-color`, and
+  with one of its files named again;
 - `check --dump-sigs`, as text and as JSON, on both perfbench workloads'
   corpora for seeds 1-3, generated with `perfbench.gen`;
 - `check`, as text and as JSON, and `parse` on each of `perfbench.gen.PROBES`;
@@ -85,6 +87,9 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
         runs += [(ROOT, ["check", "--dump-sigs", name]),
                  (ROOT, ["check", "--dump-sigs", "--format", "json", name])]
     runs += [(ROOT, ["parse", name]) for name in files]
+    runs += [(ROOT, ["check", "--strict-warnings", "tests/corpus"]),
+             (ROOT, ["check", "--no-color", "tests/corpus"]),
+             (ROOT, ["check", "tests/corpus", "tests/corpus/wrong_plus.ex"])]
     for workload in (gen.legacy_migration, gen.dense_bodies):
         for seed in (1, 2, 3):
             name = f"{workload.__name__}_{seed}"

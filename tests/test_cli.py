@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -103,6 +104,21 @@ class TestJsonOutput:
                                 "--format", "json", "--dump-sigs")
         json.loads(out)
         assert "M.func/1 :: (integer) -> float" in err
+
+
+class TestColor:
+    @pytest.mark.parametrize("terminal, flags, colored", [
+        (True, [], True), (False, [], False), (True, ["--no-color"], False),
+        (False, ["--no-color"], False),
+    ], ids=["terminal", "pipe", "terminal-no-color", "pipe-no-color"])
+    def test_codes_are_colored_only_on_a_terminal(self, terminal, flags, colored, capsys,
+                                                  monkeypatch):
+        plain = invoke(capsys, "check", "--no-color", str(CORPUS_DIR))
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: terminal)
+        status, out, err = invoke(capsys, "check", *flags, str(CORPUS_DIR))
+        for severity, color in [("E", 31), ("W", 33), ("I", 36)]:
+            assert (f"\x1b[{color}m{severity}_" in out) == colored
+        assert (status, re.sub(r"\x1b\[\d+m", "", out), err) == plain
 
 
 class TestDumpSigs:

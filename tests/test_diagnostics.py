@@ -34,7 +34,7 @@ def test_render_text_header_and_caret():
     source = '3 + "hi"'
     d = diag(message='expression has type string, expected float',
              s=span(4, 8, source), expected="float", actual="string")
-    text = render_text(d, source)
+    text = render_text(d)
     lines = text.splitlines()
     assert lines[0] == 'm.ex:1:5 E_TYPE_MISMATCH expression has type string, expected float'
     assert lines[1].endswith('3 + "hi"')
@@ -44,8 +44,8 @@ def test_render_text_header_and_caret():
 
 
 def test_render_text_without_notes_or_types_is_just_excerpt():
-    d = diag(code="E_UNBOUND_VAR", message="variable 'x' is not bound", s=span(0, 1))
-    text = render_text(d, "x + 1")
+    d = diag(code="E_UNBOUND_VAR", message="variable 'x' is not bound", s=span(0, 1, "x + 1"))
+    text = render_text(d)
     assert text.splitlines()[0].startswith("m.ex:1:1 E_UNBOUND_VAR")
     assert "expected" not in text
 
@@ -53,22 +53,23 @@ def test_render_text_without_notes_or_types_is_just_excerpt():
 def test_render_text_multiline_span_excerpts_first_line():
     source = "if true do\n1 end"
     d = diag(s=span(0, 12, source))
-    text = render_text(d, source)
+    text = render_text(d)
     assert "..." in text
 
 
 def test_render_text_has_no_excerpt_past_the_last_line():
     # A final newline ends the last line; it does not start another one.
     eof = diag(code="E_PARSE", s=span(9, 9, "x = (1 +\n"))
-    assert render_text(eof, "x = (1 +\n") == "m.ex:2:1 E_PARSE boom"
-    assert render_text(diag(code="E_PARSE", s=span(0, 0, "")), "") == "m.ex:1:1 E_PARSE boom"
-    assert render_text(eof, "x = (1 +\n\n").splitlines()[1] == "  2 | "
+    assert render_text(eof) == "m.ex:2:1 E_PARSE boom"
+    assert render_text(diag(code="E_PARSE", s=span(0, 0, ""))) == "m.ex:1:1 E_PARSE boom"
+    empty_line = diag(code="E_PARSE", s=span(9, 9, "x = (1 +\n\n"))
+    assert render_text(empty_line).splitlines()[1] == "  2 | "
 
 
 def test_render_text_excerpt_lines_end_at_newline_only():
     for separator in "\f\v\x1c\x1d\x1e\x85\u2028\u2029":
         source = f"# a{separator}b\ny = 1 + 2\n"
-        text = render_text(diag(s=span(14, 15, source)), source)
+        text = render_text(diag(s=span(14, 15, source)))
         assert text.splitlines()[:2] == ["m.ex:2:9 E_TYPE_MISMATCH boom", "  2 | y = 1 + 2"]
 
 
@@ -111,13 +112,19 @@ def test_sorted_by_file_offset_code():
 
 
 def test_render_all_text_joins_lines():
-    out = render_all_text([diag(s=span(0, 1)), diag(s=span(2, 3))], {"m.ex": "x + 1"})
+    out = render_all_text([diag(s=span(0, 1, "x + 1")), diag(s=span(2, 3, "x + 1"))])
     assert out.count("m.ex:1:") == 2
 
 
+def test_render_all_text_ignores_a_map_of_texts():
+    # perfbench's traced check passes the texts it read, by position.
+    diags = [diag(s=span(0, 1, "x + 1")), diag(s=span(2, 3, "x + 1"))]
+    assert render_all_text(diags, {"m.ex": "y = 2"}, color=False) == render_all_text(diags)
+
+
 def test_color_wraps_the_code_only():
-    plain = render_text(diag(), "x + 1")
-    colored = render_text(diag(), "x + 1", color=True)
+    plain = render_text(diag())
+    colored = render_text(diag(), color=True)
     assert "\x1b[31mE_TYPE_MISMATCH\x1b[0m" in colored
     assert "\x1b[" not in plain
 

@@ -203,6 +203,18 @@ def test_position_agrees_with_count_and_rfind(text):
         assert source.position(offset) == _position(text, offset)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab \n\r\f\v\x85\u2028\u2029", max_size=100))
+def test_line_agrees_with_split(text):
+    # A final newline, or an empty file, starts no line.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    source = Source(text)
+    count = source.position(len(text))[0]  # every line `position` can name
+    assert [source.line(number) for number in range(1, count + 1)] == (lines + [None])[:count]
+
+
 def _raw_text(kind, lexeme):
     """The source text a token spans, for every kind but strings."""
     if kind == "newline":

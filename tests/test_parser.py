@@ -229,10 +229,29 @@ class TestOperatorTable:
     ("def f() do 1", "expected 'end', found 'eof'", (12, 12)),
     ("x = 1 :ok", "expected a newline or ';', found ':ok'", (6, 9)),
     ("def f() do a :ok end", "expected 'end', found ':ok'", (13, 16)),
+    ("defmodule 1 do end", "expected module name, found '1'", (10, 11)),
+    ("def 1() do 1 end", "expected function name, found '1'", (4, 5)),
+    ("@spec 1() :: integer", "expected function name, found '1'", (6, 7)),
+    ("x = M.1()", "expected name after '.', found '1'", (6, 7)),
+    ("def f(^1) do 1 end", "expected variable after '^', found '1'", (7, 8)),
 ])
 def test_found_token_is_named_as_written(source, message, span):
     """A string is named with its quotes and escapes, an atom with its colon,
-    the end of file as `eof`."""
+    the end of file as `eof`. An expected token kind is quoted, a description is not."""
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (message, span)
+
+
+@pytest.mark.parametrize("source, message, span", [
+    ("x = %{:a => 1, :a => 2}", "duplicate keys in map", (4, 23)),
+    ("%{:a => x, :a => y} = m", "duplicate keys in map", (0, 19)),
+    ("def f(%{:a => x, :a => y}) do 1 end", "duplicate keys in map", (6, 25)),
+    ("@spec f(%{:a => integer, :a => float}) :: integer", "duplicate keys in map type", (8, 37)),
+], ids=["value", "left-of-match", "parameter", "type"])
+def test_duplicate_keys_name_a_value_map_and_a_map_type(source, message, span):
+    """A map left of `=` is parsed before it is known to be a pattern, so
+    every value map is named alike."""
     with pytest.raises(ParseError) as exc:
         parse_program(source)
     assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (message, span)
