@@ -90,7 +90,9 @@ def _ends(span: Span) -> tuple[int, int, int, int]:
 
 def render_text(diag: Diagnostic, color: bool = False) -> str:
     """One-line header plus a caret-underlined excerpt of the line the span
-    starts on, which its `Source` gives; a span past the last line has none."""
+    starts on, which its `Source` gives; a span past the last line has none.
+    The caret line is padded with the excerpt's own tabs and a space for any
+    other character before the span."""
     code = diag.code
     if color:
         code = _COLORS[diag.severity] + code + _RESET
@@ -103,7 +105,8 @@ def render_text(diag: Diagnostic, color: bool = False) -> str:
             underline = "^" * max(1, end_col - col)
         else:
             underline = "^" * max(1, len(text) - col + 1) + " ..."
-        lines += [gutter + text, " " * (len(gutter) + col - 1) + underline]
+        pad = "\t".join([" " * len(part) for part in text[:col - 1].split("\t")])
+        lines += [gutter + text, " " * len(gutter) + pad + underline]
     if diag.expected is not None:
         lines.append(f"  expected: {diag.expected}")
     if diag.actual is not None:

@@ -5,9 +5,14 @@ Precedence, tightest first: postfix map access; unary `-`/`not`; then the
 `_BINARY` levels `*` `/` (6); binary `+` `-` (5); `++` `--` `<>` (4, right
 associative); comparisons (3); `and` (2); `or` (1); `=` (0, right associative),
 loosest as Elixir's own `match_op`. No backtracking: each token, an index into
-the lexer's columns, is taken once. The left side of `=`, parsed as an
-expression, converts by `to_pattern`; so does a clause body statement that
-stops at `->`, as the next clause's head.
+the lexer's columns, is taken once.
+
+Every pattern is parsed as an expression and converted by `to_pattern`: a
+`def` or `fn` parameter, a `case` head, the statement in a clause body that
+stops at `->` as the next clause's head, and the left side of `=`. An `_` or
+`^x` is left unclaimed until the pattern around it converts; one that no
+pattern claims is an error when its statement ends, unless a syntax error
+stops the parse first.
 
 Every decision reads one column, `kinds`: a keyword, operator or punctuation
 token's kind is its own text, so `at("do")`, `expect(")")` and the `_PRIMARY`
@@ -18,7 +23,6 @@ than through `take`, and nodes are built with positional offsets.
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import suppress
 from functools import partial
 
 from . import syntax
@@ -52,7 +56,7 @@ _BINARY = {
 }
 _PREFIX = 7  # a unary operand binds tighter than every binary operator
 _DECLARATIONS = ("defmodule", "def", "atspec")
-_NOT_A_PATTERN = "left-hand side of '=' is not a valid pattern"
+_NOT_A_PATTERN = "expression is not a valid pattern"
 # Deepest nesting of list, tuple, map and function types in a `@spec`.
 MAX_TYPE_DEPTH = 100
 # Deepest nesting of expressions and patterns: an operand, item, argument,
@@ -76,7 +80,6 @@ class Parser:
         self.starts, self.ends, self.source = tokens.starts, tokens.ends, tokens.source
         self.pos = 0
         self.depth = 0  # nesting levels open
-        self.pattern_only = False
         self.loose: list[int] = []  # `_` and `^` of unclaimed pattern nodes, in order
         self.next_head = None
 
@@ -149,7 +152,7 @@ class Parser:
             raise ParseError(f"duplicate keys in {what}", self.span(start, close))
         return entries, close
 
-    def settle(self, expr: syntax.Expr | None = None) -> syntax.Expr:
+    def settle(self, expr: syntax.Expr) -> syntax.Expr:
         """`expr`, a finished statement: the first unclaimed `_` or `^x` fails."""
         if self.loose:
             i = self.loose[0]
@@ -160,8 +163,9 @@ class Parser:
     def sequence(self, stop: Callable[[], bool] | None = None,
                  head_of: Callable | None = None) -> syntax.Expr:
         """Statements folded into a sequence, up to `eof`, `end`, `stop()` after
-        a separator, or a later statement that stops at `->` and that
-        `head_of(statement, its first token)` makes `self.next_head`."""
+        a separator, or a later statement that stops at `->`: the next clause's
+        head, which `head_of(statement, its first token)` converts into
+        `self.next_head` or rejects."""
         self.skip_separators()
         exprs = [self.settle(self.parse_expr())]
         while self.at_separator():
@@ -171,16 +175,16 @@ class Parser:
             start = self.pos
             expr = self.parse_expr()
             if head_of is not None and self.at("->"):
-                with suppress(ParseError):  # else a body statement, and its `->` the error
-                    self.next_head = head_of(expr, start)
-                    return _fold_sequence(exprs)
+                self.next_head = head_of(expr, start)
+                return _fold_sequence(exprs)
             exprs.append(self.settle(expr))
         self.next_head = None
         return _fold_sequence(exprs)
 
     def parse_clauses(self, start: int) -> Case | Cond:
         """`case subject do head -> body ... end` or `cond do ... end`, with a
-        clause or more; each later head ends the body before it (`sequence`)."""
+        clause or more; every head is an expression that `head_of` converts, and
+        each later one ends the body before it (`sequence`)."""
         case = self.lexemes[start] == "case"
         subject = self.parse_expr() if case else None
         clause_type = CaseClause if case else CondClause
@@ -191,35 +195,38 @@ class Parser:
         while True:
             if head is None:
                 self.skip_separators()
-                if self.at("end"):
+                tok = self.pos
+                if self.kinds[tok] in ("end", "eof"):
                     break
-                head = self.pattern() if case else self.settle(self.parse_expr())
+                head = head_of(self.parse_expr(), tok)
             self.expect("->")
             body = self.sequence(head_of=head_of)
             clauses.append(clause_type(head, body, head.start, body.end))
             head = self.next_head
+        close = self.expect("end")
         if not clauses:
             raise ParseError(f"{self.lexemes[start]} expression needs at least one clause",
-                             self.span(self.pos, self.pos))
-        first, last = self.starts[start], self.ends[self.expect("end")]
+                             self.span(close, close))
+        first, last = self.starts[start], self.ends[close]
         return Case(subject, clauses, first, last) if case else Cond(clauses, first, last)
 
     def to_pattern(self, expr: syntax.Expr, start: int) -> syntax.Pattern:
-        """`expr`, parsed from token `start` on, as a pattern, which claims the
-        `_` and `^x` in it. ParseError if it is no pattern."""
-        if self.pos - start > 2 and "(" in self.kinds[start:self.pos]:
-            raise self.not_a_pattern(expr)  # a group, which the AST does not show
-        pattern = self.as_pattern(expr, expr)
+        """`expr`, parsed from token `start` on, as a pattern: every pattern
+        position converts here. It claims the `_` and `^x` in `expr`, then
+        converts; ParseError, over the whole of `expr`, if it is no pattern."""
         while self.loose and self.loose[-1] >= start:
             self.loose.pop()
-        return pattern
+        if self.pos - start > 2 and "(" in self.kinds[start:self.pos]:
+            raise self.not_a_pattern(expr)  # a group, which the AST does not show
+        return self.as_pattern(expr, expr)
 
     def pattern(self) -> syntax.Pattern:
-        """A `def` or `fn` parameter or first `case` head, where only a pattern may stand."""
-        self.pattern_only = True
-        expr = self.parse_expr()
-        self.pattern_only = False
-        return self.as_pattern(expr, expr)
+        """A `def` or `fn` parameter: an expression that `to_pattern` converts,
+        once its first token is one a pattern can start with."""
+        start = self.pos
+        if self.kinds[start] not in _PATTERN_PRIMARY:
+            raise self.unexpected(start, "a pattern")
+        return self.to_pattern(self.parse_expr(), start)
 
     def as_pattern(self, expr, whole: syntax.Expr) -> syntax.Pattern:
         """`expr`, part of `whole`, as a pattern: literals, `_` and `^x` already
@@ -346,8 +353,7 @@ class Parser:
     # --- expressions ---
 
     def parse_expr(self, min_prec: int = 0) -> syntax.Expr:
-        """Precedence climbing over `_BINARY`: operands bind at least
-        `min_prec`. In `pattern_only` mode, one primary that may be a pattern."""
+        """Precedence climbing over `_BINARY`: operands bind at least `min_prec`."""
         start = self.pos
         depth = self.depth
         if depth == MAX_NESTING:
@@ -355,14 +361,6 @@ class Parser:
         self.depth = depth + 1
         kinds = self.kinds
         kind = kinds[start]
-        if self.pattern_only:
-            parse = _PATTERN_PRIMARY.get(kind)
-            if parse is None:
-                raise self.unexpected(start, "a pattern")
-            self.pos = start + 1
-            left = parse(self, start)
-            self.depth = depth
-            return left
         if kind == "-" or kind == "not":
             self.pos = start + 1
             operand = self.parse_expr(_PREFIX)
@@ -400,11 +398,10 @@ class Parser:
         """`_`, a variable, or a call `f(...)`, `M.f(...)` or `x.(...)`."""
         name = self.lexemes[first]
         if name == "_":
-            if not self.pattern_only:
-                self.loose.append(first)
+            self.loose.append(first)
             return Wildcard(self.starts[first], self.ends[first])
         follow = self.kinds[self.pos]
-        if self.pattern_only or follow != "(" and follow != ".":
+        if follow != "(" and follow != ".":
             return Var(name, self.starts[first], self.ends[first])
         path = [name]
         while self.at("."):
@@ -420,11 +417,8 @@ class Parser:
         return Call(tuple(path[:-1]), path[-1], args, start, end)
 
     def parse_pin(self, caret: int) -> syntax.Pattern:
-        if not self.pattern_only:
-            if not self.at("ident"):
-                raise ParseError("expected an expression, found '^'", self.span(caret, caret))
-            self.loose.append(caret)
         name = self.expect("ident", "variable after '^'")
+        self.loose.append(caret)
         return PinPattern(self.lexemes[name], self.starts[caret], self.ends[name])
 
     def parse_group(self, start: int) -> syntax.Expr:
@@ -467,7 +461,7 @@ class Parser:
         return AnonFn(params, body, self.starts[start], self.ends[self.expect("end")])
 
 
-# Primaries by their first token's kind; a pattern is one of the first.
+# Primaries by their first token's kind; a pattern starts as one of the first.
 _PATTERN_PRIMARY = {
     "int": lambda p, tok: IntLit(p.int_value(tok), p.starts[tok], p.ends[tok]),
     "float": lambda p, tok: FloatLit(float(p.lexemes[tok]), p.starts[tok], p.ends[tok]),
@@ -494,16 +488,11 @@ def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
 
 
 def parse_program(source, path: str = "<input>") -> Program:
-    """Parse a whole program from source text or its `Tokens`. An unclaimed
-    `_` or `^x` fails first; on a stack too full for `MAX_NESTING`, the
-    recursion limit is "nesting too deep"."""
+    """Parse a whole program from source text or its `Tokens`. On a stack too
+    full for `MAX_NESTING`, the recursion limit is "nesting too deep"."""
     parser = Parser(tokenize(source) if isinstance(source, str) else source)
     try:
         items = parser.parse_items(toplevel=True)
     except RecursionError:
-        parser.settle()
         raise ParseError("nesting too deep", parser.span(parser.pos, parser.pos)) from None
-    except ParseError:
-        parser.settle()
-        raise
     return Program(items, path=path, source=parser.source, end=len(parser.source.text))

@@ -16,7 +16,7 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
 - `check`, as text and as JSON, and `parse` on each of `perfbench.gen.PROBES`;
 - `check` and `parse` on each of `MALFORMED`, one-line files that between
   them raise every lex and parse error message, from each site that raises
-  one;
+  one, and underline an error after a tab;
 - usage errors, `--help` included.
 
 Every invocation whose stdout, stderr or exit status differs is printed, and
@@ -74,7 +74,10 @@ MALFORMED = [
     # patterns, wildcards and pins
     "def f(+) do 1 end", "def f(^1) do 1 end", "def f(%{:a => x, :a => y}) do 1 end",
     "case x do f(y) -> 1 end", "x = _", "_", "x = ^y", "x = ^1", "f(x) = 1",
-    "{(a), b} = t", "%{:a => x, :a => y} = m",
+    "{(a), b} = t", "%{:a => x, :a => y} = m", "def f(x + 1) do 1 end", "fn (g(x)) -> 1 end",
+    "{_, f(x)} = t",
+    # a caret line padded past a tab
+    "\tx = )",
 ]
 
 

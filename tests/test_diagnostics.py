@@ -73,6 +73,14 @@ def test_render_text_excerpt_lines_end_at_newline_only():
         assert text.splitlines()[:2] == ["m.ex:2:9 E_TYPE_MISMATCH boom", "  2 | y = 1 + 2"]
 
 
+def test_render_text_caret_keeps_the_tabs_before_it():
+    # A tab stays a tab in the caret line, so a terminal moves the caret as
+    # far as it moved the excerpt.
+    source = '\ty = x <> "a"'
+    text = render_text(diag(s=span(5, 6, source)))
+    assert text.splitlines()[1:] == ['  1 | \ty = x <> "a"', "      \t    ^"]
+
+
 def test_render_json_empty():
     payload = json.loads(render_json([]))
     assert payload == {"diagnostics": [], "summary": {"errors": 0, "warnings": 0}}

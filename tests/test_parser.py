@@ -130,6 +130,15 @@ class TestExpressions:
         assert isinstance(expr, syntax.Cond)
         assert len(expr.clauses) == 2
 
+    @pytest.mark.parametrize("source, message, span", [
+        ("case x do end", "case expression needs at least one clause", (10, 13)),
+        ("cond do\nend", "cond expression needs at least one clause", (8, 11)),
+    ])
+    def test_clauses_need_a_clause_before_end(self, source, message, span):
+        with pytest.raises(ParseError) as exc:
+            expression(source)
+        assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (message, span)
+
     def test_wildcard_is_not_an_expression(self):
         with pytest.raises(ParseError) as exc:
             expression("_ + 1")
@@ -234,10 +243,49 @@ class TestOperatorTable:
     ("@spec 1() :: integer", "expected function name, found '1'", (6, 7)),
     ("x = M.1()", "expected name after '.', found '1'", (6, 7)),
     ("def f(^1) do 1 end", "expected variable after '^', found '1'", (7, 8)),
+    ("x = ^1", "expected variable after '^', found '1'", (5, 6)),
+    ("case x do 1 -> 2", "expected 'end', found 'eof'", (16, 16)),
+    ("cond do true -> 1", "expected 'end', found 'eof'", (17, 17)),
+    ("case x do", "expected 'end', found 'eof'", (9, 9)),
 ])
 def test_found_token_is_named_as_written(source, message, span):
     """A string is named with its quotes and escapes, an atom with its colon,
     the end of file as `eof`. An expected token kind is quoted, a description is not."""
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (message, span)
+
+
+@pytest.mark.parametrize("source, span", [
+    ("def f(x + 1) do 1 end", (6, 11)),
+    ("fn (g(x)) -> 1 end", (4, 8)),
+    ("case x do f(y) -> 1 end", (10, 14)),
+    ("case x do 1 -> 2\nf(y) -> 3 end", (17, 21)),
+    ("case x do 1 -> 2; f(y) -> 3 end", (18, 22)),
+    ("f(x) = 1", (0, 4)),
+    ("{_, f(x)} = t", (0, 9)),
+    ("def f({_, g(x)}) do 1 end", (6, 15)),
+    ("case t do {^y, f(x)} -> 1 end", (10, 20)),
+], ids=["parameter", "fn-parameter", "first-head", "later-head", "head-after-semicolon",
+        "left-of-match", "wildcard-left-of-match", "wildcard-parameter", "pin-head"])
+def test_every_pattern_position_rejects_an_expression_alike(source, span):
+    """A parameter, a `case` head and the left of `=` are each an expression
+    converted to a pattern; one that is none fails over its whole span, and
+    the `_` or `^x` in it is not reported on its own."""
+    with pytest.raises(ParseError) as exc:
+        parse_program(source)
+    assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (
+        "expression is not a valid pattern", span)
+
+
+@pytest.mark.parametrize("source, message, span", [
+    ("def f({_, )}) do 1 end", "expected an expression, found ')'", (10, 11)),
+    ("{_, )} = t", "expected an expression, found ')'", (4, 5)),
+    ("case x do [^y | ] -> 1 end", "expected an expression, found ']'", (16, 17)),
+])
+def test_a_pattern_cut_short_reports_where_it_stops(source, message, span):
+    """A syntax error inside a pattern is reported where it stands, not at an
+    `_` or `^x` before it, which the pattern would have claimed."""
     with pytest.raises(ParseError) as exc:
         parse_program(source)
     assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (message, span)
