@@ -88,11 +88,18 @@ def _ends(span: Span) -> tuple[int, int, int, int]:
     return (*span.source.position(span.start), *span.source.position(span.end))
 
 
+def _under(text: str, mark: str) -> str:
+    """`mark` for each character of `text` but a tab, which stays a tab, so
+    that a terminal widens the line and the marks under it alike."""
+    return "\t".join([mark * len(part) for part in text.split("\t")])
+
+
 def render_text(diag: Diagnostic, color: bool = False) -> str:
     """One-line header plus a caret-underlined excerpt of the line the span
     starts on, which its `Source` gives; a span past the last line has none.
-    The caret line is padded with the excerpt's own tabs and a space for any
-    other character before the span."""
+    The caret line keeps the excerpt's own tabs, with a space under any other
+    character before the span and at least one caret under the span, or
+    under the rest of the line if the span goes on past it."""
     code = diag.code
     if color:
         code = _COLORS[diag.severity] + code + _RESET
@@ -101,12 +108,12 @@ def render_text(diag: Diagnostic, color: bool = False) -> str:
     text = diag.span.source.line(line)
     if text is not None:
         gutter = f"  {line} | "
-        if end_line == line:
-            underline = "^" * max(1, end_col - col)
-        else:
-            underline = "^" * max(1, len(text) - col + 1) + " ..."
-        pad = "\t".join([" " * len(part) for part in text[:col - 1].split("\t")])
-        lines += [gutter + text, " " * len(gutter) + pad + underline]
+        rest = end_line != line  # the span goes on past this line
+        carets = _under(text[col - 1:] if rest else text[col - 1:end_col - 1], "^")
+        if "^" not in carets:
+            carets += "^"
+        pad = _under(text[:col - 1], " ")
+        lines += [gutter + text, " " * len(gutter) + pad + carets + (" ..." if rest else "")]
     if diag.expected is not None:
         lines.append(f"  expected: {diag.expected}")
     if diag.actual is not None:

@@ -203,6 +203,8 @@ class Parser:
             body = self.sequence(head_of=head_of)
             clauses.append(clause_type(head, body, head.start, body.end))
             head = self.next_head
+            if head is None and self.kinds[self.pos] not in ("end", "eof"):
+                raise self.unexpected(self.pos, "a newline or ';'")
         close = self.expect("end")
         if not clauses:
             raise ParseError(f"{self.lexemes[start]} expression needs at least one clause",

@@ -3,16 +3,20 @@ patterns. Every node holds the offsets `start` and `end` of its source text,
 and a `Program` holds the file's `Source`, which turns offsets into lines,
 columns and line text once a diagnostic reports them.
 
-Offsets never take part in equality, so two parses of equivalent source
-compare structurally equal.
-
 Each node class takes its fields and then its offsets positionally, through
 a plain `__init__`: the parser builds a node for every few tokens, and the
 `__init__` that `dataclass` generates, with keyword-only offsets, took 383 ns
-a call against 266 ns (CPython 3.11). `dataclass` still gives the fields,
-`__eq__`, `__repr__` and `__match_args__`. A class's `__match_args__` names
-its fields in order, leaving out the offsets and a `Program`'s `Source`:
-`children` and `dump` walk it.
+a call against 266 ns (CPython 3.11). `Node` gives every class but `Program`
+its `__eq__`, which compares the fields and never the offsets, so two parses
+of equivalent source compare equal, and its `__repr__`, in the form
+`dataclass` would write. `dataclass` itself, through `_node`, only records
+the fields, which perfbench's traced node count reads with
+`dataclasses.fields`, and sets `__slots__` and `__match_args__`: generating
+the two methods in every class took most of this module's import time. A
+class's `__match_args__` names its fields in order, leaving out the offsets
+and a `Program`'s `Source`: `children`, `dump`, `__eq__` and `__repr__` walk
+it. `Program` keeps the generated methods, so its equality leaves out its
+`path` as well.
 """
 from __future__ import annotations
 
@@ -33,10 +37,29 @@ class Span(Record):
         self.start, self.end, self.source = start, end, source
 
 
-@dataclass(slots=True)
+# Fields, slots and `__match_args__`, but no generated method. A class with no
+# docstring would also have `dataclass` build one from `inspect.signature`.
+_node = dataclass(slots=True, init=False, eq=False, repr=False)
+
+
+@_node
 class Node:
+    """An AST node: its fields, then the offsets of its source text."""
+
     start: int = field(compare=False, default=0, kw_only=True)
     end: int = field(compare=False, default=0, kw_only=True)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__match_args__
+        return tuple(getattr(self, name) for name in names) == \
+            tuple(getattr(other, name) for name in names)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in ("start", "end", *self.__match_args__))
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Expr(Node):
@@ -53,40 +76,50 @@ class Literal(Expr, Pattern):
     __slots__ = ()
 
 
-@dataclass(slots=True, init=False)
+@_node
 class IntLit(Literal):
+    """An integer literal."""
+
     value: int
 
     def __init__(self, value, start=0, end=0):
         self.value, self.start, self.end = value, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class FloatLit(Literal):
+    """A float literal."""
+
     value: float
 
     def __init__(self, value, start=0, end=0):
         self.value, self.start, self.end = value, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class StringLit(Literal):
+    """A string literal."""
+
     value: str
 
     def __init__(self, value, start=0, end=0):
         self.value, self.start, self.end = value, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class BoolLit(Literal):
+    """`true` or `false`."""
+
     value: bool
 
     def __init__(self, value, start=0, end=0):
         self.value, self.start, self.end = value, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class AtomLit(Literal):
+    """An atom literal, `:name`."""
+
     name: str
 
     def __init__(self, name, start=0, end=0):
@@ -96,44 +129,56 @@ class AtomLit(Literal):
 # --- patterns ---------------------------------------------------------------
 
 
-@dataclass(slots=True, init=False)
+@_node
 class Wildcard(Pattern):
+    """The wildcard pattern `_`."""
+
     def __init__(self, start=0, end=0):
         self.start, self.end = start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class VarPattern(Pattern):
+    """A variable that a pattern binds."""
+
     name: str
 
     def __init__(self, name, start=0, end=0):
         self.name, self.start, self.end = name, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class PinPattern(Pattern):
+    """A pinned variable, `^name`, matched by its value."""
+
     name: str
 
     def __init__(self, name, start=0, end=0):
         self.name, self.start, self.end = name, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class TuplePattern(Pattern):
+    """A tuple pattern, `{p, ...}`."""
+
     items: list[Pattern]
 
     def __init__(self, items, start=0, end=0):
         self.items, self.start, self.end = items, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class ElistPattern(Pattern):
+    """The empty list pattern `[]`."""
+
     def __init__(self, start=0, end=0):
         self.start, self.end = start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class ConsPattern(Pattern):
+    """A list pattern, `[head | tail]`."""
+
     head: Pattern
     tail: Pattern
 
@@ -141,8 +186,10 @@ class ConsPattern(Pattern):
         self.head, self.tail, self.start, self.end = head, tail, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class MapPattern(Pattern):
+    """A map pattern, `%{key => p, ...}`."""
+
     entries: list[tuple[MapKey, Pattern]]
 
     def __init__(self, entries, start=0, end=0):
@@ -152,30 +199,38 @@ class MapPattern(Pattern):
 # --- expressions ------------------------------------------------------------
 
 
-@dataclass(slots=True, init=False)
+@_node
 class Var(Expr):
+    """A variable reference."""
+
     name: str
 
     def __init__(self, name, start=0, end=0):
         self.name, self.start, self.end = name, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class TupleExpr(Expr):
+    """A tuple, `{e, ...}`."""
+
     items: list[Expr]
 
     def __init__(self, items, start=0, end=0):
         self.items, self.start, self.end = items, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class ElistExpr(Expr):
+    """The empty list `[]`."""
+
     def __init__(self, start=0, end=0):
         self.start, self.end = start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class ConsExpr(Expr):
+    """A list cell, `[head | tail]`."""
+
     head: Expr
     tail: Expr
 
@@ -183,16 +238,20 @@ class ConsExpr(Expr):
         self.head, self.tail, self.start, self.end = head, tail, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class MapExpr(Expr):
+    """A map, `%{key => e, ...}`."""
+
     entries: list[tuple[MapKey, Expr]]
 
     def __init__(self, entries, start=0, end=0):
         self.entries, self.start, self.end = entries, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class MapAccess(Expr):
+    """A map lookup by a literal key, `subject[key]`."""
+
     subject: Expr
     key: MapKey
 
@@ -200,8 +259,10 @@ class MapAccess(Expr):
         self.subject, self.key, self.start, self.end = subject, key, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class BinOp(Expr):
+    """A binary operator application, `left op right`."""
+
     op: str
     left: Expr
     right: Expr
@@ -210,8 +271,10 @@ class BinOp(Expr):
         self.op, self.left, self.right, self.start, self.end = op, left, right, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class UnaryOp(Expr):
+    """A unary operator application: `-e` or `not e`."""
+
     op: str
     operand: Expr
 
@@ -219,8 +282,10 @@ class UnaryOp(Expr):
         self.op, self.operand, self.start, self.end = op, operand, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class If(Expr):
+    """`if cond do then else orelse end`."""
+
     cond: Expr
     then: Expr
     orelse: Expr
@@ -229,8 +294,10 @@ class If(Expr):
         self.cond, self.then, self.orelse, self.start, self.end = cond, then, orelse, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class CaseClause(Node):
+    """One `pattern -> body` clause of a `case`."""
+
     pattern: Pattern
     body: Expr
 
@@ -238,8 +305,10 @@ class CaseClause(Node):
         self.pattern, self.body, self.start, self.end = pattern, body, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class Case(Expr):
+    """`case subject do clauses end`."""
+
     subject: Expr
     clauses: list[CaseClause]
 
@@ -247,8 +316,10 @@ class Case(Expr):
         self.subject, self.clauses, self.start, self.end = subject, clauses, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class CondClause(Node):
+    """One `cond -> body` clause of a `cond`."""
+
     cond: Expr
     body: Expr
 
@@ -256,15 +327,17 @@ class CondClause(Node):
         self.cond, self.body, self.start, self.end = cond, body, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class Cond(Expr):
+    """`cond do clauses end`."""
+
     clauses: list[CondClause]
 
     def __init__(self, clauses, start=0, end=0):
         self.clauses, self.start, self.end = clauses, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class Call(Expr):
     """Named function application, optionally qualified by a module path."""
 
@@ -277,7 +350,7 @@ class Call(Expr):
         self.start, self.end = start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class VarCall(Expr):
     """Application of a variable bound to an anonymous function: x.(args)."""
 
@@ -288,8 +361,10 @@ class VarCall(Expr):
         self.name, self.args, self.start, self.end = name, args, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class AnonFn(Expr):
+    """An anonymous function, `fn (params) -> body end`."""
+
     params: list[Pattern]
     body: Expr
 
@@ -297,8 +372,10 @@ class AnonFn(Expr):
         self.params, self.body, self.start, self.end = params, body, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class Match(Expr):
+    """A match, `pattern = value`."""
+
     pattern: Pattern
     value: Expr
 
@@ -306,8 +383,10 @@ class Match(Expr):
         self.pattern, self.value, self.start, self.end = pattern, value, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class Seq(Expr):
+    """Two statements in order: `first` then `second`."""
+
     first: Expr
     second: Expr
 
@@ -318,8 +397,10 @@ class Seq(Expr):
 # --- declarations and programs ----------------------------------------------
 
 
-@dataclass(slots=True, init=False)
+@_node
 class SpecDecl(Node):
+    """A signature, `@spec name(params) :: result`."""
+
     name: str
     params: list[Type]
     result: Type
@@ -328,8 +409,10 @@ class SpecDecl(Node):
         self.name, self.params, self.result, self.start, self.end = name, params, result, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class FunctionDef(Node):
+    """A clause of a named function, `def name(params) do body end`."""
+
     name: str
     params: list[Pattern]
     body: Expr
@@ -338,8 +421,10 @@ class FunctionDef(Node):
         self.name, self.params, self.body, self.start, self.end = name, params, body, start, end
 
 
-@dataclass(slots=True, init=False)
+@_node
 class ModuleDef(Node):
+    """A module, `defmodule name do body end`."""
+
     name: str
     body: list[Node]
 
@@ -349,6 +434,8 @@ class ModuleDef(Node):
 
 @dataclass(slots=True)
 class Program(Node):
+    """A parsed file: its items, its path and its `Source`."""
+
     items: list[Node]
     path: str = field(compare=False, default="<input>")
     source: Source = field(compare=False, kw_only=True)

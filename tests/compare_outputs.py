@@ -16,7 +16,8 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
 - `check`, as text and as JSON, and `parse` on each of `perfbench.gen.PROBES`;
 - `check` and `parse` on each of `MALFORMED`, one-line files that between
   them raise every lex and parse error message, from each site that raises
-  one, and underline an error after a tab;
+  one, including a `case` and a `cond` whose clauses lack a separator, and
+  underline an error after a tab and one that holds a tab;
 - usage errors, `--help` included.
 
 Every invocation whose stdout, stderr or exit status differs is printed, and
@@ -69,15 +70,16 @@ MALFORMED = [
     "x = f(1 2)", "x = M.1()", "x = %{:a 1}", "x = %{:a => 1", "x = %{1.5 => 1}",
     "x = %{:a => 1, :a => 2}", "if x 1 end", "if x do 1", "if x do 1 else 2",
     "case x 1 -> 2 end", "case x do 1 2 end", "case x do 1 -> 2", "case x do end",
-    "case x do 1 -> 2; f(y) -> 3 end", "cond do end", "cond do x 1 end", "fn x -> x end",
+    "case x do 1 -> 2; f(y) -> 3 end", "case x do 1 -> 2 3 -> 4 end", "cond do end",
+    "cond do x 1 end", "cond do true -> 1 false -> 2 end", "fn x -> x end",
     "fn (x) x end", "fn (x -> x end", "fn (x) -> x", "x = 1 y = 2", 'x = 1 "s"',
     # patterns, wildcards and pins
     "def f(+) do 1 end", "def f(^1) do 1 end", "def f(%{:a => x, :a => y}) do 1 end",
     "case x do f(y) -> 1 end", "x = _", "_", "x = ^y", "x = ^1", "f(x) = 1",
     "{(a), b} = t", "%{:a => x, :a => y} = m", "def f(x + 1) do 1 end", "fn (g(x)) -> 1 end",
     "{_, f(x)} = t",
-    # a caret line padded past a tab
-    "\tx = )",
+    # a caret line padded past a tab, and one under a tab
+    "\tx = )", "x = {1,\t2} + 1",
 ]
 
 

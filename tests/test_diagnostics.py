@@ -81,6 +81,17 @@ def test_render_text_caret_keeps_the_tabs_before_it():
     assert text.splitlines()[1:] == ['  1 | \ty = x <> "a"', "      \t    ^"]
 
 
+@pytest.mark.parametrize("source, start, end, carets", [
+    ("x = {1,\t2} + 1", 4, 10, "    ^^^\t^^"),  # a tab inside the span
+    ("x = {1,\t2,\n 3}", 4, 14, "    ^^^\t^^ ..."),  # and in the rest of the line
+    ("x = {1, 2} + 1", 4, 10, "    ^^^^^^"),  # no tab: one caret a character
+    ("x = (1 +\n", 8, 9, "        ^ ..."),  # from the end of the line: one caret
+])
+def test_render_text_caret_line_keeps_the_tabs_under_the_span(source, start, end, carets):
+    text = render_text(diag(s=span(start, end, source)))
+    assert text.splitlines()[2] == "      " + carets
+
+
 def test_render_json_empty():
     payload = json.loads(render_json([]))
     assert payload == {"diagnostics": [], "summary": {"errors": 0, "warnings": 0}}

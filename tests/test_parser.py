@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import sys
@@ -138,6 +139,26 @@ class TestExpressions:
         with pytest.raises(ParseError) as exc:
             expression(source)
         assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (message, span)
+
+    @pytest.mark.parametrize("source, found, span", [
+        ("case x do 1 -> 2 3 -> 4 end", "'3'", (17, 18)),
+        ("cond do true -> 1 false -> 2 end", "'false'", (18, 23)),
+        ("case x do 1 -> y = 2 y -> 4 end", "'y'", (21, 22)),
+        ("case x do 1 -> 2) end", "')'", (16, 17)),
+    ])
+    def test_clauses_need_a_separator_between_them(self, source, found, span):
+        """As between statements, a clause's body ends at a newline, `;` or `end`."""
+        with pytest.raises(ParseError) as exc:
+            expression(source)
+        assert (exc.value.message, (exc.value.span.start, exc.value.span.end)) == (
+            f"expected a newline or ';', found {found}", span)
+
+    @pytest.mark.parametrize("source", [
+        "case x do 1 -> 2; 3 -> 4 end", "case x do 1 -> 2\n3 -> 4 end",
+        "cond do true -> 1; false -> 2 end", "cond do true -> 1\nfalse -> 2; end",
+    ])
+    def test_separated_clauses_parse(self, source):
+        assert len(expression(source).clauses) == 2
 
     def test_wildcard_is_not_an_expression(self):
         with pytest.raises(ParseError) as exc:
@@ -634,3 +655,48 @@ class TestSpansAndRoundTrip:
     def test_parse_is_deterministic(self, path):
         source = path.read_text()
         assert parse_program(source) == parse_program(source)
+
+
+NODE_CLASSES = [value for value in vars(syntax).values()
+                if isinstance(value, type) and issubclass(value, syntax.Node)]
+
+
+class TestNodeContract:
+    """What every node class shares through `Node`, and what `dataclass`
+    still records for perfbench's traced node count."""
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_eq_and_repr_come_from_node_except_on_program(self, cls):
+        shared = cls is not syntax.Program
+        assert (cls.__eq__ is syntax.Node.__eq__, cls.__repr__ is syntax.Node.__repr__) == \
+            (shared, shared)
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_fields_are_the_offsets_then_the_match_args(self, cls):
+        extra = ["source"] if cls is syntax.Program else []
+        assert [f.name for f in dataclasses.fields(cls)] == \
+            ["start", "end", *cls.__match_args__, *extra]
+
+    def test_equality_ignores_offsets(self):
+        assert IntLit(5, 0, 1) == IntLit(5, 7, 9)
+        assert BinOp("+", IntLit(1, 0, 1), Var("x", 4, 5), 0, 5) == BinOp("+", IntLit(1), Var("x"))
+        assert IntLit(5) != IntLit(6)
+        assert Call(("M",), "f", [IntLit(1)]) != Call(("N",), "f", [IntLit(1)])
+
+    def test_equality_tells_classes_apart(self):
+        assert IntLit(1) != syntax.FloatLit(1.0)
+        assert Var("x") != VarPattern("x")
+        assert syntax.ElistExpr() != syntax.ElistPattern()
+        assert IntLit(1).__eq__(1) is NotImplemented
+
+    def test_program_equality_ignores_its_path(self):
+        assert parse_program("x = 1", path="a.ex") == parse_program("x = 1\n", path="b.ex")
+        assert parse_program("x = 1") != parse_program("x = 2")
+
+    def test_repr_is_the_dataclass_form(self):
+        assert repr(IntLit(5)) == "IntLit(start=0, end=0, value=5)"
+        assert repr(Wildcard(3, 4)) == "Wildcard(start=3, end=4)"
+        assert repr(expression("x = [1 | t]")) == (
+            "Match(start=0, end=11, pattern=VarPattern(start=0, end=1, name='x'), "
+            "value=ConsExpr(start=4, end=11, head=IntLit(start=5, end=6, value=1), "
+            "tail=Var(start=9, end=10, name='t')))")
