@@ -7,12 +7,12 @@ associative); comparisons (3); `and` (2); `or` (1); `=` (0, right associative),
 loosest as Elixir's own `match_op`. No backtracking: each token, an index into
 the lexer's columns, is taken once.
 
-Every pattern is parsed as an expression and converted by `to_pattern`: a
-`def` or `fn` parameter, a `case` head, the statement in a clause body that
-stops at `->` as the next clause's head, and the left side of `=`. An `_` or
-`^x` is left unclaimed until the pattern around it converts; one that no
-pattern claims is an error when its statement ends, unless a syntax error
-stops the parse first.
+Every pattern is parsed as an expression, and that expression's node is the
+pattern once `to_pattern` accepts it: a `def` or `fn` parameter, a `case`
+head, the statement in a clause body that stops at `->` as the next clause's
+head, and the left side of `=`. An `_` or `^x` is left unclaimed until the
+pattern around it is accepted; one that no pattern claims is an error when
+its statement ends, unless a syntax error stops the parse first.
 
 Every decision reads one column, `kinds`: a keyword, operator or punctuation
 token's kind is its own text, so `at("do")`, `expect(")")` and the `_PRIMARY`
@@ -30,10 +30,9 @@ from .diagnostics import CheckFailure, E_PARSE
 from .lexer import Tokens, tokenize
 from .syntax import (
     AnonFn, AtomLit, BinOp, BoolLit, Call, Case, CaseClause, Cond, CondClause,
-    ConsExpr, ConsPattern, ElistExpr, ElistPattern, FloatLit, FunctionDef, If,
-    IntLit, MapAccess, MapExpr, MapPattern, Match, ModuleDef, PinPattern,
-    Program, Seq, Span, SpecDecl, StringLit, TupleExpr, TuplePattern, UnaryOp,
-    Var, VarCall, VarPattern, Wildcard,
+    ConsExpr, ElistExpr, FloatLit, FunctionDef, If, IntLit, MapAccess, MapExpr,
+    Match, ModuleDef, PinPattern, Program, Seq, Span, SpecDecl, StringLit,
+    TupleExpr, UnaryOp, Var, VarCall, Wildcard,
 )
 from .types import (
     AtomLiteralType, BASE_TYPE_NAMES, FunctionType, ListType, MapKey, MapType,
@@ -164,7 +163,7 @@ class Parser:
                  head_of: Callable | None = None) -> syntax.Expr:
         """Statements folded into a sequence, up to `eof`, `end`, `stop()` after
         a separator, or a later statement that stops at `->`: the next clause's
-        head, which `head_of(statement, its first token)` converts into
+        head, which `head_of(statement, its first token)` accepts as
         `self.next_head` or rejects."""
         self.skip_separators()
         exprs = [self.settle(self.parse_expr())]
@@ -183,7 +182,7 @@ class Parser:
 
     def parse_clauses(self, start: int) -> Case | Cond:
         """`case subject do head -> body ... end` or `cond do ... end`, with a
-        clause or more; every head is an expression that `head_of` converts, and
+        clause or more; every head is an expression that `head_of` accepts, and
         each later one ends the body before it (`sequence`)."""
         case = self.lexemes[start] == "case"
         subject = self.parse_expr() if case else None
@@ -212,44 +211,37 @@ class Parser:
         first, last = self.starts[start], self.ends[close]
         return Case(subject, clauses, first, last) if case else Cond(clauses, first, last)
 
-    def to_pattern(self, expr: syntax.Expr, start: int) -> syntax.Pattern:
+    def to_pattern(self, expr: syntax.Expr, start: int) -> syntax.Expr:
         """`expr`, parsed from token `start` on, as a pattern: every pattern
-        position converts here. It claims the `_` and `^x` in `expr`, then
-        converts; ParseError, over the whole of `expr`, if it is no pattern."""
+        position comes here. It claims the `_` and `^x` in `expr` and returns
+        `expr` itself, which must be a literal, `_`, `^x`, a variable, `[]`,
+        or a tuple, cons or map whose parts are patterns; else ParseError,
+        over the whole of `expr`."""
         while self.loose and self.loose[-1] >= start:
             self.loose.pop()
         if self.pos - start > 2 and "(" in self.kinds[start:self.pos]:
             raise self.not_a_pattern(expr)  # a group, which the AST does not show
-        return self.as_pattern(expr, expr)
+        parts = [expr]
+        while parts:
+            part = parts.pop()
+            kind = type(part)
+            if kind is TupleExpr:
+                parts += part.items
+            elif kind is ConsExpr:
+                parts += (part.head, part.tail)
+            elif kind is MapExpr:
+                parts += [value for _, value in part.entries]
+            elif not (kind is Var or kind is ElistExpr or isinstance(part, syntax.Pattern)):
+                raise self.not_a_pattern(expr)
+        return expr
 
-    def pattern(self) -> syntax.Pattern:
-        """A `def` or `fn` parameter: an expression that `to_pattern` converts,
+    def pattern(self) -> syntax.Expr:
+        """A `def` or `fn` parameter: an expression that `to_pattern` accepts,
         once its first token is one a pattern can start with."""
         start = self.pos
         if self.kinds[start] not in _PATTERN_PRIMARY:
             raise self.unexpected(start, "a pattern")
         return self.to_pattern(self.parse_expr(), start)
-
-    def as_pattern(self, expr, whole: syntax.Expr) -> syntax.Pattern:
-        """`expr`, part of `whole`, as a pattern: literals, `_` and `^x` already
-        are patterns, and variables and data constructors convert."""
-        kind = type(expr)
-        if kind is Var:
-            return VarPattern(expr.name, expr.start, expr.end)
-        if kind is TupleExpr:
-            return TuplePattern([self.as_pattern(item, whole) for item in expr.items],
-                                expr.start, expr.end)
-        if kind is ConsExpr:
-            return ConsPattern(self.as_pattern(expr.head, whole), self.as_pattern(expr.tail, whole),
-                               expr.start, expr.end)
-        if kind is MapExpr:
-            return MapPattern([(k, self.as_pattern(v, whole)) for k, v in expr.entries],
-                              expr.start, expr.end)
-        if kind is ElistExpr:
-            return ElistPattern(expr.start, expr.end)
-        if isinstance(expr, syntax.Pattern):
-            return expr
-        raise self.not_a_pattern(whole)
 
     def not_a_pattern(self, expr: syntax.Expr) -> ParseError:
         return ParseError(_NOT_A_PATTERN, Span(expr.start, expr.end, self.source))

@@ -1,6 +1,8 @@
 """Pattern checking against an expected type.
 
-One traversal serves three judgement shapes, selected by mode:
+A pattern is the node the parser built for it as an expression: a `Var`,
+`TupleExpr`, `ElistExpr`, `ConsExpr` or `MapExpr`, or a literal, `Wildcard`
+or `PinPattern`. One traversal serves three judgement shapes, selected by mode:
 
 * MATCH  - `p = e`: the matched value's type must convert to the type the
   pattern demands at each position (upcast by subsumption, downcast out of
@@ -75,7 +77,7 @@ def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
             raise _mismatch(pattern, expected, lit_type)
         return
 
-    if isinstance(pattern, syntax.VarPattern):
+    if isinstance(pattern, syntax.Var):
         bound = gamma.get(pattern.name)
         if bound is None:
             gamma[pattern.name] = expected
@@ -106,26 +108,26 @@ def check_pattern(pattern, expected: Type, sigma: dict, gamma: dict, mode: str):
     if expected is TERM:
         raise _mismatch(pattern, expected)
 
-    if isinstance(pattern, syntax.TuplePattern):
+    if isinstance(pattern, syntax.TupleExpr):
         if not isinstance(expected, TupleType) or len(expected.items) != len(pattern.items):
             raise _mismatch(pattern, expected)
         for sub, sub_type in zip(pattern.items, expected.items):
             check_pattern(sub, sub_type, sigma, gamma, mode)
         return
 
-    if isinstance(pattern, syntax.ElistPattern):
+    if isinstance(pattern, syntax.ElistExpr):
         if not isinstance(expected, ListType):
             raise _mismatch(pattern, expected)
         return
 
-    if isinstance(pattern, syntax.ConsPattern):
+    if isinstance(pattern, syntax.ConsExpr):
         if not isinstance(expected, ListType):
             raise _mismatch(pattern, expected)
         check_pattern(pattern.head, expected.element, sigma, gamma, mode)
         check_pattern(pattern.tail, expected, sigma, gamma, mode)
         return
 
-    if isinstance(pattern, syntax.MapPattern):
+    if isinstance(pattern, syntax.MapExpr):
         if not isinstance(expected, MapType):
             raise _mismatch(pattern, expected)
         for key, sub in pattern.entries:
@@ -172,17 +174,17 @@ def natural_type(pattern, sigma: dict) -> Type:
     """The type of an anonymous-function parameter pattern, which has no
     expected type: literals keep their own type, variables and wildcards are
     unknown, pins take the enclosing binding, structured patterns compose."""
-    if isinstance(pattern, (syntax.Wildcard, syntax.VarPattern)):
+    if isinstance(pattern, (syntax.Wildcard, syntax.Var)):
         return ANY
     if isinstance(pattern, syntax.Literal):
         return literal_type(pattern)
     if isinstance(pattern, syntax.PinPattern):
         return _pinned(pattern, sigma)
-    if isinstance(pattern, syntax.TuplePattern):
+    if isinstance(pattern, syntax.TupleExpr):
         return TupleType(tuple(natural_type(p, sigma) for p in pattern.items))
-    if isinstance(pattern, syntax.ElistPattern):
+    if isinstance(pattern, syntax.ElistExpr):
         return ListType(ANY)
-    if isinstance(pattern, syntax.ConsPattern):
+    if isinstance(pattern, syntax.ConsExpr):
         head = natural_type(pattern.head, sigma)
         tail = natural_type(pattern.tail, sigma)
         if tail is ANY:
@@ -192,6 +194,6 @@ def natural_type(pattern, sigma: dict) -> Type:
         else:
             raise _mismatch(pattern.tail, ListType(head), tail)
         return ListType(join(head, tail_elem))
-    if isinstance(pattern, syntax.MapPattern):
+    if isinstance(pattern, syntax.MapExpr):
         return MapType([(k, natural_type(p, sigma)) for k, p in pattern.entries])
     raise _mismatch(pattern, ANY)

@@ -3,6 +3,15 @@ patterns. Every node holds the offsets `start` and `end` of its source text,
 and a `Program` holds the file's `Source`, which turns offsets into lines,
 columns and line text once a diagnostic reports them.
 
+A pattern is stored as the expression it is written as, as in Elixir's
+quoted form: a variable, tuple, list or map in a pattern is the same `Var`,
+`TupleExpr`, `ElistExpr`, `ConsExpr` or `MapExpr` node as in an expression.
+`Pattern` marks `Wildcard` and `PinPattern`, which stand only in a pattern,
+and `Literal`, which stands in both. `dump` names a variable, tuple, list
+or map in a pattern `VarPattern`, `TuplePattern` and so on: the output of
+`extc parse` tells a pattern from an expression, and `tests/golden/parse.txt`
+pins those names.
+
 Each node class takes its fields and then its offsets positionally, through
 a plain `__init__`: the parser builds a node for every few tokens, and the
 `__init__` that `dataclass` generates, with keyword-only offsets, took 383 ns
@@ -67,6 +76,8 @@ class Expr(Node):
 
 
 class Pattern(Node):
+    """`_` and `^x`, which stand only in a pattern, and literals."""
+
     __slots__ = ()
 
 
@@ -138,16 +149,6 @@ class Wildcard(Pattern):
 
 
 @_node
-class VarPattern(Pattern):
-    """A variable that a pattern binds."""
-
-    name: str
-
-    def __init__(self, name, start=0, end=0):
-        self.name, self.start, self.end = name, start, end
-
-
-@_node
 class PinPattern(Pattern):
     """A pinned variable, `^name`, matched by its value."""
 
@@ -155,45 +156,6 @@ class PinPattern(Pattern):
 
     def __init__(self, name, start=0, end=0):
         self.name, self.start, self.end = name, start, end
-
-
-@_node
-class TuplePattern(Pattern):
-    """A tuple pattern, `{p, ...}`."""
-
-    items: list[Pattern]
-
-    def __init__(self, items, start=0, end=0):
-        self.items, self.start, self.end = items, start, end
-
-
-@_node
-class ElistPattern(Pattern):
-    """The empty list pattern `[]`."""
-
-    def __init__(self, start=0, end=0):
-        self.start, self.end = start, end
-
-
-@_node
-class ConsPattern(Pattern):
-    """A list pattern, `[head | tail]`."""
-
-    head: Pattern
-    tail: Pattern
-
-    def __init__(self, head, tail, start=0, end=0):
-        self.head, self.tail, self.start, self.end = head, tail, start, end
-
-
-@_node
-class MapPattern(Pattern):
-    """A map pattern, `%{key => p, ...}`."""
-
-    entries: list[tuple[MapKey, Pattern]]
-
-    def __init__(self, entries, start=0, end=0):
-        self.entries, self.start, self.end = entries, start, end
 
 
 # --- expressions ------------------------------------------------------------
@@ -298,7 +260,7 @@ class If(Expr):
 class CaseClause(Node):
     """One `pattern -> body` clause of a `case`."""
 
-    pattern: Pattern
+    pattern: Expr | Pattern
     body: Expr
 
     def __init__(self, pattern, body, start=0, end=0):
@@ -365,7 +327,7 @@ class VarCall(Expr):
 class AnonFn(Expr):
     """An anonymous function, `fn (params) -> body end`."""
 
-    params: list[Pattern]
+    params: list[Expr | Pattern]
     body: Expr
 
     def __init__(self, params, body, start=0, end=0):
@@ -376,7 +338,7 @@ class AnonFn(Expr):
 class Match(Expr):
     """A match, `pattern = value`."""
 
-    pattern: Pattern
+    pattern: Expr | Pattern
     value: Expr
 
     def __init__(self, pattern, value, start=0, end=0):
@@ -414,7 +376,7 @@ class FunctionDef(Node):
     """A clause of a named function, `def name(params) do body end`."""
 
     name: str
-    params: list[Pattern]
+    params: list[Expr | Pattern]
     body: Expr
 
     def __init__(self, name, params, body, start=0, end=0):
@@ -457,6 +419,14 @@ def children(node: Node):
                             yield part
 
 
+# `dump`'s name for a node in a pattern: one under a `pattern` or `params`
+# field, or under such a node. A `@spec`'s `params` are types, which print
+# as a scalar.
+_PATTERN_NAMES = {"Var": "VarPattern", "TupleExpr": "TuplePattern",
+                  "ElistExpr": "ElistPattern", "ConsExpr": "ConsPattern",
+                  "MapExpr": "MapPattern"}
+
+
 def dump(node: Node) -> str:
     """Readable tree rendering of an AST, one node per line.
 
@@ -464,9 +434,9 @@ def dump(node: Node) -> str:
     length dumps; the parser builds those with loops too.
     """
     lines = []
-    stack = [(node, 0)]
+    stack = [(node, 0, False)]
     while stack:
-        item, indent = stack.pop()
+        item, indent, in_pattern = stack.pop()
         if isinstance(item, str):
             lines.append(item)
             continue
@@ -480,14 +450,18 @@ def dump(node: Node) -> str:
             elif not (isinstance(value, list) and value and isinstance(value[0], (Node, tuple))):
                 scalars.append(f"{name}={value!r}")
                 continue
-            todo.append((pad + f"  {name}:", indent))
+            inner = in_pattern or name == "pattern" or name == "params"
+            todo.append((pad + f"  {name}:", indent, inner))
             for sub in value:
                 if isinstance(sub, tuple):
                     key, sub = sub
-                    todo.append((pad + f"    {key} =>", indent))
-                    todo.append((sub, indent + 3))
+                    todo.append((pad + f"    {key} =>", indent, inner))
+                    todo.append((sub, indent + 3, inner))
                 else:
-                    todo.append((sub, indent + 2))
-        lines.append(" ".join([pad + type(item).__name__, *scalars]))
+                    todo.append((sub, indent + 2, inner))
+        label = type(item).__name__
+        if in_pattern:
+            label = _PATTERN_NAMES.get(label, label)
+        lines.append(" ".join([pad + label, *scalars]))
         stack.extend(reversed(todo))
     return "\n".join(lines)

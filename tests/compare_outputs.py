@@ -18,6 +18,9 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
   them raise every lex and parse error message, from each site that raises
   one, including a `case` and a `cond` whose clauses lack a separator, and
   underline an error after a tab and one that holds a tab;
+- `check` and `parse` on each of `PATTERNS`, one-line files that parse and
+  put every pattern shape, nested, in every pattern position, so that both
+  the pattern names `parse` prints and every pattern judgement are compared;
 - usage errors, `--help` included.
 
 Every invocation whose stdout, stderr or exit status differs is printed, and
@@ -82,6 +85,34 @@ MALFORMED = [
     "\tx = )", "x = {1,\t2} + 1",
 ]
 
+# Well-formed one-line files that put a variable, `_`, `^x`, literals, a
+# tuple, `[]`, a cons and a map, nested, in every pattern position: `def` and
+# `fn` parameters, a first and a later `case` head, and the left of `=`.
+PATTERNS = [
+    # `def` parameters, untyped and against a `@spec`
+    'def f(x, _, {a, [h | t]}, [], %{:k => {v, 1}}, :a, "s", 2.5, true) do x end',
+    "@spec f({integer, [float]}, %{:k => integer}) :: integer; "
+    "def f({n, [_ | t]}, %{:k => m}) do n + m end",
+    "@spec f([integer]) :: integer; def f([]) do 0 end; def f([h | _]) do h end",
+    "@spec f(%{:a => integer}) :: integer; def f(%{:a => 1, :b => x}) do x end",
+    "@spec f({integer, atom}) :: integer; def f([h | t]) do h end",
+    # `fn` parameters, with a pin bound and unbound
+    "y = 1; g = fn ({a, _}, [h | t], [], %{1 => x}, ^y, :ok) -> a end; "
+    "g.({1, 2}, [3 | []], [], %{1 => 4}, 1, :ok)",
+    "g = fn ({a, _}, ^z) -> a end",
+    # `case` heads, first and later
+    "x = {1, [2 | []], %{:k => 3}}; case x do {a, [b | _], %{:k => c}} -> a + b + c; "
+    '[] -> 0; {_, [], ^x} -> 1; [h | t] -> h; %{:k => v} -> v; :a -> 2; "s" -> 3; '
+    "1.5 -> 4; false -> 5 end",
+    "case [] do [] -> 1; {a, b} -> a; %{true => [x | []]} -> x end",
+    # the left of `=`
+    "{a, [b | c], [], %{:k => d}, _, 1, :ok} = {1, [2 | []], [], %{:k => 3}, 4, 1, :ok}",
+    "x = 1; {^x, [y | _]} = {1, [2 | []]}; y",
+    "[a | [b | []]] = [1 | [2 | []]]; %{:k => {c, _}} = %{:k => {a, b}}",
+    "{a, b} = [1 | []]",
+    "{x, x} = {1, 2.5}",
+]
+
 
 def invocations(work: Path) -> list[tuple[Path, list[str]]]:
     """`(directory to run in, argv)` for every run, writing generated inputs under `work`."""
@@ -112,6 +143,11 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
     (work / "malformed").mkdir()
     for number, text in enumerate(MALFORMED):
         name = f"malformed/{number:02}.ex"
+        (work / name).write_text(text + "\n")
+        runs += [(work, ["check", name]), (work, ["parse", name])]
+    (work / "patterns").mkdir()
+    for number, text in enumerate(PATTERNS):
+        name = f"patterns/{number:02}.ex"
         (work / name).write_text(text + "\n")
         runs += [(work, ["check", name]), (work, ["parse", name])]
     return runs + [(ROOT, argv) for argv in USAGE_ERRORS]

@@ -1,8 +1,9 @@
 """Source text for an AST, for the parse -> print -> parse round-trip test.
 
 Every operand of an expression is parenthesised, so the text parses back to
-an equal AST without a precedence table. Patterns admit no parentheses and
-are printed bare.
+an equal AST without a precedence table. A pattern is stored as the
+expression it is written as, but admits no parentheses: `pattern_source`
+prints the node in each of the four pattern positions bare.
 """
 from extc import syntax as s
 from extc.envs import qualify
@@ -14,6 +15,17 @@ def _items(nodes, render) -> str:
 
 def _paren(node) -> str:
     return f"({source(node)})"
+
+
+def pattern_source(node) -> str:
+    match node:
+        case s.TupleExpr(items):
+            return "{" + _items(items, pattern_source) + "}"
+        case s.ConsExpr(head, tail):
+            return f"[{pattern_source(head)} | {pattern_source(tail)}]"
+        case s.MapExpr(entries):
+            return "%{" + ", ".join(f"{k} => {pattern_source(p)}" for k, p in entries) + "}"
+    return source(node)
 
 
 def source(node) -> str:
@@ -33,22 +45,16 @@ def source(node) -> str:
             return f":{name}"
         case s.Wildcard():
             return "_"
-        case s.VarPattern(name) | s.Var(name):
+        case s.Var(name):
             return name
         case s.PinPattern(name):
             return f"^{name}"
-        case s.ElistPattern() | s.ElistExpr():
+        case s.ElistExpr():
             return "[]"
-        case s.TuplePattern(items):
-            return "{" + _items(items, source) + "}"
         case s.TupleExpr(items):
             return "{" + _items(items, _paren) + "}"
-        case s.ConsPattern(head, tail):
-            return f"[{source(head)} | {source(tail)}]"
         case s.ConsExpr(head, tail):
             return f"[{_paren(head)} | {_paren(tail)}]"
-        case s.MapPattern(entries):
-            return "%{" + ", ".join(f"{k} => {source(p)}" for k, p in entries) + "}"
         case s.MapExpr(entries):
             return "%{" + ", ".join(f"{k} => {_paren(e)}" for k, e in entries) + "}"
         case s.MapAccess(subject, key):
@@ -60,7 +66,7 @@ def source(node) -> str:
         case s.If(cond, then, orelse):
             return f"if {_paren(cond)} do {source(then)} else {source(orelse)} end"
         case s.CaseClause(pattern, body):
-            return f"{source(pattern)} -> {source(body)}"
+            return f"{pattern_source(pattern)} -> {source(body)}"
         case s.Case(subject, clauses):
             return f"case {_paren(subject)} do {'; '.join(map(source, clauses))} end"
         case s.CondClause(cond, body):
@@ -72,15 +78,15 @@ def source(node) -> str:
         case s.VarCall(name, args):
             return f"{name}.({_items(args, _paren)})"
         case s.AnonFn(params, body):
-            return f"fn ({_items(params, source)}) -> {source(body)} end"
+            return f"fn ({_items(params, pattern_source)}) -> {source(body)} end"
         case s.Match(pattern, value):
-            return f"{source(pattern)} = {_paren(value)}"
+            return f"{pattern_source(pattern)} = {_paren(value)}"
         case s.Seq(first, second):
             return f"{source(first)}; {source(second)}"
         case s.SpecDecl(name, params, result):
             return f"@spec {name}({_items(params, str)}) :: {result}"
         case s.FunctionDef(name, params, body):
-            return f"def {name}({_items(params, source)}) do {source(body)} end"
+            return f"def {name}({_items(params, pattern_source)}) do {source(body)} end"
         case s.ModuleDef(name, body):
             return f"defmodule {name} do {'; '.join(map(source, body))} end"
         case s.Program(items):

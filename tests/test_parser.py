@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import itertools
 import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -13,8 +14,8 @@ from extc.checker import check_programs
 from extc.lexer import tokenize
 from extc.parser import MAX_NESTING, MAX_TYPE_DEPTH, ParseError, Parser, parse_program
 from extc.syntax import (
-    AtomLit, BinOp, Call, Case, ConsPattern, If, IntLit, MapAccess, Match,
-    ModuleDef, Seq, TuplePattern, UnaryOp, Var, VarCall, VarPattern, Wildcard,
+    AtomLit, BinOp, Call, Case, ConsExpr, If, IntLit, MapAccess, Match,
+    ModuleDef, PinPattern, Seq, TupleExpr, UnaryOp, Var, VarCall, Wildcard,
 )
 from extc.types import (
     ANY, AtomLiteralType, FLOAT, FunctionType, INTEGER, ListType, MapKey,
@@ -36,7 +37,7 @@ class TestExpressions:
     def test_sequence_with_match(self):
         expr = expression("x = 10 * 9\nx + 10")
         assert expr == Seq(
-            Match(VarPattern("x"), BinOp("*", IntLit(10), IntLit(9))),
+            Match(Var("x"), BinOp("*", IntLit(10), IntLit(9))),
             BinOp("+", Var("x"), IntLit(10)),
         )
 
@@ -113,7 +114,7 @@ class TestExpressions:
 
     def test_anon_fn(self):
         expr = expression("fn (x, _) -> x end")
-        assert expr == syntax.AnonFn([VarPattern("x"), Wildcard()], Var("x"))
+        assert expr == syntax.AnonFn([Var("x"), Wildcard()], Var("x"))
 
     def test_case_branches(self):
         expr = expression("case :yes do :yes -> 1\n:no -> 2 end")
@@ -238,8 +239,8 @@ class TestOperatorTable:
         assert exc.value.message == "expected a newline or ';', found '\"+\"'"
 
     @pytest.mark.parametrize("source, expected", [
-        ('{"(", "a", x} = t', Match(TuplePattern([syntax.StringLit("("), syntax.StringLit("a"),
-                                                  VarPattern("x")]), Var("t"))),
+        ('{"(", "a", x} = t', Match(TupleExpr([syntax.StringLit("("), syntax.StringLit("a"),
+                                                  Var("x")]), Var("t"))),
         ('f(x, "(")', Call((), "f", [Var("x"), syntax.StringLit("(")])),
         ("%{:do => 1}", syntax.MapExpr([(MapKey.atom("do"), IntLit(1))])),
         ('if "do" do :end end', If(syntax.StringLit("do"), AtomLit("end"), AtomLit("nil"))),
@@ -329,7 +330,7 @@ def test_duplicate_keys_name_a_value_map_and_a_map_type(source, message, span):
 class TestNesting:
     def test_hundred_nested_parentheses(self):
         program = parse_program("x = " + "(" * 100 + "1" + ")" * 100)
-        assert program.items[0] == Match(VarPattern("x"), IntLit(1))
+        assert program.items[0] == Match(Var("x"), IntLit(1))
 
     def test_hundred_element_cons_list(self):
         cons = "[]"
@@ -473,28 +474,28 @@ class TestIfDesugaring:
 class TestPatterns:
     def test_pin_and_tuple(self):
         expr = expression("{^x, y} = {1, 2}")
-        assert expr.pattern == TuplePattern([syntax.PinPattern("x"), VarPattern("y")])
+        assert expr.pattern == TupleExpr([PinPattern("x"), Var("y")])
 
     def test_cons_pattern(self):
         expr = expression("[x | _] = l")
-        assert expr.pattern == ConsPattern(VarPattern("x"), Wildcard())
+        assert expr.pattern == ConsExpr(Var("x"), Wildcard())
 
     def test_map_pattern(self):
         expr = expression("%{9 => b} = m")
-        assert expr.pattern == syntax.MapPattern([(MapKey.integer(9), VarPattern("b"))])
+        assert expr.pattern == syntax.MapExpr([(MapKey.integer(9), Var("b"))])
 
     def test_duplicate_map_pattern_keys_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             expression("%{9 => a, 9 => b} = m")
 
     def test_wildcards_and_pins_inside_patterns(self):
-        assert expression("{_, y} = t").pattern == TuplePattern([Wildcard(), VarPattern("y")])
+        assert expression("{_, y} = t").pattern == TupleExpr([Wildcard(), Var("y")])
         assert expression("{1, ^y} = t").pattern == \
-            TuplePattern([IntLit(1), syntax.PinPattern("y")])
+            TupleExpr([IntLit(1), PinPattern("y")])
         expr = expression("case t do\n{^x, _} -> 1\n[_ | ^y] -> 2\n_ -> 3\nend")
         assert [clause.pattern for clause in expr.clauses] == [
-            TuplePattern([syntax.PinPattern("x"), Wildcard()]),
-            ConsPattern(Wildcard(), syntax.PinPattern("y")),
+            TupleExpr([PinPattern("x"), Wildcard()]),
+            ConsExpr(Wildcard(), PinPattern("y")),
             Wildcard(),
         ]
 
@@ -502,7 +503,139 @@ class TestPatterns:
         expr = expression("cond do\nx -> a = 1\nb = a\nb\ntrue -> 2\nend")
         assert [clause.cond for clause in expr.clauses] == [Var("x"), syntax.BoolLit(True)]
         assert expr.clauses[0].body == Seq(
-            Match(VarPattern("a"), IntLit(1)), Seq(Match(VarPattern("b"), Var("a")), Var("b")))
+            Match(Var("a"), IntLit(1)), Seq(Match(Var("b"), Var("a")), Var("b")))
+
+    def test_pattern_is_the_parsed_expression(self):
+        """Every pattern position holds the expression node that was parsed,
+        over the offsets of its own text."""
+        source = ("def f({a, [b | c]}) do fn (%{:k => d}) -> d end end\n"
+                  "case t do [] -> 1\n{x, _} -> 2 end\n[h | t] = xs")
+        fdef, statements = parse_program(source).items
+        case, match = statements.first, statements.second
+        positions = [
+            (fdef.params[0], "{a, [b | c]}", TupleExpr([Var("a"), ConsExpr(Var("b"), Var("c"))])),
+            (fdef.body.params[0], "%{:k => d}", syntax.MapExpr([(MapKey.atom("k"), Var("d"))])),
+            (case.clauses[0].pattern, "[]", syntax.ElistExpr()),
+            (case.clauses[1].pattern, "{x, _}", TupleExpr([Var("x"), Wildcard()])),
+            (match.pattern, "[h | t]", ConsExpr(Var("h"), Var("t"))),
+        ]
+        for pattern, text, expected in positions:
+            assert pattern == expected
+            assert source[pattern.start:pattern.end] == text
+            stack = [pattern]
+            while stack:
+                node = stack.pop()
+                assert isinstance(node, (syntax.Expr, Wildcard)), node
+                assert source[node.start:node.end] == printer.pattern_source(node)
+                stack.extend(syntax.children(node))
+
+    def test_dump_names_patterns_by_position(self):
+        """A variable, tuple, list or map dumps under its pattern name in a
+        `def` or `fn` parameter, a `case` head or the left of `=`, and
+        everywhere under one, and under its expression name elsewhere."""
+        source = """def f({a, _}, [b | []], %{:k => 1}) do
+  g = fn ({^a, [c | _]}, %{1 => :ok}) -> c end
+  {x, [y | []], true} = case b do
+    [] -> {a, [b | []], %{:k => g}}
+    {"s", ^a, %{:k => [d | _]}} -> d
+  end
+  x
+end
+"""
+        assert syntax.dump(parse_program(source)) == textwrap.dedent("""\
+        Program path='<input>'
+          items:
+            FunctionDef name='f'
+              params:
+                TuplePattern
+                  items:
+                    VarPattern name='a'
+                    Wildcard
+                ConsPattern
+                  head:
+                    VarPattern name='b'
+                  tail:
+                    ElistPattern
+                MapPattern
+                  entries:
+                    :k =>
+                      IntLit value=1
+              body:
+                Seq
+                  first:
+                    Match
+                      pattern:
+                        VarPattern name='g'
+                      value:
+                        AnonFn
+                          params:
+                            TuplePattern
+                              items:
+                                PinPattern name='a'
+                                ConsPattern
+                                  head:
+                                    VarPattern name='c'
+                                  tail:
+                                    Wildcard
+                            MapPattern
+                              entries:
+                                1 =>
+                                  AtomLit name='ok'
+                          body:
+                            Var name='c'
+                  second:
+                    Seq
+                      first:
+                        Match
+                          pattern:
+                            TuplePattern
+                              items:
+                                VarPattern name='x'
+                                ConsPattern
+                                  head:
+                                    VarPattern name='y'
+                                  tail:
+                                    ElistPattern
+                                BoolLit value=True
+                          value:
+                            Case
+                              subject:
+                                Var name='b'
+                              clauses:
+                                CaseClause
+                                  pattern:
+                                    ElistPattern
+                                  body:
+                                    TupleExpr
+                                      items:
+                                        Var name='a'
+                                        ConsExpr
+                                          head:
+                                            Var name='b'
+                                          tail:
+                                            ElistExpr
+                                        MapExpr
+                                          entries:
+                                            :k =>
+                                              Var name='g'
+                                CaseClause
+                                  pattern:
+                                    TuplePattern
+                                      items:
+                                        StringLit value='s'
+                                        PinPattern name='a'
+                                        MapPattern
+                                          entries:
+                                            :k =>
+                                              ConsPattern
+                                                head:
+                                                  VarPattern name='d'
+                                                tail:
+                                                  Wildcard
+                                  body:
+                                    Var name='d'
+                      second:
+                        Var name='x'""")
 
 
 class TestPrograms:
@@ -685,8 +818,7 @@ class TestNodeContract:
 
     def test_equality_tells_classes_apart(self):
         assert IntLit(1) != syntax.FloatLit(1.0)
-        assert Var("x") != VarPattern("x")
-        assert syntax.ElistExpr() != syntax.ElistPattern()
+        assert Var("x") != PinPattern("x")
         assert IntLit(1).__eq__(1) is NotImplemented
 
     def test_program_equality_ignores_its_path(self):
@@ -697,6 +829,6 @@ class TestNodeContract:
         assert repr(IntLit(5)) == "IntLit(start=0, end=0, value=5)"
         assert repr(Wildcard(3, 4)) == "Wildcard(start=3, end=4)"
         assert repr(expression("x = [1 | t]")) == (
-            "Match(start=0, end=11, pattern=VarPattern(start=0, end=1, name='x'), "
+            "Match(start=0, end=11, pattern=Var(start=0, end=1, name='x'), "
             "value=ConsExpr(start=4, end=11, head=IntLit(start=5, end=6, value=1), "
             "tail=Var(start=9, end=10, name='t')))")
