@@ -18,14 +18,14 @@ from contextlib import suppress
 
 from .checker import check_programs
 from .diagnostics import (
-    Diagnostic, E_LEX, E_PARSE, count_by_severity, render_all_text,
+    Diagnostic, E_LEX, E_PARSE, Span, count_by_severity, render_all_text,
     render_json, render_text, sort_diagnostics,
 )
 from .lexer import LexError
 from .parser import RECURSION_LIMIT, ParseError, parse_program
 from .signatures import collect_all
 from .source import Source
-from .syntax import Program, Span, dump
+from .syntax import Program, dump
 
 
 class _ArgumentParser(argparse.ArgumentParser):

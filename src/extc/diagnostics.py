@@ -1,7 +1,7 @@
-"""Structured diagnostics, rendered as text or JSON from the `Source` each span holds."""
+"""Structured diagnostics, each located by a `Span`, rendered as text or JSON from its `Source`."""
 from __future__ import annotations
 
-from .syntax import Program, Span
+from .source import Source
 from .types import Record
 
 E_PARSE = "E_PARSE"
@@ -31,6 +31,17 @@ ALL_CODES = frozenset({
 _SEVERITY = {"E": "error", "W": "warning", "I": "info"}
 
 
+class Span(Record):
+    """Offsets `start` to `end` into `source`, which resolves their line and
+    column: the location of a diagnostic, or of the lex or parse error that
+    becomes one. AST nodes hold only the offsets."""
+
+    __slots__ = ("start", "end", "source")
+
+    def __init__(self, start: int, end: int, source: Source):
+        self.start, self.end, self.source = start, end, source
+
+
 class CheckFailure(Exception):
     """Raised by the lexer, the parser and the checking passes; converted to a
     Diagnostic where a file is parsed or a clause or statement is checked.
@@ -58,8 +69,8 @@ class Diagnostic(Record):
         self.file, self.expected, self.actual = file, expected, actual
 
     @classmethod
-    def at(cls, program: Program, node, code: str, message: str, **extra) -> "Diagnostic":
-        """A diagnostic on the offsets of `node`, or of a failure, in `program`."""
+    def at(cls, program, node, code: str, message: str, **extra) -> "Diagnostic":
+        """A diagnostic on the offsets of `node`, or of a failure, in the parsed file `program`."""
         return cls(code, message, Span(node.start, node.end, program.source), file=program.path, **extra)
 
     @property

@@ -20,9 +20,8 @@ import re
 from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter
 
-from .diagnostics import CheckFailure, E_LEX
+from .diagnostics import CheckFailure, E_LEX, Span
 from .source import Source
-from .syntax import Span
 from .types import Value
 
 KEYWORDS = {

@@ -26,12 +26,12 @@ from collections.abc import Callable
 from functools import partial
 
 from . import syntax
-from .diagnostics import CheckFailure, E_PARSE
+from .diagnostics import CheckFailure, E_PARSE, Span
 from .lexer import Tokens, tokenize
 from .syntax import (
     AnonFn, AtomLit, BinOp, BoolLit, Call, Case, CaseClause, Cond, CondClause,
     ConsExpr, ElistExpr, FloatLit, FunctionDef, If, IntLit, MapAccess, MapExpr,
-    Match, ModuleDef, PinPattern, Program, Seq, Span, SpecDecl, StringLit,
+    Match, ModuleDef, PinPattern, Program, Seq, SpecDecl, StringLit,
     TupleExpr, UnaryOp, Var, VarCall, Wildcard,
 )
 from .types import (
@@ -54,8 +54,8 @@ _BINARY = {
     "+": (5, False), "-": (5, False), "*": (6, False), "/": (6, False),
 }
 _PREFIX = 7  # a unary operand binds tighter than every binary operator
+_ENDS = ("eof", "end")  # the kinds that end every statement sequence
 _DECLARATIONS = ("defmodule", "def", "atspec")
-_NOT_A_PATTERN = "expression is not a valid pattern"
 # Deepest nesting of list, tuple, map and function types in a `@spec`.
 MAX_TYPE_DEPTH = 100
 # Deepest nesting of expressions and patterns: an operand, item, argument,
@@ -159,17 +159,18 @@ class Parser:
                              else "expected an expression, found '^'", self.span(i, i))
         return expr
 
-    def sequence(self, stop: Callable[[], bool] | None = None,
+    def sequence(self, ends: tuple[str, ...] = _ENDS,
                  head_of: Callable | None = None) -> syntax.Expr:
-        """Statements folded into a sequence, up to `eof`, `end`, `stop()` after
-        a separator, or a later statement that stops at `->`: the next clause's
-        head, which `head_of(statement, its first token)` accepts as
-        `self.next_head` or rejects."""
+        """Statements folded into a sequence, up to one that no separator
+        follows, a separator before a token of a kind in `ends` (an `if` adds
+        `else`, `parse_items` the declarations), or a later statement that
+        stops at `->`: the next clause's head, which `head_of(statement, its
+        first token)` accepts as `self.next_head` or rejects."""
         self.skip_separators()
         exprs = [self.settle(self.parse_expr())]
         while self.at_separator():
             self.skip_separators()
-            if self.kinds[self.pos] in ("eof", "end") or (stop is not None and stop()):
+            if self.kinds[self.pos] in ends:
                 break
             start = self.pos
             expr = self.parse_expr()
@@ -195,14 +196,14 @@ class Parser:
             if head is None:
                 self.skip_separators()
                 tok = self.pos
-                if self.kinds[tok] in ("end", "eof"):
+                if self.kinds[tok] in _ENDS:
                     break
                 head = head_of(self.parse_expr(), tok)
             self.expect("->")
             body = self.sequence(head_of=head_of)
             clauses.append(clause_type(head, body, head.start, body.end))
             head = self.next_head
-            if head is None and self.kinds[self.pos] not in ("end", "eof"):
+            if head is None and self.kinds[self.pos] not in _ENDS:
                 raise self.unexpected(self.pos, "a newline or ';'")
         close = self.expect("end")
         if not clauses:
@@ -244,7 +245,8 @@ class Parser:
         return self.to_pattern(self.parse_expr(), start)
 
     def not_a_pattern(self, expr: syntax.Expr) -> ParseError:
-        return ParseError(_NOT_A_PATTERN, Span(expr.start, expr.end, self.source))
+        return ParseError("expression is not a valid pattern",
+                          Span(expr.start, expr.end, self.source))
 
     # --- programs and declarations ---
 
@@ -253,7 +255,7 @@ class Parser:
         while True:
             self.skip_separators()
             kind = self.kinds[self.pos]
-            if kind == "eof" or kind == "end":
+            if kind in _ENDS:
                 if toplevel and kind == "end":
                     raise ParseError("unexpected 'end'", self.span(self.pos, self.pos))
                 break
@@ -264,8 +266,8 @@ class Parser:
             elif kind == "atspec":
                 items.append(self.parse_signature())
             else:  # statements up to a declaration, ended by a separator, `end` or `eof`
-                items.append(self.sequence(self.at_declaration))
-                if not (self.at_separator(back=1) or self.kinds[self.pos] in ("eof", "end")):
+                items.append(self.sequence((*_ENDS, *_DECLARATIONS)))
+                if not (self.at_separator(back=1) or self.kinds[self.pos] in _ENDS):
                     raise self.unexpected(self.pos, "a newline or ';'")
         return items
 
@@ -293,9 +295,6 @@ class Parser:
         self.expect("::")
         result = self.parse_type()
         return SpecDecl(name, params, result, self.starts[start], self.ends[self.pos - 1])
-
-    def at_declaration(self) -> bool:
-        return self.kinds[self.pos] in _DECLARATIONS
 
     # --- types ---
 
@@ -438,7 +437,7 @@ class Parser:
     def parse_if(self, start: int) -> If:
         cond = self.parse_expr()
         self.expect("do")
-        then = self.sequence(lambda: self.at("else"))
+        then = self.sequence((*_ENDS, "else"))
         if self.at("else"):
             self.take()
             orelse = self.sequence()

@@ -1,7 +1,8 @@
 """AST for the Elixir fragment: programs, modules, functions, expressions and
-patterns. Every node holds the offsets `start` and `end` of its source text,
-and a `Program` holds the file's `Source`, which turns offsets into lines,
-columns and line text once a diagnostic reports them.
+patterns; this module defines nothing but nodes. Every node holds the offsets
+`start` and `end` of its source text, and a `Program` holds the file's
+`Source`, which turns offsets into lines, columns and line text once a
+diagnostic reports them through a `diagnostics.Span`.
 
 A pattern is stored as the expression it is written as, as in Elixir's
 quoted form: a variable, tuple, list or map in a pattern is the same `Var`,
@@ -17,15 +18,16 @@ a plain `__init__`: the parser builds a node for every few tokens, and the
 `__init__` that `dataclass` generates, with keyword-only offsets, took 383 ns
 a call against 266 ns (CPython 3.11). `Node` gives every class but `Program`
 its `__eq__`, which compares the fields and never the offsets, so two parses
-of equivalent source compare equal, and its `__repr__`, in the form
-`dataclass` would write. `dataclass` itself, through `_node`, only records
-the fields, which perfbench's traced node count reads with
-`dataclasses.fields`, and sets `__slots__` and `__match_args__`: generating
-the two methods in every class took most of this module's import time. A
-class's `__match_args__` names its fields in order, leaving out the offsets
-and a `Program`'s `Source`: `children`, `dump`, `__eq__` and `__repr__` walk
-it. `Program` keeps the generated methods, so its equality leaves out its
-`path` as well.
+of equivalent source compare equal. `Node` is a `types.Record`, whose
+`__repr__` writes the form `dataclass` would, `IntLit(start=0, end=0,
+value=5)`, from the `__slots__` of a class and its bases. `dataclass` itself,
+through `_node`, only records the fields, which perfbench's traced node count
+reads with `dataclasses.fields`, and sets `__slots__` and `__match_args__`:
+generating the two methods in every class took most of this module's import
+time. A class's `__match_args__` names its fields in order, leaving out the
+offsets and a `Program`'s `Source`: `children`, `dump` and `__eq__` walk it.
+`Program` keeps the generated methods, so its equality leaves out its `path`
+as well.
 """
 from __future__ import annotations
 
@@ -35,24 +37,15 @@ from .source import Source
 from .types import MapKey, Record, Type
 
 
-class Span(Record):
-    """Offsets `start` to `end` into `source`, which resolves their line and
-    column: the location of a diagnostic, or of the lex or parse error that
-    becomes one. Nodes hold only the offsets."""
-
-    __slots__ = ("start", "end", "source")
-
-    def __init__(self, start: int, end: int, source: Source):
-        self.start, self.end, self.source = start, end, source
-
-
 # Fields, slots and `__match_args__`, but no generated method. A class with no
 # docstring would also have `dataclass` build one from `inspect.signature`.
+# The offsets keep `compare=False, default=0` for `Program`'s generated
+# `__init__` and `__eq__`, which would otherwise require a `start` and compare it.
 _node = dataclass(slots=True, init=False, eq=False, repr=False)
 
 
 @_node
-class Node:
+class Node(Record):
     """An AST node: its fields, then the offsets of its source text."""
 
     start: int = field(compare=False, default=0, kw_only=True)
@@ -64,11 +57,6 @@ class Node:
         names = self.__match_args__
         return tuple(getattr(self, name) for name in names) == \
             tuple(getattr(other, name) for name in names)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in ("start", "end", *self.__match_args__))
-        return f"{type(self).__qualname__}({fields})"
 
 
 class Expr(Node):

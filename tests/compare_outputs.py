@@ -21,6 +21,11 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
 - `check` and `parse` on each of `PATTERNS`, one-line files that parse and
   put every pattern shape, nested, in every pattern position, so that both
   the pattern names `parse` prints and every pattern judgement are compared;
+- `check` and `parse` on each of `SEQUENCES`, one-line files in which a
+  statement sequence meets each token that may end it (`else` in an `if`, a
+  `def`, `defmodule` or `@spec` after `;` at top level and in a module,
+  `end`, and the end of the file), and in which `else` or a declaration
+  stands where no sequence may stop;
 - usage errors, `--help` included.
 
 Every invocation whose stdout, stderr or exit status differs is printed, and
@@ -113,6 +118,33 @@ PATTERNS = [
     "{x, x} = {1, 2.5}",
 ]
 
+# One-line files in which a statement sequence ends on each of its ends, or
+# meets `else` or a declaration where it may not stop.
+SEQUENCES = [
+    # `else` ends an `if`'s then-branch, after a separator or none
+    "x = if true do 1; 2 else 3; 4 end", "x = if true do 1; 2; else 3 end",
+    "x = if true do 1 else 2 end; x",
+    # a declaration after `;` ends the statements before it, at top level ...
+    "x = 1; def f() do 2 end", "x = 1; defmodule M do end",
+    "x = 1; @spec f() :: integer; def f() do 2 end", "x = 1;; def f() do 2 end; y = x",
+    # ... and in a module
+    "defmodule M do x = 1; def f() do 2 end end",
+    "defmodule M do x = 1; defmodule N do end end",
+    "defmodule M do x = 1; @spec f() :: integer; def f() do 2 end end",
+    # `end`, of a `def`, a module, an `fn`, a `case` clause and a `cond` clause
+    "def f() do 1; 2; end", "defmodule M do x = 1; end", "g = fn () -> 1; 2; end",
+    "case 1 do 1 -> 2; 3; end", "cond do true -> 1; 2; end",
+    # the end of the file
+    "x = 1; y = 2;", "x = 1; x",
+    # `else` or a declaration where no sequence may stop
+    "x = 1; else", "x = 1 else", "def f() do 1; else end", "g = fn () -> 1; else end",
+    "case 1 do 1 -> 2; else end", "if true do 1 else 2; else 3 end",
+    "def f() do 1; def g() do 2 end end", "g = fn () -> 1; def h() do 2 end end",
+    "if true do 1; def g() do 2 end end", "case 1 do 1 -> 2; @spec f() :: integer end",
+    "x = 1 def f() do 2 end", "defmodule M do x = 1 def f() do 2 end end",
+    "defmodule M do x = 1; else end",
+]
+
 
 def invocations(work: Path) -> list[tuple[Path, list[str]]]:
     """`(directory to run in, argv)` for every run, writing generated inputs under `work`."""
@@ -140,16 +172,13 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
         runs += [(work, ["check", f"probes/{name}"]),
                  (work, ["check", "--format", "json", f"probes/{name}"]),
                  (work, ["parse", f"probes/{name}"])]
-    (work / "malformed").mkdir()
-    for number, text in enumerate(MALFORMED):
-        name = f"malformed/{number:02}.ex"
-        (work / name).write_text(text + "\n")
-        runs += [(work, ["check", name]), (work, ["parse", name])]
-    (work / "patterns").mkdir()
-    for number, text in enumerate(PATTERNS):
-        name = f"patterns/{number:02}.ex"
-        (work / name).write_text(text + "\n")
-        runs += [(work, ["check", name]), (work, ["parse", name])]
+    for folder, texts in (("malformed", MALFORMED), ("patterns", PATTERNS),
+                          ("sequences", SEQUENCES)):
+        (work / folder).mkdir()
+        for number, text in enumerate(texts):
+            name = f"{folder}/{number:02}.ex"
+            (work / name).write_text(text + "\n")
+            runs += [(work, ["check", name]), (work, ["parse", name])]
     return runs + [(ROOT, argv) for argv in USAGE_ERRORS]
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import re
 
+from extc.diagnostics import Span
 from extc.lexer import LexError
 from extc.source import Source
-from extc.syntax import Span
 
 KEYWORDS = {
     "defmodule", "def", "do", "end", "else", "fn", "case", "cond", "if",

@@ -666,7 +666,18 @@ def _imports(tree):
         if isinstance(node, ast.Import):
             yield node, [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            yield node, ["." * node.level + (node.module or "")]
+            prefix = "." * node.level
+            if node.module:
+                yield node, [prefix + node.module]
+            else:  # `from . import syntax` imports the module `.syntax`
+                yield node, [prefix + alias.name for alias in node.names]
+
+
+def _package_imports(name: str) -> list[str]:
+    """The `extc` modules that module `name` imports, each without its package."""
+    tree = ast.parse((Path(cli.__file__).parent / f"{name}.py").read_text())
+    return [module.lstrip(".").removeprefix("extc.") for _, modules in _imports(tree)
+            for module in modules if module.startswith(".") or module.split(".")[0] == "extc"]
 
 
 def test_imports_stay_out_of_functions():
@@ -681,9 +692,15 @@ def test_imports_stay_out_of_functions():
                 inside |= {(path.name, getattr(fn, "name", "<lambda>"), module)
                            for _, modules in _imports(fn) for module in modules}
     assert inside == {("diagnostics.py", "render_json", "json")}
-    types_source = (Path(cli.__file__).parent / "types.py").read_text()
-    imported = [module for _, modules in _imports(ast.parse(types_source)) for module in modules]
-    assert [m for m in imported if m.startswith(".") or m.split(".")[0] == "extc"] == []
+    assert _package_imports("types") == []
+
+
+def test_lexer_and_diagnostics_import_no_syntax():
+    """A location is a `Span`, which `diagnostics` defines, so the lexer and
+    the diagnostics know nothing of the AST; `source` imports no `extc` module."""
+    assert "syntax" not in _package_imports("lexer") + _package_imports("diagnostics")
+    assert _package_imports("source") == []
+
 
 # Openers and closers of list, tuple, map and function types, which count
 # towards the nesting limit of `@spec` types.

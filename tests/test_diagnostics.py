@@ -3,11 +3,10 @@ import json
 import pytest
 
 from extc.diagnostics import (
-    Diagnostic, count_by_severity, render_all_text, render_json, render_text,
-    sort_diagnostics,
+    Diagnostic, Span, count_by_severity, render_all_text, render_json,
+    render_text, sort_diagnostics,
 )
 from extc.source import Source
-from extc.syntax import Span
 
 
 def span(start, end, text="x + 1 = 2.5  # one line"):

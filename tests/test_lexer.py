@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_DIR, DATA_DIR
+from extc.diagnostics import Span
 from extc.lexer import KEYWORDS, OPERATORS, PUNCTUATION, LexError, tokenize
 from extc.source import Source
-from extc.syntax import Span
 from reference_lexer import reference_tokenize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))

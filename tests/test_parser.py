@@ -9,8 +9,9 @@ import pytest
 
 import printer
 from conftest import DATA_DIR, corpus_files
-from extc import syntax
+from extc import syntax, types
 from extc.checker import check_programs
+from extc.diagnostics import Span
 from extc.lexer import tokenize
 from extc.parser import MAX_NESTING, MAX_TYPE_DEPTH, ParseError, Parser, parse_program
 from extc.syntax import (
@@ -764,8 +765,8 @@ class TestSpansAndRoundTrip:
     def test_clean_parse_builds_no_span(self, monkeypatch, path):
         """Nodes hold offsets; a `Span` is built only for a reported location."""
         built = []
-        init = syntax.Span.__init__
-        monkeypatch.setattr(syntax.Span, "__init__",
+        init = Span.__init__
+        monkeypatch.setattr(Span, "__init__",
                             lambda span, *args: built.append(args) or init(span, *args))
         parse_program(path.read_text(), path=path.name)
         assert built == []
@@ -797,6 +798,14 @@ NODE_CLASSES = [value for value in vars(syntax).values()
 class TestNodeContract:
     """What every node class shares through `Node`, and what `dataclass`
     still records for perfbench's traced node count."""
+
+    def test_syntax_defines_only_nodes(self):
+        defined = [value for value in vars(syntax).values()
+                   if isinstance(value, type) and value.__module__ == syntax.__name__]
+        assert [cls for cls in defined if not issubclass(cls, syntax.Node)] == []
+
+    def test_repr_comes_from_record(self):
+        assert syntax.Node.__repr__ is types.Record.__repr__
 
     @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
     def test_eq_and_repr_come_from_node_except_on_program(self, cls):
