@@ -13,43 +13,40 @@ or map in a pattern `VarPattern`, `TuplePattern` and so on: the output of
 `extc parse` tells a pattern from an expression, and `tests/golden/parse.txt`
 pins those names.
 
-Each node class takes its fields and then its offsets positionally, through
-a plain `__init__`: the parser builds a node for every few tokens, and the
-`__init__` that `dataclass` generates, with keyword-only offsets, took 383 ns
-a call against 266 ns (CPython 3.11). `Node` gives every class but `Program`
-its `__eq__`, which compares the fields and never the offsets, so two parses
-of equivalent source compare equal. `Node` is a `types.Record`, whose
-`__repr__` writes the form `dataclass` would, `IntLit(start=0, end=0,
-value=5)`, from the `__slots__` of a class and its bases. `dataclass` itself,
-through `_node`, only records the fields, which perfbench's traced node count
-reads with `dataclasses.fields`, and sets `__slots__` and `__match_args__`:
-generating the two methods in every class took most of this module's import
-time. A class's `__match_args__` names its fields in order, leaving out the
-offsets and a `Program`'s `Source`: `children`, `dump` and `__eq__` walk it.
-`Program` keeps the generated methods, so its equality leaves out its `path`
-as well.
+Each node class names its fields once, in order, in its `__slots__`, and
+takes them and then its offsets positionally, through a plain `__init__`:
+the parser builds a node for every few tokens, and a generated `__init__`
+with keyword-only offsets took 383 ns a call against 266 ns (CPython 3.11).
+`Node.__init_subclass__` derives the rest. `types.Record` appends the slots
+to the `_fields` of the bases, so a class's `_fields` are `start`, `end`
+and then its own fields, and `Record.__repr__` writes them in the form
+`IntLit(start=0, end=0, value=5)`. `__match_args__` are the `_fields` after
+the offsets, unless a class sets its own, as `Program` does to leave out
+its `Source`: `children`, `dump` and `__eq__` walk them. `Node` gives every
+class but `Program` its `__eq__`, which compares the `__match_args__` and
+never the offsets, so two parses of equivalent source compare equal;
+`Program`'s compares only its items. No node class is a dataclass, and
+importing `dataclasses` would cost a third of `extc`'s start-up. Only
+`Node.__dataclass_fields__`, a `types.DataclassFields`, answers
+`dataclasses.fields(node)`, which perfbench's traced node count calls; item
+1 of ROADMAP.md removes it once that count walks `children`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .source import Source
-from .types import MapKey, Record, Type
+from .types import DataclassFields, Record
 
 
-# Fields, slots and `__match_args__`, but no generated method. A class with no
-# docstring would also have `dataclass` build one from `inspect.signature`.
-# The offsets keep `compare=False, default=0` for `Program`'s generated
-# `__init__` and `__eq__`, which would otherwise require a `start` and compare it.
-_node = dataclass(slots=True, init=False, eq=False, repr=False)
-
-
-@_node
 class Node(Record):
     """An AST node: its fields, then the offsets of its source text."""
 
-    start: int = field(compare=False, default=0, kw_only=True)
-    end: int = field(compare=False, default=0, kw_only=True)
+    __slots__ = ("start", "end")  # int, int
+    __match_args__ = ()
+    __dataclass_fields__ = DataclassFields()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__match_args__" not in cls.__dict__:
+            cls.__match_args__ = cls._fields[2:]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -75,51 +72,46 @@ class Literal(Expr, Pattern):
     __slots__ = ()
 
 
-@_node
 class IntLit(Literal):
     """An integer literal."""
 
-    value: int
+    __slots__ = ("value",)  # int
 
     def __init__(self, value, start=0, end=0):
         self.value, self.start, self.end = value, start, end
 
 
-@_node
 class FloatLit(Literal):
     """A float literal."""
 
-    value: float
+    __slots__ = ("value",)  # float
 
     def __init__(self, value, start=0, end=0):
         self.value, self.start, self.end = value, start, end
 
 
-@_node
 class StringLit(Literal):
     """A string literal."""
 
-    value: str
+    __slots__ = ("value",)  # str
 
     def __init__(self, value, start=0, end=0):
         self.value, self.start, self.end = value, start, end
 
 
-@_node
 class BoolLit(Literal):
     """`true` or `false`."""
 
-    value: bool
+    __slots__ = ("value",)  # bool
 
     def __init__(self, value, start=0, end=0):
         self.value, self.start, self.end = value, start, end
 
 
-@_node
 class AtomLit(Literal):
     """An atom literal, `:name`."""
 
-    name: str
+    __slots__ = ("name",)  # str
 
     def __init__(self, name, start=0, end=0):
         self.name, self.start, self.end = name, start, end
@@ -128,19 +120,19 @@ class AtomLit(Literal):
 # --- patterns ---------------------------------------------------------------
 
 
-@_node
 class Wildcard(Pattern):
     """The wildcard pattern `_`."""
+
+    __slots__ = ()
 
     def __init__(self, start=0, end=0):
         self.start, self.end = start, end
 
 
-@_node
 class PinPattern(Pattern):
     """A pinned variable, `^name`, matched by its value."""
 
-    name: str
+    __slots__ = ("name",)  # str
 
     def __init__(self, name, start=0, end=0):
         self.name, self.start, self.end = name, start, end
@@ -149,196 +141,164 @@ class PinPattern(Pattern):
 # --- expressions ------------------------------------------------------------
 
 
-@_node
 class Var(Expr):
     """A variable reference."""
 
-    name: str
+    __slots__ = ("name",)  # str
 
     def __init__(self, name, start=0, end=0):
         self.name, self.start, self.end = name, start, end
 
 
-@_node
 class TupleExpr(Expr):
     """A tuple, `{e, ...}`."""
 
-    items: list[Expr]
+    __slots__ = ("items",)  # list[Expr]
 
     def __init__(self, items, start=0, end=0):
         self.items, self.start, self.end = items, start, end
 
 
-@_node
 class ElistExpr(Expr):
     """The empty list `[]`."""
+
+    __slots__ = ()
 
     def __init__(self, start=0, end=0):
         self.start, self.end = start, end
 
 
-@_node
 class ConsExpr(Expr):
     """A list cell, `[head | tail]`."""
 
-    head: Expr
-    tail: Expr
+    __slots__ = ("head", "tail")  # Expr, Expr
 
     def __init__(self, head, tail, start=0, end=0):
         self.head, self.tail, self.start, self.end = head, tail, start, end
 
 
-@_node
 class MapExpr(Expr):
     """A map, `%{key => e, ...}`."""
 
-    entries: list[tuple[MapKey, Expr]]
+    __slots__ = ("entries",)  # list[tuple[MapKey, Expr]]
 
     def __init__(self, entries, start=0, end=0):
         self.entries, self.start, self.end = entries, start, end
 
 
-@_node
 class MapAccess(Expr):
     """A map lookup by a literal key, `subject[key]`."""
 
-    subject: Expr
-    key: MapKey
+    __slots__ = ("subject", "key")  # Expr, MapKey
 
     def __init__(self, subject, key, start=0, end=0):
         self.subject, self.key, self.start, self.end = subject, key, start, end
 
 
-@_node
 class BinOp(Expr):
     """A binary operator application, `left op right`."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # str, Expr, Expr
 
     def __init__(self, op, left, right, start=0, end=0):
         self.op, self.left, self.right, self.start, self.end = op, left, right, start, end
 
 
-@_node
 class UnaryOp(Expr):
     """A unary operator application: `-e` or `not e`."""
 
-    op: str
-    operand: Expr
+    __slots__ = ("op", "operand")  # str, Expr
 
     def __init__(self, op, operand, start=0, end=0):
         self.op, self.operand, self.start, self.end = op, operand, start, end
 
 
-@_node
 class If(Expr):
     """`if cond do then else orelse end`."""
 
-    cond: Expr
-    then: Expr
-    orelse: Expr
+    __slots__ = ("cond", "then", "orelse")  # Expr, Expr, Expr
 
     def __init__(self, cond, then, orelse, start=0, end=0):
         self.cond, self.then, self.orelse, self.start, self.end = cond, then, orelse, start, end
 
 
-@_node
 class CaseClause(Node):
     """One `pattern -> body` clause of a `case`."""
 
-    pattern: Expr | Pattern
-    body: Expr
+    __slots__ = ("pattern", "body")  # Expr | Pattern, Expr
 
     def __init__(self, pattern, body, start=0, end=0):
         self.pattern, self.body, self.start, self.end = pattern, body, start, end
 
 
-@_node
 class Case(Expr):
     """`case subject do clauses end`."""
 
-    subject: Expr
-    clauses: list[CaseClause]
+    __slots__ = ("subject", "clauses")  # Expr, list[CaseClause]
 
     def __init__(self, subject, clauses, start=0, end=0):
         self.subject, self.clauses, self.start, self.end = subject, clauses, start, end
 
 
-@_node
 class CondClause(Node):
     """One `cond -> body` clause of a `cond`."""
 
-    cond: Expr
-    body: Expr
+    __slots__ = ("cond", "body")  # Expr, Expr
 
     def __init__(self, cond, body, start=0, end=0):
         self.cond, self.body, self.start, self.end = cond, body, start, end
 
 
-@_node
 class Cond(Expr):
     """`cond do clauses end`."""
 
-    clauses: list[CondClause]
+    __slots__ = ("clauses",)  # list[CondClause]
 
     def __init__(self, clauses, start=0, end=0):
         self.clauses, self.start, self.end = clauses, start, end
 
 
-@_node
 class Call(Expr):
     """Named function application, optionally qualified by a module path."""
 
-    qualifier: tuple[str, ...]
-    name: str
-    args: list[Expr]
+    __slots__ = ("qualifier", "name", "args")  # tuple[str, ...], str, list[Expr]
 
     def __init__(self, qualifier, name, args, start=0, end=0):
         self.qualifier, self.name, self.args = qualifier, name, args
         self.start, self.end = start, end
 
 
-@_node
 class VarCall(Expr):
     """Application of a variable bound to an anonymous function: x.(args)."""
 
-    name: str
-    args: list[Expr]
+    __slots__ = ("name", "args")  # str, list[Expr]
 
     def __init__(self, name, args, start=0, end=0):
         self.name, self.args, self.start, self.end = name, args, start, end
 
 
-@_node
 class AnonFn(Expr):
     """An anonymous function, `fn (params) -> body end`."""
 
-    params: list[Expr | Pattern]
-    body: Expr
+    __slots__ = ("params", "body")  # list[Expr | Pattern], Expr
 
     def __init__(self, params, body, start=0, end=0):
         self.params, self.body, self.start, self.end = params, body, start, end
 
 
-@_node
 class Match(Expr):
     """A match, `pattern = value`."""
 
-    pattern: Expr | Pattern
-    value: Expr
+    __slots__ = ("pattern", "value")  # Expr | Pattern, Expr
 
     def __init__(self, pattern, value, start=0, end=0):
         self.pattern, self.value, self.start, self.end = pattern, value, start, end
 
 
-@_node
 class Seq(Expr):
     """Two statements in order: `first` then `second`."""
 
-    first: Expr
-    second: Expr
+    __slots__ = ("first", "second")  # Expr, Expr
 
     def __init__(self, first, second, start=0, end=0):
         self.first, self.second, self.start, self.end = first, second, start, end
@@ -347,48 +307,46 @@ class Seq(Expr):
 # --- declarations and programs ----------------------------------------------
 
 
-@_node
 class SpecDecl(Node):
     """A signature, `@spec name(params) :: result`."""
 
-    name: str
-    params: list[Type]
-    result: Type
+    __slots__ = ("name", "params", "result")  # str, list[Type], Type
 
     def __init__(self, name, params, result, start=0, end=0):
         self.name, self.params, self.result, self.start, self.end = name, params, result, start, end
 
 
-@_node
 class FunctionDef(Node):
     """A clause of a named function, `def name(params) do body end`."""
 
-    name: str
-    params: list[Expr | Pattern]
-    body: Expr
+    __slots__ = ("name", "params", "body")  # str, list[Expr | Pattern], Expr
 
     def __init__(self, name, params, body, start=0, end=0):
         self.name, self.params, self.body, self.start, self.end = name, params, body, start, end
 
 
-@_node
 class ModuleDef(Node):
     """A module, `defmodule name do body end`."""
 
-    name: str
-    body: list[Node]
+    __slots__ = ("name", "body")  # str, list[Node]
 
     def __init__(self, name, body, start=0, end=0):
         self.name, self.body, self.start, self.end = name, body, start, end
 
 
-@dataclass(slots=True)
 class Program(Node):
     """A parsed file: its items, its path and its `Source`."""
 
-    items: list[Node]
-    path: str = field(compare=False, default="<input>")
-    source: Source = field(compare=False, kw_only=True)
+    __slots__ = ("items", "path", "source")  # list[Node], str, Source
+    __match_args__ = ("items", "path")
+
+    def __init__(self, items, path="<input>", *, source, start=0, end=0):
+        self.items, self.path, self.source, self.start, self.end = items, path, source, start, end
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
 
 
 def children(node: Node):

@@ -8,6 +8,7 @@ each. Each relation is one structural walk: `_sub` serves both `is_subtype` and
 """
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
 
 _KEY_KINDS = ("atom", "boolean", "integer")
@@ -36,6 +37,24 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class DataclassFields:
+    """A `__dataclass_fields__` class attribute, so that `dataclasses.fields`
+    lists a record's `_fields` without the record being a dataclass.
+
+    Each class's answer is built on first read, from the `dataclasses` that
+    the caller has imported, and cached here: set on the class that was read,
+    it would also answer for every subclass."""
+
+    def __init__(self):
+        self.by_class = {}
+
+    def __get__(self, instance, owner):
+        if owner not in self.by_class:
+            make = sys.modules["dataclasses"].make_dataclass
+            self.by_class[owner] = make(owner.__name__, owner._fields).__dataclass_fields__
+        return self.by_class[owner]
 
 
 class Value(Record):

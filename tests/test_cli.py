@@ -649,8 +649,10 @@ class TestRecursionBudget:
 
 def test_import_loads_no_typing():
     """Start-up imports only what a check needs: no `typing`, no `pathlib`
-    (with `urllib.parse` behind it), and `json` only once JSON is rendered."""
-    unwanted = ["typing", "pathlib", "json", "urllib.parse"]
+    (with `urllib.parse` behind it), `json` only once JSON is rendered, and
+    no `dataclasses`, with the `inspect` and `ast` it imports: node classes
+    are plain `__slots__` classes."""
+    unwanted = ["typing", "pathlib", "json", "urllib.parse", "dataclasses", "inspect", "ast"]
     code = f"import sys, extc.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -796,8 +796,9 @@ NODE_CLASSES = [value for value in vars(syntax).values()
 
 
 class TestNodeContract:
-    """What every node class shares through `Node`, and what `dataclass`
-    still records for perfbench's traced node count."""
+    """What every node class shares through `Node`: fields derived from its
+    `__slots__`, `Node.__eq__` and `Record.__repr__`, and the
+    `__dataclass_fields__` that perfbench's traced node count reads."""
 
     def test_syntax_defines_only_nodes(self):
         defined = [value for value in vars(syntax).values()
@@ -809,15 +810,24 @@ class TestNodeContract:
 
     @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
     def test_eq_and_repr_come_from_node_except_on_program(self, cls):
+        # `Program` has its own `__eq__`, but its repr is `Record`'s too.
         shared = cls is not syntax.Program
         assert (cls.__eq__ is syntax.Node.__eq__, cls.__repr__ is syntax.Node.__repr__) == \
-            (shared, shared)
+            (shared, True)
 
     @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
     def test_fields_are_the_offsets_then_the_match_args(self, cls):
         extra = ["source"] if cls is syntax.Program else []
         assert [f.name for f in dataclasses.fields(cls)] == \
             ["start", "end", *cls.__match_args__, *extra]
+        assert cls._fields == ("start", "end", *cls.__match_args__, *extra)
+        assert not hasattr(object.__new__(cls), "__dict__")
+
+    def test_fields_of_a_subclass_read_after_node(self):
+        # Caching the first answer on `Node` would hand it to every subclass.
+        assert [f.name for f in dataclasses.fields(syntax.Node)] == ["start", "end"]
+        assert [f.name for f in dataclasses.fields(IntLit)] == ["start", "end", "value"]
+        assert [f.name for f in dataclasses.fields(IntLit(5))] == ["start", "end", "value"]
 
     def test_equality_ignores_offsets(self):
         assert IntLit(5, 0, 1) == IntLit(5, 7, 9)
@@ -841,3 +851,9 @@ class TestNodeContract:
             "Match(start=0, end=11, pattern=Var(start=0, end=1, name='x'), "
             "value=ConsExpr(start=4, end=11, head=IntLit(start=5, end=6, value=1), "
             "tail=Var(start=9, end=10, name='t')))")
+
+    def test_program_repr_writes_every_field(self):
+        assert repr(parse_program("x = 1", path="a.ex")).startswith(
+            "Program(start=0, end=5, items=[Match(start=0, end=5, "
+            "pattern=Var(start=0, end=1, name='x'), value=IntLit(start=4, end=5, value=1))], "
+            "path='a.ex', source=<extc.source.Source object at ")
