@@ -29,7 +29,7 @@ def check_programs(programs: list[syntax.Program], collected=None) -> list[Diagn
             except CheckFailure as err:
                 diags.append(Diagnostic.at(program, err, err.code, err.message,
                                            expected=err.expected, actual=err.actual))
-            except RecursionError:  # a type variables carried past `RECURSION_LIMIT`
+            except RecursionError:  # a type that variables carry past `RECURSION_LIMIT`
                 diags.append(Diagnostic.at(program, item, E_PARSE, "nesting too deep"))
     return diags
 

@@ -20,8 +20,7 @@ import re
 from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter
 
-from .diagnostics import CheckFailure, E_LEX, Span
-from .source import Source
+from .diagnostics import CheckFailure, E_LEX, Source, Span
 from .types import Value
 
 KEYWORDS = {

@@ -330,11 +330,11 @@ class Parser:
         tok = self.take()
         kind = self.kinds[tok]
         if kind == "atom":
-            return MapKey.atom(self.lexemes[tok])
+            return MapKey("atom", self.lexemes[tok])
         if kind == "int":
-            return MapKey.integer(self.int_value(tok))
+            return MapKey("integer", self.int_value(tok))
         if kind == "true" or kind == "false":
-            return MapKey.boolean(kind == "true")
+            return MapKey("boolean", kind == "true")
         raise ParseError("expected a map key (atom, boolean or integer)", self.span(tok, tok))
 
     def int_value(self, tok: int) -> int:

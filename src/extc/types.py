@@ -90,18 +90,6 @@ class MapKey(Value):
         object.__setattr__(self, "kind", kind)  # as `Value.__init__` does, without its loop
         object.__setattr__(self, "value", value)
 
-    @classmethod
-    def atom(cls, name: str) -> "MapKey":
-        return cls("atom", name)
-
-    @classmethod
-    def boolean(cls, value: bool) -> "MapKey":
-        return cls("boolean", bool(value))
-
-    @classmethod
-    def integer(cls, value: int) -> "MapKey":
-        return cls("integer", int(value))
-
     def sort_key(self):
         return (_KEY_KINDS.index(self.kind), str(self.value) if self.kind == "atom" else self.value)
 

@@ -26,6 +26,10 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
   `def`, `defmodule` or `@spec` after `;` at top level and in a module,
   `end`, and the end of the file), and in which `else` or a declaration
   stands where no sequence may stop;
+- `check` and `parse` on each of `TYPES`, one-line files whose `@spec`s
+  make `fits`, `join` and the body check meet list, tuple, map and function
+  types, `any`, `term` and `none`, with function parameters compared
+  contravariantly and joined by their meet;
 - usage errors, `--help` included.
 
 Every invocation whose stdout, stderr or exit status differs is printed, and
@@ -145,6 +149,39 @@ SEQUENCES = [
     "defmodule M do x = 1; else end",
 ]
 
+# Well-formed one-line files that send list, tuple, map and function types,
+# `any`, `term` and `none` through `fits` (arguments and the body against its
+# `@spec`) and through `join` (the branches of an `if`).
+TYPES = [
+    # function: parameters contravariant in `fits`, met inside a join, higher order
+    '@spec ap((integer) -> float, integer) :: float; def ap(g, x) do g.(x) end; '
+    'ap(fn (n) -> n <> "s" end, 3)',
+    "@spec k((float) -> integer) :: (integer) -> float; def k(f) do f end",
+    "@spec k((integer) -> integer) :: (float) -> integer; def k(f) do f end",
+    "@spec k((integer) -> integer, (float) -> integer) :: integer; "
+    "def k(f, g) do h = if true do f else g end; h.(1.5) end",
+    "@spec k((integer) -> integer, (integer) -> float) :: (integer) -> integer; "
+    "def k(f, g) do if true do f else g end end",
+    "@spec k((string) -> integer, (integer) -> integer) :: (none) -> integer; "
+    "def k(f, g) do if true do f else g end end",
+    "@spec k(((integer) -> integer) -> integer) :: integer; def k(h) do h.(fn (x) -> x end) end",
+    # map: width in `fits`, the shared keys in a join
+    "@spec m(%{:a => integer}) :: integer; def m(x) do x[:a] end; m(%{:a => 1, :b => 2.5})",
+    "@spec k(%{:a => integer, :b => string}, %{:a => float}) :: %{:b => string}; "
+    "def k(a, b) do if true do a else b end end",
+    # list and tuple: joined element by element, or to `term` across arities
+    "@spec k([integer], [float]) :: [integer]; def k(a, b) do if true do a else b end end",
+    "@spec k({integer, :ok}, {float, :error}) :: {float, atom}; "
+    "def k(a, b) do if true do a else b end end",
+    "@spec k({integer}, {integer, integer}) :: {integer}; "
+    "def k(a, b) do if true do a else b end end",
+    # `any`, `term` and `none`
+    "@spec k(any, [integer]) :: [integer]; def k(a, b) do if true do a else b end end",
+    "@spec ap((any) -> integer, [term]) :: {integer, any}; def ap(g, x) do {g.(x), x} end",
+    "@spec k([term]) :: [integer]; def k(x) do x end",
+    "@spec k(none, [none]) :: {(integer) -> none, [string]}; def k(x, y) do {x, y} end",
+]
+
 
 def invocations(work: Path) -> list[tuple[Path, list[str]]]:
     """`(directory to run in, argv)` for every run, writing generated inputs under `work`."""
@@ -173,7 +210,7 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
                  (work, ["check", "--format", "json", f"probes/{name}"]),
                  (work, ["parse", f"probes/{name}"])]
     for folder, texts in (("malformed", MALFORMED), ("patterns", PATTERNS),
-                          ("sequences", SEQUENCES)):
+                          ("sequences", SEQUENCES), ("types", TYPES)):
         (work / folder).mkdir()
         for number, text in enumerate(texts):
             name = f"{folder}/{number:02}.ex"

@@ -20,7 +20,7 @@ DEFAULT_BASES: tuple[Type, ...] = (
     AtomLiteralType("a"), AtomLiteralType("b"), ANY,
 )
 
-DEFAULT_MAP_KEYS: tuple[MapKey, ...] = (MapKey.atom("a"), MapKey.integer(1))
+DEFAULT_MAP_KEYS: tuple[MapKey, ...] = (MapKey("atom", "a"), MapKey("integer", 1))
 
 
 def contains_any(t: Type) -> bool:

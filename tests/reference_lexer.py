@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import re
 
-from extc.diagnostics import Span
+from extc.diagnostics import Source, Span
 from extc.lexer import LexError
-from extc.source import Source
 
 KEYWORDS = {
     "defmodule", "def", "do", "end", "else", "fn", "case", "cond", "if",

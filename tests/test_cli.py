@@ -698,10 +698,12 @@ def test_imports_stay_out_of_functions():
 
 
 def test_lexer_and_diagnostics_import_no_syntax():
-    """A location is a `Span`, which `diagnostics` defines, so the lexer and
-    the diagnostics know nothing of the AST; `source` imports no `extc` module."""
+    """A location is a `Span` into a `Source`, both of which `diagnostics`
+    defines, so the lexer and the diagnostics know nothing of the AST, and
+    `diagnostics` builds only on `types`: no `source` module is left."""
     assert "syntax" not in _package_imports("lexer") + _package_imports("diagnostics")
-    assert _package_imports("source") == []
+    assert _package_imports("diagnostics") == ["types"]
+    assert not (Path(cli.__file__).parent / "source.py").exists()
 
 
 # Openers and closers of list, tuple, map and function types, which count

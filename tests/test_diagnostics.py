@@ -3,10 +3,9 @@ import json
 import pytest
 
 from extc.diagnostics import (
-    Diagnostic, Span, count_by_severity, render_all_text, render_json,
+    Diagnostic, Source, Span, count_by_severity, render_all_text, render_json,
     render_text, sort_diagnostics,
 )
-from extc.source import Source
 
 
 def span(start, end, text="x + 1 = 2.5  # one line"):

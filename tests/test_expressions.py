@@ -2,11 +2,10 @@ import pytest
 
 from extc import envs, expressions, syntax
 from extc.checker import check_programs
-from extc.diagnostics import CheckFailure
+from extc.diagnostics import CheckFailure, Source
 from extc.envs import SignatureEnv
 from extc.expressions import ExprChecker
 from extc.parser import parse_program
-from extc.source import Source
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BOOLEAN, FLOAT, FunctionType, INTEGER,
     ListType, MapKey, MapType, NONE, STRING, TERM, TupleType,
@@ -131,12 +130,12 @@ class TestDataStructures:
 
     def test_map_exposes_keys(self):
         t = synth_type('%{:strange => "hello", 9 => true}')
-        assert t == MapType([(MapKey.atom("strange"), STRING),
-                             (MapKey.integer(9), BOOLEAN)])
+        assert t == MapType([(MapKey("atom", "strange"), STRING),
+                             (MapKey("integer", 9), BOOLEAN)])
 
     def test_map_access(self):
-        env = {"m": MapType([(MapKey.atom("strange"), STRING),
-                             (MapKey.integer(9), BOOLEAN)])}
+        env = {"m": MapType([(MapKey("atom", "strange"), STRING),
+                             (MapKey("integer", 9), BOOLEAN)])}
         assert synth_type("m[9]", env) == BOOLEAN
         assert synth_type('m[:strange] <> "bye"', env) == STRING
         assert failure("m[:strange] + 3", env).code == "E_TYPE_MISMATCH"
@@ -191,8 +190,8 @@ class TestControlStructures:
         assert "y" not in added
 
     def test_case_pattern_bindings_visible_in_body(self):
-        env = {"m": MapType([(MapKey.atom("strange"), STRING),
-                             (MapKey.integer(9), BOOLEAN)])}
+        env = {"m": MapType([(MapKey("atom", "strange"), STRING),
+                             (MapKey("integer", 9), BOOLEAN)])}
         assert synth_type("case m do %{9 => b} -> b end", env) == BOOLEAN
 
     def test_case_selector_widening_warns(self):

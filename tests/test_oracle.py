@@ -15,7 +15,7 @@ def small():
     """Bases plus one structural layer over a tiny base set; fast to close."""
     bases = (NONE, TERM, INTEGER, FLOAT, AtomLiteralType("a"), ATOM, ANY)
     return TypeUniverse(enumerate_types(depth=2, bases=bases,
-                                        map_keys=(MapKey.atom("a"),)))
+                                        map_keys=(MapKey("atom", "a"),)))
 
 
 class TestEnumeration:
@@ -53,7 +53,7 @@ class TestDeclarativeSubtyping:
         assert small.sub[idx[ListType(INTEGER)]] >> idx[ListType(FLOAT)] & 1
         assert small.sub[idx[TupleType((INTEGER, INTEGER))]] >> \
             idx[TupleType((FLOAT, TERM))] & 1
-        wide = MapType([(MapKey.atom("a"), INTEGER)])
+        wide = MapType([(MapKey("atom", "a"), INTEGER)])
         assert small.sub[idx[wide]] >> idx[MapType([])] & 1
 
     def test_any_only_relates_to_bounds(self, small):
@@ -121,7 +121,7 @@ class TestContainsAny:
         assert contains_any(ANY)
         assert contains_any(ListType(ANY))
         assert contains_any(TupleType((INTEGER, ANY)))
-        assert contains_any(MapType([(MapKey.atom("a"), ANY)]))
+        assert contains_any(MapType([(MapKey("atom", "a"), ANY)]))
         assert contains_any(FunctionType((ANY,), INTEGER))
         assert contains_any(FunctionType((INTEGER,), ANY))
 

@@ -86,8 +86,8 @@ class TestVariables:
             "E_NONLINEAR_MISMATCH"
 
     def test_vare_equality_ignores_map_key_order(self):
-        t1 = MapType([(MapKey.atom("a"), INTEGER), (MapKey.integer(1), FLOAT)])
-        t2 = MapType([(MapKey.integer(1), FLOAT), (MapKey.atom("a"), INTEGER)])
+        t1 = MapType([(MapKey("atom", "a"), INTEGER), (MapKey("integer", 1), FLOAT)])
+        t2 = MapType([(MapKey("integer", 1), FLOAT), (MapKey("atom", "a"), INTEGER)])
         gamma = check("{x, x}", TupleType((t1, t2)), MATCH)
         assert gamma["x"] == t1
 
@@ -135,16 +135,17 @@ class TestStructures:
         assert error_code("[]", INTEGER, MATCH) == "E_PATTERN_TYPE"
 
     def test_map_subset_of_keys(self):
-        expected = MapType([(MapKey.atom("strange"), STRING), (MapKey.integer(9), BOOLEAN)])
+        expected = MapType([(MapKey("atom", "strange"), STRING),
+                            (MapKey("integer", 9), BOOLEAN)])
         gamma = check("%{9 => b}", expected, CASE)
         assert gamma == {"b": BOOLEAN}
 
     def test_map_unknown_key(self):
-        expected = MapType([(MapKey.integer(9), BOOLEAN)])
+        expected = MapType([(MapKey("integer", 9), BOOLEAN)])
         assert error_code("%{10 => b}", expected, MATCH) == "E_UNKNOWN_KEY"
 
     def test_spec_mode_map_requires_exact_keys(self):
-        expected = MapType([(MapKey.atom("a"), INTEGER), (MapKey.atom("b"), FLOAT)])
+        expected = MapType([(MapKey("atom", "a"), INTEGER), (MapKey("atom", "b"), FLOAT)])
         assert error_code("%{:a => x}", expected, SPEC) == "E_PATTERN_TYPE"
         gamma = check("%{:a => x, :b => y}", expected, SPEC)
         assert gamma == {"x": INTEGER, "y": FLOAT}
@@ -251,7 +252,7 @@ class TestNaturalPatternType:
 
     def test_map_exposes_keys(self):
         t, gamma = natural("%{:a => x}")
-        assert t == MapType([(MapKey.atom("a"), ANY)])
+        assert t == MapType([(MapKey("atom", "a"), ANY)])
         assert gamma == {"x": ANY}
 
     def test_threading_detects_nonlinear_conflicts(self):

@@ -17,10 +17,10 @@ def map_of(*pairs):
     return MapType(list(pairs))
 
 
-K_A = MapKey.atom("a")
-K_B = MapKey.atom("b")
-K_STRANGE = MapKey.atom("strange")
-K_9 = MapKey.integer(9)
+K_A = MapKey("atom", "a")
+K_B = MapKey("atom", "b")
+K_STRANGE = MapKey("atom", "strange")
+K_9 = MapKey("integer", 9)
 
 
 class TestBaseTypeNames:
@@ -93,8 +93,8 @@ class TestSubtyping:
         assert is_subtype(one, other) and is_subtype(other, one)
 
     def test_map_keys_distinguish_kinds(self):
-        assert MapKey.integer(1) != MapKey.boolean(True)
-        assert MapType([(MapKey.integer(1), INTEGER), (MapKey.boolean(True), FLOAT)])
+        assert MapKey("integer", 1) != MapKey("boolean", True)
+        assert MapType([(MapKey("integer", 1), INTEGER), (MapKey("boolean", True), FLOAT)])
 
     def test_st_list_covariant(self):
         assert is_subtype(ListType(INTEGER), ListType(FLOAT))
@@ -331,14 +331,14 @@ class TestValueSemantics:
             (TupleType((ANY, FLOAT)), TupleType((ANY, FLOAT))),
             (map_of((K_A, INTEGER), (K_9, ATOM)), map_of((K_9, ATOM), (K_A, INTEGER))),
             (FunctionType((INTEGER,), FLOAT), FunctionType((INTEGER,), FLOAT)),
-            (MapKey.atom("a"), K_A),
+            (MapKey("atom", "a"), K_A),
         ]
         for t, u in pairs:
             assert t == u and hash(t) == hash(u) and t is not u
         assert len({t for pair in pairs for t in pair}) == len(pairs)
         assert AL("ok") != AL("no") and ListType(INTEGER) != ListType(FLOAT)
         assert AL("integer") != INTEGER and ListType(INTEGER) != TupleType((INTEGER,))
-        assert MapKey.boolean(True) != MapKey.integer(1)
+        assert MapKey("boolean", True) != MapKey("integer", 1)
 
     def test_reprs_keep_the_dataclass_form(self):
         assert repr(map_of((K_A, INTEGER))) == \
