@@ -59,9 +59,14 @@ class DataclassFields:
 
 class Value(Record):
     """A record set once from its arguments, one per field; it refuses assignment
-    and deletion."""
+    and deletion. `pack` and `unpack` carry values between processes."""
 
     __slots__ = ()
+    _by_name: dict[str, type] = {}  # every subclass, for `unpack`
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        Value._by_name[cls.__name__] = cls
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
@@ -186,6 +191,30 @@ class FunctionType(Type):
 BASE_TYPE_NAMES = {name: BaseType(name) for name in (
     "none", "term", "any", "integer", "float", "boolean", "string", "atom")}
 NONE, TERM, ANY, INTEGER, FLOAT, BOOLEAN, STRING, ATOM = BASE_TYPE_NAMES.values()
+
+
+def pack(value):
+    """A value, a sequence of values, or what a value holds, as `marshal`
+    data: a value as its class name then its fields, a sequence as a list,
+    anything else as it is."""
+    if isinstance(value, (list, tuple)):
+        return [pack(item) for item in value]
+    if isinstance(value, Value):
+        return (type(value).__name__, *[pack(getattr(value, name)) for name in value._fields])
+    return value
+
+
+def unpack(data):
+    """What `pack` took in, with every sequence a tuple and every base type
+    the constant of its name."""
+    if isinstance(data, list):
+        return tuple(unpack(item) for item in data)
+    if isinstance(data, tuple):
+        name, *fields = data
+        if name == "BaseType":
+            return BASE_TYPE_NAMES[fields[0]]
+        return Value._by_name[name](*map(unpack, fields))
+    return data
 
 
 def _sub(t: Type, u: Type, gradual: bool) -> bool:

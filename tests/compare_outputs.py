@@ -14,6 +14,10 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
 - `check --dump-sigs`, as text and as JSON, on both perfbench workloads'
   corpora for seeds 1-3, generated with `perfbench.gen`;
 - `check`, as text and as JSON, and `parse` on each of `perfbench.gen.PROBES`;
+  `check`, as text and as JSON, on all of them in one run, and on all of
+  them with the `dense_bodies` seed-1 corpus, a run that is large enough to
+  split between processes on a machine with more than one CPU (on two, a
+  worker gets the 1,000-element cons list);
 - `check` and `parse` on each of `MALFORMED`, one-line files that between
   them raise every lex and parse error message, from each site that raises
   one, including a `case` and a `cond` whose clauses lack a separator, and
@@ -209,6 +213,8 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
         runs += [(work, ["check", f"probes/{name}"]),
                  (work, ["check", "--format", "json", f"probes/{name}"]),
                  (work, ["parse", f"probes/{name}"])]
+    for paths in (["probes"], ["probes", "dense_bodies_1"]):
+        runs += [(work, ["check", *paths]), (work, ["check", "--format", "json", *paths])]
     for folder, texts in (("malformed", MALFORMED), ("patterns", PATTERNS),
                           ("sequences", SEQUENCES), ("types", TYPES)):
         (work / folder).mkdir()

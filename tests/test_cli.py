@@ -6,9 +6,11 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -176,6 +178,220 @@ class TestMultiFile:
         code, out, _ = invoke(capsys, "check", str(tmp_path))
         assert code == 2
         assert "E_PARSE" in out and "E_TYPE_MISMATCH" in out
+
+
+# Files whose check depends on each other: calls of typed functions across
+# files, with every kind of spec type, a module's `@spec` repeated in a later
+# file, a `@spec` with no `def`, and a lex error, a parse error and bytes that
+# are not UTF-8.
+_SPLIT_FILES = {
+    "a.ex": b"defmodule M do\n  @spec f(integer) :: float\n  def f(x) do x * 1.5 end\n"
+            b"  @spec k(%{:a => integer, 1 => [float], true => {atom, :ok}}, (any) -> term)"
+            b" :: %{:a => integer}\n  def k(m, g) do m end\n"
+            b"  @spec g(float) :: float\n  def g(y) do N.h(y) end\nend\nM.f(2.5)\n",
+    "b.ex": b"defmodule N do\n  @spec h(float) :: float\n  def h(z) do M.f(z) end\n"
+            b"  @spec lonely(atom) :: atom\nend\n"
+            b"M.k(%{:a => 1, 1 => [2.5 | []], true => {:x, :ok}}, fn (v) -> v end)\n",
+    "c.ex": b"defmodule M do\n  @spec f(integer) :: float\n  def f(x) do x + 0.5 end\nend\n"
+            b"x = M.g(1)\n",
+    "d.ex": b'x = "a\\zb"\n',
+    "e.ex": b"def f( do x end\n",
+    "f.ex": b"x = 1\n" * 200 + b"\xe9t\xe9\n",  # the largest: a worker gets it
+    "g.ex": b'def u(a) do M.f(a) end\nN.h(1)\nM.f("s")\nM.k(%{:b => 1}, 2)\n',
+}
+_SPLIT_ARGS = [[], ["--format", "json"], ["--dump-sigs"], ["--dump-sigs", "--format", "json"]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a check splits only where os.fork exists")
+class TestSplitCheck:
+    """A check of several files splits them between processes, one per CPU,
+    and prints what one process prints."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        for name, data in _SPLIT_FILES.items():
+            (tmp_path / name).write_bytes(data)
+        return str(tmp_path)
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPUs a check may use, with one byte enough for a batch
+        and no cgroup quota; lists the forks each check makes."""
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        def hung(signum, frame):
+            raise TimeoutError("the check did not end")
+
+        monkeypatch.setattr(cli, "BATCH_MIN_BYTES", 1)
+        monkeypatch.setattr(cli, "CPU_QUOTA_FILES", ())
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        def use(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+            forks.clear()
+            return forks
+
+        handler = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield use
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+
+    @pytest.mark.parametrize("args", _SPLIT_ARGS, ids=["text", "json", "sigs", "sigs-json"])
+    def test_output_does_not_depend_on_the_split(self, args, files, cpus, capsys):
+        outputs = {}
+        for count in (1, 2, 3):
+            forks = cpus(count)
+            outputs[count] = invoke(capsys, "check", files, *args)
+            assert len(forks) == count - 1
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+        code, out, err = outputs[1]
+        assert code == 2 and (err == "") == ("--dump-sigs" not in args or "json" not in args)
+        for found in ("E_DUP_SPEC", "W_SPEC_NO_DEF", "E_LEX", "E_PARSE", "E_TYPE_MISMATCH",
+                      "I_UNTYPED_DEF"):
+            assert found in out
+
+    def test_a_small_input_stays_in_one_process(self, files, cpus, capsys, monkeypatch):
+        forks = cpus(2)
+        monkeypatch.setattr(cli, "BATCH_MIN_BYTES", sum(map(len, _SPLIT_FILES.values())) // 2 + 1)
+        invoke(capsys, "check", files)
+        assert forks == []
+
+    def test_a_check_beside_another_thread_stays_in_one_process(self, files, cpus, capsys):
+        forks = cpus(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            invoke(capsys, "check", files)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert forks == [] and not other.is_alive()
+
+    def test_batches_keep_the_order_and_weigh_alike(self, tmp_path, monkeypatch):
+        sizes = [5, 40, 10, 30, 20, 1]  # 106 bytes
+        names = []
+        for number, size in enumerate(sizes):
+            names.append(str(tmp_path / f"{number}.ex"))
+            Path(names[-1]).write_text("x" * size)
+        monkeypatch.setattr(cli, "CPU_QUOTA_FILES", ())
+        monkeypatch.setattr(cli, "BATCH_MIN_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert cli._batches(names) == [[3, 4, 5], [0, 1, 2]]  # 51 and 55 bytes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._batches(names) == [[0, 1, 2, 3, 4, 5]]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert cli._batches(names) == [[5], [0], [2], [4], [3], [1]]  # a file each
+
+    @pytest.mark.parametrize("least, batches", [
+        (35, [[2, 4, 5], [0, 3], [1]]), (36, [[3, 4, 5], [0, 1, 2]]), (53, [[3, 4, 5], [0, 1, 2]]),
+        (54, [[0, 1, 2, 3, 4, 5]]),
+    ])
+    def test_each_batch_gets_its_share_of_bytes(self, least, batches, tmp_path, monkeypatch):
+        """Many CPUs split a small input no finer than `BATCH_MIN_BYTES` allows."""
+        names = []
+        for number, size in enumerate([5, 40, 10, 30, 20, 1]):  # 106 bytes
+            names.append(str(tmp_path / f"{number}.ex"))
+            Path(names[-1]).write_text("x" * size)
+        monkeypatch.setattr(cli, "CPU_QUOTA_FILES", ())
+        monkeypatch.setattr(cli, "BATCH_MIN_BYTES", least)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert cli._batches(names) == batches
+
+    @pytest.mark.parametrize("quotas, cpus", [
+        ([], 8), (["max 100000\n"], 8), (["150000 100000\n"], 2), (["800000 100000\n"], 8),
+        (["-1\n", "100000\n"], 8), (["50000\n", "100000\n"], 1),
+        (["max 100000\n", "-1\n", "100000\n"], 8), (["300000 100000\n", "-1\n", "100000\n"], 3),
+    ], ids=["none", "v2-max", "v2", "v2-above", "v1-none", "v1", "both-none", "both"])
+    def test_a_cgroup_cpu_quota_bounds_the_cpus(self, quotas, cpus, tmp_path, monkeypatch):
+        """cgroup v2 states `quota period` in one file, v1 each in its own."""
+        written = []
+        for number, text in enumerate(quotas):
+            written.append(str(tmp_path / str(number)))
+            Path(written[-1]).write_text(text)
+        files = (("/nonexistent/cpu.max",),)
+        if len(written) % 2:
+            files = ((written.pop(0),),)
+        files += (tuple(written) or ("/nonexistent/quota", "/nonexistent/period"),)
+        monkeypatch.setattr(cli, "CPU_QUOTA_FILES", files)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert cli._cpus() == cpus
+
+    def test_no_worker_outlives_the_check(self, files, cpus, capsys):
+        cpus(3)
+        invoke(capsys, "check", files)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_a_failing_process_fails_the_check(self, where, files, cpus, capsys, monkeypatch):
+        cpus(2)
+        parent = os.getpid()
+
+        def failing_check(programs, collected):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ZeroDivisionError("checker broke")
+            return checker.check_programs(programs, collected)
+
+        monkeypatch.setattr(cli, "check_programs", failing_check)
+        with pytest.raises((RuntimeError, ZeroDivisionError)) as failure:
+            run(["check", files])
+        if where == "worker":
+            message = str(failure.value)
+            assert failure.type is RuntimeError and "a check worker failed" in message
+            assert "in failing_check" in message
+            assert message.endswith("ZeroDivisionError: checker broke")
+        else:
+            assert failure.type is ZeroDivisionError
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert capsys.readouterr() == ("", "")
+
+    def test_workers_end_when_the_parent_is_killed(self, files):
+        """The parent dies before it reads a header; its workers' writes then
+        fail and they exit. They hold the captured output pipes, so `run`
+        returns only once every worker has ended."""
+        code = ("import os, signal, extc.cli as cli\n"
+                "cli.BATCH_MIN_BYTES, cli.CPU_QUOTA_FILES = 1, ()\n"
+                "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+                "parent, header = os.getpid(), cli._header\n"
+                "def dying(items):\n"
+                "    if os.getpid() == parent:\n"
+                "        os.kill(parent, signal.SIGKILL)\n"
+                "    return header(items)\n"
+                "cli._header = dying\n"
+                "cli.main()\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, "check", files], env=env,
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (-signal.SIGKILL, b"", b"")
+
+    def test_a_failing_worker_ends_the_process(self, files):
+        code = ("import os, sys, extc.cli as cli\n"
+                "cli.BATCH_MIN_BYTES, cli.CPU_QUOTA_FILES = 1, ()\n"
+                "parent, check = os.getpid(), cli.check_programs\n"
+                "def failing(programs, collected):\n"
+                "    if os.getpid() != parent:\n"
+                "        raise ZeroDivisionError('checker broke')\n"
+                "    return check(programs, collected)\n"
+                "cli.check_programs = failing\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "cli.main()\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, "check", files], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "a check worker failed" in proc.stderr
+        assert "ZeroDivisionError: checker broke" in proc.stderr
 
 
 class TestRepeatedPaths:
@@ -651,8 +867,10 @@ def test_import_loads_no_typing():
     """Start-up imports only what a check needs: no `typing`, no `pathlib`
     (with `urllib.parse` behind it), `json` only once JSON is rendered, and
     no `dataclasses`, with the `inspect` and `ast` it imports: node classes
-    are plain `__slots__` classes."""
-    unwanted = ["typing", "pathlib", "json", "urllib.parse", "dataclasses", "inspect", "ast"]
+    are plain `__slots__` classes. No `contextlib`, and no `pickle`: a split
+    check sends its data with `marshal`, which the interpreter has loaded."""
+    unwanted = ["typing", "pathlib", "json", "urllib.parse", "dataclasses", "inspect", "ast",
+                "contextlib", "pickle"]
     code = f"import sys, extc.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -1,11 +1,13 @@
+import marshal
+
 import pytest
 
 from extc.parser import parse_program
 from extc.syntax import AtomLit, BoolLit, FloatLit, IntLit, StringLit
 from extc.types import (
     ANY, ATOM, AtomLiteralType, BASE_TYPE_NAMES, BOOLEAN, FLOAT, FunctionType,
-    INTEGER, ListType, MapKey, MapType, NONE, STRING, TERM, TupleType, fits,
-    is_more_precise, is_subtype, join, meet,
+    INTEGER, ListType, MapKey, MapType, NONE, STRING, TERM, TupleType, Type, fits,
+    is_more_precise, is_subtype, join, meet, pack, unpack,
 )
 from extc.patterns import literal_type
 from oracle import enumerate_types
@@ -355,3 +357,22 @@ class TestValueSemantics:
             ListType()
         with pytest.raises(TypeError):
             FunctionType((INTEGER,), FLOAT, ANY)
+
+    def test_pack_carries_every_type_class_through_marshal(self):
+        """A split check sends `@spec` types between processes as `pack`
+        gives them, through `marshal`, and `unpack` rebuilds them."""
+        spec = (map_of((K_A, INTEGER), (MapKey("integer", 1), ListType(FLOAT)),
+                       (MapKey("boolean", True), TupleType((ATOM, AL("ok"))))),
+                FunctionType((ANY,), NONE))
+
+        def names(data):
+            if isinstance(data, list):
+                return set().union(*map(names, data))
+            if isinstance(data, tuple):
+                return {data[0]}.union(*map(names, data[1:]))
+            return set()
+
+        data = pack(spec)
+        assert names(data) == {cls.__name__ for cls in Type.__subclasses__()} | {"MapKey"}
+        assert unpack(marshal.loads(marshal.dumps(data))) == spec
+        assert unpack(pack([INTEGER]))[0] is INTEGER
