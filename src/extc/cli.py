@@ -13,10 +13,11 @@ go into one batch per CPU, but no more batches than `BATCH_MIN_BYTES` go
 into the input, dealt by size, each batch in command-line order. A worker
 is forked for each batch but one before any file is read. Each process
 lexes, parses and checks only its own batch. In between, the processes
-swap the declarations of their files as `marshal` data (`types.pack`):
-from them each builds the same stub programs in command-line order, so
-`collect_all` gives each the same signatures, and each keeps the
-`E_DUP_SPEC` and `W_SPEC_NO_DEF` of its own files. A worker sends back its
+swap the declarations of their files (`signatures.declarations`) as
+`marshal` data (`types.pack`), and `collect` gives each process the same
+signatures from every file's declarations in command-line order, with the
+`E_DUP_SPEC` and `W_SPEC_NO_DEF` of its own files. A check in one process
+is a split with one batch and no swap. A worker sends back its
 diagnostics with the text they point into, and exits without writing to a
 standard stream. Only this process writes, and it sorts every diagnostic
 before it renders them, so the output does not depend on the split.
@@ -37,8 +38,8 @@ from .diagnostics import (
 )
 from .lexer import LexError
 from .parser import RECURSION_LIMIT, ParseError, parse_program
-from .signatures import collect_all
-from .syntax import FunctionDef, ModuleDef, Program, SpecDecl, dump
+from .signatures import collect, declarations
+from .syntax import Program, dump
 from .types import pack, unpack
 
 # Fewest bytes of input per process in a split check: a check of N bytes
@@ -238,12 +239,11 @@ def _run_check(args) -> tuple[int, list]:
     return (1 if errors or args.strict_warnings and warnings else 0), output
 
 
-def _check(files: list[str], mine, exchange=None):
+def _check(files: list[str], mine, swap=None):
     """Load the files numbered `mine`, in order, and check them against the
     signatures of all `files`: the signatures, and the diagnostics of `mine`.
-    `exchange`, given the programs of `mine` by number, returns every file's
-    program in order, with a declarations-only stub for each file that
-    another process holds; without it, `mine` is every file."""
+    `swap`, given the packed declarations of `mine` by number, returns those
+    of every file that parsed; without it, `mine` is every file."""
     programs, diags = {}, []
     for i in mine:
         loaded = _load(files[i])
@@ -251,9 +251,13 @@ def _check(files: list[str], mine, exchange=None):
             diags.append(loaded)
         else:
             programs[i] = loaded
-    sigs, sig_diags = collect_all(exchange(programs) if exchange else list(programs.values()))
-    ours = [d for d in sig_diags if d.span.source is not None]  # a stub has no source
-    return sigs, diags + check_programs(list(programs.values()), (sigs, ours))
+    declared = {i: declarations(program) for i, program in programs.items()}
+    if swap:
+        for i, data in swap({i: pack(found) for i, found in declared.items()}).items():
+            if i not in declared:
+                declared[i] = unpack(data)
+    sigs, sig_diags = collect([(programs.get(i), declared[i]) for i in sorted(declared)])
+    return sigs, diags + check_programs(list(programs.values()), (sigs, sig_diags))
 
 
 def _check_all(files: list[str]):
@@ -270,15 +274,14 @@ def _check_all(files: list[str]):
         if not workers:
             return _check(files, batches[0])
 
-        def exchange(programs):
-            headers = {i: _header(program.items) for i, program in programs.items()}
+        def swap(declared):
             for _, reader, _ in workers:
-                headers.update(_receive(reader))
+                declared.update(_receive(reader))
             for _, _, writer in workers:
-                _send(writer, headers)
-            return _stubbed(files, programs, headers)
+                _send(writer, declared)
+            return declared
 
-        sigs, diags = _check(files, batches[0], exchange)
+        sigs, diags = _check(files, batches[0], swap)
         for _, reader, _ in workers:
             diags += _diagnostics(*_receive(reader))
         return sigs, diags
@@ -370,17 +373,17 @@ def _fork(files: list[str], batch: list[int], workers: list):
 
 
 def _work(files: list[str], batch: list[int], reader, writer) -> None:
-    """A worker's whole life: check `batch`, sending its headers and then
+    """A worker's whole life: check `batch`, sending its declarations and then
     its diagnostics through `writer`, or the traceback of what stopped it.
     It ends with `os._exit`, writes nothing to the standard streams, and
     leaves their buffers to the parent."""
     status = 1
     try:
-        def exchange(programs):
-            _send(writer, {i: _header(program.items) for i, program in programs.items()})
-            return _stubbed(files, programs, _receive(reader))
+        def swap(declared):
+            _send(writer, declared)
+            return _receive(reader)
 
-        _send(writer, _rows(_check(files, batch, exchange)[1]))
+        _send(writer, _rows(_check(files, batch, swap)[1]))
         status = 0
     except BaseException as err:  # reported, for the parent to raise; the worker ends anyway
         try:
@@ -430,41 +433,6 @@ def _traceback(err: BaseException) -> str:
         lines.append(f'  File "{code.co_filename}", line {tb.tb_lineno}, in {code.co_name}')
         tb = tb.tb_next
     return "\n".join([*lines, f"{type(err).__name__}: {err}"])
-
-
-def _header(items: list) -> list:
-    """The declarations among `items`, as `marshal` data: a module with its
-    own, a `@spec` with its types, a `def` with its arity."""
-    found = []
-    for item in items:
-        if isinstance(item, ModuleDef):
-            found.append(("defmodule", item.name, _header(item.body)))
-        elif isinstance(item, SpecDecl):
-            found.append(("@spec", item.name, pack(item.params), pack(item.result)))
-        elif isinstance(item, FunctionDef):
-            found.append(("def", item.name, len(item.params)))
-    return found
-
-
-def _stubbed(files: list[str], programs: dict, headers: dict) -> list[Program]:
-    """Every file that parsed, in order: its program where this process holds
-    it, else a stub that has only the declarations of its header."""
-    return [programs[i] if i in programs else
-            Program(_declarations(headers[i]), files[i], source=None)
-            for i in sorted(headers)]
-
-
-def _declarations(header: list) -> list:
-    """The nodes `_header` described, with just what `collect_all` reads."""
-    items = []
-    for kind, name, *rest in header:
-        if kind == "defmodule":
-            items.append(ModuleDef(name, _declarations(rest[0])))
-        elif kind == "@spec":
-            items.append(SpecDecl(name, *map(unpack, rest)))
-        else:
-            items.append(FunctionDef(name, [None] * rest[0], None))
-    return items
 
 
 def _rows(diags: list[Diagnostic]) -> tuple[list, list[str]]:

@@ -1,8 +1,12 @@
-"""First pass: gather `@spec` signatures into the signature environment."""
+"""First pass: gather `@spec` signatures into the signature environment.
+
+A file's declarations are plain data, `declarations(program)`, so a file
+that another process parsed takes part as its declarations alone: `collect`
+builds one table from every file's, and diagnoses only the files it holds."""
 from __future__ import annotations
 
 from . import syntax
-from .diagnostics import Diagnostic, E_DUP_SPEC, W_SPEC_NO_DEF
+from .diagnostics import Diagnostic, E_DUP_SPEC, Span, W_SPEC_NO_DEF
 from .envs import SignatureEnv, qualify
 from .types import FunctionType
 
@@ -20,29 +24,44 @@ def scopes(programs: list[syntax.Program]):
                                    if isinstance(item, syntax.ModuleDef)]))
 
 
-def collect_all(programs: list[syntax.Program]) -> tuple[SignatureEnv, list[Diagnostic]]:
-    """Collect signatures across several files into one shared environment."""
+def declarations(program: syntax.Program) -> tuple:
+    """The file's `@spec`s in `scopes` order, each as `(prefix, name,
+    FunctionType, start, end, defined)`: `defined` says whether its scope has
+    a `def` of that name and arity."""
+    found = []
+    for _, prefix, items in scopes([program]):
+        defs = {(item.name, len(item.params)) for item in items
+                if isinstance(item, syntax.FunctionDef)}
+        found += [(prefix, item.name, FunctionType(tuple(item.params), item.result),
+                   item.start, item.end, (item.name, len(item.params)) in defs)
+                  for item in items if isinstance(item, syntax.SpecDecl)]
+    return tuple(found)
+
+
+def collect(files: list) -> tuple[SignatureEnv, list[Diagnostic]]:
+    """One environment from `(program or None, declarations)` pairs in
+    command-line order; the first `@spec` of a name and arity stays in
+    effect. Only a pair with its program gets the `E_DUP_SPEC` and
+    `W_SPEC_NO_DEF` of its declarations."""
     env = SignatureEnv()
     diags: list[Diagnostic] = []
-    for program, prefix, items in scopes(programs):
-        local_specs: list[tuple[syntax.SpecDecl, int]] = []
-        local_defs: set[tuple[str, int]] = set()
-        for item in items:
-            if isinstance(item, syntax.SpecDecl):
-                fn_type = FunctionType(tuple(item.params), item.result)
-                if env.add(prefix, item.name, fn_type):
-                    local_specs.append((item, len(item.params)))
-                else:
-                    diags.append(Diagnostic.at(
-                        program, item, E_DUP_SPEC,
-                        f"duplicate @spec for {qualify(prefix, item.name)}/{len(item.params)}; "
-                        "the first declaration stays in effect"))
-            elif isinstance(item, syntax.FunctionDef):
-                local_defs.add((item.name, len(item.params)))
-        for spec, arity in local_specs:
-            if (spec.name, arity) not in local_defs:
-                diags.append(Diagnostic.at(
-                    program, spec, W_SPEC_NO_DEF,
-                    f"@spec {qualify(prefix, spec.name)}/{arity} has no matching definition "
-                    "in this module"))
+    for program, declared in files:
+        for prefix, name, fn_type, start, end, defined in declared:
+            arity = len(fn_type.params)
+            if not env.add(prefix, name, fn_type):
+                code, message = E_DUP_SPEC, (f"duplicate @spec for {qualify(prefix, name)}/{arity}; "
+                                             "the first declaration stays in effect")
+            elif not defined:
+                code, message = W_SPEC_NO_DEF, (f"@spec {qualify(prefix, name)}/{arity} has no "
+                                                "matching definition in this module")
+            else:
+                continue
+            if program is not None:
+                diags.append(Diagnostic(code, message, Span(start, end, program.source),
+                                        file=program.path))
     return env, diags
+
+
+def collect_all(programs: list[syntax.Program]) -> tuple[SignatureEnv, list[Diagnostic]]:
+    """Collect signatures across several files into one shared environment."""
+    return collect([(program, declarations(program)) for program in programs])

@@ -18,6 +18,11 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
   them with the `dense_bodies` seed-1 corpus, a run that is large enough to
   split between processes on a machine with more than one CPU (on two, a
   worker gets the 1,000-element cons list);
+- `check`, as text, as JSON and with `--dump-sigs`, on the two files of
+  `SPLIT`, each padded with statements past `cli.BATCH_MIN_BYTES`: on a
+  machine with more than one CPU a worker holds the larger, with the first
+  `@spec` of `M.f/1`, and the parent holds its repeat and a `@spec` with no
+  `def`, so the spec diagnostics rest on declarations from another process;
 - `check` and `parse` on each of `MALFORMED`, one-line files that between
   them raise every lex and parse error message, from each site that raises
   one, including a `case` and a `cond` whose clauses lack a separator, and
@@ -186,6 +191,15 @@ TYPES = [
     "@spec k(none, [none]) :: {(integer) -> none, [string]}; def k(x, y) do {x, y} end",
 ]
 
+# Two files, `(name, text, padding statements)`, in command-line order; the
+# first, the larger, declares `M.f/1` first. Each is over 12,000 bytes
+# (`cli.BATCH_MIN_BYTES`), so that on two CPUs they go to two processes.
+SPLIT = [
+    ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\nend\n", 1_600),
+    ("b.ex", "defmodule M do\n  @spec f(integer) :: float\n  def f(x) do x * 1.0 end\n"
+             "  @spec lonely(integer) :: integer\nend\nM.f(\"bad\")\n", 1_400),
+]
+
 
 def invocations(work: Path) -> list[tuple[Path, list[str]]]:
     """`(directory to run in, argv)` for every run, writing generated inputs under `work`."""
@@ -215,6 +229,11 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
                  (work, ["parse", f"probes/{name}"])]
     for paths in (["probes"], ["probes", "dense_bodies_1"]):
         runs += [(work, ["check", *paths]), (work, ["check", "--format", "json", *paths])]
+    (work / "split").mkdir()
+    for name, text, padding in SPLIT:
+        (work / "split" / name).write_text(text + "n = 1 + 2\n" * padding)
+    runs += [(work, ["check", *args, "split"])
+             for args in ([], ["--format", "json"], ["--dump-sigs"])]
     for folder, texts in (("malformed", MALFORMED), ("patterns", PATTERNS),
                           ("sequences", SEQUENCES), ("types", TYPES)):
         (work / folder).mkdir()

@@ -140,12 +140,14 @@ class TestDumpSigs:
     def test_signatures_are_collected_once(self, capsys, monkeypatch):
         calls = []
 
-        def counting_collect_all(programs):
-            calls.append(programs)
-            return signatures.collect_all(programs)
+        def counting(collector):
+            def counted(files):
+                calls.append(files)
+                return collector(files)
+            return counted
 
-        for module in (cli, checker):
-            monkeypatch.setattr(module, "collect_all", counting_collect_all)
+        monkeypatch.setattr(cli, "collect", counting(signatures.collect))
+        monkeypatch.setattr(checker, "collect_all", counting(signatures.collect_all))
         _, out, _ = invoke(capsys, "check", corpus("ok_func_spec.ex"), "--dump-sigs")
         assert "M.func/1 :: (integer) -> float" in out
         assert len(calls) == 1
@@ -363,12 +365,12 @@ class TestSplitCheck:
         code = ("import os, signal, extc.cli as cli\n"
                 "cli.BATCH_MIN_BYTES, cli.CPU_QUOTA_FILES = 1, ()\n"
                 "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
-                "parent, header = os.getpid(), cli._header\n"
-                "def dying(items):\n"
+                "parent, declarations = os.getpid(), cli.declarations\n"
+                "def dying(program):\n"
                 "    if os.getpid() == parent:\n"
                 "        os.kill(parent, signal.SIGKILL)\n"
-                "    return header(items)\n"
-                "cli._header = dying\n"
+                "    return declarations(program)\n"
+                "cli.declarations = dying\n"
                 "cli.main()\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code, "check", files], env=env,

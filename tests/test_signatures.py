@@ -1,6 +1,12 @@
+import marshal
+
+import pytest
+
+from conftest import corpus_files
+from extc import signatures
 from extc.parser import parse_program
-from extc.signatures import collect_all, scopes
-from extc.types import ANY, FLOAT, FunctionType, INTEGER
+from extc.signatures import collect_all, declarations, scopes
+from extc.types import ANY, FLOAT, FunctionType, INTEGER, pack, unpack
 
 
 def collect(source):
@@ -160,3 +166,29 @@ end
         ("W_SPEC_NO_DEF", "@spec A.B.f/1 has no matching definition in this module"),
         ("W_SPEC_NO_DEF", "@spec A.g/1 has no matching definition in this module"),
     ]
+
+
+_CORPUS = corpus_files()
+
+
+@pytest.mark.parametrize("held", [
+    set(range(len(_CORPUS))), set(), set(range(0, len(_CORPUS), 2)),
+    set(range(1, len(_CORPUS), 2)), *({i} for i in range(len(_CORPUS))),
+], ids=["all", "none", "even", "odd", *(f"only-{path.stem}" for path in _CORPUS)])
+def test_a_split_collection_agrees_with_a_whole_one(held):
+    """A split check holds some files and gets the others' declarations
+    through `marshal`: it collects the whole check's signatures and exactly
+    the spec diagnostics that point into its own files. The corpus repeats
+    `M.func/1` and `func/2` across files, so some masks hold a repeat whose
+    first declaration is foreign."""
+    programs = [parse_program(path.read_text(), path=str(path)) for path in _CORPUS]
+    whole, whole_diags = collect_all(programs)
+    assert {"E_DUP_SPEC", "W_SPEC_NO_DEF"} <= {d.code for d in whole_diags}
+    assert sum(d.code == "E_DUP_SPEC" for d in whole_diags) > 1  # more than err_dup_spec.ex's
+    files = [(program, declarations(program)) if i in held else
+             (None, unpack(marshal.loads(marshal.dumps(pack(declarations(program))))))
+             for i, program in enumerate(programs)]
+    env, diags = signatures.collect(files)
+    assert env.entries() == whole.entries()
+    ours = {programs[i].path for i in held}
+    assert diags == [d for d in whole_diags if d.file in ours]

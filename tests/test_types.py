@@ -10,6 +10,7 @@ from extc.types import (
     is_more_precise, is_subtype, join, meet, pack, unpack,
 )
 from extc.patterns import literal_type
+from extc.signatures import declarations
 from oracle import enumerate_types
 
 AL = AtomLiteralType
@@ -376,3 +377,19 @@ class TestValueSemantics:
         assert names(data) == {cls.__name__ for cls in Type.__subclasses__()} | {"MapKey"}
         assert unpack(marshal.loads(marshal.dumps(data))) == spec
         assert unpack(pack([INTEGER]))[0] is INTEGER
+
+    def test_pack_carries_declarations_through_marshal(self):
+        """A split check swaps each file's `declarations` the same way, and
+        gets them back equal, with every module prefix a tuple again."""
+        declared = declarations(parse_program(
+            "defmodule A do\n"
+            "  @spec f(%{:a => integer, 1 => [float]}) :: {atom, :ok}\n"
+            "  def f(m) do {:ok, :ok} end\n"
+            "  defmodule B do\n"
+            "    @spec g((integer, any) -> term, none) :: (string) -> boolean\n"
+            "  end\n"
+            "end\n"
+            "@spec h() :: integer\n"))
+        assert [(prefix, name, defined) for prefix, name, _, _, _, defined in declared] == [
+            ((), "h", False), (("A",), "f", True), (("A", "B"), "g", False)]
+        assert unpack(marshal.loads(marshal.dumps(pack(declared)))) == declared
