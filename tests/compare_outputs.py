@@ -39,7 +39,13 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
   make `fits`, `join` and the body check meet list, tuple, map and function
   types, `any`, `term` and `none`, with function parameters compared
   contravariantly and joined by their meet;
-- usage errors, `--help` included.
+- `check --format json` on a one-line file whose lex error message holds
+  `é`, which JSON escapes;
+- usage errors and help (`USAGE_ERRORS`): no command, an unknown one, a
+  missing or invalid `--format` value, its `--format=X` form, unknown
+  options, missing and extra paths, `-h` and `--help` at either level, and
+  `--` before a path. The help text is wrapped to 80 columns
+  (`COLUMNS=80`).
 
 Every invocation whose stdout, stderr or exit status differs is printed, and
 the script exits 1 if any does. pytest does not collect this file.
@@ -65,6 +71,12 @@ USAGE_ERRORS = [
     [], ["--help"], ["check"], ["check", "--help"], ["parse"], ["bogus"],
     ["check", "missing.ex"], ["parse", "missing.ex"], ["parse", "tests/corpus"],
     ["check", "--format", "xml", "tests/corpus"], ["check", "tests/corpus", "missing.ex"],
+    # a missing option value, the `=` form, unknown options and where they
+    # stand, a second path, help after a subcommand, and `--`
+    ["check", "--format"], ["check", "--format=json", "tests/corpus"], ["check", "--bogus"],
+    ["check", "tests/corpus", "--bogus"], ["check", "--format", "xml", "--bogus", "tests/corpus"],
+    ["parse", "a", "b"], ["parse", "--help"], ["check", "-h"], ["check", "tests/corpus", "-h"],
+    ["check", "--", "tests/corpus"],
 ]
 
 # One-line files that between them raise every lex and parse error message,
@@ -241,11 +253,13 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
             name = f"{folder}/{number:02}.ex"
             (work / name).write_text(text + "\n")
             runs += [(work, ["check", name]), (work, ["parse", name])]
+    (work / "accent.ex").write_text("x = 1 \u00e9 2\n", encoding="utf-8")
+    runs.append((work, ["check", "--format", "json", "accent.ex"]))
     return runs + [(ROOT, argv) for argv in USAGE_ERRORS]
 
 
 def extc(src: Path, cwd: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0", "COLUMNS": "80"}
     proc = subprocess.run([sys.executable, "-S", "-c", "from extc.cli import main; main()", *argv],
                           cwd=cwd, env=env, capture_output=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
