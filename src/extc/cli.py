@@ -1,5 +1,12 @@
 """Command-line interface.
 
+`extc check PATH... [--format text|json] [--strict-warnings] [--dump-sigs]
+[--no-color]` or `extc parse PATH`; `-h`/`--help` at either level,
+`--format=X`, and `--` ending the options. The paths stand together: a word
+after an option that follows them is unrecognized. Help and usage errors are
+argparse's at 80 columns, but no option is abbreviated, and words such as
+`-1` and `--dump-sigs=x` are unknown options (`tests/reference_cli.py`).
+
 Exit codes: 0 clean (warnings allowed unless --strict-warnings), 1 type
 errors, 2 parse/lex errors or output that cannot be written, 3 usage errors.
 `run` writes all output and flushes both standard streams. A reader that
@@ -24,7 +31,6 @@ before it renders them, so the output does not depend on the split.
 """
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import marshal
@@ -57,29 +63,96 @@ CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, f"{self.prog}: error: {message}\n")
+# `--help` of each program, as argparse wrapped it at 80 columns. Its usage
+# runs to the first blank line, and heads each usage error.
+HELP = {
+    "extc": """usage: extc [-h] {check,parse} ...
+
+Gradual type checker for a core Elixir fragment
+
+positional arguments:
+  {check,parse}
+    check        type-check source files
+    parse        parse one file and dump its AST
+
+options:
+  -h, --help     show this help message and exit""",
+    "extc check": """usage: extc check [-h] [--format {text,json}] [--strict-warnings]
+                  [--dump-sigs] [--no-color]
+                  paths [paths ...]
+
+positional arguments:
+  paths                 source files or directories
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --strict-warnings     exit with status 1 when warnings are present
+  --dump-sigs           print the collected function signatures
+  --no-color""",
+    "extc parse": """usage: extc parse [-h] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help  show this help message and exit""",
+}
+INVALID_CHOICE = "argument {}: invalid choice: {!r} (choose from {})"
+NO_VALUE = "argument --format: expected one argument"
+REQUIRED = "the following arguments are required: {}"
+UNRECOGNIZED = "unrecognized arguments: {}"
 
 
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="extc",
-                             description="Gradual type checker for a core Elixir fragment")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _read_args(argv: list[str]) -> dict | tuple[int, list]:
+    """The fields of command line `argv`, or the status and output of its
+    help or usage error (see the module docstring)."""
+    prog, taken, extras = "extc", [], []  # extras: the words that nothing takes
+    fields = {"format": "text", "strict_warnings": False, "dump_sigs": False, "no_color": False}
+    closed = ended = False  # no more positionals join the others; `--` came
+    words = iter(argv)
+    for word in words:
+        if ended or word[:1] != "-" or word == "-":
+            if prog == "extc":
+                prog = "extc " + word
+                if prog not in HELP:
+                    return _usage_error("extc", INVALID_CHOICE, "command", word, "'check', 'parse'")
+            else:
+                closed = closed or prog == "extc parse" and bool(taken)  # it takes one path
+                (extras if closed else taken).append(word)
+        elif word == "--":
+            ended = True
+            if closed:
+                extras.append(word)
+        elif word in ("-h", "--help"):
+            return 0, [(sys.stdout, HELP[prog])]
+        else:
+            closed = bool(taken)
+            name, given, value = word.partition("=")
+            if prog == "extc check" and word in ("--strict-warnings", "--dump-sigs", "--no-color"):
+                fields[word[2:].replace("-", "_")] = True
+            elif prog == "extc check" and name == "--format":
+                if not given:
+                    value = next(words, "--")  # an option, or no word at all, is no value
+                    if value[:1] == "-" and value != "-":
+                        return _usage_error(prog, NO_VALUE)
+                if value not in ("text", "json"):
+                    return _usage_error(prog, INVALID_CHOICE, "--format", value, "'text', 'json'")
+                fields["format"] = value
+            else:
+                extras.append(word)
+    if not taken:
+        return _usage_error(prog, REQUIRED, {"extc": "command", "extc check": "paths"}.get(prog, "path"))
+    if extras:
+        return _usage_error("extc", UNRECOGNIZED, " ".join(extras))
+    if prog == "extc parse":
+        return {"command": "parse", "path": taken[0]}
+    return {"command": "check", "paths": taken, **fields}
 
-    check = sub.add_parser("check", help="type-check source files")
-    check.add_argument("paths", nargs="+", help="source files or directories")
-    check.add_argument("--format", choices=["text", "json"], default="text")
-    check.add_argument("--strict-warnings", action="store_true",
-                       help="exit with status 1 when warnings are present")
-    check.add_argument("--dump-sigs", action="store_true",
-                       help="print the collected function signatures")
-    check.add_argument("--no-color", action="store_true")
 
-    parse_cmd = sub.add_parser("parse", help="parse one file and dump its AST")
-    parse_cmd.add_argument("path")
-    return parser
+def _usage_error(prog: str, message: str, *values) -> tuple[int, list]:
+    usage = HELP[prog].split("\n\n")[0]
+    return 3, [(sys.stderr, f"{usage}\n{prog}: error: {message.format(*values)}")]
 
 
 def _spell(raw: str) -> str:
@@ -162,13 +235,11 @@ def run(argv: list[str] | None = None) -> int:
     """Run the command line `argv`, write its output, flush both standard
     streams, and return the exit status."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has written the usage error or `--help`
-        status, output = int(exc.code or 0), []
+    args = _read_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, tuple):  # help or a usage error
+        status, output = args
     else:
-        status, output = (_run_check if args.command == "check" else _run_parse)(args)
+        status, output = (_run_check if args["command"] == "check" else _run_parse)(args)
     failed = []  # streams that take no more output
     for stream, text in [*output, (sys.stdout, None), (sys.stderr, None)]:
         if stream not in failed:
@@ -215,7 +286,7 @@ def _write_failed(err: OSError, status: int, stream) -> int:
 
 def _run_check(args) -> tuple[int, list]:
     """The status of `extc check` and its output, as (stream, text) pairs to print."""
-    files = _gather_files(args.paths)
+    files = _gather_files(args["paths"])
     if isinstance(files, str):
         return 3, [(sys.stderr, f"extc: error: no such file or directory: {files}")]
 
@@ -223,20 +294,20 @@ def _run_check(args) -> tuple[int, list]:
     diags = sort_diagnostics(diags)
 
     output = []
-    if args.dump_sigs and sigs:
-        stream = sys.stderr if args.format == "json" else sys.stdout
+    if args["dump_sigs"] and sigs:
+        stream = sys.stderr if args["format"] == "json" else sys.stdout
         output.append((stream, "\n".join(f"{name}/{arity} :: {fn_type}"
                                           for name, arity, fn_type in sigs.entries())))
-    if args.format == "json":
+    if args["format"] == "json":
         output.append((sys.stdout, render_json(diags)))
     elif diags:
-        color = not args.no_color and sys.stdout is not None and sys.stdout.isatty()
+        color = not args["no_color"] and sys.stdout is not None and sys.stdout.isatty()
         output.append((sys.stdout, render_all_text(diags, color=color)))
 
     errors, warnings = count_by_severity(diags)
     if any(d.code in (E_PARSE, E_LEX) for d in diags):
         return 2, output
-    return (1 if errors or args.strict_warnings and warnings else 0), output
+    return (1 if errors or args["strict_warnings"] and warnings else 0), output
 
 
 def _check(files: list[str], mine, swap=None):
@@ -453,9 +524,9 @@ def _diagnostics(rows: list, texts: list[str]) -> list[Diagnostic]:
 
 
 def _run_parse(args) -> tuple[int, list]:
-    path = _spell(args.path)
+    path = _spell(args["path"])
     if not os.path.isfile(path):
-        return 3, [(sys.stderr, f"extc: error: no such file: {args.path}")]
+        return 3, [(sys.stderr, f"extc: error: no such file: {args['path']}")]
     parsed = _load(path)
     if isinstance(parsed, Diagnostic):
         return 2, [(sys.stderr, render_text(parsed))]

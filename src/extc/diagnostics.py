@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from _json import encode_basestring_ascii as _quote  # the escaper of `json.dumps`
 from bisect import bisect_right
 from functools import cached_property
 
@@ -119,6 +120,13 @@ def count_by_severity(diags: list[Diagnostic]) -> tuple[int, int]:
     return errors, warnings
 
 
+# One diagnostic in `render_json`, indented as `json.dumps(..., indent=2)`
+# indents it. A severity and a code are ASCII names, with nothing to escape.
+_JSON_ENTRY = (
+    '    {\n      "file": %s,\n      "line": %d,\n      "col": %d,\n      "end_line": %d,\n'
+    '      "end_col": %d,\n      "severity": "%s",\n      "code": "%s",\n      "message": %s,\n'
+    '      "expected": %s,\n      "actual": %s\n    }')
+
 _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
 _RESET = "\x1b[0m"
 
@@ -168,23 +176,14 @@ def render_all_text(diags: list[Diagnostic], sources: dict[str, str] | None = No
 
 
 def render_json(diags: list[Diagnostic]) -> str:
-    """Single JSON document: diagnostics array plus an error/warning summary."""
-    import json  # here, so that a text check does not load it
-
+    """Single JSON document: diagnostics array plus an error/warning summary,
+    byte for byte what `json.dumps(payload, indent=2)` gave for it, with
+    strings escaped by the same C function."""
     errors, warnings = count_by_severity(diags)
-    payload = {
-        "diagnostics": [
-            {
-                "file": d.file,
-                **dict(zip(("line", "col", "end_line", "end_col"), _ends(d.span))),
-                "severity": d.severity,
-                "code": d.code,
-                "message": d.message,
-                "expected": d.expected,
-                "actual": d.actual,
-            }
-            for d in diags
-        ],
-        "summary": {"errors": errors, "warnings": warnings},
-    }
-    return json.dumps(payload, indent=2)
+    entries = ",\n".join(_JSON_ENTRY % (
+        _quote(d.file), *_ends(d.span), d.severity, d.code, _quote(d.message),
+        "null" if d.expected is None else _quote(d.expected),
+        "null" if d.actual is None else _quote(d.actual)) for d in diags)
+    listed = f"[\n{entries}\n  ]" if diags else "[]"
+    return (f'{{\n  "diagnostics": {listed},\n  "summary": {{\n    "errors": {errors},\n'
+            f'    "warnings": {warnings}\n  }}\n}}')

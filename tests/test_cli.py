@@ -13,11 +13,13 @@ import tempfile
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import reference_cli
 from conftest import CORPUS_DIR, DATA_DIR
 from extc import checker, cli, signatures
 from extc.cli import run
@@ -81,6 +83,101 @@ class TestExitCodes:
                               "--strict-warnings")
         assert code == 1
         assert "W_UNREACHABLE_PATTERN" in out
+
+
+# Words a command line is drawn from: the grammar's, its `=` forms, long
+# options abbreviated, path words, and unknown options.
+_WORDS = [
+    "check", "parse", "--format", "text", "json", "xml", "--strict-warnings", "--dump-sigs",
+    "--no-color", "-h", "--help", "--", "-",
+    "--format=json", "--format=text", "--format=xml", "--format=", "--help=x", "-h=x", "-hx",
+    "--no-color=1", "--form", "--f", "--strict", "--dump", "--no", "--he", "--form=json",
+    "a.ex", "tests/corpus", "", "-1", "--bogus", "-x",
+]
+_LONG_OPTIONS = ("--help", "--format", "--strict-warnings", "--dump-sigs", "--no-color")
+
+
+def departure(argv: list[str]) -> str | None:
+    """The departure from argparse, as CHANGES.md lists them, that may make
+    `run` read `argv` otherwise than `tests/reference_cli.py`, or None."""
+    options = argv[:argv.index("--")] if "--" in argv else argv  # `--` ends them
+    for word in options:
+        name, eq, _ = word.partition("=")
+        if len(name) > 2 and name not in _LONG_OPTIONS and any(
+                option.startswith(name) for option in _LONG_OPTIONS):
+            return "a long option abbreviated is an unknown option"
+        if re.fullmatch(r"-\d+|-\d*\.\d+", word):
+            return "a word that reads as a negative number is an unknown option"
+        if eq and name in ("-h", "--help", "--strict-warnings", "--dump-sigs", "--no-color") or (
+                word.startswith("-h") and len(word) > 2):
+            return "a flag given a value, with `=` or as `-hx`, is an unknown option"
+    if "--" in argv[:-1] and all(word[:1] == "-" and word != "-" for word in options):
+        return "`--` before the command ends the options, and is not the command"
+    return None
+
+
+def _read(argv: list[str]) -> dict | tuple[int, str, str]:
+    """What `run` read from `argv`: the fields it hands to its command, or,
+    for help and usage errors, its exit status, stdout and stderr."""
+    fields = []
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_run_check", lambda args: fields.append(args) or (0, [])), \
+            mock.patch.object(cli, "_run_parse", lambda args: fields.append(args) or (0, [])), \
+            redirect_stdout(out), redirect_stderr(err):
+        status = run(argv)
+    return fields[0] if fields else (status, out.getvalue(), err.getvalue())
+
+
+class TestCommandLine:
+    """`run` reads its command line as argparse read it, with the parser
+    that `tests/reference_cli.py` keeps: the same help and usage errors,
+    byte for byte at 80 columns, and otherwise the same fields, except where
+    `departure` names the reason they differ."""
+
+    @seed(20261020)
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(_WORDS), max_size=7),
+           st.sampled_from([[], ["check"], ["parse"]]))
+    @example(["--format", "-", "a.ex"], ["check"])
+    @example(["--format", "--", "a.ex"], ["check"])
+    @example(["a.ex", "--no-color", "--", "tests/corpus"], ["check"])
+    @example(["a.ex", "tests/corpus", "--"], ["parse"])
+    @example(["a.ex", "--", "--"], ["parse"])
+    def test_run_reads_argv_as_argparse_did(self, words, command):
+        argv = command + words
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            expected = reference_cli.read(argv)
+        if _read(argv) != expected:
+            assert departure(argv) is not None, argv
+
+    @pytest.mark.parametrize("argv, status, err", [
+        (["check", "--form", "json", "a.ex"], 3, "unrecognized arguments: --form\n"),
+        (["check", "a.ex", "--strict"], 3, "unrecognized arguments: --strict\n"),
+        (["check", "--dump", "a.ex"], 3, "unrecognized arguments: --dump\n"),
+        (["check", "a.ex", "--no"], 3, "unrecognized arguments: --no\n"),
+        (["--he"], 3, "the following arguments are required: command\n"),
+        (["check", "-1"], 3, "the following arguments are required: paths\n"),
+        (["check", "a.ex", "--dump-sigs=1"], 3, "unrecognized arguments: --dump-sigs=1\n"),
+        (["check", "-h=x"], 3, "the following arguments are required: paths\n"),
+        (["check", "a.ex", "-hh"], 3, "unrecognized arguments: -hh\n"),
+        (["--", "check", "a.ex"], None, {"command": "check", "paths": ["a.ex"], "format": "text",
+                                         "strict_warnings": False, "dump_sigs": False,
+                                         "no_color": False}),
+    ])
+    def test_each_departure(self, argv, status, err):
+        """One command line for each departure, and what `run` reads there."""
+        assert departure(argv) is not None
+        got = _read(argv)
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            assert got != reference_cli.read(argv)
+        if status is None:
+            assert got == err
+        else:
+            assert got[:2] == (status, "") and got[2].endswith(err)
+
+    def test_help_does_not_follow_the_terminal_width(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "40")
+        assert invoke(capsys, "check", "--help") == (0, cli.HELP["extc check"] + "\n", "")
 
 
 class TestJsonOutput:
@@ -663,7 +760,8 @@ def _cyclic_garbage(argv):
 
 class TestCycleGate:
     """`cli.main` turns the collector off for the whole command, which is safe
-    only while a check leaves no cyclic garbage that grows with its input."""
+    only while a check leaves no cyclic garbage that grows with its input,
+    and no `extc` object in a cycle at all."""
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_cyclic_garbage_does_not_grow_with_the_input(self, fmt, tmp_path):
@@ -671,9 +769,7 @@ class TestCycleGate:
         for count in (1, 3):
             paths = _copies(tmp_path / f"x{count}", count)
             garbage = _cyclic_garbage(["check", paths, "--format", fmt])
-            # argparse's back-references put the parser itself in a cycle.
-            ours = [g for g in garbage if type(g).__module__.startswith("extc.")]
-            assert [g for g in ours if type(g) is not cli._ArgumentParser] == []
+            assert [g for g in garbage if type(g).__module__.startswith("extc.")] == []
             found.append(len(garbage))
         assert found[0] == found[1]
 
@@ -781,6 +877,15 @@ class TestOutputErrors:
                 _, err = proc.communicate(timeout=60)
             assert (proc.returncode, err) == (2, line)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_device_fails_the_unbuffered_help(self, monkeypatch):
+        """Unbuffered, the help's own write fails, and is not swallowed."""
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        line = f"extc: error: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+        with open("/dev/full", "wb") as full:
+            proc = fresh_main("--help", stdout=full, stderr=subprocess.PIPE)
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, line)
 
     @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
                         reason="no /dev/full or /proc/self/fd")
@@ -807,6 +912,13 @@ class TestClosedOrUnwritableStreams:
     def test_a_closed_stdout_fails_the_report(self):
         proc = fresh_main("check", str(CORPUS_DIR), stderr=subprocess.PIPE,
                           preexec_fn=_closing(1))
+        _, err = proc.communicate(timeout=60)
+        line = f"extc: error: cannot write output: {os.strerror(errno.EBADF)}\n"
+        assert (proc.returncode, err) == (2, line.encode())
+
+    def test_a_closed_stdout_fails_the_help(self):
+        """Help goes through `run`'s writer, not to stderr instead."""
+        proc = fresh_main("--help", stderr=subprocess.PIPE, preexec_fn=_closing(1))
         _, err = proc.communicate(timeout=60)
         line = f"extc: error: cannot write output: {os.strerror(errno.EBADF)}\n"
         assert (proc.returncode, err) == (2, line.encode())
@@ -867,18 +979,37 @@ class TestRecursionBudget:
 
 def test_import_loads_no_typing():
     """Start-up imports only what a check needs: no `typing`, no `pathlib`
-    (with `urllib.parse` behind it), `json` only once JSON is rendered, and
-    no `dataclasses`, with the `inspect` and `ast` it imports: node classes
-    are plain `__slots__` classes. No `contextlib`, and no `pickle`: a split
-    check sends its data with `marshal`, which the interpreter has loaded."""
+    (with `urllib.parse` behind it), no `json`, and no `dataclasses`, with
+    the `inspect` and `ast` it imports: node classes are plain `__slots__`
+    classes. No `contextlib`, and no `pickle`: a split check sends its data
+    with `marshal`, which the interpreter has loaded. No `argparse`, with
+    the `gettext` it loads and the `shutil`, `locale` and compression
+    modules its help formatter loads: `cli` reads its command line itself."""
     unwanted = ["typing", "pathlib", "json", "urllib.parse", "dataclasses", "inspect", "ast",
-                "contextlib", "pickle"]
+                "contextlib", "pickle", "argparse", "gettext", "shutil", "locale", "bz2", "lzma",
+                "zlib"]
     code = f"import sys, extc.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_a_check_loads_nothing_past_start_up():
+    """A check, as text and as JSON, imports no module that `import extc.cli`
+    did not: what it needs is loaded at start-up, and nothing else."""
+    code = ("import os, sys, extc.cli\n"
+            "before = set(sys.modules)\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            "for fmt in ('text', 'json'):\n"
+            f"    extc.cli.run(['check', {str(CORPUS_DIR)!r}, '--format', fmt])\n"
+            "sys.stderr.write(repr(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "[]")
 
 
 
@@ -903,9 +1034,9 @@ def _package_imports(name: str) -> list[str]:
 
 
 def test_imports_stay_out_of_functions():
-    """An import inside a function runs again on every call; the one allowed
-    is `json` in `diagnostics.render_json`, so that text checks never load it.
-    `types` imports no `extc` module: it is the base the others build on."""
+    """An import inside a function runs again on every call, and none is
+    allowed. `types` imports no `extc` module: it is the base the others
+    build on."""
     inside = set()
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -913,7 +1044,7 @@ def test_imports_stay_out_of_functions():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 inside |= {(path.name, getattr(fn, "name", "<lambda>"), module)
                            for _, modules in _imports(fn) for module in modules}
-    assert inside == {("diagnostics.py", "render_json", "json")}
+    assert inside == set()
     assert _package_imports("types") == []
 
 

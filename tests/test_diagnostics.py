@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extc.diagnostics import (
-    Diagnostic, Source, Span, count_by_severity, render_all_text, render_json,
+    ALL_CODES, Diagnostic, Source, Span, count_by_severity, render_all_text, render_json,
     render_text, sort_diagnostics,
 )
 
@@ -113,6 +115,51 @@ def test_render_json_partitions_severities():
              diag("E_UNBOUND_VAR")]
     payload = json.loads(render_json(diags))
     assert payload["summary"] == {"errors": 2, "warnings": 1}
+
+
+def _payload(diags):
+    """What `render_json` wrote through `json.dumps(payload, indent=2)` until
+    it wrote the document itself."""
+    errors, warnings = count_by_severity(diags)
+    return {
+        "diagnostics": [
+            {
+                "file": d.file,
+                **dict(zip(("line", "col", "end_line", "end_col"),
+                           (*d.span.source.position(d.span.start),
+                            *d.span.source.position(d.span.end)))),
+                "severity": d.severity,
+                "code": d.code,
+                "message": d.message,
+                "expected": d.expected,
+                "actual": d.actual,
+            }
+            for d in diags
+        ],
+        "summary": {"errors": errors, "warnings": warnings},
+    }
+
+
+# Any text: control characters, quotes and backslashes, characters past the
+# BMP, and lone surrogates, which `json.dumps` escapes as `\udxxx`.
+_ANY_TEXT = st.text(st.characters() | st.sampled_from(
+    '"\\\n\t\x00\x7f\x1f\u2028\ud800\udfff\U0001f600'))
+
+
+@st.composite
+def _diagnostics(draw):
+    text = draw(st.text(st.sampled_from("ab\n\t\u00e9"), max_size=20))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, len(text) + 1))
+    optional = st.none() | _ANY_TEXT
+    return Diagnostic(draw(st.sampled_from(sorted(ALL_CODES))), draw(_ANY_TEXT),
+                      Span(start, end, Source(text)), draw(_ANY_TEXT), draw(optional), draw(optional))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_diagnostics(), max_size=4))
+def test_render_json_writes_what_json_dumps_wrote(diags):
+    assert render_json(diags) == json.dumps(_payload(diags), indent=2)
 
 
 def test_count_by_severity():
