@@ -18,11 +18,17 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
   them with the `dense_bodies` seed-1 corpus, a run that is large enough to
   split between processes on a machine with more than one CPU (on two, a
   worker gets the 1,000-element cons list);
-- `check`, as text, as JSON and with `--dump-sigs`, on the two files of
-  `SPLIT`, each padded with statements past `cli.BATCH_MIN_BYTES`: on a
-  machine with more than one CPU a worker holds the larger, with the first
-  `@spec` of `M.f/1`, and the parent holds its repeat and a `@spec` with no
-  `def`, so the spec diagnostics rest on declarations from another process;
+- `check` on each pair of files in `SPLITS`, each file padded with
+  statements past `cli.BATCH_MIN_BYTES`, so that on a machine with more
+  than one CPU a worker holds the larger, `a.ex`, and the parent `b.ex`:
+  - `split`, as text, as JSON and with `--dump-sigs`: the worker holds the
+    first `@spec` of `M.f/1`, and the parent holds its repeat and a `@spec`
+    with no `def`, so the spec diagnostics rest on declarations from
+    another process;
+  - `split_worker`, as text, as JSON and with `--strict-warnings`: the
+    worker holds a bad call of `M.f/1` and a `@spec` with no `def`, so every
+    diagnostic comes from the worker;
+  - `split_clean`, as text and as JSON: no diagnostic at all;
 - `check` and `parse` on each of `MALFORMED`, one-line files that between
   them raise every lex and parse error message, from each site that raises
   one, including a `case` and a `cond` whose clauses lack a separator, and
@@ -203,14 +209,29 @@ TYPES = [
     "@spec k(none, [none]) :: {(integer) -> none, [string]}; def k(x, y) do {x, y} end",
 ]
 
-# Two files, `(name, text, padding statements)`, in command-line order; the
-# first, the larger, declares `M.f/1` first. Each is over 12,000 bytes
-# (`cli.BATCH_MIN_BYTES`), so that on two CPUs they go to two processes.
-SPLIT = [
-    ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\nend\n", 1_600),
-    ("b.ex", "defmodule M do\n  @spec f(integer) :: float\n  def f(x) do x * 1.0 end\n"
-             "  @spec lonely(integer) :: integer\nend\nM.f(\"bad\")\n", 1_400),
-]
+# Pairs of files, `(name, text, padding statements)` each in command-line
+# order, and the option lists each pair is checked with. Each file is over
+# 12,000 bytes (`cli.BATCH_MIN_BYTES`), so that on two CPUs they go to two
+# processes, and the first, the larger, to the worker.
+SPLITS = {
+    "split": ([
+        ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\nend\n",
+         1_600),
+        ("b.ex", "defmodule M do\n  @spec f(integer) :: float\n  def f(x) do x * 1.0 end\n"
+                 "  @spec lonely(integer) :: integer\nend\nM.f(\"bad\")\n", 1_400),
+    ], [[], ["--format", "json"], ["--dump-sigs"]]),
+    "split_worker": ([
+        ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\n"
+                 "  @spec lonely(integer) :: integer\nend\nM.f(\"bad\")\n", 1_600),
+        ("b.ex", "defmodule N do\n  @spec g(integer) :: integer\n  def g(x) do M.f(x) end\nend\n",
+         1_400),
+    ], [[], ["--format", "json"], ["--strict-warnings"]]),
+    "split_clean": ([
+        ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\nend\n",
+         1_600),
+        ("b.ex", "y = M.f(1)\n", 1_400),
+    ], [[], ["--format", "json"]]),
+}
 
 
 def invocations(work: Path) -> list[tuple[Path, list[str]]]:
@@ -241,11 +262,11 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
                  (work, ["parse", f"probes/{name}"])]
     for paths in (["probes"], ["probes", "dense_bodies_1"]):
         runs += [(work, ["check", *paths]), (work, ["check", "--format", "json", *paths])]
-    (work / "split").mkdir()
-    for name, text, padding in SPLIT:
-        (work / "split" / name).write_text(text + "n = 1 + 2\n" * padding)
-    runs += [(work, ["check", *args, "split"])
-             for args in ([], ["--format", "json"], ["--dump-sigs"])]
+    for folder, (split, option_lists) in SPLITS.items():
+        (work / folder).mkdir()
+        for name, text, padding in split:
+            (work / folder / name).write_text(text + "n = 1 + 2\n" * padding)
+        runs += [(work, ["check", *options, folder]) for options in option_lists]
     for folder, texts in (("malformed", MALFORMED), ("patterns", PATTERNS),
                           ("sequences", SEQUENCES), ("types", TYPES)):
         (work / folder).mkdir()
