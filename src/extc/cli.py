@@ -20,14 +20,20 @@ go into one batch per CPU, but no more batches than `BATCH_MIN_BYTES` go
 into the input, dealt by size, each batch in command-line order. A worker
 is forked for each batch but one before any file is read. Each process
 lexes, parses and checks only its own batch. In between, the processes
-swap the declarations of their files (`signatures.declarations`) as
-`marshal` data (`types.pack`), and `collect` gives each process the same
-signatures from every file's declarations in command-line order, with the
-`E_DUP_SPEC` and `W_SPEC_NO_DEF` of its own files. A check in one process
-is a split with one batch and no swap. A worker sends back its
-diagnostics with the text they point into, and exits without writing to a
-standard stream. Only this process writes, and it sorts every diagnostic
-before it renders them, so the output does not depend on the split.
+swap the declarations of their files (`signatures.declarations`), each
+with its type packed (`types.pack`), and `collect` gives each process the
+same signatures from every file's declarations in command-line order, with
+the `E_DUP_SPEC` and `W_SPEC_NO_DEF` of its own files. Each process then
+sorts and renders the diagnostics of its own files, as text or JSON, in
+one block per file, with the colour this process chose before it forked.
+A worker sends `(file, block, codes)` for each of its files, and exits
+without writing to a standard stream; only `marshal` data crosses a pipe,
+and no file's text. This process renders its blocks before it reads the
+workers', then joins all blocks in file order: every diagnostic of a file
+comes from the process that loaded it, so that is the order of
+`sort_diagnostics`, and the output does not depend on the split. The codes
+give the summary and the exit status. A check in one process is a split
+with one batch and no swap.
 """
 from __future__ import annotations
 
@@ -39,8 +45,8 @@ import sys
 
 from .checker import check_programs
 from .diagnostics import (
-    Diagnostic, E_LEX, E_PARSE, Source, Span, count_by_severity,
-    render_all_text, render_json, render_text, sort_diagnostics,
+    Diagnostic, E_LEX, E_PARSE, Source, Span, json_document, json_entry, render_text,
+    sort_diagnostics,
 )
 from .lexer import LexError
 from .parser import RECURSION_LIMIT, ParseError, parse_program
@@ -290,8 +296,16 @@ def _run_check(args) -> tuple[int, list]:
     if isinstance(files, str):
         return 3, [(sys.stderr, f"extc: error: no such file or directory: {files}")]
 
-    sigs, diags = _check_all(files)
-    diags = sort_diagnostics(diags)
+    if args["format"] == "json":
+        render = json_entry, ",\n"
+    else:
+        color = not args["no_color"] and sys.stdout is not None and sys.stdout.isatty()
+        render = (lambda d: render_text(d, color)), "\n"
+    sigs, blocks = _check_all(files, render)
+    blocks.sort()  # by file: all diagnostics of a file come from the process that loaded it
+    rendered = render[1].join(block for _, block, _ in blocks)
+    codes = [code for _, _, file_codes in blocks for code in file_codes]
+    errors, warnings = (sum(code[0] == severity for code in codes) for severity in "EW")
 
     output = []
     if args["dump_sigs"] and sigs:
@@ -299,13 +313,11 @@ def _run_check(args) -> tuple[int, list]:
         output.append((stream, "\n".join(f"{name}/{arity} :: {fn_type}"
                                           for name, arity, fn_type in sigs.entries())))
     if args["format"] == "json":
-        output.append((sys.stdout, render_json(diags)))
-    elif diags:
-        color = not args["no_color"] and sys.stdout is not None and sys.stdout.isatty()
-        output.append((sys.stdout, render_all_text(diags, color=color)))
+        output.append((sys.stdout, json_document(rendered, errors, warnings)))
+    elif blocks:
+        output.append((sys.stdout, rendered))
 
-    errors, warnings = count_by_severity(diags)
-    if any(d.code in (E_PARSE, E_LEX) for d in diags):
+    if E_PARSE in codes or E_LEX in codes:
         return 2, output
     return (1 if errors or args["strict_warnings"] and warnings else 0), output
 
@@ -323,27 +335,41 @@ def _check(files: list[str], mine, swap=None):
         else:
             programs[i] = loaded
     declared = {i: declarations(program) for i, program in programs.items()}
-    if swap:
-        for i, data in swap({i: pack(found) for i, found in declared.items()}).items():
+    if swap:  # a declaration crosses with its type packed
+        sent = {i: [(p, n, pack(t), s, e, d) for p, n, t, s, e, d in found]
+                for i, found in declared.items()}
+        for i, found in swap(sent).items():
             if i not in declared:
-                declared[i] = unpack(data)
+                declared[i] = [(p, n, unpack(t), s, e, d) for p, n, t, s, e, d in found]
     sigs, sig_diags = collect([(programs.get(i), declared[i]) for i in sorted(declared)])
     return sigs, diags + check_programs(list(programs.values()), (sigs, sig_diags))
 
 
-def _check_all(files: list[str]):
-    """`_check` of every file: in this process alone, or split into batches
-    of which this process checks the lightest and a forked worker each other."""
+def _blocks(diags: list[Diagnostic], render) -> list[tuple[str, str, list[str]]]:
+    """`diags` sorted and rendered, `(file, block, codes)` for each file they
+    are in. `render` is a pair: a function that renders one diagnostic, and
+    the text that joins two rendered ones, in a block and between blocks."""
+    by_file: dict[str, list[Diagnostic]] = {}
+    for d in sort_diagnostics(diags):
+        by_file.setdefault(d.file, []).append(d)
+    one, joiner = render
+    return [(file, joiner.join(map(one, found)), [d.code for d in found])
+            for file, found in by_file.items()]
+
+
+def _check_all(files: list[str], render):
+    """The signatures, and `_blocks` of the diagnostics, of every file: checked
+    in this process alone, or split into batches of which this process checks
+    the lightest and a forked worker each other. Each process renders its
+    own files' diagnostics."""
     batches = _batches(files)
     workers = []  # (pid, reader, writer): the pid and this side's pipe ends
     try:
         for batch in batches[1:]:
             try:
-                workers.append(_fork(files, batch, workers))
+                workers.append(_fork(files, batch, render, workers))
             except OSError:  # no process or pipe to spare: check the batch here
                 batches[0] = sorted(batches[0] + batch)
-        if not workers:
-            return _check(files, batches[0])
 
         def swap(declared):
             for _, reader, _ in workers:
@@ -352,10 +378,11 @@ def _check_all(files: list[str]):
                 _send(writer, declared)
             return declared
 
-        sigs, diags = _check(files, batches[0], swap)
+        sigs, diags = _check(files, batches[0], swap if workers else None)
+        blocks = _blocks(diags, render)  # while the workers render theirs
         for _, reader, _ in workers:
-            diags += _diagnostics(*_receive(reader))
-        return sigs, diags
+            blocks += _receive(reader)
+        return sigs, blocks
     finally:
         for _, reader, writer in workers:
             _close(reader, writer)
@@ -417,7 +444,7 @@ def _size(name: str) -> int:
         return 0
 
 
-def _fork(files: list[str], batch: list[int], workers: list):
+def _fork(files: list[str], batch: list[int], render, workers: list):
     """Start a worker that checks the files numbered `batch`: its pid, and
     this side's ends of a pipe from it and of a pipe to it."""
     pipes = []
@@ -435,7 +462,7 @@ def _fork(files: list[str], batch: list[int], workers: list):
                 _close(reader, writer)
             os.close(pipes[0])
             os.close(pipes[3])
-            _work(files, batch, os.fdopen(pipes[2], "rb"), os.fdopen(pipes[1], "wb"))
+            _work(files, batch, render, os.fdopen(pipes[2], "rb"), os.fdopen(pipes[1], "wb"))
         finally:
             os._exit(1)  # `_work` has exited already, unless closing failed
     os.close(pipes[1])
@@ -443,9 +470,10 @@ def _fork(files: list[str], batch: list[int], workers: list):
     return pid, os.fdopen(pipes[0], "rb"), os.fdopen(pipes[3], "wb")
 
 
-def _work(files: list[str], batch: list[int], reader, writer) -> None:
+def _work(files: list[str], batch: list[int], render, reader, writer) -> None:
     """A worker's whole life: check `batch`, sending its declarations and then
-    its diagnostics through `writer`, or the traceback of what stopped it.
+    the `_blocks` of its diagnostics through `writer`, or the traceback of
+    what stopped it.
     It ends with `os._exit`, writes nothing to the standard streams, and
     leaves their buffers to the parent."""
     status = 1
@@ -454,7 +482,7 @@ def _work(files: list[str], batch: list[int], reader, writer) -> None:
             _send(writer, declared)
             return _receive(reader)
 
-        _send(writer, _rows(_check(files, batch, swap)[1]))
+        _send(writer, _blocks(_check(files, batch, swap)[1], render))
         status = 0
     except BaseException as err:  # reported, for the parent to raise; the worker ends anyway
         try:
@@ -504,23 +532,6 @@ def _traceback(err: BaseException) -> str:
         lines.append(f'  File "{code.co_filename}", line {tb.tb_lineno}, in {code.co_name}')
         tb = tb.tb_next
     return "\n".join([*lines, f"{type(err).__name__}: {err}"])
-
-
-def _rows(diags: list[Diagnostic]) -> tuple[list, list[str]]:
-    """`diags` as `marshal` data: a row each, and the text of each `Source`
-    they point into."""
-    sources = {}
-    rows = [(d.code, d.message, d.span.start, d.span.end,
-             sources.setdefault(d.span.source, len(sources)), d.file, d.expected, d.actual)
-            for d in diags]
-    return rows, [source.text for source in sources]
-
-
-def _diagnostics(rows: list, texts: list[str]) -> list[Diagnostic]:
-    """The diagnostics `_rows` described."""
-    sources = [Source(text) for text in texts]
-    return [Diagnostic(code, message, Span(start, end, sources[k]), file, expected, actual)
-            for code, message, start, end, k, file, expected, actual in rows]
 
 
 def _run_parse(args) -> tuple[int, list]:

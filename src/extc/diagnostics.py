@@ -170,8 +170,8 @@ def render_text(diag: Diagnostic, color: bool = False) -> str:
 
 def render_all_text(diags: list[Diagnostic], sources: dict[str, str] | None = None,
                     color: bool = False) -> str:
-    """`render_text` of each diagnostic. `sources` is ignored, as each span holds
-    its file's text; perfbench's traced check still passes the texts it read."""
+    """`render_text` of each diagnostic. Only perfbench's traced check calls it,
+    with the texts it read as `sources`, which each span's own text makes idle."""
     return "\n".join(render_text(d, color) for d in diags)
 
 
@@ -179,11 +179,19 @@ def render_json(diags: list[Diagnostic]) -> str:
     """Single JSON document: diagnostics array plus an error/warning summary,
     byte for byte what `json.dumps(payload, indent=2)` gave for it, with
     strings escaped by the same C function."""
-    errors, warnings = count_by_severity(diags)
-    entries = ",\n".join(_JSON_ENTRY % (
+    return json_document(",\n".join(map(json_entry, diags)), *count_by_severity(diags))
+
+
+def json_entry(d: Diagnostic) -> str:
+    """One diagnostic of `render_json`'s array, indented as it stands there."""
+    return _JSON_ENTRY % (
         _quote(d.file), *_ends(d.span), d.severity, d.code, _quote(d.message),
         "null" if d.expected is None else _quote(d.expected),
-        "null" if d.actual is None else _quote(d.actual)) for d in diags)
-    listed = f"[\n{entries}\n  ]" if diags else "[]"
+        "null" if d.actual is None else _quote(d.actual))
+
+
+def json_document(entries: str, errors: int, warnings: int) -> str:
+    """`render_json`'s document around `entries`, its `json_entry`s joined by ",\\n"."""
+    listed = f"[\n{entries}\n  ]" if entries else "[]"
     return (f'{{\n  "diagnostics": {listed},\n  "summary": {{\n    "errors": {errors},\n'
             f'    "warnings": {warnings}\n  }}\n}}')

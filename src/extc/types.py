@@ -59,14 +59,9 @@ class DataclassFields:
 
 class Value(Record):
     """A record set once from its arguments, one per field; it refuses assignment
-    and deletion. `pack` and `unpack` carry values between processes."""
+    and deletion."""
 
     __slots__ = ()
-    _by_name: dict[str, type] = {}  # every subclass, for `unpack`
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        Value._by_name[cls.__name__] = cls
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
@@ -142,12 +137,18 @@ class AtomLiteralType(Type):
 class ListType(Type):
     __slots__ = ("element",)
 
+    def __init__(self, element: Type):  # as `Value.__init__` does, without its loop
+        object.__setattr__(self, "element", element)
+
     def __str__(self) -> str:
         return f"[{self.element}]"
 
 
 class TupleType(Type):
     __slots__ = ("items",)  # tuple[Type, ...]
+
+    def __init__(self, items: tuple[Type, ...]):
+        object.__setattr__(self, "items", items)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(t) for t in self.items) + "}"
@@ -183,6 +184,10 @@ class MapType(Type):
 class FunctionType(Type):
     __slots__ = ("params", "result")  # tuple[Type, ...], Type
 
+    def __init__(self, params: tuple[Type, ...], result: Type):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "result", result)
+
     def __str__(self) -> str:
         args = ", ".join(str(t) for t in self.params)
         return f"({args}) -> {self.result}"
@@ -193,28 +198,32 @@ BASE_TYPE_NAMES = {name: BaseType(name) for name in (
 NONE, TERM, ANY, INTEGER, FLOAT, BOOLEAN, STRING, ATOM = BASE_TYPE_NAMES.values()
 
 
-def pack(value):
-    """A value, a sequence of values, or what a value holds, as `marshal`
-    data: a value as its class name then its fields, a sequence as a list,
-    anything else as it is."""
-    if isinstance(value, (list, tuple)):
-        return [pack(item) for item in value]
-    if isinstance(value, Value):
-        return (type(value).__name__, *[pack(getattr(value, name)) for name in value._fields])
-    return value
+def pack(t: Type):
+    """`t` as `marshal` data, for `unpack` in another process: a base type as
+    its name, any other type as a tuple of its tag and its parts."""
+    return t.name if t.__class__ is BaseType else _PACK[t.__class__](t)
 
 
-def unpack(data):
-    """What `pack` took in, with every sequence a tuple and every base type
-    the constant of its name."""
-    if isinstance(data, list):
-        return tuple(unpack(item) for item in data)
-    if isinstance(data, tuple):
-        name, *fields = data
-        if name == "BaseType":
-            return BASE_TYPE_NAMES[fields[0]]
-        return Value._by_name[name](*map(unpack, fields))
-    return data
+def unpack(data) -> Type:
+    """The type `pack` gave `data` for; a base type is the constant of its name."""
+    return BASE_TYPE_NAMES[data] if data.__class__ is str else _UNPACK[data[0]](data)
+
+
+# A type's tag is the character its `@spec` syntax starts with.
+_PACK = {
+    AtomLiteralType: lambda t: (":", t.name),
+    ListType: lambda t: ("[", pack(t.element)),
+    TupleType: lambda t: ("{", *map(pack, t.items)),
+    MapType: lambda t: ("%", *[(k.kind, k.value, pack(v)) for k, v in t.entries]),
+    FunctionType: lambda t: ("(", pack(t.result), *map(pack, t.params)),
+}
+_UNPACK = {
+    ":": lambda data: AtomLiteralType(data[1]),
+    "[": lambda data: ListType(unpack(data[1])),
+    "{": lambda data: TupleType(tuple(map(unpack, data[1:]))),
+    "%": lambda data: MapType([(MapKey(kind, value), unpack(v)) for kind, value, v in data[1:]]),
+    "(": lambda data: FunctionType(tuple(map(unpack, data[2:])), unpack(data[1])),
+}
 
 
 def _sub(t: Type, u: Type, gradual: bool) -> bool:

@@ -358,6 +358,45 @@ class TestSplitCheck:
                       "I_UNTYPED_DEF"):
             assert found in out
 
+    def test_workers_color_as_the_parent_decided(self, files, cpus, capsys, monkeypatch):
+        """Only the parent asks whether stdout is a terminal: here a worker
+        that asked would be told no, and print its files without colour."""
+        parent = os.getpid()
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: os.getpid() == parent)
+        outputs = []
+        for count in (1, 2):
+            forks = cpus(count)
+            outputs.append(invoke(capsys, "check", files))
+            assert len(forks) == count - 1
+        assert outputs[1] == outputs[0]
+        assert "\x1b[31mE_LEX\x1b[0m" in outputs[0][1]  # in f.ex, which a worker checks
+
+    @pytest.mark.parametrize("args", [[], ["--format", "json"]], ids=["text", "json"])
+    def test_a_worker_sends_its_own_files_rendered(self, args, files, cpus, capsys, monkeypatch):
+        """A worker sends its declarations, then `(file, block, codes)` for
+        each of its files with diagnostics: no file's text, and nothing
+        about the parent's files."""
+        cpus(2)
+        names = cli._gather_files([files])
+        batch = cli._batches(names)[1]
+        received = []
+        receive = cli._receive
+        monkeypatch.setattr(cli, "_receive", lambda stream: received.append(receive(stream))
+                            or received[-1])
+        _, out, _ = invoke(capsys, "check", *args, files)
+        declared, blocks = received
+        assert set(declared) <= set(batch)
+        assert blocks and {file for file, _, _ in blocks} <= {names[i] for i in batch}
+        texts = {(Path(files) / name).read_bytes().decode(errors="replace")
+                 for name in _SPLIT_FILES}
+        for file, block, codes in blocks:
+            assert type(file) is str and type(block) is str and block not in texts
+            assert codes and all(type(c) is str for c in codes)
+            if not args:
+                assert codes == re.findall(rf"^{re.escape(file)}:\d+:\d+ (\w+) ", block, re.M)
+            else:
+                assert codes == re.findall(r'"code": "(\w+)"', block) and block in out
+
     def test_a_small_input_stays_in_one_process(self, files, cpus, capsys, monkeypatch):
         forks = cpus(2)
         monkeypatch.setattr(cli, "BATCH_MIN_BYTES", sum(map(len, _SPLIT_FILES.values())) // 2 + 1)
@@ -861,7 +900,8 @@ class TestOutputErrors:
             proc = fresh_main(*argv, "--format", fmt, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE)
             proc.stdout.close()
-            err = proc.stderr.read()
+            with proc.stderr:
+                err = proc.stderr.read()
             assert proc.wait(timeout=60) == status
             assert err == b""
 

@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from extc import cli
 from extc.diagnostics import (
-    ALL_CODES, Diagnostic, Source, Span, count_by_severity, render_all_text, render_json,
-    render_text, sort_diagnostics,
+    ALL_CODES, Diagnostic, Source, Span, count_by_severity, json_document, json_entry,
+    render_all_text, render_json, render_text, sort_diagnostics,
 )
 
 
@@ -160,6 +161,31 @@ def _diagnostics(draw):
 @given(st.lists(_diagnostics(), max_size=4))
 def test_render_json_writes_what_json_dumps_wrote(diags):
     assert render_json(diags) == json.dumps(_payload(diags), indent=2)
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_diagnostics(), st.sampled_from(["b.ex", "a.ex", "a/b.ex", "a.exs"]),
+                          st.integers(0, 2)), max_size=12))
+def test_blocks_joined_in_file_order_render_the_sorted_list(drawn):
+    """A check renders each process's files as `(file, block, codes)` and
+    joins every block in file order; the codes give the summary. Each file
+    is in one process, the one drawn with its first diagnostic."""
+    by_process: list[list[Diagnostic]] = [[], [], []]
+    home = {}
+    for d, file, process in drawn:
+        d.file = file
+        by_process[home.setdefault(file, process)].append(d)
+    ordered = sort_diagnostics([d for d, _, _ in drawn])
+    for render, joiner in ((json_entry, ",\n"), (render_text, "\n")):
+        blocks = sorted(b for found in by_process for b in cli._blocks(found, (render, joiner)))
+        joined = joiner.join(block for _, block, _ in blocks)
+        codes = [code for _, _, found in blocks for code in found]
+        if render is json_entry:
+            summary = sum(c[0] == "E" for c in codes), sum(c[0] == "W" for c in codes)
+            assert json_document(joined, *summary) == render_json(ordered)
+        else:
+            assert joined == render_all_text(ordered)
 
 
 def test_count_by_severity():

@@ -1,11 +1,13 @@
 import marshal
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from extc.parser import parse_program
 from extc.syntax import AtomLit, BoolLit, FloatLit, IntLit, StringLit
 from extc.types import (
-    ANY, ATOM, AtomLiteralType, BASE_TYPE_NAMES, BOOLEAN, FLOAT, FunctionType,
+    ANY, ATOM, AtomLiteralType, BASE_TYPE_NAMES, BaseType, BOOLEAN, FLOAT, FunctionType,
     INTEGER, ListType, MapKey, MapType, NONE, STRING, TERM, TupleType, Type, fits,
     is_more_precise, is_subtype, join, meet, pack, unpack,
 )
@@ -361,26 +363,19 @@ class TestValueSemantics:
 
     def test_pack_carries_every_type_class_through_marshal(self):
         """A split check sends `@spec` types between processes as `pack`
-        gives them, through `marshal`, and `unpack` rebuilds them."""
-        spec = (map_of((K_A, INTEGER), (MapKey("integer", 1), ListType(FLOAT)),
-                       (MapKey("boolean", True), TupleType((ATOM, AL("ok"))))),
-                FunctionType((ANY,), NONE))
-
-        def names(data):
-            if isinstance(data, list):
-                return set().union(*map(names, data))
-            if isinstance(data, tuple):
-                return {data[0]}.union(*map(names, data[1:]))
-            return set()
-
-        data = pack(spec)
-        assert names(data) == {cls.__name__ for cls in Type.__subclasses__()} | {"MapKey"}
-        assert unpack(marshal.loads(marshal.dumps(data))) == spec
-        assert unpack(pack([INTEGER]))[0] is INTEGER
+        gives them, through `marshal`, and `unpack` rebuilds them. The spec
+        holds every class of type and of map key, so a class added without
+        a packed form fails here."""
+        spec = FunctionType((map_of((K_A, INTEGER), (MapKey("integer", 1), ListType(FLOAT)),
+                                    (MapKey("boolean", True), TupleType((ATOM, AL("ok"))))),),
+                            NONE)
+        assert {type(part) for part in _parts(spec)} == set(Type.__subclasses__()) | {MapKey}
+        assert unpack(marshal.loads(marshal.dumps(pack(spec)))) == spec
+        assert pack(INTEGER) == "integer" and unpack(pack(INTEGER)) is INTEGER
 
     def test_pack_carries_declarations_through_marshal(self):
-        """A split check swaps each file's `declarations` the same way, and
-        gets them back equal, with every module prefix a tuple again."""
+        """A split check swaps each file's `declarations` with each type
+        packed, through `marshal`, and gets them back equal."""
         declared = declarations(parse_program(
             "defmodule A do\n"
             "  @spec f(%{:a => integer, 1 => [float]}) :: {atom, :ok}\n"
@@ -392,4 +387,40 @@ class TestValueSemantics:
             "@spec h() :: integer\n"))
         assert [(prefix, name, defined) for prefix, name, _, _, _, defined in declared] == [
             ((), "h", False), (("A",), "f", True), (("A", "B"), "g", False)]
-        assert unpack(marshal.loads(marshal.dumps(pack(declared)))) == declared
+        data = marshal.loads(marshal.dumps([(*d[:2], pack(d[2]), *d[3:]) for d in declared]))
+        assert [(*d[:2], unpack(d[2]), *d[3:]) for d in data] == list(declared)
+
+
+def _parts(value) -> list:
+    """`value` and every type and map key in it, outermost first."""
+    if isinstance(value, tuple):
+        return [part for item in value for part in _parts(item)]
+    if isinstance(value, (Type, MapKey)):
+        return [value, *(part for f in value._fields for part in _parts(getattr(value, f)))]
+    return []
+
+
+_MAP_KEYS = st.one_of(
+    st.builds(MapKey, st.just("atom"), st.sampled_from(["a", "b", "ok"])),
+    st.builds(MapKey, st.just("integer"), st.integers(-2, 2)),
+    st.builds(MapKey, st.just("boolean"), st.booleans()))
+
+# Types of every class, nested up to a few levels.
+_TYPES = st.recursive(
+    st.sampled_from(list(BASE_TYPE_NAMES.values())) | st.builds(AL, st.sampled_from(["ok", "a"])),
+    lambda inner: st.one_of(
+        st.builds(ListType, inner),
+        st.builds(TupleType, st.lists(inner, max_size=3).map(tuple)),
+        st.dictionaries(_MAP_KEYS, inner, max_size=3).map(lambda d: MapType(list(d.items()))),
+        st.builds(FunctionType, st.lists(inner, max_size=3).map(tuple), inner)),
+    max_leaves=12)
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None)
+@given(_TYPES)
+def test_packed_types_come_back_through_marshal(t):
+    back = unpack(marshal.loads(marshal.dumps(pack(t))))
+    assert back == t
+    bases = [[part for part in _parts(u) if type(part) is BaseType] for u in (t, back)]
+    assert all(b is a for a, b in zip(*bases, strict=True))
