@@ -380,9 +380,13 @@ class TestSplitCheck:
         names = cli._gather_files([files])
         batch = cli._batches(names)[1]
         received = []
-        receive = cli._receive
-        monkeypatch.setattr(cli, "_receive", lambda stream: received.append(receive(stream))
-                            or received[-1])
+        original = cli._receive
+
+        def receive(stream):
+            received.append(original(stream))
+            return received[-1]
+
+        monkeypatch.setattr(cli, "_receive", receive)
         _, out, _ = invoke(capsys, "check", *args, files)
         declared, blocks = received
         assert set(declared) <= set(batch)
@@ -391,11 +395,11 @@ class TestSplitCheck:
                  for name in _SPLIT_FILES}
         for file, block, codes in blocks:
             assert type(file) is str and type(block) is str and block not in texts
-            assert codes and all(type(c) is str for c in codes)
+            assert block in out and codes and all(type(c) is str for c in codes)
             if not args:
                 assert codes == re.findall(rf"^{re.escape(file)}:\d+:\d+ (\w+) ", block, re.M)
             else:
-                assert codes == re.findall(r'"code": "(\w+)"', block) and block in out
+                assert codes == re.findall(r'"code": "(\w+)"', block)
 
     def test_a_small_input_stays_in_one_process(self, files, cpus, capsys, monkeypatch):
         forks = cpus(2)
