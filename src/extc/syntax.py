@@ -22,12 +22,12 @@ to the `_fields` of the bases, so a class's `_fields` are `start`, `end`
 and then its own fields, and `Record.__repr__` writes them in the form
 `IntLit(start=0, end=0, value=5)`. `__match_args__` are the `_fields` after
 the offsets, unless a class sets its own, as `Program` does to leave out
-its `Source`: `children`, `dump` and `__eq__` walk them. `Node` gives every
-class but `Program` its `__eq__`, which compares the `__match_args__` and
-never the offsets, so two parses of equivalent source compare equal;
-`Program`'s compares only its items. No node class is a dataclass, and
-importing `dataclasses` would cost a third of `extc`'s start-up. Only
-`Node.__dataclass_fields__`, a `types.DataclassFields`, answers
+its `Source`: `children` and `dump` walk them. A node compares as every
+`Record` does, by class and by every field, offsets included, and does not
+hash, as a `Diagnostic` does not. Two trees that differ only in offsets
+have the same `dump`, which leaves offsets out. No node class is a
+dataclass, and importing `dataclasses` would cost a third of `extc`'s
+start-up. Only `Node.__dataclass_fields__`, a `types.DataclassFields`, answers
 `dataclasses.fields(node)`, which perfbench's traced node count calls; item
 1 of ROADMAP.md removes it once that count walks `children`.
 """
@@ -42,18 +42,12 @@ class Node(Record):
     __slots__ = ("start", "end")  # int, int
     __match_args__ = ()
     __dataclass_fields__ = DataclassFields()
+    __hash__ = None  # mutable
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         if "__match_args__" not in cls.__dict__:
             cls.__match_args__ = cls._fields[2:]
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = self.__match_args__
-        return tuple(getattr(self, name) for name in names) == \
-            tuple(getattr(other, name) for name in names)
 
 
 class Expr(Node):
@@ -342,11 +336,6 @@ class Program(Node):
 
     def __init__(self, items, path="<input>", *, source, start=0, end=0):
         self.items, self.path, self.source, self.start, self.end = items, path, source, start, end
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
 
 
 def children(node: Node):

@@ -301,6 +301,14 @@ _SPLIT_FILES = {
 _SPLIT_ARGS = [[], ["--format", "json"], ["--dump-sigs"], ["--dump-sigs", "--format", "json"]]
 
 
+def _open_fds():
+    """How many descriptors this process holds, or None without `/proc/self/fd`."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="a check splits only where os.fork exists")
 class TestSplitCheck:
     """A check of several files splits them between processes, one per CPU,
@@ -471,6 +479,63 @@ class TestSplitCheck:
     def test_no_worker_outlives_the_check(self, files, cpus, capsys):
         cpus(3)
         invoke(capsys, "check", files)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("call, count, error, forked", [
+        ("fork", 3, errno.EAGAIN, 1), ("pipe", 2, errno.EMFILE, 0),
+    ], ids=["fork", "pipe"])
+    def test_a_worker_that_cannot_start_leaves_its_batch_here(
+            self, call, count, error, forked, files, cpus, capsys, monkeypatch):
+        """`os.fork` fails for the second of two workers, or `os.pipe` for
+        the only worker's second pipe: the parent checks that batch itself,
+        prints what one process prints, and closes the pipes it made. A pipe
+        end is a raw descriptor, whose leak raises no `ResourceWarning`, so
+        the descriptors are counted, where `/proc/self/fd` lists them."""
+        cpus(1)
+        alone = invoke(capsys, "check", files)
+        forks = cpus(count)
+        original, calls = getattr(os, call), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(error, os.strerror(error))
+            return original(*args)
+
+        monkeypatch.setattr(os, call, failing)
+        fds = _open_fds()
+        assert invoke(capsys, "check", files) == alone
+        assert (len(calls), len(forks), _open_fds()) == (2, forked, fds)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("sends", [0, 1], ids=["before-declarations", "after-swap"])
+    def test_a_worker_that_ends_without_an_answer(self, sends, files, cpus, capsys, monkeypatch):
+        """A worker that exits before it sends its declarations, or after the
+        swap and before its diagnostics, fails the check at the parent's next
+        read, with nothing printed and no child left."""
+        cpus(2)
+        parent, send, receive = os.getpid(), cli._send, cli._receive
+        sent, received = [], []  # each process fills its own copy
+
+        def ending_send(stream, value):
+            if os.getpid() != parent:
+                if len(sent) == sends:
+                    os._exit(0)
+                sent.append(value)
+            send(stream, value)
+
+        def counting_receive(stream):
+            received.append(receive(stream))
+            return received[-1]
+
+        monkeypatch.setattr(cli, "_send", ending_send)
+        monkeypatch.setattr(cli, "_receive", counting_receive)
+        with pytest.raises(EOFError, match="^a check worker ended without an answer$"):
+            run(["check", files])
+        assert len(received) == sends
+        assert capsys.readouterr() == ("", "")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1080,7 +1145,8 @@ def _package_imports(name: str) -> list[str]:
 def test_imports_stay_out_of_functions():
     """An import inside a function runs again on every call, and none is
     allowed. `types` imports no `extc` module: it is the base the others
-    build on."""
+    build on. Nor does the package itself: `import extc` loads no module
+    but `extc`, and each caller imports the modules it uses."""
     inside = set()
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -1090,6 +1156,14 @@ def test_imports_stay_out_of_functions():
                            for _, modules in _imports(fn) for module in modules}
     assert inside == set()
     assert _package_imports("types") == []
+    assert _package_imports("__init__") == []
+    code = ("import sys; before = set(sys.modules); import extc; "
+            "print(sorted(set(sys.modules) - before))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['extc']\n", "")
 
 
 def test_lexer_and_diagnostics_import_no_syntax():

@@ -16,7 +16,7 @@ from extc.lexer import tokenize
 from extc.parser import MAX_NESTING, MAX_TYPE_DEPTH, ParseError, Parser, parse_program
 from extc.syntax import (
     AtomLit, BinOp, Call, Case, ConsExpr, If, IntLit, MapAccess, Match,
-    ModuleDef, PinPattern, Seq, TupleExpr, UnaryOp, Var, VarCall, Wildcard,
+    ModuleDef, PinPattern, Seq, TupleExpr, UnaryOp, Var, VarCall, Wildcard, dump,
 )
 from extc.types import (
     ANY, AtomLiteralType, FLOAT, FunctionType, INTEGER, ListType, MapKey,
@@ -37,17 +37,17 @@ def spec_type(text):
 class TestExpressions:
     def test_sequence_with_match(self):
         expr = expression("x = 10 * 9\nx + 10")
-        assert expr == Seq(
+        assert dump(expr) == dump(Seq(
             Match(Var("x"), BinOp("*", IntLit(10), IntLit(9))),
             BinOp("+", Var("x"), IntLit(10)),
-        )
+        ))
 
     def test_semicolon_and_newline_interchangeable(self):
-        assert expression("x = 1; x") == expression("x = 1\nx")
+        assert dump(expression("x = 1; x")) == dump(expression("x = 1\nx"))
 
     def test_multiplication_binds_tighter(self):
-        assert expression("1 + 2 * 3") == \
-            BinOp("+", IntLit(1), BinOp("*", IntLit(2), IntLit(3)))
+        assert dump(expression("1 + 2 * 3")) == \
+            dump(BinOp("+", IntLit(1), BinOp("*", IntLit(2), IntLit(3))))
 
     def test_comparison_looser_than_arith(self):
         expr = expression("1 + 2 > 2")
@@ -66,7 +66,7 @@ class TestExpressions:
     def test_unary_minus_binds_tightest(self):
         expr = expression("-1 + 2")
         assert expr.op == "+"
-        assert expr.left == syntax.UnaryOp("-", IntLit(1))
+        assert dump(expr.left) == dump(syntax.UnaryOp("-", IntLit(1)))
 
     def test_match_is_lowest_and_right_associative(self):
         expr = expression("x = y = 3")
@@ -97,7 +97,7 @@ class TestExpressions:
 
     def test_map_access(self):
         expr = expression("m[9]")
-        assert expr == syntax.MapAccess(Var("m"), MapKey("integer", 9))
+        assert dump(expr) == dump(syntax.MapAccess(Var("m"), MapKey("integer", 9)))
 
     def test_duplicate_map_literal_keys_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -105,23 +105,23 @@ class TestExpressions:
 
     def test_qualified_call(self):
         expr = expression("Base.Math.dec(n)")
-        assert expr == Call(("Base", "Math"), "dec", [Var("n")])
+        assert dump(expr) == dump(Call(("Base", "Math"), "dec", [Var("n")]))
 
     def test_local_call(self):
-        assert expression("dec(1)") == Call((), "dec", [IntLit(1)])
+        assert dump(expression("dec(1)")) == dump(Call((), "dec", [IntLit(1)]))
 
     def test_var_call(self):
-        assert expression("f.(8)") == VarCall("f", [IntLit(8)])
+        assert dump(expression("f.(8)")) == dump(VarCall("f", [IntLit(8)]))
 
     def test_anon_fn(self):
         expr = expression("fn (x, _) -> x end")
-        assert expr == syntax.AnonFn([Var("x"), Wildcard()], Var("x"))
+        assert dump(expr) == dump(syntax.AnonFn([Var("x"), Wildcard()], Var("x")))
 
     def test_case_branches(self):
         expr = expression("case :yes do :yes -> 1\n:no -> 2 end")
         assert isinstance(expr, Case)
         assert len(expr.clauses) == 2
-        assert expr.clauses[1].pattern == AtomLit("no")
+        assert dump(expr.clauses[1].pattern) == dump(AtomLit("no"))
 
     def test_case_branch_body_can_be_a_sequence(self):
         expr = expression("case x do :a -> y = 1\ny + 1\n:b -> 2 end")
@@ -212,23 +212,24 @@ class TestOperatorTable:
         (level1, right1), (level2, _) = _PRECEDENCE[op1], _PRECEDENCE[op2]
         a, b, c = Var("a"), Var("b"), Var("c")
         if level1 > level2 or (level1 == level2 and not right1):
-            assert expr == BinOp(op2, BinOp(op1, a, b), c)
+            assert dump(expr) == dump(BinOp(op2, BinOp(op1, a, b), c))
         else:
-            assert expr == BinOp(op1, a, BinOp(op2, b, c))
+            assert dump(expr) == dump(BinOp(op1, a, BinOp(op2, b, c)))
         assert (expr.start, expr.end) == (0, len(source))
         _assert_binop_spans_cover_operands(expr)
 
     def test_unary_minus_applies_to_map_access(self):
         expr = expression("-a[:k]")
-        assert expr == UnaryOp("-", MapAccess(Var("a"), MapKey("atom", "k")))
+        assert dump(expr) == dump(UnaryOp("-", MapAccess(Var("a"), MapKey("atom", "k"))))
         assert (expr.start, expr.end) == (0, 6)
 
     def test_not_binds_tighter_than_and(self):
-        assert expression("not a and b") == BinOp("and", UnaryOp("not", Var("a")), Var("b"))
+        assert dump(expression("not a and b")) == \
+            dump(BinOp("and", UnaryOp("not", Var("a")), Var("b")))
 
     def test_unary_minus_nests(self):
         expr = expression("- - a")
-        assert expr == UnaryOp("-", UnaryOp("-", Var("a")))
+        assert dump(expr) == dump(UnaryOp("-", UnaryOp("-", Var("a"))))
         assert (expr.operand.start, expr.operand.end) == (2, 5)
 
     def test_string_with_operator_text_is_not_an_operator(self):
@@ -248,7 +249,7 @@ class TestOperatorTable:
     ], ids=["group-check", "call-argument", "map-key", "if"])
     def test_string_or_atom_that_spells_a_symbol_is_no_symbol(self, source, expected):
         # Such a token keeps kind `string` or `atom`, so no kind test takes it for the symbol.
-        assert expression(source) == expected
+        assert dump(expression(source)) == dump(expected)
 
 
 @pytest.mark.parametrize("source, message, span", [
@@ -331,7 +332,7 @@ def test_duplicate_keys_name_a_value_map_and_a_map_type(source, message, span):
 class TestNesting:
     def test_hundred_nested_parentheses(self):
         program = parse_program("x = " + "(" * 100 + "1" + ")" * 100)
-        assert program.items[0] == Match(Var("x"), IntLit(1))
+        assert dump(program.items[0]) == dump(Match(Var("x"), IntLit(1)))
 
     def test_hundred_element_cons_list(self):
         cons = "[]"
@@ -365,7 +366,7 @@ class TestNesting:
 
     def test_limit_is_the_module_constant(self):
         depth = MAX_NESTING - 1
-        assert expression("(" * depth + "1" + ")" * depth) == IntLit(1)
+        assert dump(expression("(" * depth + "1" + ")" * depth)) == dump(IntLit(1))
         depth = MAX_NESTING
         with pytest.raises(ParseError, match="nesting too deep") as exc:
             expression("(" * depth + "1" + ")" * depth)
@@ -459,11 +460,11 @@ class TestParseOnce:
 class TestIfDesugaring:
     def test_else_kept(self):
         expr = expression("if c do 1 else 2 end")
-        assert expr == If(Var("c"), IntLit(1), IntLit(2))
+        assert dump(expr) == dump(If(Var("c"), IntLit(1), IntLit(2)))
 
     def test_else_less_if_desugars_to_nil(self):
         expr = expression("if c do 1 end")
-        assert expr == If(Var("c"), IntLit(1), AtomLit("nil"))
+        assert dump(expr) == dump(If(Var("c"), IntLit(1), AtomLit("nil")))
 
     def test_synthetic_else_span_is_the_if_keyword(self):
         source = "y = if c do 1 end"
@@ -475,36 +476,37 @@ class TestIfDesugaring:
 class TestPatterns:
     def test_pin_and_tuple(self):
         expr = expression("{^x, y} = {1, 2}")
-        assert expr.pattern == TupleExpr([PinPattern("x"), Var("y")])
+        assert dump(expr.pattern) == dump(TupleExpr([PinPattern("x"), Var("y")]))
 
     def test_cons_pattern(self):
         expr = expression("[x | _] = l")
-        assert expr.pattern == ConsExpr(Var("x"), Wildcard())
+        assert dump(expr.pattern) == dump(ConsExpr(Var("x"), Wildcard()))
 
     def test_map_pattern(self):
         expr = expression("%{9 => b} = m")
-        assert expr.pattern == syntax.MapExpr([(MapKey("integer", 9), Var("b"))])
+        assert dump(expr.pattern) == dump(syntax.MapExpr([(MapKey("integer", 9), Var("b"))]))
 
     def test_duplicate_map_pattern_keys_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             expression("%{9 => a, 9 => b} = m")
 
     def test_wildcards_and_pins_inside_patterns(self):
-        assert expression("{_, y} = t").pattern == TupleExpr([Wildcard(), Var("y")])
-        assert expression("{1, ^y} = t").pattern == \
-            TupleExpr([IntLit(1), PinPattern("y")])
+        assert dump(expression("{_, y} = t").pattern) == dump(TupleExpr([Wildcard(), Var("y")]))
+        assert dump(expression("{1, ^y} = t").pattern) == \
+            dump(TupleExpr([IntLit(1), PinPattern("y")]))
         expr = expression("case t do\n{^x, _} -> 1\n[_ | ^y] -> 2\n_ -> 3\nend")
-        assert [clause.pattern for clause in expr.clauses] == [
+        assert [dump(clause.pattern) for clause in expr.clauses] == list(map(dump, [
             TupleExpr([PinPattern("x"), Wildcard()]),
             ConsExpr(Wildcard(), PinPattern("y")),
             Wildcard(),
-        ]
+        ]))
 
     def test_cond_clause_body_of_several_statements(self):
         expr = expression("cond do\nx -> a = 1\nb = a\nb\ntrue -> 2\nend")
-        assert [clause.cond for clause in expr.clauses] == [Var("x"), syntax.BoolLit(True)]
-        assert expr.clauses[0].body == Seq(
-            Match(Var("a"), IntLit(1)), Seq(Match(Var("b"), Var("a")), Var("b")))
+        assert [dump(clause.cond) for clause in expr.clauses] == \
+            list(map(dump, [Var("x"), syntax.BoolLit(True)]))
+        assert dump(expr.clauses[0].body) == dump(Seq(
+            Match(Var("a"), IntLit(1)), Seq(Match(Var("b"), Var("a")), Var("b"))))
 
     def test_pattern_is_the_parsed_expression(self):
         """Every pattern position holds the expression node that was parsed,
@@ -521,7 +523,7 @@ class TestPatterns:
             (match.pattern, "[h | t]", ConsExpr(Var("h"), Var("t"))),
         ]
         for pattern, text, expected in positions:
-            assert pattern == expected
+            assert dump(pattern) == dump(expected)
             assert source[pattern.start:pattern.end] == text
             stack = [pattern]
             while stack:
@@ -657,7 +659,7 @@ class TestPrograms:
 
     def test_def_params_are_patterns(self):
         program = parse_program("def fact(0) do 1 end")
-        assert program.items[0].params == [IntLit(0)]
+        assert list(map(dump, program.items[0].params)) == [dump(IntLit(0))]
 
     @pytest.mark.parametrize("source, col", [
         ("x = 1 y = 2", 7), ('a "+" b', 3), ("x = 1 def f() do 1 end", 7),
@@ -775,7 +777,7 @@ class TestSpansAndRoundTrip:
     def test_pretty_print_reparses_to_equal_ast(self, path):
         first = parse_program(path.read_text(), path=path.name)
         second = parse_program(printer.source(first), path=path.name)
-        assert first == second
+        assert dump(first) == dump(second)
 
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_nodes_are_slotted(self, path):
@@ -788,7 +790,7 @@ class TestSpansAndRoundTrip:
     @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
     def test_parse_is_deterministic(self, path):
         source = path.read_text()
-        assert parse_program(source) == parse_program(source)
+        assert dump(parse_program(source)) == dump(parse_program(source))
 
 
 NODE_CLASSES = [value for value in vars(syntax).values()
@@ -797,8 +799,9 @@ NODE_CLASSES = [value for value in vars(syntax).values()
 
 class TestNodeContract:
     """What every node class shares through `Node`: fields derived from its
-    `__slots__`, `Node.__eq__` and `Record.__repr__`, and the
-    `__dataclass_fields__` that perfbench's traced node count reads."""
+    `__slots__`, `Record`'s `__eq__` and `__repr__`, no hash, and the
+    `__dataclass_fields__` that perfbench's traced node count reads. Tests
+    that compare trees but not their offsets compare their `dump`s."""
 
     def test_syntax_defines_only_nodes(self):
         defined = [value for value in vars(syntax).values()
@@ -810,10 +813,9 @@ class TestNodeContract:
 
     @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
     def test_eq_and_repr_come_from_node_except_on_program(self, cls):
-        # `Program` has its own `__eq__`, but its repr is `Record`'s too.
-        shared = cls is not syntax.Program
-        assert (cls.__eq__ is syntax.Node.__eq__, cls.__repr__ is syntax.Node.__repr__) == \
-            (shared, True)
+        # No node class overrides either, `Program` included; the name is
+        # kept so that the test's ids stay stable.
+        assert (cls.__eq__, cls.__repr__) == (types.Record.__eq__, types.Record.__repr__)
 
     @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
     def test_fields_are_the_offsets_then_the_match_args(self, cls):
@@ -829,9 +831,10 @@ class TestNodeContract:
         assert [f.name for f in dataclasses.fields(IntLit)] == ["start", "end", "value"]
         assert [f.name for f in dataclasses.fields(IntLit(5))] == ["start", "end", "value"]
 
-    def test_equality_ignores_offsets(self):
-        assert IntLit(5, 0, 1) == IntLit(5, 7, 9)
-        assert BinOp("+", IntLit(1, 0, 1), Var("x", 4, 5), 0, 5) == BinOp("+", IntLit(1), Var("x"))
+    def test_equality_compares_offsets(self):
+        assert IntLit(5, 7, 9) == IntLit(5, 7, 9)
+        assert IntLit(5, 0, 1) != IntLit(5, 7, 9)
+        assert BinOp("+", IntLit(1, 0, 1), Var("x", 4, 5), 0, 5) != BinOp("+", IntLit(1), Var("x"))
         assert IntLit(5) != IntLit(6)
         assert Call(("M",), "f", [IntLit(1)]) != Call(("N",), "f", [IntLit(1)])
 
@@ -839,10 +842,8 @@ class TestNodeContract:
         assert IntLit(1) != syntax.FloatLit(1.0)
         assert Var("x") != PinPattern("x")
         assert IntLit(1).__eq__(1) is NotImplemented
-
-    def test_program_equality_ignores_its_path(self):
-        assert parse_program("x = 1", path="a.ex") == parse_program("x = 1\n", path="b.ex")
-        assert parse_program("x = 1") != parse_program("x = 2")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(IntLit(5))
 
     def test_repr_is_the_dataclass_form(self):
         assert repr(IntLit(5)) == "IntLit(start=0, end=0, value=5)"
