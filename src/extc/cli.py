@@ -484,11 +484,8 @@ def _work(files: list[str], batch: list[int], render, reader, writer) -> None:
 
         _send(writer, _blocks(_check(files, batch, swap)[1], render))
         status = 0
-    except BaseException as err:  # reported, for the parent to raise; the worker ends anyway
-        try:
-            _send(writer, _traceback(err))
-        except OSError:  # the parent has gone
-            pass
+    except BaseException as err:  # reported, for the parent to raise
+        _send(writer, _traceback(err))  # should this fail too, `finally` still ends the worker
     finally:
         os._exit(status)
 

@@ -14,17 +14,6 @@ def extend(env: dict[str, Type], added: dict[str, Type]) -> dict[str, Type]:
     return {**env, **added} if added else env
 
 
-def sibling_bindings(env: dict[str, Type], earlier: dict[str, Type],
-                     later: dict[str, Type]) -> dict[str, Type]:
-    """What two siblings synthesized in `env` add to it, `earlier` then `later`:
-    the bindings `extend(extend(env, earlier), extend(env, later))` adds. So an
-    outer name that only `earlier` rebinds gets its `env` type back."""
-    if not earlier:
-        return later
-    kept = {name: t for name, t in earlier.items() if name not in env}
-    return {**kept, **later} if kept else later
-
-
 def qualify(prefix: tuple[str, ...], name: str) -> str:
     """Dot-joined qualified name; the empty prefix qualifies as the bare name."""
     return ".".join((*prefix, name))

@@ -4,10 +4,10 @@ An expression is synthesized in an environment and leaves one behind, but no
 construct copies the environment to say so: each returns its type and the
 bindings it adds (new names and rebindings, usually none). Siblings - tuple,
 map and cons items, call arguments and binary operands - are each synthesized
-in the incoming environment, and combine as their whole environments united
-right-biased would: a name the incoming environment holds takes its type from
-the last sibling, which restores it unless that sibling rebinds it. A sequence
-threads its scope; control structures keep branch bindings local.
+in the incoming environment, and their bindings unite right-biased through
+`extend`, as every construct's do: a later sibling's binding of a name wins,
+and an earlier one holds after them. A sequence threads its scope; control
+structures keep branch bindings local.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .diagnostics import (
     CheckFailure, Diagnostic, E_ARITY, E_NOT_FUNCTION, E_TYPE_MISMATCH,
     E_UNBOUND_VAR, E_UNKNOWN_KEY, W_UNREACHABLE_PATTERN,
 )
-from .envs import SignatureEnv, extend, qualify, sibling_bindings
+from .envs import SignatureEnv, extend, qualify
 from .patterns import CASE, MATCH, check_case_pattern, check_pattern, literal_type, natural_type
 from .types import (
     ANY, BOOLEAN, FLOAT, FunctionType, ListType, MapType, NONE, STRING,
@@ -123,7 +123,7 @@ class ExprChecker:
         value_t, added = self.synthesize(expr.value, env)
         bindings: dict = {}  # not `added`, whose names the pattern may rebind at any type
         check_pattern(expr.pattern, value_t, env, bindings, MATCH)
-        return value_t, {**added, **bindings} if added else bindings
+        return value_t, extend(added, bindings)
 
     def _seq(self, expr, env: dict):
         # A loop, so a body's length is not bounded by the recursion limit.
@@ -192,7 +192,7 @@ class ExprChecker:
         result, added = self.synthesize(expr, env)
         for node in reversed(chain):
             right_t, right_added = self.synthesize(node.right, env)
-            added = sibling_bindings(env, added, right_added)
+            added = extend(added, right_added)
             result = self._binop_type(node, result, right_t)
         return result, added
 
@@ -269,7 +269,7 @@ class ExprChecker:
                     f"argument of type {t} does not fit parameter type {params[i]}{callee}",
                     item, expected=str(params[i]), actual=str(t))
             item_types.append(t)
-            added = sibling_bindings(env, added, item_added)
+            added = extend(added, item_added)
         return item_types, added
 
 

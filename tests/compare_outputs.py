@@ -291,7 +291,8 @@ def export(revision: str, into: Path) -> Path:
     archive = subprocess.run(["git", "archive", revision, "src"], cwd=ROOT,
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into)
+        # The "data" filter, Python 3.14's default; older tarfiles may lack filters.
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return into / "src"
 
 

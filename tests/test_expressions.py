@@ -213,6 +213,16 @@ class TestControlStructures:
         assert synth_type("cond do (z = 1) > 0 -> z end") == INTEGER
 
 
+class TestCaseJoin:
+    """A `case` has the join of its bodies' types, not the first body's."""
+
+    def test_unrelated_bodies_join_to_term(self):
+        assert synth_type('case b do true -> 1; false -> "s" end', {"b": BOOLEAN}) == TERM
+
+    def test_numeric_bodies_join_to_float(self):
+        assert synth_type("case b do true -> 1; false -> 2.5 end", {"b": BOOLEAN}) == FLOAT
+
+
 class TestSiblingIndependence:
     def test_binop_right_does_not_see_left_bindings(self):
         assert failure("(x = 3) + x").code == "E_UNBOUND_VAR"
@@ -353,21 +363,28 @@ class TestGradualMonotonicity:
 
 
 class TestSiblingRevert:
-    """Siblings unite their whole environments right-biased, so a later
-    sibling that binds nothing gives an outer name that an earlier sibling
-    rebound its outer type back. Elixir keeps the rebinding; this pins the
-    checker's rule as it stands."""
+    """No sibling reverts an outer name to its old type: as in Elixir, a
+    rebinding in a sibling holds after the siblings unless a later sibling
+    rebinds the name, since siblings unite what they bind right-biased."""
 
-    @pytest.mark.parametrize("statement", [
-        '{x = "a", 1}', '(x = "a") <> "b"', 'f(x = "a", 1)', '[x = "a" | []]',
-    ])
-    def test_a_later_sibling_restores_an_outer_name(self, statement):
-        mismatch = failure(f'x = 1; {statement}; x <> "b"')
-        assert (mismatch.code, mismatch.message) == (
-            "E_TYPE_MISMATCH", "expression has type integer, expected string")
+    EARLIER = ['{x = "a", 1}', '(x = "a") <> "b"', 'f(x = "a", 1)', '[x = "a" | []]',
+               '%{:k => (x = "a"), :j => 1}']
+
+    @pytest.mark.parametrize("statement", EARLIER)
+    def test_an_earlier_sibling_keeps_its_rebinding(self, statement):
+        assert synth_type(f'x = 1; {statement}; x <> "b"') == STRING
 
     def test_the_last_sibling_keeps_its_rebinding(self):
         assert synth_type('x = 1; {1, x = "a"}; x <> "b"') == STRING
+
+    @pytest.mark.parametrize("statement", [*EARLIER, '{1, x = "a"}'])
+    def test_the_outer_type_is_gone_after_a_rebinding(self, statement):
+        mismatch = failure(f"x = 1; {statement}; x + 1")
+        assert (mismatch.code, mismatch.message) == (
+            "E_TYPE_MISMATCH", "expression has type string, expected float")
+
+    def test_a_later_sibling_wins(self):
+        assert synth_type('x = 1; {x = "a", x = 2.5}; x') == FLOAT
 
 
 class TestScopesAreNotShared:
