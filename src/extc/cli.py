@@ -18,7 +18,8 @@ fails, and the other stream still gets its own.
 more than one CPU and at least twice `BATCH_MIN_BYTES` of input. The files
 go into one batch per CPU, but no more batches than `BATCH_MIN_BYTES` go
 into the input, dealt by size, each batch in command-line order. A worker
-is forked for each batch but one before any file is read. Each process
+is forked for each batch but one before any file is read: `_check_all` is
+the parent's side, and `_work` a worker's whole life. Each process
 lexes, parses and checks only its own batch. In between, the processes
 swap the declarations of their files (`signatures.declarations`), each
 with its type packed (`types.pack`), and `collect` gives each process the
@@ -258,16 +259,21 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _write(stream, text: str | None) -> None:
-    """Print `text` to `stream`, or flush it when `text` is None. A stream
-    that was closed at start is None: writing to it fails as writing to a
-    closed descriptor does, and it has nothing to flush."""
+    """Print `text` to `stream`, each character its encoding lacks as a
+    backslash escape, or flush it when `text` is None. A stream that was
+    closed at start is None: writing to it fails as writing to a closed
+    descriptor does, and it has nothing to flush."""
     if text is None:
         if stream is not None:
             stream.flush()
     elif stream is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     else:
-        print(text, file=stream)
+        try:
+            print(text, file=stream)
+        except UnicodeEncodeError:  # raised before any of `text` is written
+            escaped = text.encode(stream.encoding, "backslashreplace")
+            print(escaped.decode(stream.encoding), file=stream)
 
 
 def _write_failed(err: OSError, status: int, stream) -> int:
@@ -359,17 +365,28 @@ def _blocks(diags: list[Diagnostic], render) -> list[tuple[str, str, list[str]]]
 
 def _check_all(files: list[str], render):
     """The signatures, and `_blocks` of the diagnostics, of every file: checked
-    in this process alone, or split into batches of which this process checks
-    the lightest and a forked worker each other. Each process renders its
-    own files' diagnostics."""
+    here alone, or split into batches of which this process, the parent,
+    checks the lightest and a worker forked into `_work` each other. Each
+    process renders its own files' diagnostics."""
     batches = _batches(files)
     workers = []  # (pid, reader, writer): the pid and this side's pipe ends
     try:
         for batch in batches[1:]:
+            pipes = []
             try:
-                workers.append(_fork(files, batch, render, workers))
+                pipes += os.pipe()  # from the worker
+                pipes += os.pipe()  # to the worker
+                pid = os.fork()
             except OSError:  # no process or pipe to spare: check the batch here
+                for fd in pipes:
+                    os.close(fd)
                 batches[0] = sorted(batches[0] + batch)
+                continue
+            if pid == 0:
+                _work(files, batch, render, workers, pipes)  # which never returns
+            os.close(pipes[1])
+            os.close(pipes[2])
+            workers.append((pid, os.fdopen(pipes[0], "rb"), os.fdopen(pipes[3], "wb")))
 
         def swap(declared):
             for _, reader, _ in workers:
@@ -444,40 +461,20 @@ def _size(name: str) -> int:
         return 0
 
 
-def _fork(files: list[str], batch: list[int], render, workers: list):
-    """Start a worker that checks the files numbered `batch`: its pid, and
-    this side's ends of a pipe from it and of a pipe to it."""
-    pipes = []
-    try:
-        pipes += os.pipe()  # from the worker
-        pipes += os.pipe()  # to the worker
-        pid = os.fork()
-    except OSError:
-        for fd in pipes:
-            os.close(fd)
-        raise
-    if pid == 0:
-        try:
-            for _, reader, writer in workers:  # the parent's ends of earlier workers' pipes
-                _close(reader, writer)
-            os.close(pipes[0])
-            os.close(pipes[3])
-            _work(files, batch, render, os.fdopen(pipes[2], "rb"), os.fdopen(pipes[1], "wb"))
-        finally:
-            os._exit(1)  # `_work` has exited already, unless closing failed
-    os.close(pipes[1])
-    os.close(pipes[2])
-    return pid, os.fdopen(pipes[0], "rb"), os.fdopen(pipes[3], "wb")
-
-
-def _work(files: list[str], batch: list[int], render, reader, writer) -> None:
-    """A worker's whole life: check `batch`, sending its declarations and then
-    the `_blocks` of its diagnostics through `writer`, or the traceback of
-    what stopped it.
+def _work(files: list[str], batch: list[int], render, workers: list, pipes: list) -> None:
+    """A worker's whole life after the fork: close the parent's ends of `pipes`
+    and of earlier `workers`' pipes, check `batch`, and send its declarations
+    and then the `_blocks` of its diagnostics, or the traceback of what stopped it.
     It ends with `os._exit`, writes nothing to the standard streams, and
     leaves their buffers to the parent."""
     status = 1
     try:
+        for _, *ends in workers:  # the parent's ends of earlier workers' pipes
+            _close(*ends)
+        os.close(pipes[0])
+        os.close(pipes[3])
+        reader, writer = os.fdopen(pipes[2], "rb"), os.fdopen(pipes[1], "wb")
+
         def swap(declared):
             _send(writer, declared)
             return _receive(reader)
@@ -500,6 +497,8 @@ def _close(*streams) -> None:
 
 def _send(stream, value) -> None:
     """Write `value` to `stream` with `marshal`, after its length."""
+    # The length lets `_receive` take the value in one `read`: `marshal.load` on a pipe reads
+    # item by item through `readinto`, 1.3 ms against 0.2 ms for a 14 KB dict on 2 vCPUs.
     data = marshal.dumps(value)
     stream.write(len(data).to_bytes(8, "little"))
     stream.write(data)

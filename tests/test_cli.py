@@ -482,6 +482,33 @@ class TestSplitCheck:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_worker_holds_none_of_the_parents_pipe_ends(self, files, cpus, capsys, monkeypatch):
+        """Before it reads a file, each worker has closed the ends that the
+        parent keeps of every pipe made so far: its own and the earlier
+        workers'. A worker's failed assertion reaches the parent as a
+        `RuntimeError`. Nothing opens a descriptor between the worker's
+        closing and its first `_load`, so no closed number is reused yet."""
+        parent, pipe, load = os.getpid(), os.pipe, cli._load
+        made = []  # each process keeps the pipes made before it forked
+
+        def recording_pipe():
+            made.append(pipe())
+            return made[-1]
+
+        def loading(name):
+            if os.getpid() != parent:
+                for k, ends in enumerate(made):  # the parent reads from a worker, then writes to it
+                    with pytest.raises(OSError) as closed:
+                        os.fstat(ends[k % 2])
+                    assert closed.value.errno == errno.EBADF
+            return load(name)
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(cli, "_load", loading)
+        forks = cpus(3)
+        assert invoke(capsys, "check", files)[0] == 2
+        assert (len(forks), len(made)) == (2, 4)
+
     @pytest.mark.parametrize("call, count, error, forked", [
         ("fork", 3, errno.EAGAIN, 1), ("pipe", 2, errno.EMFILE, 0),
     ], ids=["fork", "pipe"])
@@ -1005,6 +1032,44 @@ class TestOutputErrors:
                 assert run(["check", str(CORPUS_DIR)]) == 2
         assert len(os.listdir("/proc/self/fd")) == before
         assert capsys.readouterr().err.count("cannot write output") == 5
+
+
+class TestUnencodableOutput:
+    """A character that stdout's encoding lacks is written as a backslash
+    escape, as Python's own stderr writes it; the rest keeps its bytes."""
+
+    def test_a_character_outside_the_encoding(self, tmp_path, monkeypatch):
+        (tmp_path / "e.ex").write_text('x = "é" + 1\n', encoding="utf-8")
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        proc = fresh_main("check", "e.ex", cwd=tmp_path, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+        assert out == (b'e.ex:1:5 E_TYPE_MISMATCH expression has type string, expected float\n'
+                       b'  1 | x = "\\xe9" + 1\n'
+                       b"          ^^^\n"
+                       b"  expected: float\n"
+                       b"  actual:   string\n")
+
+    def test_a_file_name_that_is_not_utf8(self, tmp_path, capsys, monkeypatch):
+        """The name is spelled as `--format json` spells it."""
+        try:
+            (tmp_path / os.fsdecode(b"bad\xff.ex")).write_text("x = 1 + :a\n")
+        except (OSError, UnicodeError):
+            pytest.skip("the file system takes no such name")
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8")
+        proc = fresh_main("check", ".", cwd=tmp_path, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+        assert out == (b"bad\\udcff.ex:1:9 E_TYPE_MISMATCH expression has type :a, expected float\n"
+                       b"  1 | x = 1 + :a\n"
+                       b"              ^^\n"
+                       b"  expected: float\n"
+                       b"  actual:   :a\n")
+        monkeypatch.chdir(tmp_path)
+        _, json_out, _ = invoke(capsys, "check", ".", "--format", "json")
+        assert '"bad\\udcff.ex"' in json_out
 
 
 def _closing(fd):
