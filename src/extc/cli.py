@@ -21,10 +21,10 @@ into the input, dealt by size, each batch in command-line order. A worker
 is forked for each batch but one before any file is read: `_check_all` is
 the parent's side, and `_work` a worker's whole life. Each process
 lexes, parses and checks only its own batch. In between, the processes
-swap the declarations of their files (`signatures.declarations`), each
-with its type packed (`types.pack`), and `collect` gives each process the
-same signatures from every file's declarations in command-line order, with
-the `E_DUP_SPEC` and `W_SPEC_NO_DEF` of its own files. Each process then
+swap the declarations of their files (`signatures.declarations`), which
+are `marshal` data as they are, and `collect` unpacks every file's into
+the same signatures in each process, in command-line order, with the
+`E_DUP_SPEC` and `W_SPEC_NO_DEF` of its own files. Each process then
 sorts and renders the diagnostics of its own files, as text or JSON, in
 one block per file, with the colour this process chose before it forked.
 A worker sends `(file, block, codes)` for each of its files, and exits
@@ -34,7 +34,7 @@ workers', then joins all blocks in file order: every diagnostic of a file
 comes from the process that loaded it, so that is the order of
 `sort_diagnostics`, and the output does not depend on the split. The codes
 give the summary and the exit status. A check in one process is a split
-with one batch and no swap.
+with one batch, whose swap hands its declarations back.
 """
 from __future__ import annotations
 
@@ -46,14 +46,13 @@ import sys
 
 from .checker import check_programs
 from .diagnostics import (
-    Diagnostic, E_LEX, E_PARSE, Source, Span, json_document, json_entry, render_text,
+    Diagnostic, E_LEX, E_PARSE, Source, Span, escaped, json_document, json_entry, render_text,
     sort_diagnostics,
 )
 from .lexer import LexError
 from .parser import RECURSION_LIMIT, ParseError, parse_program
 from .signatures import collect, declarations
 from .syntax import Program, dump
-from .types import pack, unpack
 
 # Fewest bytes of input per process in a split check: a check of N bytes
 # uses at most N // BATCH_MIN_BYTES processes. Measured on 2 CPUs in fresh
@@ -177,7 +176,7 @@ def _ex_files(top: str) -> list[str]:
     symlinked directories not descended, and entries that are not files dropped."""
     prefix = "" if top == "." else top if top.endswith("/") else top + "/"
     found = []
-    stack = [((), top)]
+    stack = [((), top)]  # not `os.walk`, which recurses once per level before Python 3.12
     while stack:
         parts, directory = stack.pop()
         try:
@@ -272,8 +271,7 @@ def _write(stream, text: str | None) -> None:
         try:
             print(text, file=stream)
         except UnicodeEncodeError:  # raised before any of `text` is written
-            escaped = text.encode(stream.encoding, "backslashreplace")
-            print(escaped.decode(stream.encoding), file=stream)
+            print(escaped(text, stream.encoding), file=stream)
 
 
 def _write_failed(err: OSError, status: int, stream) -> int:
@@ -306,7 +304,8 @@ def _run_check(args) -> tuple[int, list]:
         render = json_entry, ",\n"
     else:
         color = not args["no_color"] and sys.stdout is not None and sys.stdout.isatty()
-        render = (lambda d: render_text(d, color)), "\n"
+        encoding = getattr(sys.stdout, "encoding", None)  # None: closed at start
+        render = (lambda d: render_text(d, color, encoding)), "\n"
     sigs, blocks = _check_all(files, render)
     blocks.sort()  # by file: all diagnostics of a file come from the process that loaded it
     rendered = render[1].join(block for _, block, _ in blocks)
@@ -328,11 +327,11 @@ def _run_check(args) -> tuple[int, list]:
     return (1 if errors or args["strict_warnings"] and warnings else 0), output
 
 
-def _check(files: list[str], mine, swap=None):
+def _check(files: list[str], mine, swap):
     """Load the files numbered `mine`, in order, and check them against the
     signatures of all `files`: the signatures, and the diagnostics of `mine`.
-    `swap`, given the packed declarations of `mine` by number, returns those
-    of every file that parsed; without it, `mine` is every file."""
+    `swap`, given the declarations (`marshal` data, which `collect` unpacks)
+    of `mine` by number, returns those of every file that parsed."""
     programs, diags = {}, []
     for i in mine:
         loaded = _load(files[i])
@@ -340,13 +339,7 @@ def _check(files: list[str], mine, swap=None):
             diags.append(loaded)
         else:
             programs[i] = loaded
-    declared = {i: declarations(program) for i, program in programs.items()}
-    if swap:  # a declaration crosses with its type packed
-        sent = {i: [(p, n, pack(t), s, e, d) for p, n, t, s, e, d in found]
-                for i, found in declared.items()}
-        for i, found in swap(sent).items():
-            if i not in declared:
-                declared[i] = [(p, n, unpack(t), s, e, d) for p, n, t, s, e, d in found]
+    declared = swap({i: declarations(program) for i, program in programs.items()})
     sigs, sig_diags = collect([(programs.get(i), declared[i]) for i in sorted(declared)])
     return sigs, diags + check_programs(list(programs.values()), (sigs, sig_diags))
 
@@ -395,7 +388,7 @@ def _check_all(files: list[str], render):
                 _send(writer, declared)
             return declared
 
-        sigs, diags = _check(files, batches[0], swap if workers else None)
+        sigs, diags = _check(files, batches[0], swap)
         blocks = _blocks(diags, render)  # while the workers render theirs
         for _, reader, _ in workers:
             blocks += _receive(reader)
@@ -536,7 +529,7 @@ def _run_parse(args) -> tuple[int, list]:
         return 3, [(sys.stderr, f"extc: error: no such file: {args['path']}")]
     parsed = _load(path)
     if isinstance(parsed, Diagnostic):
-        return 2, [(sys.stderr, render_text(parsed))]
+        return 2, [(sys.stderr, render_text(parsed, False, getattr(sys.stderr, "encoding", None)))]
     return 0, [(sys.stdout, dump(parsed))]
 
 

@@ -135,18 +135,23 @@ def _ends(span: Span) -> tuple[int, int, int, int]:
     return (*span.source.position(span.start), *span.source.position(span.end))
 
 
-def _under(text: str, mark: str) -> str:
-    """`mark` for each character of `text` but a tab, which stays a tab, so
-    that a terminal widens the line and the marks under it alike."""
-    return "\t".join([mark * len(part) for part in text.split("\t")])
+def escaped(text: str, encoding: str | None) -> str:
+    """`text` with each character that `encoding`, if any, lacks as a backslash escape."""
+    return text if encoding is None else text.encode(encoding, "backslashreplace").decode(encoding)
 
 
-def render_text(diag: Diagnostic, color: bool = False) -> str:
+def _under(text: str, mark: str, encoding: str | None) -> str:
+    """`mark` for each character of `text` as `escaped` writes it but a tab, which
+    stays a tab, so that a terminal widens the line and the marks under it alike."""
+    return "\t".join([mark * len(part) for part in escaped(text, encoding).split("\t")])
+
+
+def render_text(diag: Diagnostic, color: bool = False, encoding: str | None = None) -> str:
     """One-line header plus a caret-underlined excerpt of the line the span
     starts on, which its `Source` gives; a span past the last line has none.
-    The caret line keeps the excerpt's own tabs, with a space under any other
-    character before the span and at least one caret under the span, or
-    under the rest of the line if the span goes on past it."""
+    The caret line keeps the excerpt's own tabs, with a space under each other
+    character before the span, as `escaped` writes it in `encoding`, and at least
+    one caret under the span, or under the rest of the line if the span goes on past it."""
     code = diag.code
     if color:
         code = _COLORS[diag.severity] + code + _RESET
@@ -156,10 +161,10 @@ def render_text(diag: Diagnostic, color: bool = False) -> str:
     if text is not None:
         gutter = f"  {line} | "
         rest = end_line != line  # the span goes on past this line
-        carets = _under(text[col - 1:] if rest else text[col - 1:end_col - 1], "^")
+        carets = _under(text[col - 1:] if rest else text[col - 1:end_col - 1], "^", encoding)
         if "^" not in carets:
             carets += "^"
-        pad = _under(text[:col - 1], " ")
+        pad = _under(text[:col - 1], " ", encoding)
         lines += [gutter + text, " " * len(gutter) + pad + carets + (" ..." if rest else "")]
     if diag.expected is not None:
         lines.append(f"  expected: {diag.expected}")

@@ -147,6 +147,8 @@ PATTERNS = [
     "[a | [b | []]] = [1 | [2 | []]]; %{:k => {c, _}} = %{:k => {a, b}}",
     "{a, b} = [1 | []]",
     "{x, x} = {1, 2.5}",
+    # an inner list's element reaches the outer list's `fn` parameter type
+    "g = fn ([h | [1 | []]]) -> h end; g + 1",
 ]
 
 # One-line files in which a statement sequence ends on each of its ends, or
@@ -192,6 +194,9 @@ TYPES = [
     "@spec k((string) -> integer, (integer) -> integer) :: (none) -> integer; "
     "def k(f, g) do if true do f else g end end",
     "@spec k(((integer) -> integer) -> integer) :: integer; def k(h) do h.(fn (x) -> x end) end",
+    # functions of two arities do not fit each other
+    "@spec ap((integer, integer) -> integer) :: integer; def ap(f) do f.(1, 2) end; "
+    "ap(fn (x) -> x end)",
     # map: width in `fits`, the shared keys in a join
     "@spec m(%{:a => integer}) :: integer; def m(x) do x[:a] end; m(%{:a => 1, :b => 2.5})",
     "@spec k(%{:a => integer, :b => string}, %{:a => float}) :: %{:b => string}; "

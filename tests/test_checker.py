@@ -119,6 +119,14 @@ def length([head | tail]) do 1 + length(tail) end
         assert errors_of("@spec f(integer, [integer]) :: integer\n"
                          "def f(x, [y | _]) do x + y end") == []
 
+    def test_a_function_argument_of_another_arity(self):
+        diags = check("@spec ap((integer, integer) -> integer) :: integer\n"
+                      "def ap(f) do f.(1, 2) end\nap(fn (x) -> x end)\n")
+        assert [(d.code, d.span.source.position(d.span.start)) for d in diags] == [
+            ("E_TYPE_MISMATCH", (3, 4))]
+        assert diags[0].message.startswith("argument of type (any) -> any does not fit "
+                                           "parameter type (integer, integer) -> integer")
+
     def test_each_clause_checked_against_the_single_spec(self):
         diags = check("""
 @spec f(integer) :: integer

@@ -725,6 +725,24 @@ class TestFileDiscovery:
         assert code == 1
         assert _files_reported(out) == [str(tmp_path / ".h.ex"), str(tmp_path / ".hid" / "a.ex")]
 
+    def test_a_deep_tree_is_walked_without_recursion(self, tmp_path):
+        """A directory 300 levels down is found with room for only 100 more
+        frames on the stack: before Python 3.12, `os.walk` would take a frame
+        per level."""
+        deep = tmp_path.joinpath(*["d"] * 300)
+        deep.mkdir(parents=True)
+        (deep / "a.ex").write_text("1\n")
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            found = cli._ex_files(str(tmp_path))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found == [str(deep / "a.ex")]
+
 
 class TestDeterminism:
     def test_text_output_byte_identical(self, capsys):
@@ -1036,20 +1054,39 @@ class TestOutputErrors:
 
 class TestUnencodableOutput:
     """A character that stdout's encoding lacks is written as a backslash
-    escape, as Python's own stderr writes it; the rest keeps its bytes."""
+    escape, as Python's own stderr writes it; the rest keeps its bytes. The
+    caret line has as many spaces or carets under it as its escape has
+    characters, on either stream."""
 
-    def test_a_character_outside_the_encoding(self, tmp_path, monkeypatch):
-        (tmp_path / "e.ex").write_text('x = "é" + 1\n', encoding="utf-8")
+    @staticmethod
+    def _ascii_run(tmp_path, monkeypatch, source: str, *argv) -> tuple[int, bytes, bytes]:
+        (tmp_path / "e.ex").write_text(source, encoding="utf-8")
         monkeypatch.setenv("PYTHONIOENCODING", "ascii")
-        proc = fresh_main("check", "e.ex", cwd=tmp_path, stdout=subprocess.PIPE,
+        proc = fresh_main(*argv, "e.ex", cwd=tmp_path, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE)
         out, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err) == (1, b"")
+        return proc.returncode, out, err
+
+    def test_a_character_outside_the_encoding(self, tmp_path, monkeypatch):
+        status, out, err = self._ascii_run(tmp_path, monkeypatch, 'x = "é" + 1\n', "check")
+        assert (status, err) == (1, b"")
         assert out == (b'e.ex:1:5 E_TYPE_MISMATCH expression has type string, expected float\n'
                        b'  1 | x = "\\xe9" + 1\n'
-                       b"          ^^^\n"
+                       b"          ^^^^^^\n"
                        b"  expected: float\n"
                        b"  actual:   string\n")
+
+    def test_an_escape_before_the_span_widens_the_pad(self, tmp_path, monkeypatch):
+        status, out, err = self._ascii_run(tmp_path, monkeypatch, 'x = {"é", "a" + 1}\n', "check")
+        assert (status, err) == (1, b"")
+        assert out.splitlines()[1:3] == [b'  1 | x = {"\\xe9", "a" + 1}', b" " * 19 + b"^^^"]
+
+    def test_an_escape_on_stderr_widens_the_pad(self, tmp_path, monkeypatch):
+        """`extc parse` writes its error to stderr, which escapes by itself."""
+        status, out, err = self._ascii_run(tmp_path, monkeypatch, 'x = "é" + )\n', "parse")
+        assert (status, out) == (2, b"")
+        assert err == (b"e.ex:1:11 E_PARSE expected an expression, found ')'\n"
+                       b'  1 | x = "\\xe9" + )\n' + b" " * 19 + b"^\n")
 
     def test_a_file_name_that_is_not_utf8(self, tmp_path, capsys, monkeypatch):
         """The name is spelled as `--format json` spells it."""

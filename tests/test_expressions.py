@@ -323,6 +323,10 @@ class TestAnonymousFunctions:
     def test_literal_param(self):
         assert synth_type("fn (0) -> 1 end") == FunctionType((INTEGER,), INTEGER)
 
+    def test_nested_cons_param_types_its_head(self):
+        t = synth_type("fn ([h | [1 | []]]) -> h end")
+        assert t == FunctionType((ListType(INTEGER),), INTEGER)
+
     def test_pin_param_uses_enclosing_scope(self):
         t = synth_type("x = 3; fn (^x, y) -> x + y end")
         assert t == FunctionType((INTEGER, ANY), INTEGER)

@@ -240,6 +240,12 @@ class TestNaturalPatternType:
         assert t == ListType(INTEGER)
         assert gamma == {"rest": ListType(INTEGER)}
 
+    def test_cons_takes_a_nested_tail_element(self):
+        """The element that a literal gives an inner list reaches the outer one."""
+        t, gamma = natural("[h | [1 | []]]")
+        assert t == ListType(INTEGER)
+        assert gamma == {"h": INTEGER}
+
     def test_cons_of_variables(self):
         t, gamma = natural("[x | xs]")
         assert t == ListType(ANY)

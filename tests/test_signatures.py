@@ -6,7 +6,7 @@ from conftest import corpus_files
 from extc import signatures
 from extc.parser import parse_program
 from extc.signatures import collect_all, declarations, scopes
-from extc.types import ANY, FLOAT, FunctionType, INTEGER, pack, unpack
+from extc.types import ANY, FLOAT, FunctionType, INTEGER
 
 
 def collect(source):
@@ -185,11 +185,10 @@ def test_a_split_collection_agrees_with_a_whole_one(held):
     whole, whole_diags = collect_all(programs)
     assert {"E_DUP_SPEC", "W_SPEC_NO_DEF"} <= {d.code for d in whole_diags}
     assert sum(d.code == "E_DUP_SPEC" for d in whole_diags) > 1  # more than err_dup_spec.ex's
-    crossed = [marshal.loads(marshal.dumps([(*d[:2], pack(d[2]), *d[3:])
-                                            for d in declarations(program)]))
-               for program in programs]
-    files = [(program, declarations(program)) if i in held else
-             (None, [(*d[:2], unpack(d[2]), *d[3:]) for d in crossed[i]])
+    declared = [declarations(program) for program in programs]
+    crossed = marshal.loads(marshal.dumps(declared))
+    assert crossed == declared
+    files = [(program, declared[i]) if i in held else (None, crossed[i])
              for i, program in enumerate(programs)]
     env, diags = signatures.collect(files)
     assert env.entries() == whole.entries()
