@@ -35,6 +35,10 @@ comes from the process that loaded it, so that is the order of
 `sort_diagnostics`, and the output does not depend on the split. The codes
 give the summary and the exit status. A check in one process is a split
 with one batch, whose swap hands its declarations back.
+
+Process `k` of a split into `n` (the parent is 0) runs on `mask[k::n]` of
+the parent's sorted CPU mask, which the parent takes back at the end: a
+kernel may keep a forked process on its parent's CPU while another idles.
 """
 from __future__ import annotations
 
@@ -271,7 +275,7 @@ def _write(stream, text: str | None) -> None:
         try:
             print(text, file=stream)
         except UnicodeEncodeError:  # raised before any of `text` is written
-            print(escaped(text, stream.encoding), file=stream)
+            print(escaped(text, stream), file=stream)
 
 
 def _write_failed(err: OSError, status: int, stream) -> int:
@@ -304,8 +308,7 @@ def _run_check(args) -> tuple[int, list]:
         render = json_entry, ",\n"
     else:
         color = not args["no_color"] and sys.stdout is not None and sys.stdout.isatty()
-        encoding = getattr(sys.stdout, "encoding", None)  # None: closed at start
-        render = (lambda d: render_text(d, color, encoding)), "\n"
+        render = (lambda d: render_text(d, color, sys.stdout)), "\n"
     sigs, blocks = _check_all(files, render)
     blocks.sort()  # by file: all diagnostics of a file come from the process that loaded it
     rendered = render[1].join(block for _, block, _ in blocks)
@@ -362,9 +365,11 @@ def _check_all(files: list[str], render):
     checks the lightest and a worker forked into `_work` each other. Each
     process renders its own files' diagnostics."""
     batches = _batches(files)
+    mask = sorted(os.sched_getaffinity(0)) if batches[1:] else []  # the CPUs to share
     workers = []  # (pid, reader, writer): the pid and this side's pipe ends
     try:
-        for batch in batches[1:]:
+        _pin(mask[::len(batches)])
+        for k, batch in enumerate(batches[1:], 1):
             pipes = []
             try:
                 pipes += os.pipe()  # from the worker
@@ -376,7 +381,7 @@ def _check_all(files: list[str], render):
                 batches[0] = sorted(batches[0] + batch)
                 continue
             if pid == 0:
-                _work(files, batch, render, workers, pipes)  # which never returns
+                _work(files, batch, render, workers, pipes, mask[k::len(batches)])  # never returns
             os.close(pipes[1])
             os.close(pipes[2])
             workers.append((pid, os.fdopen(pipes[0], "rb"), os.fdopen(pipes[3], "wb")))
@@ -398,6 +403,7 @@ def _check_all(files: list[str], render):
             _close(reader, writer)
         for pid, _, _ in workers:
             os.waitpid(pid, 0)
+        _pin(mask)
 
 
 def _batches(files: list[str]) -> list[list[int]]:
@@ -454,14 +460,15 @@ def _size(name: str) -> int:
         return 0
 
 
-def _work(files: list[str], batch: list[int], render, workers: list, pipes: list) -> None:
-    """A worker's whole life after the fork: close the parent's ends of `pipes`
-    and of earlier `workers`' pipes, check `batch`, and send its declarations
+def _work(files: list[str], batch: list[int], render, workers: list, pipes: list, cpus: list) -> None:
+    """A worker's whole life after the fork: `_pin` to `cpus`, close the parent's ends of
+    `pipes` and of earlier `workers`' pipes, check `batch`, and send its declarations
     and then the `_blocks` of its diagnostics, or the traceback of what stopped it.
     It ends with `os._exit`, writes nothing to the standard streams, and
     leaves their buffers to the parent."""
     status = 1
     try:
+        _pin(cpus)
         for _, *ends in workers:  # the parent's ends of earlier workers' pipes
             _close(*ends)
         os.close(pipes[0])
@@ -478,6 +485,16 @@ def _work(files: list[str], batch: list[int], render, workers: list, pipes: list
         _send(writer, _traceback(err))  # should this fail too, `finally` still ends the worker
     finally:
         os._exit(status)
+
+
+def _pin(cpus: list[int]) -> None:
+    """Run this process on `cpus`, if any: `mask[k::n]` for process `k` of `n`, as a kernel may keep
+    a forked process on its parent's CPU while another idles. If the call fails, it stays put."""
+    try:
+        if cpus:  # a check in one process makes no call
+            os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no such call, or a CPU missing or not allowed
+        pass
 
 
 def _close(*streams) -> None:
@@ -529,7 +546,7 @@ def _run_parse(args) -> tuple[int, list]:
         return 3, [(sys.stderr, f"extc: error: no such file: {args['path']}")]
     parsed = _load(path)
     if isinstance(parsed, Diagnostic):
-        return 2, [(sys.stderr, render_text(parsed, False, getattr(sys.stderr, "encoding", None)))]
+        return 2, [(sys.stderr, render_text(parsed, False, sys.stderr))]
     return 0, [(sys.stdout, dump(parsed))]
 
 

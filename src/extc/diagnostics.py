@@ -129,28 +129,31 @@ _JSON_ENTRY = (
 
 _COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
 _RESET = "\x1b[0m"
+_REPLACING = ("replace", "ignore", "xmlcharrefreplace", "namereplace", "backslashreplace")  # never raise
 
 
 def _ends(span: Span) -> tuple[int, int, int, int]:
     return (*span.source.position(span.start), *span.source.position(span.end))
 
 
-def escaped(text: str, encoding: str | None) -> str:
-    """`text` with each character that `encoding`, if any, lacks as a backslash escape."""
-    return text if encoding is None else text.encode(encoding, "backslashreplace").decode(encoding)
+def escaped(text: str, stream) -> str:
+    """`text` as `stream`, if any, writes it, or as `cli._write` escapes what the stream refuses."""
+    encoding, errors = getattr(stream, "encoding", None), getattr(stream, "errors", None)
+    errors = errors if errors in _REPLACING else "backslashreplace"
+    return text if encoding is None else text.encode(encoding, errors).decode(encoding)
 
 
-def _under(text: str, mark: str, encoding: str | None) -> str:
+def _under(text: str, mark: str, stream) -> str:
     """`mark` for each character of `text` as `escaped` writes it but a tab, which
     stays a tab, so that a terminal widens the line and the marks under it alike."""
-    return "\t".join([mark * len(part) for part in escaped(text, encoding).split("\t")])
+    return "\t".join([mark * len(part) for part in escaped(text, stream).split("\t")])
 
 
-def render_text(diag: Diagnostic, color: bool = False, encoding: str | None = None) -> str:
+def render_text(diag: Diagnostic, color: bool = False, stream=None) -> str:
     """One-line header plus a caret-underlined excerpt of the line the span
     starts on, which its `Source` gives; a span past the last line has none.
     The caret line keeps the excerpt's own tabs, with a space under each other
-    character before the span, as `escaped` writes it in `encoding`, and at least
+    character before the span, as `escaped` writes it to `stream`, and at least
     one caret under the span, or under the rest of the line if the span goes on past it."""
     code = diag.code
     if color:
@@ -161,10 +164,10 @@ def render_text(diag: Diagnostic, color: bool = False, encoding: str | None = No
     if text is not None:
         gutter = f"  {line} | "
         rest = end_line != line  # the span goes on past this line
-        carets = _under(text[col - 1:] if rest else text[col - 1:end_col - 1], "^", encoding)
+        carets = _under(text[col - 1:] if rest else text[col - 1:end_col - 1], "^", stream)
         if "^" not in carets:
             carets += "^"
-        pad = _under(text[:col - 1], " ", encoding)
+        pad = _under(text[:col - 1], " ", stream)
         lines += [gutter + text, " " * len(gutter) + pad + carets + (" ..." if rest else "")]
     if diag.expected is not None:
         lines.append(f"  expected: {diag.expected}")

@@ -18,9 +18,11 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
   them with the `dense_bodies` seed-1 corpus, a run that is large enough to
   split between processes on a machine with more than one CPU (on two, a
   worker gets the 1,000-element cons list);
-- `check` on each pair of files in `SPLITS`, each file padded with
+- `check` on each set of files in `SPLITS`, each file padded with
   statements past `cli.BATCH_MIN_BYTES`, so that on a machine with more
-  than one CPU a worker holds the larger, `a.ex`, and the parent `b.ex`:
+  than one CPU a worker holds the larger, `a.ex`, and the parent `b.ex`
+  (of three files, on two CPUs the parent holds `a.ex`, and on three or
+  more each process one file, pinned to CPUs of its own):
   - `split`, as text, as JSON and with `--dump-sigs`: the worker holds the
     first `@spec` of `M.f/1`, and the parent holds its repeat and a `@spec`
     with no `def`, so the spec diagnostics rest on declarations from
@@ -29,6 +31,10 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
     worker holds a bad call of `M.f/1` and a `@spec` with no `def`, so every
     diagnostic comes from the worker;
   - `split_clean`, as text and as JSON: no diagnostic at all;
+  - `split_three`, as text, as JSON and with `--dump-sigs`: `c.ex` repeats
+    the `@spec` of `M.f/1` from `a.ex` and calls `N.g/1` from `b.ex`
+    badly, and `b.ex` holds a bad call of `M.f/1` and a `@spec` with no
+    `def`;
 - `check` and `parse` on each of `MALFORMED`, one-line files that between
   them raise every lex and parse error message, from each site that raises
   one, including a `case` and a `cond` whose clauses lack a separator, and
@@ -214,10 +220,11 @@ TYPES = [
     "@spec k(none, [none]) :: {(integer) -> none, [string]}; def k(x, y) do {x, y} end",
 ]
 
-# Pairs of files, `(name, text, padding statements)` each in command-line
-# order, and the option lists each pair is checked with. Each file is over
+# Sets of files, `(name, text, padding statements)` each in command-line
+# order, and the option lists each set is checked with. Each file is over
 # 12,000 bytes (`cli.BATCH_MIN_BYTES`), so that on two CPUs they go to two
-# processes, and the first, the larger, to the worker.
+# processes, and the first of a pair, the larger, to the worker; three files
+# go to three processes where there are three CPUs.
 SPLITS = {
     "split": ([
         ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\nend\n",
@@ -236,6 +243,14 @@ SPLITS = {
          1_600),
         ("b.ex", "y = M.f(1)\n", 1_400),
     ], [[], ["--format", "json"]]),
+    "split_three": ([
+        ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\nend\n",
+         1_600),
+        ("b.ex", "defmodule N do\n  @spec g(integer) :: integer\n  def g(x) do M.f(x) end\n"
+                 "  @spec lonely(atom) :: atom\nend\nM.f(\"bad\")\n", 1_400),
+        ("c.ex", "defmodule M do\n  @spec f(integer) :: float\n  def f(x) do x * 1.0 end\nend\n"
+                 "N.g(:a)\n", 1_300),
+    ], [[], ["--format", "json"], ["--dump-sigs"]]),
 }
 
 

@@ -323,7 +323,10 @@ class TestSplitCheck:
     @pytest.fixture
     def cpus(self, monkeypatch):
         """Sets the CPUs a check may use, with one byte enough for a batch
-        and no cgroup quota; lists the forks each check makes."""
+        and no cgroup quota; lists the forks each check makes. The masks it
+        fakes may name CPUs that the machine lacks: a process pinned to
+        those stays where it was, silently (`cli._pin`). A split restores
+        a faked mask, so this process gets its real one back at the end."""
         forks = []
         fork = os.fork
 
@@ -346,11 +349,15 @@ class TestSplitCheck:
 
         handler = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
+        pin = getattr(os, "sched_setaffinity", None)  # before a test replaces it
+        real = os.sched_getaffinity(0) if pin else None
         try:
             yield use
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, handler)
+            if pin:
+                pin(0, real)
 
     @pytest.mark.parametrize("args", _SPLIT_ARGS, ids=["text", "json", "sigs", "sigs-json"])
     def test_output_does_not_depend_on_the_split(self, args, files, cpus, capsys):
@@ -414,6 +421,71 @@ class TestSplitCheck:
         monkeypatch.setattr(cli, "BATCH_MIN_BYTES", sum(map(len, _SPLIT_FILES.values())) // 2 + 1)
         invoke(capsys, "check", files)
         assert forks == []
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="pinning needs at least two CPUs to share")
+    def test_each_process_checks_on_cpus_of_its_own(self, files, cpus, capsys, monkeypatch,
+                                                    tmp_path):
+        """The processes of a split check on disjoint shares of the real
+        mask, which each records as it checks: a worker to a file, as its
+        list is a copy. The parent has its whole mask back after `run`."""
+        real, parent, check = os.sched_getaffinity, os.getpid(), cli._check
+        mask = real(0)
+        forks = cpus(len(mask))
+        monkeypatch.setattr(os, "sched_getaffinity", real)
+        masks, record = [], tmp_path / "masks"
+
+        def recording_check(*args):
+            now = sorted(os.sched_getaffinity(0))
+            if os.getpid() == parent:
+                masks.append(now)
+            else:
+                with open(record, "a") as out:
+                    out.write(f"{now}\n")
+            return check(*args)
+
+        monkeypatch.setattr(cli, "_check", recording_check)
+        assert invoke(capsys, "check", files)[0] == 2
+        after = os.sched_getaffinity(0)
+        masks += [ast.literal_eval(line) for line in record.read_text().splitlines()]
+        assert len(masks) == len(forks) + 1 == min(len(mask), len(_SPLIT_FILES))
+        assert all(masks) and len({cpu for m in masks for cpu in m}) == sum(map(len, masks))
+        assert after == mask
+
+    @pytest.mark.parametrize("pin", ["refused", "missing"])
+    def test_a_refused_pin_leaves_the_output_alone(self, pin, files, cpus, capsys, monkeypatch):
+        """Where `os.sched_setaffinity` raises, or where the platform lacks
+        it, each process checks where the kernel puts it."""
+        def refusing(pid, cpus):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        if pin == "refused":
+            monkeypatch.setattr(os, "sched_setaffinity", refusing, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        outputs = []
+        for count in (1, 2, 3):
+            forks = cpus(count)
+            outputs.append(invoke(capsys, "check", files))
+            assert len(forks) == count - 1
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_the_parent_pins_its_share_and_then_its_whole_mask(self, files, cpus, capsys,
+                                                               monkeypatch):
+        """The parent, process 0 of 3, runs on CPU 0 of 0-2 until it has
+        reaped its workers; a check that stays in one process pins nothing."""
+        calls = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)),
+                            raising=False)
+        forks = cpus(1)
+        invoke(capsys, "check", files)
+        forks = cpus(3)
+        monkeypatch.setattr(cli, "BATCH_MIN_BYTES", sum(map(len, _SPLIT_FILES.values())) // 2 + 1)
+        invoke(capsys, "check", files)
+        assert forks == [] and calls == []
+        monkeypatch.setattr(cli, "BATCH_MIN_BYTES", 1)
+        invoke(capsys, "check", files)
+        assert len(forks) == 2 and calls == [(0, [0]), (0, [0, 1, 2])]
 
     def test_a_check_beside_another_thread_stays_in_one_process(self, files, cpus, capsys):
         forks = cpus(2)
@@ -1059,9 +1131,10 @@ class TestUnencodableOutput:
     characters, on either stream."""
 
     @staticmethod
-    def _ascii_run(tmp_path, monkeypatch, source: str, *argv) -> tuple[int, bytes, bytes]:
+    def _ascii_run(tmp_path, monkeypatch, source: str, *argv,
+                   encoding="ascii") -> tuple[int, bytes, bytes]:
         (tmp_path / "e.ex").write_text(source, encoding="utf-8")
-        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        monkeypatch.setenv("PYTHONIOENCODING", encoding)
         proc = fresh_main(*argv, "e.ex", cwd=tmp_path, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE)
         out, err = proc.communicate(timeout=60)
@@ -1080,6 +1153,15 @@ class TestUnencodableOutput:
         status, out, err = self._ascii_run(tmp_path, monkeypatch, 'x = {"é", "a" + 1}\n', "check")
         assert (status, err) == (1, b"")
         assert out.splitlines()[1:3] == [b'  1 | x = {"\\xe9", "a" + 1}', b" " * 19 + b"^^^"]
+
+    def test_a_replacing_handler_keeps_the_carets_under_what_it_writes(self, tmp_path,
+                                                                      monkeypatch):
+        """A stream that replaces what it cannot encode, rather than raise,
+        is laid out as it writes: `?` for `é`, under 3 carets."""
+        status, out, err = self._ascii_run(tmp_path, monkeypatch, 'x = "é" + 1\n', "check",
+                                           encoding="ascii:replace")
+        assert (status, err) == (1, b"")
+        assert out.splitlines()[1:3] == [b'  1 | x = "?" + 1', b" " * 10 + b"^^^"]
 
     def test_an_escape_on_stderr_widens_the_pad(self, tmp_path, monkeypatch):
         """`extc parse` writes its error to stderr, which escapes by itself."""
