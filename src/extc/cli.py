@@ -59,13 +59,13 @@ from .signatures import collect, declarations
 from .syntax import Program, dump
 
 # Fewest bytes of input per process in a split check: a check of N bytes
-# uses at most N // BATCH_MIN_BYTES processes. Measured on 2 CPUs in fresh
-# processes, 21-31 alternating pairs each, split in two against one process:
-# the split lost on generated files of 8 and 12 KB in all, was mixed at
-# 17 KB, and won 27 and 28 pairs in 31, by 4-6 ms, at 27 and 33 KB. It lost
-# 1.4 ms on `tests/corpus` (2.2 KB in 34 files) and 2.9 ms on perfbench's
-# probes. More processes than CPUs cost time (see ROADMAP, "Where the time
-# goes"), so the CPUs bound the count too.
+# uses at most N // BATCH_MIN_BYTES processes. Measured on 2 CPUs, in a
+# session where the unpinned split ran in parallel, in fresh processes,
+# 21-31 alternating pairs each, split in two against one: it lost on files
+# of 8 and 12 KB in all, was mixed at 17 KB, and won 27 and 28 pairs in 31,
+# by 4-6 ms, at 27 and 33 KB; it lost 1.4 ms on `tests/corpus` (2.2 KB in 34
+# files) and 2.9 ms on perfbench's probes. More processes than CPUs cost
+# time (ROADMAP, "Where the time goes"), so the CPUs bound the count too.
 BATCH_MIN_BYTES = 12_000
 
 # Where a container reads its cgroup's CPU quota: v2, then v1.
