@@ -46,13 +46,16 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
   statement sequence meets each token that may end it (`else` in an `if`, a
   `def`, `defmodule` or `@spec` after `;` at top level and in a module,
   `end`, and the end of the file), and in which `else` or a declaration
-  stands where no sequence may stop;
+  stands where no sequence may stop; in which a binding made in a tuple
+  item holds for the statement after the tuple; and in which an error's
+  span is a whole parenthesised sequence;
 - `check` and `parse` on each of `TYPES`, one-line files whose `@spec`s
   make `fits`, `join` and the body check meet list, tuple, map and function
   types, `any`, `term` and `none`, with function parameters compared
   contravariantly and joined by their meet;
 - `check --format json` on a one-line file whose lex error message holds
-  `é`, which JSON escapes;
+  `é`, which JSON escapes, and `check` on one whose caret line holds `é`,
+  under `PYTHONIOENCODING=ascii` and `ascii:replace`;
 - usage errors and help (`USAGE_ERRORS`): no command, an unknown one, a
   missing or invalid `--format` value, its `--format=X` form, unknown
   options, missing and extra paths, `-h` and `--help` at either level, and
@@ -182,6 +185,10 @@ SEQUENCES = [
     "if true do 1; def g() do 2 end end", "case 1 do 1 -> 2; @spec f() :: integer end",
     "x = 1 def f() do 2 end", "defmodule M do x = 1 def f() do 2 end end",
     "defmodule M do x = 1; else end",
+    # a binding in a tuple item holds after the tuple, for the statement after it
+    'x = 1; {x = "a", 1}; x <> "b"', 'x = 1; {x = "a", 1}; x + 1',
+    # a parenthesised sequence is the span of an error
+    "if (x = 1; x) do 1 else 2 end", 'y = (a = 1; a) <> "b"',
 ]
 
 # Well-formed one-line files that send list, tuple, map and function types,
@@ -254,8 +261,9 @@ SPLITS = {
 }
 
 
-def invocations(work: Path) -> list[tuple[Path, list[str]]]:
-    """`(directory to run in, argv)` for every run, writing generated inputs under `work`."""
+def invocations(work: Path) -> list[tuple[Path, list[str], dict]]:
+    """`(directory to run in, argv, environment variables it adds)` for every
+    run, writing generated inputs under `work`."""
     runs = []
     files = sorted(p.relative_to(ROOT).as_posix()
                    for folder in ("corpus", "data") for p in (ROOT / "tests" / folder).glob("*.ex"))
@@ -296,11 +304,14 @@ def invocations(work: Path) -> list[tuple[Path, list[str]]]:
             runs += [(work, ["check", name]), (work, ["parse", name])]
     (work / "accent.ex").write_text("x = 1 \u00e9 2\n", encoding="utf-8")
     runs.append((work, ["check", "--format", "json", "accent.ex"]))
-    return runs + [(ROOT, argv) for argv in USAGE_ERRORS]
+    runs = [(cwd, argv, {}) for cwd, argv in runs + [(ROOT, argv) for argv in USAGE_ERRORS]]
+    (work / "caret.ex").write_text('x = "\u00e9" + 1\n', encoding="utf-8")
+    return runs + [(work, ["check", "caret.ex"], {"PYTHONIOENCODING": encoding})
+                   for encoding in ("ascii", "ascii:replace")]
 
 
-def extc(src: Path, cwd: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0", "COLUMNS": "80"}
+def extc(src: Path, cwd: Path, argv: list[str], extra: dict) -> tuple[int, bytes, bytes]:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0", "COLUMNS": "80", **extra}
     proc = subprocess.run([sys.executable, "-S", "-c", "from extc.cli import main; main()", *argv],
                           cwd=cwd, env=env, capture_output=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
@@ -334,11 +345,12 @@ def main(argv: list[str]) -> int:
             old = list(pool.map(lambda run: extc(base, *run), runs))
             new = list(pool.map(lambda run: extc(ROOT / "src", *run), runs))
     differing = 0
-    for (_, args), (old_status, *old_streams), (new_status, *new_streams) in zip(runs, old, new):
+    for (_, args, extra), (old_status, *old_streams), (new_status, *new_streams) in zip(runs, old, new):
         if (old_status, *old_streams) == (new_status, *new_streams):
             continue
         differing += 1
-        print(f"extc {' '.join(args)}: status {old_status} -> {new_status}")
+        print(f"{''.join(f'{k}={v} ' for k, v in extra.items())}extc {' '.join(args)}: "
+              f"status {old_status} -> {new_status}")
         for name, before, after in zip(("stdout", "stderr"), old_streams, new_streams):
             if before != after:
                 print("\n".join(describe(name, before, after)))
