@@ -6,8 +6,8 @@ bindings it adds (new names and rebindings, usually none). Siblings - tuple,
 map and cons items, call arguments and binary operands - are each synthesized
 in the incoming environment, and their bindings unite right-biased through
 `extend`, as every construct's do: a later sibling's binding of a name wins,
-and an earlier one holds after them. A sequence threads its scope; control
-structures keep branch bindings local.
+and an earlier one holds after them. A `Block` threads its scope through its
+statements in order; control structures keep branch bindings local.
 """
 from __future__ import annotations
 
@@ -125,22 +125,18 @@ class ExprChecker:
         check_pattern(expr.pattern, value_t, env, bindings, MATCH)
         return value_t, extend(added, bindings)
 
-    def _seq(self, expr, env: dict):
-        # A loop, so a body's length is not bounded by the recursion limit.
+    def _block(self, expr, env: dict):
         # The scope is copied on the first binding, then updated in place.
         scope, added = env, {}
-        while True:
-            last = type(expr) is not syntax.Seq
-            t, new = self.synthesize(expr if last else expr.first, scope)
+        for statement in expr.exprs:
+            t, new = self.synthesize(statement, scope)
             if new:
                 if scope is env:
                     scope = extend(env, new)
                 else:
                     scope.update(new)
                 added.update(new)
-            if last:
-                return t, added
-            expr = expr.second
+        return t, added
 
     def _if(self, expr, env: dict):
         cond_t, added = self.synthesize(expr.cond, env)
@@ -283,7 +279,7 @@ _SYNTH = {
     syntax.ElistExpr: ExprChecker._elist, syntax.ConsExpr: ExprChecker._cons,
     syntax.MapExpr: ExprChecker._map, syntax.MapAccess: ExprChecker._map_access,
     syntax.UnaryOp: ExprChecker._unary, syntax.BinOp: ExprChecker._binop,
-    syntax.Match: ExprChecker._match, syntax.Seq: ExprChecker._seq,
+    syntax.Match: ExprChecker._match, syntax.Block: ExprChecker._block,
     syntax.If: ExprChecker._if, syntax.Case: ExprChecker._case, syntax.Cond: ExprChecker._cond,
     syntax.Call: ExprChecker._call, syntax.VarCall: ExprChecker._var_call,
     syntax.AnonFn: ExprChecker._anon_fn,

@@ -29,9 +29,9 @@ from . import syntax
 from .diagnostics import CheckFailure, E_PARSE, Span
 from .lexer import Tokens, tokenize
 from .syntax import (
-    AnonFn, AtomLit, BinOp, BoolLit, Call, Case, CaseClause, Cond, CondClause,
-    ConsExpr, ElistExpr, FloatLit, FunctionDef, If, IntLit, MapAccess, MapExpr,
-    Match, ModuleDef, PinPattern, Program, Seq, SpecDecl, StringLit,
+    AnonFn, AtomLit, BinOp, Block, BoolLit, Call, Case, CaseClause, Cond,
+    CondClause, ConsExpr, ElistExpr, FloatLit, FunctionDef, If, IntLit, MapAccess,
+    MapExpr, Match, ModuleDef, PinPattern, Program, SpecDecl, StringLit,
     TupleExpr, UnaryOp, Var, VarCall, Wildcard,
 )
 from .types import (
@@ -161,11 +161,11 @@ class Parser:
 
     def sequence(self, ends: tuple[str, ...] = _ENDS,
                  head_of: Callable | None = None) -> syntax.Expr:
-        """Statements folded into a sequence, up to one that no separator
-        follows, a separator before a token of a kind in `ends` (an `if` adds
-        `else`, `parse_items` the declarations), or a later statement that
-        stops at `->`: the next clause's head, which `head_of(statement, its
-        first token)` accepts as `self.next_head` or rejects."""
+        """A statement, or the `Block` of two or more, up to one that no
+        separator follows, a separator before a token of a kind in `ends` (an
+        `if` adds `else`, `parse_items` the declarations), or a later statement
+        that stops at `->`: the next clause's head, which `head_of(statement,
+        its first token)` accepts as `self.next_head` or rejects."""
         self.skip_separators()
         exprs = [self.settle(self.parse_expr())]
         while self.at_separator():
@@ -176,10 +176,10 @@ class Parser:
             expr = self.parse_expr()
             if head_of is not None and self.at("->"):
                 self.next_head = head_of(expr, start)
-                return _fold_sequence(exprs)
+                return _block(exprs)
             exprs.append(self.settle(expr))
         self.next_head = None
-        return _fold_sequence(exprs)
+        return _block(exprs)
 
     def parse_clauses(self, start: int) -> Case | Cond:
         """`case subject do head -> body ... end` or `cond do ... end`, with a
@@ -420,7 +420,7 @@ class Parser:
             self.pos += 1
             exprs.append(self.parse_expr())
         self.expect(")")
-        return _fold_sequence(exprs)
+        return _block(exprs)
 
     def parse_list(self, start: int) -> syntax.Expr:
         if self.at("]"):
@@ -473,11 +473,9 @@ _PRIMARY = {
 }
 
 
-def _fold_sequence(exprs: list[syntax.Expr]) -> syntax.Expr:
-    result = exprs[-1]
-    for expr in reversed(exprs[:-1]):
-        result = Seq(expr, result, expr.start, result.end)
-    return result
+def _block(exprs: list[syntax.Expr]) -> syntax.Expr:
+    """One statement as itself, two or more as the `Block` of them."""
+    return exprs[0] if len(exprs) == 1 else Block(exprs, exprs[0].start, exprs[-1].end)
 
 
 def parse_program(source, path: str = "<input>") -> Program:

@@ -13,6 +13,11 @@ or map in a pattern `VarPattern`, `TuplePattern` and so on: the output of
 `extc parse` tells a pattern from an expression, and `tests/golden/parse.txt`
 pins those names.
 
+A sequence of two or more statements is one `Block`, as Elixir's quoted form
+holds one in a `__block__`, over its first to its last statement. A single
+statement stands as itself, and a parenthesised `(a; b)` is a `Block` of its
+own. `dump` writes a `Block`'s statements at one depth, side by side.
+
 Each node class names its fields once, in order, in its `__slots__`, and
 takes them and then its offsets positionally, through a plain `__init__`:
 the parser builds a node for every few tokens, and a generated `__init__`
@@ -289,13 +294,13 @@ class Match(Expr):
         self.pattern, self.value, self.start, self.end = pattern, value, start, end
 
 
-class Seq(Expr):
-    """Two statements in order: `first` then `second`."""
+class Block(Expr):
+    """Two or more statements in order, as Elixir's `__block__`."""
 
-    __slots__ = ("first", "second")  # Expr, Expr
+    __slots__ = ("exprs",)  # list[Expr]
 
-    def __init__(self, first, second, start=0, end=0):
-        self.first, self.second, self.start, self.end = first, second, start, end
+    def __init__(self, exprs, start=0, end=0):
+        self.exprs, self.start, self.end = exprs, start, end
 
 
 # --- declarations and programs ----------------------------------------------
@@ -365,7 +370,7 @@ _PATTERN_NAMES = {"Var": "VarPattern", "TupleExpr": "TuplePattern",
 def dump(node: Node) -> str:
     """Readable tree rendering of an AST, one node per line.
 
-    The walk keeps its own stack, so a sequence or operator chain of any
+    The walk keeps its own stack, so an operator or access chain of any
     length dumps; the parser builds those with loops too.
     """
     lines = []

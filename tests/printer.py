@@ -81,8 +81,9 @@ def source(node) -> str:
             return f"fn ({_items(params, pattern_source)}) -> {source(body)} end"
         case s.Match(pattern, value):
             return f"{pattern_source(pattern)} = {_paren(value)}"
-        case s.Seq(first, second):
-            return f"{source(first)}; {source(second)}"
+        case s.Block(exprs):
+            # A statement that is a `Block` itself was a parenthesised group.
+            return "; ".join(_paren(e) if type(e) is s.Block else source(e) for e in exprs)
         case s.SpecDecl(name, params, result):
             return f"@spec {name}({_items(params, str)}) :: {result}"
         case s.FunctionDef(name, params, body):

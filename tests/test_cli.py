@@ -879,8 +879,11 @@ class TestInputsThatUsedToCrash:
         code, out, err = invoke(capsys, "parse", str(path))
         assert code == 0 and err == ""
         assert out.startswith("Program path=")
-        node, count = {"long_body.ex": ("Seq", 1200), "long_sum.ex": ("BinOp", 1499)}[name]
+        node, count = {"long_body.ex": ("Block", 1), "long_sum.ex": ("BinOp", 1499)}[name]
         assert out.count(f" {node}") == count
+        if name == "long_body.ex":
+            # The 1,201 statements dump side by side, under one `Block`.
+            assert max(len(line) - len(line.lstrip(" ")) for line in out.splitlines()) <= 20
 
     def test_map_access_chains_nested_in_tuples(self, tmp_path, capsys):
         # Three chains of 240 accesses, each inside a tuple that the next

@@ -420,7 +420,7 @@ def _concrete_expression_classes():
 class TestDispatch:
     def test_every_concrete_expression_class_has_a_handler(self):
         concrete = _concrete_expression_classes()
-        assert syntax.Seq in concrete and syntax.IntLit in concrete
+        assert syntax.Block in concrete and syntax.IntLit in concrete
         assert [c.__name__ for c in concrete if c not in expressions._SYNTH] == []
 
     def test_a_node_without_a_handler_cannot_be_synthesized(self):

@@ -15,8 +15,8 @@ from extc.diagnostics import Span
 from extc.lexer import tokenize
 from extc.parser import MAX_NESTING, MAX_TYPE_DEPTH, ParseError, Parser, parse_program
 from extc.syntax import (
-    AtomLit, BinOp, Call, Case, ConsExpr, If, IntLit, MapAccess, Match,
-    ModuleDef, PinPattern, Seq, TupleExpr, UnaryOp, Var, VarCall, Wildcard, dump,
+    AtomLit, BinOp, Block, Call, Case, ConsExpr, If, IntLit, MapAccess, Match,
+    ModuleDef, PinPattern, TupleExpr, UnaryOp, Var, VarCall, Wildcard, dump,
 )
 from extc.types import (
     ANY, AtomLiteralType, FLOAT, FunctionType, INTEGER, ListType, MapKey,
@@ -37,10 +37,10 @@ def spec_type(text):
 class TestExpressions:
     def test_sequence_with_match(self):
         expr = expression("x = 10 * 9\nx + 10")
-        assert dump(expr) == dump(Seq(
+        assert dump(expr) == dump(Block([
             Match(Var("x"), BinOp("*", IntLit(10), IntLit(9))),
             BinOp("+", Var("x"), IntLit(10)),
-        ))
+        ]))
 
     def test_semicolon_and_newline_interchangeable(self):
         assert dump(expression("x = 1; x")) == dump(expression("x = 1\nx"))
@@ -126,7 +126,7 @@ class TestExpressions:
     def test_case_branch_body_can_be_a_sequence(self):
         expr = expression("case x do :a -> y = 1\ny + 1\n:b -> 2 end")
         assert len(expr.clauses) == 2
-        assert isinstance(expr.clauses[0].body, Seq)
+        assert isinstance(expr.clauses[0].body, Block)
 
     def test_cond(self):
         expr = expression("cond do x > 1 -> 1\ntrue -> 2 end")
@@ -505,8 +505,8 @@ class TestPatterns:
         expr = expression("cond do\nx -> a = 1\nb = a\nb\ntrue -> 2\nend")
         assert [dump(clause.cond) for clause in expr.clauses] == \
             list(map(dump, [Var("x"), syntax.BoolLit(True)]))
-        assert dump(expr.clauses[0].body) == dump(Seq(
-            Match(Var("a"), IntLit(1)), Seq(Match(Var("b"), Var("a")), Var("b"))))
+        assert dump(expr.clauses[0].body) == dump(Block([
+            Match(Var("a"), IntLit(1)), Match(Var("b"), Var("a")), Var("b")]))
 
     def test_pattern_is_the_parsed_expression(self):
         """Every pattern position holds the expression node that was parsed,
@@ -514,7 +514,7 @@ class TestPatterns:
         source = ("def f({a, [b | c]}) do fn (%{:k => d}) -> d end end\n"
                   "case t do [] -> 1\n{x, _} -> 2 end\n[h | t] = xs")
         fdef, statements = parse_program(source).items
-        case, match = statements.first, statements.second
+        case, match = statements.exprs
         positions = [
             (fdef.params[0], "{a, [b | c]}", TupleExpr([Var("a"), ConsExpr(Var("b"), Var("c"))])),
             (fdef.body.params[0], "%{:k => d}", syntax.MapExpr([(MapKey("atom", "k"), Var("d"))])),
@@ -564,8 +564,8 @@ end
                     :k =>
                       IntLit value=1
               body:
-                Seq
-                  first:
+                Block
+                  exprs:
                     Match
                       pattern:
                         VarPattern name='g'
@@ -586,59 +586,55 @@ end
                                   AtomLit name='ok'
                           body:
                             Var name='c'
-                  second:
-                    Seq
-                      first:
-                        Match
-                          pattern:
-                            TuplePattern
-                              items:
-                                VarPattern name='x'
-                                ConsPattern
-                                  head:
-                                    VarPattern name='y'
-                                  tail:
-                                    ElistPattern
-                                BoolLit value=True
-                          value:
-                            Case
-                              subject:
-                                Var name='b'
-                              clauses:
-                                CaseClause
-                                  pattern:
-                                    ElistPattern
-                                  body:
-                                    TupleExpr
-                                      items:
-                                        Var name='a'
-                                        ConsExpr
-                                          head:
-                                            Var name='b'
-                                          tail:
-                                            ElistExpr
-                                        MapExpr
-                                          entries:
-                                            :k =>
-                                              Var name='g'
-                                CaseClause
-                                  pattern:
-                                    TuplePattern
-                                      items:
-                                        StringLit value='s'
-                                        PinPattern name='a'
-                                        MapPattern
-                                          entries:
-                                            :k =>
-                                              ConsPattern
-                                                head:
-                                                  VarPattern name='d'
-                                                tail:
-                                                  Wildcard
-                                  body:
-                                    Var name='d'
-                      second:
-                        Var name='x'""")
+                    Match
+                      pattern:
+                        TuplePattern
+                          items:
+                            VarPattern name='x'
+                            ConsPattern
+                              head:
+                                VarPattern name='y'
+                              tail:
+                                ElistPattern
+                            BoolLit value=True
+                      value:
+                        Case
+                          subject:
+                            Var name='b'
+                          clauses:
+                            CaseClause
+                              pattern:
+                                ElistPattern
+                              body:
+                                TupleExpr
+                                  items:
+                                    Var name='a'
+                                    ConsExpr
+                                      head:
+                                        Var name='b'
+                                      tail:
+                                        ElistExpr
+                                    MapExpr
+                                      entries:
+                                        :k =>
+                                          Var name='g'
+                            CaseClause
+                              pattern:
+                                TuplePattern
+                                  items:
+                                    StringLit value='s'
+                                    PinPattern name='a'
+                                    MapPattern
+                                      entries:
+                                        :k =>
+                                          ConsPattern
+                                            head:
+                                              VarPattern name='d'
+                                            tail:
+                                              Wildcard
+                              body:
+                                Var name='d'
+                    Var name='x'""")
 
 
 class TestPrograms:
@@ -654,7 +650,7 @@ class TestPrograms:
     def test_top_level_expressions_group_into_one_sequence(self):
         program = parse_program("x = 1\nx + 1\ndef f(y) do y end\n2 + 2")
         assert len(program.items) == 3
-        assert isinstance(program.items[0], Seq)
+        assert isinstance(program.items[0], Block)
         assert isinstance(program.items[1], syntax.FunctionDef)
 
     def test_def_params_are_patterns(self):
@@ -852,6 +848,14 @@ class TestNodeContract:
             "Match(start=0, end=11, pattern=Var(start=0, end=1, name='x'), "
             "value=ConsExpr(start=4, end=11, head=IntLit(start=5, end=6, value=1), "
             "tail=Var(start=9, end=10, name='t')))")
+
+    def test_a_long_body_reprs_and_compares(self):
+        # A `Block` holds its statements in a list, not in a chain that nests
+        # one level deeper for each statement.
+        source = "def f(n) do\n" + "".join(f"x{i} = {i}\n" for i in range(1200)) + "n\nend\n"
+        program = parse_program(source)
+        assert program == program and program.items == parse_program(source).items
+        assert repr(program).count("Match(") == 1200
 
     def test_program_repr_writes_every_field(self):
         assert repr(parse_program("x = 1", path="a.ex")).startswith(
