@@ -730,6 +730,14 @@ class TestSpansAndRoundTrip:
         assert (expr.start, expr.end) == (0, 6)
         assert (*source.position(expr.start), source.position(expr.end)[1]) == (1, 1, 7)
 
+    def test_a_parenthesised_group_is_a_block_of_its_own(self):
+        source = "x = 1; (y = 2; y); x"
+        outer = expression(source)
+        group = outer.exprs[1]
+        assert [type(e) for e in outer.exprs] == [Match, Block, Var]
+        assert source[group.start:group.end] == "y = 2; y"
+        assert dump(expression(printer.source(outer))) == dump(outer)
+
     def test_span_of_nested_node_contained_in_parent(self):
         outer = expression("1 + 2 * 3")
         inner = outer.right
