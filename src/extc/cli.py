@@ -15,30 +15,31 @@ gives. A standard stream closed at start takes no output: writing to it
 fails, and the other stream still gets its own.
 
 `extc check` splits several files between processes when it has `os.fork`,
-more than one CPU and at least twice `BATCH_MIN_BYTES` of input. The files
-go into one batch per CPU, but no more batches than `BATCH_MIN_BYTES` go
-into the input, dealt by size, each batch in command-line order. A worker
-is forked for each batch but one before any file is read: `_check_all` is
-the parent's side, and `_work` a worker's whole life. Each process
-lexes, parses and checks only its own batch. In between, the processes
-swap the declarations of their files (`signatures.declarations`), which
-are `marshal` data as they are, and `collect` unpacks every file's into
-the same signatures in each process, in command-line order, with the
-`E_DUP_SPEC` and `W_SPEC_NO_DEF` of its own files. Each process then
-sorts and renders the diagnostics of its own files, as text or JSON, in
-one block per file, with the colour this process chose before it forked.
-A worker sends `(file, block, codes)` for each of its files, and exits
-without writing to a standard stream; only `marshal` data crosses a pipe,
-and no file's text. This process renders its blocks before it reads the
-workers', then joins all blocks in file order: every diagnostic of a file
-comes from the process that loaded it, so that is the order of
-`sort_diagnostics`, and the output does not depend on the split. The codes
-give the summary and the exit status. A check in one process is a split
-with one batch, whose swap hands its declarations back.
+more than one CPU and at least twice `BATCH_MIN_BYTES` of input: one process
+per CPU, but no more than `BATCH_MIN_BYTES` go into the input. A worker is
+forked for each process but one before any file is read: `_check_all` is the
+parent's side, and `_work` a worker's whole life. Each process takes the next
+number from one queue of files, largest first, whenever it has loaded one,
+until the queue ends (`_take`). The processes then swap the declarations of
+their files (`signatures.declarations`), which are `marshal` data as they
+are, and `collect` unpacks every file's into the same signatures in each
+process, in command-line order, with the `E_DUP_SPEC` and `W_SPEC_NO_DEF` of
+its own files. Each process then checks, sorts and renders the diagnostics
+of its own files, as text or JSON, in one block per file, with the colour
+this process chose before it forked. A worker sends `(file, block, codes)`
+for each of its files, and exits without writing to a standard stream; only
+`marshal` data crosses a pipe, and no file's text. This process renders its
+blocks before it reads the workers', then joins all blocks in file order:
+every diagnostic of a file comes from the process that loaded it, so that is
+the order of `sort_diagnostics`, and the output does not depend on which
+process loaded which file. The codes give the summary and the exit status.
+A check in one process takes its files in command-line order, and its swap
+hands its declarations back.
 
 Process `k` of a split into `n` (the parent is 0) runs on `mask[k::n]` of
 the parent's sorted CPU mask, which the parent takes back at the end: a
 kernel may keep a forked process on its parent's CPU while another idles.
+The parent pins itself after the forks, which would inherit its share.
 """
 from __future__ import annotations
 
@@ -331,7 +332,7 @@ def _run_check(args) -> tuple[int, list]:
 
 
 def _check(files: list[str], mine, swap):
-    """Load the files numbered `mine`, in order, and check them against the
+    """Load the files numbered `mine`, an iterator, and check them against the
     signatures of all `files`: the signatures, and the diagnostics of `mine`.
     `swap`, given the declarations (`marshal` data, which `collect` unpacks)
     of `mine` by number, returns those of every file that parsed."""
@@ -360,31 +361,33 @@ def _blocks(diags: list[Diagnostic], render) -> list[tuple[str, str, list[str]]]
 
 
 def _check_all(files: list[str], render):
-    """The signatures, and `_blocks` of the diagnostics, of every file: checked
-    here alone, or split into batches of which this process, the parent,
-    checks the lightest and a worker forked into `_work` each other. Each
-    process renders its own files' diagnostics."""
-    batches = _batches(files)
-    mask = sorted(os.sched_getaffinity(0)) if batches[1:] else []  # the CPUs to share
-    workers = []  # (pid, reader, writer): the pid and this side's pipe ends
+    """The signatures, and `_blocks` of the diagnostics, of every file: checked here
+    alone, or by this process, the parent, and a worker forked into `_work` for each
+    other, which take files from one queue (`_take`); a failed `os.pipe` or `os.fork`
+    leaves fewer to take them. Each process renders its own files' diagnostics."""
+    count, order = _batches(files)
+    mask = sorted(os.sched_getaffinity(0)) if count > 1 else []  # the CPUs to share
+    queue, workers = [], []  # the queue's pipe ends; (pid, reader, writer) of each worker
     try:
-        _pin(mask[::len(batches)])
-        for k, batch in enumerate(batches[1:], 1):
+        for k in range(1, count):
             pipes = []
             try:
+                if not queue:
+                    queue += os.pipe()
+                    os.set_blocking(queue[1], False)  # `_take` writes what the pipe holds
                 pipes += os.pipe()  # from the worker
                 pipes += os.pipe()  # to the worker
                 pid = os.fork()
-            except OSError:  # no process or pipe to spare: check the batch here
+            except OSError:  # no process or pipe to spare
                 for fd in pipes:
                     os.close(fd)
-                batches[0] = sorted(batches[0] + batch)
                 continue
             if pid == 0:
-                _work(files, batch, render, workers, pipes, mask[k::len(batches)])  # never returns
+                _work(files, render, workers, pipes, queue, mask[k::count])  # never returns
             os.close(pipes[1])
             os.close(pipes[2])
             workers.append((pid, os.fdopen(pipes[0], "rb"), os.fdopen(pipes[3], "wb")))
+        _pin(mask[::count])  # not before the forks, whose workers would start on its share
 
         def swap(declared):
             for _, reader, _ in workers:
@@ -393,12 +396,14 @@ def _check_all(files: list[str], render):
                 _send(writer, declared)
             return declared
 
-        sigs, diags = _check(files, batches[0], swap)
+        sigs, diags = _check(files, _take(queue, order) if queue else iter(order), swap)
         blocks = _blocks(diags, render)  # while the workers render theirs
         for _, reader, _ in workers:
             blocks += _receive(reader)
         return sigs, blocks
     finally:
+        for fd in queue:  # before the wait: a worker reads the queue until every writer closes it
+            os.close(fd)
         for _, reader, writer in workers:
             _close(reader, writer)
         for pid, _, _ in workers:
@@ -406,31 +411,41 @@ def _check_all(files: list[str], render):
         _pin(mask)
 
 
-def _batches(files: list[str]) -> list[list[int]]:
-    """The numbers of `files`, split into batches, each in order and the
-    lightest first: largest file first, each file goes to the batch with the
-    fewest bytes so far. One batch per CPU, but no more batches than files,
-    nor than `BATCH_MIN_BYTES` go into the input. One batch when there is no
-    `os.fork`, and when another thread runs, which a forked worker would
-    lack, with any lock it holds."""
-    everyone = list(range(len(files)))
+def _batches(files: list[str]) -> tuple[int, list[int]]:
+    """How many processes check `files`, and the order in which they take them:
+    one per CPU, largest file first, but no more processes than files, nor
+    than `BATCH_MIN_BYTES` go into the input. One process, which takes them in
+    command-line order, when there is no `os.fork`, and when another thread
+    runs, which a forked worker would lack, with any lock it holds."""
+    order = list(range(len(files)))
     threading = sys.modules.get("threading")  # no thread runs unless it is loaded
     if (len(files) < 2 or not hasattr(os, "fork")
             or threading and threading.active_count() > 1):
-        return [everyone]
+        return 1, order
     sizes = [_size(name) for name in files]
     count = min(len(files), sum(sizes) // BATCH_MIN_BYTES)
     if count > 1:
         count = min(count, _cpus())
-    if count < 2:
-        return [everyone]
-    batches = [[] for _ in range(count)]
-    loads = [0] * count
-    for i in sorted(everyone, key=sizes.__getitem__, reverse=True):
-        lightest = loads.index(min(loads))
-        batches[lightest].append(i)
-        loads[lightest] += sizes[i]
-    return [sorted(batch) for _, batch in sorted(zip(loads, batches))]
+    return (count, sorted(order, key=sizes.__getitem__, reverse=True)) if count > 1 else (1, order)
+
+
+def _take(queue: list[int], order: list[int]):
+    """The numbers of the files this process takes from the queue, a pipe whose
+    ends `queue` holds: `order`, as far as the pipe does not hold it, then what the
+    pipe gives once this process has closed its write end. The write end does not
+    block: while the pipe is full, this process takes the next of `order` itself."""
+    rest = memoryview(b"".join(i.to_bytes(4, "little") for i in order))
+    while rest:
+        try:
+            rest = rest[os.write(queue[1], rest):]
+        except BlockingIOError:  # the pipe is full
+            pass
+        if rest:
+            yield int.from_bytes(rest[:4], "little")
+            rest = rest[4:]
+    os.close(queue.pop())
+    for number in iter(lambda: os.read(queue[0], 4), b""):
+        yield int.from_bytes(number, "little")
 
 
 def _cpus() -> int:
@@ -460,11 +475,12 @@ def _size(name: str) -> int:
         return 0
 
 
-def _work(files: list[str], batch: list[int], render, workers: list, pipes: list, cpus: list) -> None:
+def _work(files: list[str], render, workers: list, pipes: list, queue: list, cpus: list) -> None:
     """A worker's whole life after the fork: `_pin` to `cpus`, close the parent's ends of
-    `pipes` and of earlier `workers`' pipes, check `batch`, and send its declarations
-    and then the `_blocks` of its diagnostics, or the traceback of what stopped it.
-    It ends with `os._exit`, writes nothing to the standard streams, and
+    `pipes` and of earlier `workers`' pipes, take files from the `queue` until it ends
+    (`_take`, which first closes this process's write end), check them, and send their
+    declarations and then the `_blocks` of their diagnostics, or the traceback of what
+    stopped it. It ends with `os._exit`, writes nothing to the standard streams, and
     leaves their buffers to the parent."""
     status = 1
     try:
@@ -479,7 +495,7 @@ def _work(files: list[str], batch: list[int], render, workers: list, pipes: list
             _send(writer, declared)
             return _receive(reader)
 
-        _send(writer, _blocks(_check(files, batch, swap)[1], render))
+        _send(writer, _blocks(_check(files, _take(queue, []), swap)[1], render))
         status = 0
     except BaseException as err:  # reported, for the parent to raise
         _send(writer, _traceback(err))  # should this fail too, `finally` still ends the worker

@@ -146,6 +146,8 @@ def escaped(text: str, stream) -> str:
 def _under(text: str, mark: str, stream) -> str:
     """`mark` for each character of `text` as `escaped` writes it but a tab, which
     stays a tab, so that a terminal widens the line and the marks under it alike."""
+    if text.isascii() and "\t" not in text:  # `escaped` writes it as it stands
+        return mark * len(text)
     return "\t".join([mark * len(part) for part in escaped(text, stream).split("\t")])
 
 

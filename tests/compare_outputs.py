@@ -16,25 +16,31 @@ tree and against the working tree's `src/`, each in a fresh `python -S` with
 - `check`, as text and as JSON, and `parse` on each of `perfbench.gen.PROBES`;
   `check`, as text and as JSON, on all of them in one run, and on all of
   them with the `dense_bodies` seed-1 corpus, a run that is large enough to
-  split between processes on a machine with more than one CPU (on two, a
-  worker gets the 1,000-element cons list);
+  split between processes on a machine with more than one CPU;
 - `check` on each set of files in `SPLITS`, each file padded with
   statements past `cli.BATCH_MIN_BYTES`, so that on a machine with more
-  than one CPU a worker holds the larger, `a.ex`, and the parent `b.ex`
-  (of three files, on two CPUs the parent holds `a.ex`, and on three or
-  more each process one file, pinned to CPUs of its own):
-  - `split`, as text, as JSON and with `--dump-sigs`: the worker holds the
-    first `@spec` of `M.f/1`, and the parent holds its repeat and a `@spec`
-    with no `def`, so the spec diagnostics rest on declarations from
-    another process;
-  - `split_worker`, as text, as JSON and with `--strict-warnings`: the
-    worker holds a bad call of `M.f/1` and a `@spec` with no `def`, so every
-    diagnostic comes from the worker;
+  than one CPU they split between processes. Which process loads which
+  file is not fixed: each takes the next file from one queue, largest
+  first, whenever it has loaded one, so most runs put the first two files
+  of the queue in two processes, each pinned to CPUs of its own:
+  - `split`, as text, as JSON and with `--dump-sigs`: the larger `a.ex`
+    holds the first `@spec` of `M.f/1`, and `b.ex` its repeat and a
+    `@spec` with no `def`, so the spec diagnostics of `b.ex` rest on
+    declarations from `a.ex`;
+  - `split_worker`, as text, as JSON and with `--strict-warnings`: `a.ex`
+    holds a bad call of `M.f/1` and a `@spec` with no `def`, so every
+    diagnostic comes from one file;
   - `split_clean`, as text and as JSON: no diagnostic at all;
   - `split_three`, as text, as JSON and with `--dump-sigs`: `c.ex` repeats
     the `@spec` of `M.f/1` from `a.ex` and calls `N.g/1` from `b.ex`
     badly, and `b.ex` holds a bad call of `M.f/1` and a `@spec` with no
     `def`;
+  - `split_last`, as text, as JSON and with `--dump-sigs`: the largest
+    file, `c.ex`, comes last on the command line and first in the queue.
+    It repeats the `@spec`s of `M.f/1` from `a.ex` and of `N.g/1` from
+    `b.ex` and calls `M.f/1` badly, and `a.ex` and `b.ex` call `M.h/1`,
+    which only `c.ex` declares, `b.ex` badly, so the diagnostics rest on
+    declarations from files that another process loads;
 - `check` and `parse` on each of `MALFORMED`, one-line files that between
   them raise every lex and parse error message, from each site that raises
   one, including a `case` and a `cond` whose clauses lack a separator, and
@@ -230,8 +236,7 @@ TYPES = [
 # Sets of files, `(name, text, padding statements)` each in command-line
 # order, and the option lists each set is checked with. Each file is over
 # 12,000 bytes (`cli.BATCH_MIN_BYTES`), so that on two CPUs they go to two
-# processes, and the first of a pair, the larger, to the worker; three files
-# go to three processes where there are three CPUs.
+# processes, and three files to three processes where there are three CPUs.
 SPLITS = {
     "split": ([
         ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\nend\n",
@@ -257,6 +262,16 @@ SPLITS = {
                  "  @spec lonely(atom) :: atom\nend\nM.f(\"bad\")\n", 1_400),
         ("c.ex", "defmodule M do\n  @spec f(integer) :: float\n  def f(x) do x * 1.0 end\nend\n"
                  "N.g(:a)\n", 1_300),
+    ], [[], ["--format", "json"], ["--dump-sigs"]]),
+    "split_last": ([
+        ("a.ex", "defmodule M do\n  @spec f(integer) :: integer\n  def f(x) do x + 1 end\n"
+                 "  @spec lonely(atom) :: atom\nend\nM.h(1)\n", 1_300),
+        ("b.ex", "defmodule N do\n  @spec g(atom) :: atom\n  def g(x) do x end\nend\n"
+                 "M.h(:a)\n", 1_400),
+        ("c.ex", "defmodule M do\n  @spec f(integer) :: float\n  def f(x) do x * 1.0 end\n"
+                 "  @spec h(integer) :: integer\n  def h(x) do x end\nend\n"
+                 "defmodule N do\n  @spec g(integer) :: integer\n  def g(x) do x end\nend\n"
+                 "M.f(:a)\n", 1_600),
     ], [[], ["--format", "json"], ["--dump-sigs"]]),
 }
 

@@ -11,9 +11,15 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
+
+try:
+    import fcntl
+except ImportError:  # not on Windows
+    fcntl = None
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -295,10 +301,40 @@ _SPLIT_FILES = {
             b"x = M.g(1)\n",
     "d.ex": b'x = "a\\zb"\n',
     "e.ex": b"def f( do x end\n",
-    "f.ex": b"x = 1\n" * 200 + b"\xe9t\xe9\n",  # the largest: a worker gets it
+    "f.ex": b"x = 1\n" * 200 + b"\xe9t\xe9\n",  # the largest: the queue's first
     "g.ex": b'def u(a) do M.f(a) end\nN.h(1)\nM.f("s")\nM.k(%{:b => 1}, 2)\n',
 }
+_SPLIT_PARSED = {"a.ex", "b.ex", "c.ex", "g.ex"}  # the others stop at a lex or parse error
 _SPLIT_ARGS = [[], ["--format", "json"], ["--dump-sigs"], ["--dump-sigs", "--format", "json"]]
+
+
+def _recording_loads(monkeypatch, record: Path, processes: int = 1):
+    """Patches `cli._load` to append `pid name` to the file `record` as each
+    process loads a file: a worker's memory is its own. Each process's first
+    load then waits until `processes` processes have begun one, so that each
+    of them takes a file. Returns a function that gives the names each
+    process loaded, by pid."""
+    load = cli._load
+    record.touch()
+
+    def loaded() -> dict[int, list[str]]:
+        found = {}
+        for line in record.read_text().splitlines():
+            pid, name = line.split(" ", 1)
+            found.setdefault(int(pid), []).append(name)
+        return found
+
+    def recording_load(name):
+        with open(record, "a") as out:
+            out.write(f"{os.getpid()} {name}\n")
+        deadline = time.monotonic() + 30  # a worker gets no alarm: it ends its own wait
+        while len(loaded()) < processes:
+            assert time.monotonic() < deadline, "the other processes took no file"
+            time.sleep(0.001)
+        return load(name)
+
+    monkeypatch.setattr(cli, "_load", recording_load)
+    return loaded
 
 
 def _open_fds():
@@ -322,7 +358,7 @@ class TestSplitCheck:
 
     @pytest.fixture
     def cpus(self, monkeypatch):
-        """Sets the CPUs a check may use, with one byte enough for a batch
+        """Sets the CPUs a check may use, with one byte enough for a process
         and no cgroup quota; lists the forks each check makes. The masks it
         fakes may name CPUs that the machine lacks: a process pinned to
         those stays where it was, silently (`cli._pin`). A split restores
@@ -373,27 +409,32 @@ class TestSplitCheck:
                       "I_UNTYPED_DEF"):
             assert found in out
 
-    def test_workers_color_as_the_parent_decided(self, files, cpus, capsys, monkeypatch):
+    def test_workers_color_as_the_parent_decided(self, files, cpus, capsys, monkeypatch,
+                                                 tmp_path):
         """Only the parent asks whether stdout is a terminal: here a worker
-        that asked would be told no, and print its files without colour."""
+        that asked would be told no, and print its files without colour. The
+        worker takes at least one file, and each file has a diagnostic."""
         parent = os.getpid()
         monkeypatch.setattr(sys.stdout, "isatty", lambda: os.getpid() == parent)
-        outputs = []
-        for count in (1, 2):
-            forks = cpus(count)
-            outputs.append(invoke(capsys, "check", files))
-            assert len(forks) == count - 1
-        assert outputs[1] == outputs[0]
-        assert "\x1b[31mE_LEX\x1b[0m" in outputs[0][1]  # in f.ex, which a worker checks
+        cpus(1)
+        alone = invoke(capsys, "check", files)
+        forks = cpus(2)
+        loaded = _recording_loads(monkeypatch, tmp_path / "loads", 2)
+        assert invoke(capsys, "check", files) == alone
+        assert len(forks) == 1 and len(loaded()) == 2
+        assert "\x1b[31mE_LEX\x1b[0m" in alone[1]
 
     @pytest.mark.parametrize("args", [[], ["--format", "json"]], ids=["text", "json"])
-    def test_a_worker_sends_its_own_files_rendered(self, args, files, cpus, capsys, monkeypatch):
-        """A worker sends its declarations, then `(file, block, codes)` for
-        each of its files with diagnostics: no file's text, and nothing
-        about the parent's files."""
+    def test_a_worker_sends_its_own_files_rendered(self, args, files, cpus, capsys, monkeypatch,
+                                                   tmp_path):
+        """A worker sends the declarations of the files it took that parsed,
+        then `(file, block, codes)` for each file it took, as each has
+        diagnostics here: no file's text, and nothing about the parent's
+        files. Each process takes at least one file, and each file is taken
+        by one process."""
         cpus(2)
         names = cli._gather_files([files])
-        batch = cli._batches(names)[1]
+        loaded = _recording_loads(monkeypatch, tmp_path / "loads", 2)
         received = []
         original = cli._receive
 
@@ -404,8 +445,12 @@ class TestSplitCheck:
         monkeypatch.setattr(cli, "_receive", receive)
         _, out, _ = invoke(capsys, "check", *args, files)
         declared, blocks = received
-        assert set(declared) <= set(batch)
-        assert blocks and {file for file, _, _ in blocks} <= {names[i] for i in batch}
+        taken = loaded()
+        parent = taken.pop(os.getpid())
+        (worker,) = taken.values()
+        assert parent and worker and sorted(parent + worker) == sorted(names)
+        assert {names[i] for i in declared} == {n for n in worker if Path(n).name in _SPLIT_PARSED}
+        assert [file for file, _, _ in blocks] == sorted(worker)
         texts = {(Path(files) / name).read_bytes().decode(errors="replace")
                  for name in _SPLIT_FILES}
         for file, block, codes in blocks:
@@ -472,12 +517,21 @@ class TestSplitCheck:
 
     def test_the_parent_pins_its_share_and_then_its_whole_mask(self, files, cpus, capsys,
                                                                monkeypatch):
-        """The parent, process 0 of 3, runs on CPU 0 of 0-2 until it has
-        reaped its workers; a check that stays in one process pins nothing."""
+        """The parent, process 0 of 3, runs on CPU 0 of 0-2 from its last fork
+        until it has reaped its workers: a worker forked after the pin would
+        start on the parent's CPU. A check that stays in one process pins
+        nothing. Forks and pins go into one list, in the order made."""
         calls = []
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)),
                             raising=False)
         forks = cpus(1)
+        fork = os.fork
+
+        def logged_fork():
+            calls.append("fork")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
         invoke(capsys, "check", files)
         forks = cpus(3)
         monkeypatch.setattr(cli, "BATCH_MIN_BYTES", sum(map(len, _SPLIT_FILES.values())) // 2 + 1)
@@ -485,7 +539,7 @@ class TestSplitCheck:
         assert forks == [] and calls == []
         monkeypatch.setattr(cli, "BATCH_MIN_BYTES", 1)
         invoke(capsys, "check", files)
-        assert len(forks) == 2 and calls == [(0, [0]), (0, [0, 1, 2])]
+        assert len(forks) == 2 and calls == ["fork", "fork", (0, [0]), (0, [0, 1, 2])]
 
     def test_a_check_beside_another_thread_stays_in_one_process(self, files, cpus, capsys):
         forks = cpus(2)
@@ -500,7 +554,10 @@ class TestSplitCheck:
         assert forks == [] and not other.is_alive()
 
     def test_batches_keep_the_order_and_weigh_alike(self, tmp_path, monkeypatch):
-        sizes = [5, 40, 10, 30, 20, 1]  # 106 bytes
+        """A split's processes take the largest file first, and files of one
+        size in command-line order; one process takes them in command-line
+        order. There is a process per CPU, but no more than files."""
+        sizes = [5, 40, 20, 30, 20, 1]  # two files of 20 bytes
         names = []
         for number, size in enumerate(sizes):
             names.append(str(tmp_path / f"{number}.ex"))
@@ -508,18 +565,21 @@ class TestSplitCheck:
         monkeypatch.setattr(cli, "CPU_QUOTA_FILES", ())
         monkeypatch.setattr(cli, "BATCH_MIN_BYTES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert cli._batches(names) == [[3, 4, 5], [0, 1, 2]]  # 51 and 55 bytes
+        assert cli._batches(names) == (2, [1, 3, 2, 4, 0, 5])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert cli._batches(names) == [[0, 1, 2, 3, 4, 5]]
+        assert cli._batches(names) == (1, [0, 1, 2, 3, 4, 5])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert cli._batches(names) == [[5], [0], [2], [4], [3], [1]]  # a file each
+        assert cli._batches(names) == (6, [1, 3, 2, 4, 0, 5])  # a process per file
+        assert cli._batches(names[:1]) == (1, [0])
 
     @pytest.mark.parametrize("least, batches", [
-        (35, [[2, 4, 5], [0, 3], [1]]), (36, [[3, 4, 5], [0, 1, 2]]), (53, [[3, 4, 5], [0, 1, 2]]),
-        (54, [[0, 1, 2, 3, 4, 5]]),
+        (35, (3, [1, 3, 4, 2, 0, 5])), (36, (2, [1, 3, 4, 2, 0, 5])),
+        (53, (2, [1, 3, 4, 2, 0, 5])), (54, (1, [0, 1, 2, 3, 4, 5])),
     ])
     def test_each_batch_gets_its_share_of_bytes(self, least, batches, tmp_path, monkeypatch):
-        """Many CPUs split a small input no finer than `BATCH_MIN_BYTES` allows."""
+        """Many CPUs split a small input between no more processes than
+        `BATCH_MIN_BYTES` goes into it: 106 bytes go to 3 processes of 35
+        bytes at least, 2 of 36 or 53, and 1 of 54."""
         names = []
         for number, size in enumerate([5, 40, 10, 30, 20, 1]):  # 106 bytes
             names.append(str(tmp_path / f"{number}.ex"))
@@ -554,24 +614,33 @@ class TestSplitCheck:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_worker_holds_none_of_the_parents_pipe_ends(self, files, cpus, capsys, monkeypatch):
-        """Before it reads a file, each worker has closed the ends that the
-        parent keeps of every pipe made so far: its own and the earlier
-        workers'. A worker's failed assertion reaches the parent as a
-        `RuntimeError`. Nothing opens a descriptor between the worker's
-        closing and its first `_load`, so no closed number is reused yet."""
-        parent, pipe, load = os.getpid(), os.pipe, cli._load
-        made = []  # each process keeps the pipes made before it forked
+    def test_a_worker_holds_none_of_the_parents_pipe_ends(self, files, cpus, capsys, monkeypatch,
+                                                          tmp_path):
+        """Before it loads a file, each worker has closed the ends that the
+        parent keeps of every pipe made so far, its own and the earlier
+        workers', and the write end of the queue, whose read end it shares.
+        A worker's failed assertion reaches the parent as a `RuntimeError`.
+        Nothing opens a descriptor between the worker's closing and its
+        first `_load`, so no closed number is reused yet. Each of the three
+        processes takes a file."""
+        parent, pipe = os.getpid(), os.pipe
+        made = []  # each process keeps the pipes made before it forked: the queue, then a worker's
+        loaded = _recording_loads(monkeypatch, tmp_path / "loads", 3)
+        load, checked = cli._load, []
 
         def recording_pipe():
             made.append(pipe())
             return made[-1]
 
         def loading(name):
-            if os.getpid() != parent:
-                for k, ends in enumerate(made):  # the parent reads from a worker, then writes to it
+            if os.getpid() != parent and not checked:  # before `load` opens a file
+                checked.append(name)
+                (reader, writer), *theirs = made
+                os.fstat(reader)
+                # the parent reads from a worker, then writes to it
+                for fd in [writer, *(ends[k % 2] for k, ends in enumerate(theirs))]:
                     with pytest.raises(OSError) as closed:
-                        os.fstat(ends[k % 2])
+                        os.fstat(fd)
                     assert closed.value.errno == errno.EBADF
             return load(name)
 
@@ -579,18 +648,21 @@ class TestSplitCheck:
         monkeypatch.setattr(cli, "_load", loading)
         forks = cpus(3)
         assert invoke(capsys, "check", files)[0] == 2
-        assert (len(forks), len(made)) == (2, 4)
+        assert (len(forks), len(made), len(loaded())) == (2, 5, 3)
 
-    @pytest.mark.parametrize("call, count, error, forked", [
-        ("fork", 3, errno.EAGAIN, 1), ("pipe", 2, errno.EMFILE, 0),
-    ], ids=["fork", "pipe"])
+    @pytest.mark.parametrize("call, count, fails, error, forked", [
+        ("fork", 3, 2, errno.EAGAIN, 1), ("pipe", 2, 2, errno.EMFILE, 0),
+        ("pipe", 2, 1, errno.EMFILE, 0),
+    ], ids=["fork", "pipe", "queue"])
     def test_a_worker_that_cannot_start_leaves_its_batch_here(
-            self, call, count, error, forked, files, cpus, capsys, monkeypatch):
-        """`os.fork` fails for the second of two workers, or `os.pipe` for
-        the only worker's second pipe: the parent checks that batch itself,
-        prints what one process prints, and closes the pipes it made. A pipe
-        end is a raw descriptor, whose leak raises no `ResourceWarning`, so
-        the descriptors are counted, where `/proc/self/fd` lists them."""
+            self, call, count, fails, error, forked, files, cpus, capsys, monkeypatch):
+        """`os.fork` fails for the second of two workers, `os.pipe` for the
+        only worker's first pipe, after the queue's, or for the queue: fewer
+        processes take the files, the parent all of them when no worker
+        starts, from the queue or with no queue at all. They print what one
+        process prints, and the parent closes the pipes it made. A pipe end is
+        a raw descriptor, whose leak raises no `ResourceWarning`, so the
+        descriptors are counted, where `/proc/self/fd` lists them."""
         cpus(1)
         alone = invoke(capsys, "check", files)
         forks = cpus(count)
@@ -598,14 +670,14 @@ class TestSplitCheck:
 
         def failing(*args):
             calls.append(args)
-            if len(calls) == 2:
+            if len(calls) == fails:
                 raise OSError(error, os.strerror(error))
             return original(*args)
 
         monkeypatch.setattr(os, call, failing)
         fds = _open_fds()
         assert invoke(capsys, "check", files) == alone
-        assert (len(calls), len(forks), _open_fds()) == (2, forked, fds)
+        assert (len(calls), len(forks), _open_fds()) == (fails, forked, fds)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -663,23 +735,105 @@ class TestSplitCheck:
         assert capsys.readouterr() == ("", "")
 
     def test_workers_end_when_the_parent_is_killed(self, files):
-        """The parent dies before it reads a header; its workers' writes then
-        fail and they exit. They hold the captured output pipes, so `run`
-        returns only once every worker has ended."""
+        """The parent dies as it starts to take files, before it has written
+        the queue: its death closes the queue's last write end, so its
+        workers see the queue end, then their writes fail and they exit.
+        They hold the captured output pipes, so `run` returns only once
+        every worker has ended."""
         code = ("import os, signal, extc.cli as cli\n"
                 "cli.BATCH_MIN_BYTES, cli.CPU_QUOTA_FILES = 1, ()\n"
                 "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
-                "parent, declarations = os.getpid(), cli.declarations\n"
-                "def dying(program):\n"
+                "parent, take = os.getpid(), cli._take\n"
+                "def dying(queue, order):\n"
                 "    if os.getpid() == parent:\n"
                 "        os.kill(parent, signal.SIGKILL)\n"
-                "    return declarations(program)\n"
-                "cli.declarations = dying\n"
+                "    return take(queue, order)\n"
+                "cli._take = dying\n"
                 "cli.main()\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", code, "check", files], env=env,
                               capture_output=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (-signal.SIGKILL, b"", b"")
+
+    def test_a_slow_parent_leaves_the_other_files_to_the_worker(self, files, cpus, capsys,
+                                                                monkeypatch, tmp_path):
+        """While the parent's first load sleeps for a second, the worker takes
+        every other file from the queue; the output is what one process prints."""
+        cpus(1)
+        alone = invoke(capsys, "check", files)
+        forks = cpus(2)
+        loaded = _recording_loads(monkeypatch, tmp_path / "loads")
+        load, parent, slept = cli._load, os.getpid(), []
+
+        def slow(name):
+            if os.getpid() == parent and not slept:
+                slept.append(name)
+                time.sleep(1)
+            return load(name)
+
+        monkeypatch.setattr(cli, "_load", slow)
+        assert invoke(capsys, "check", files) == alone
+        taken = loaded()
+        mine = taken.pop(parent, [])
+        assert len(forks) == 1 and mine == slept
+        assert [len(theirs) for theirs in taken.values()] == [len(_SPLIT_FILES) - len(mine)]
+
+    def test_more_processes_than_cpus_take_each_file_once(self, cpus, capsys, monkeypatch,
+                                                          tmp_path):
+        """Eight processes share the queue of 400 files, on however few CPUs
+        there are: each file is loaded once, by one process, and the output
+        is what one process prints."""
+        (tmp_path / "files").mkdir()
+        for number in range(400):
+            text = 'x = 1 + "s"\n' if number % 10 == 0 else "x = 1\n" * (number % 7 + 1)
+            (tmp_path / "files" / f"{number:03}.ex").write_text(text)
+        cpus(1)
+        alone = invoke(capsys, "check", str(tmp_path / "files"))
+        forks = cpus(8)
+        loaded = _recording_loads(monkeypatch, tmp_path / "loads")
+        assert invoke(capsys, "check", str(tmp_path / "files")) == alone
+        names = [name for taken in loaded().values() for name in taken]
+        assert len(forks) == 7 and sorted(names) == cli._gather_files([str(tmp_path / "files")])
+
+    @pytest.mark.skipif(fcntl is None or not hasattr(fcntl, "F_SETPIPE_SZ"),
+                        reason="a pipe's size is set with Linux's F_SETPIPE_SZ")
+    @pytest.mark.parametrize("started", [1, 0], ids=["worker", "no-worker"])
+    def test_a_queue_longer_than_a_pipe_holds(self, started, cpus, capsys, monkeypatch, tmp_path):
+        """Every pipe holds one page here, and the queue is 500 numbers
+        longer: the parent's first write into it stops short, not blocked,
+        and the check prints what one process prints, also when no worker
+        starts to read the queue."""
+        page = os.sysconf("SC_PAGESIZE")
+        for number in range(page // 4 + 500):
+            text = 'x = 1 + "s"\n' if number % 100 == 0 else "x = 1\n"
+            (tmp_path / f"{number:05}.ex").write_text(text)
+        cpus(1)
+        alone = invoke(capsys, "check", str(tmp_path))
+        assert alone[0] == 1
+        forks = cpus(2)
+        pipe, write, parent, written = os.pipe, os.write, os.getpid(), []
+
+        def small_pipe():
+            ends = pipe()
+            assert fcntl.fcntl(ends[1], fcntl.F_SETPIPE_SZ, page) == page
+            return ends
+
+        def recording_write(fd, data):
+            count = write(fd, data)
+            if os.getpid() == parent:
+                written.append((len(data), count))
+            return count
+
+        def failing_fork():
+            forks.append(os.getpid())
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "pipe", small_pipe)
+        monkeypatch.setattr(os, "write", recording_write)
+        if not started:
+            monkeypatch.setattr(os, "fork", failing_fork)
+        assert invoke(capsys, "check", str(tmp_path)) == alone
+        assert len(forks) == 1 and written[0] == ((page // 4 + 500) * 4, page)
 
     def test_a_failing_worker_ends_the_process(self, files):
         code = ("import os, sys, extc.cli as cli\n"

@@ -1,10 +1,11 @@
+import io
 import json
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from extc import cli
+from extc import cli, diagnostics
 from extc.diagnostics import (
     ALL_CODES, Diagnostic, Source, Span, count_by_severity, json_document, json_entry,
     render_all_text, render_json, render_text, sort_diagnostics,
@@ -91,6 +92,20 @@ def test_render_text_caret_keeps_the_tabs_before_it():
 def test_render_text_caret_line_keeps_the_tabs_under_the_span(source, start, end, carets):
     text = render_text(diag(s=span(start, end, source)))
     assert text.splitlines()[2] == "      " + carets
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii", "ascii:replace", "utf-16", "latin-1"])
+def test_ascii_text_takes_a_mark_a_character_without_escaping(encoding, monkeypatch):
+    """For every ASCII character but a tab, the caret line's fast path gives as
+    many marks as `escaped` writes characters, without calling it, under the
+    stream encodings that `compare_outputs` runs with, UTF-16 and Latin-1."""
+    name, _, errors = encoding.partition(":")
+    stream = io.TextIOWrapper(io.BytesIO(), encoding=name, errors=errors or "strict")
+    texts = [f"a{char}b" for char in map(chr, range(128)) if char != "\t"]
+    widths = [len(diagnostics.escaped(text, stream)) for text in texts]
+    monkeypatch.setattr(diagnostics, "escaped", None)  # not called
+    assert [diagnostics._under(text, "^", stream) for text in texts] == ["^" * w for w in widths]
+    assert set(widths) == {3}
 
 
 def test_render_json_empty():
